@@ -36,7 +36,7 @@ from .exact_linalg import (
     zero_vec,
 )
 from .lie import unit_coords
-from .pentad import PhiMap, StandardPentad, mirror
+from .pentad import StandardPentad, mirror
 
 
 class DegreeError(ValueError):
@@ -101,8 +101,8 @@ class _Half:
     def __init__(self, pentad: StandardPentad, max_degree: int):
         self.pentad = pentad
         self.max_degree = max_degree
-        self.phi = PhiMap(pentad)
-        d, m = pentad.algebra.dim, pentad.module_dim
+        self.phi = pentad.phi
+        m = pentad.module_dim
         self.dims: dict[int, int] = {1: m}
         self.maps: dict[int, tuple[Matrix, ...]] = {}
         self.actions: dict[int, list[Matrix]] = {}
@@ -110,8 +110,10 @@ class _Half:
         self.up: dict[int, list[list[Vec]]] = {}
         self._candidates: dict[int, list[Vec]] = {}
         self._expansions: dict[int, list[tuple[tuple[Q, int, int], ...]]] = {}
-        self._phi_units = [[self.phi.apply(unit_coords(m, a), unit_coords(m, r))
-                            for r in range(m)] for a in range(m)]
+        # _phi_units[a][r] = Phi(x_a (x) y_r), column r of G^-1 . M(x_a)
+        self._phi_units = [
+            self.phi.to_algebra(self.phi.module_contraction(unit_coords(m, a))).transpose().entries
+            for a in range(m)]
         for k in range(1, max_degree):
             if self.dims.get(k, 0) == 0:
                 self.dims[k + 1] = 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .exact_linalg import (
@@ -147,7 +148,10 @@ def dual_representation(rep: Representation, pairing: Matrix | None = None) -> D
                           Matrix.identity(rep.module_dim))
     if pairing.shape() != (rep.module_dim, rep.module_dim):
         raise PentadError("pairing size must match the module dimension")
-    p_inv = inverse(pairing)
+    try:
+        p_inv = inverse(pairing)
+    except ValueError:
+        raise PentadError("pairing is singular; the contragredient dual is not defined") from None
     return DualModule(
         tuple((p_inv @ a.transpose() @ pairing).scale(-1) for a in rep.action),
         pairing)
@@ -171,6 +175,11 @@ class StandardPentad:
     @property
     def module_dim(self) -> int:
         return self.rep.module_dim
+
+    @cached_property
+    def phi(self) -> PhiMap:
+        """The pentad's Phi-map, built on first use and shared afterwards."""
+        return PhiMap(self)
 
     def pair(self, v: Sequence[Q], phi: Sequence[Q]) -> Q:
         """<v, phi> through the pairing matrix."""
@@ -249,30 +258,85 @@ def check_standard(p: StandardPentad) -> ValidationReport:
 
 
 class PhiMap:
-    """Solver for B(a, Phi(v (x) phi)) = <pi(a)v, phi>, tables precomputed.
+    """Solver for B(a, Phi(v (x) phi)) = <pi(a)v, phi>, as one sparse tensor.
 
-    Construction inverts the form's gram matrix once; each apply() is then a
-    handful of exact matrix-vector products.
+    With G the form's gram matrix, Phi(v (x) phi) = G^-1 . t where
+    t_i = <pi(b_i)v, phi> = t(v).W_i.phi and W_i = t(pi(b_i)).P.  The
+    nonzeros of the 3-tensor W[i][a][r] are stored once, grouped by the
+    module index a, and every Phi quantity is a contraction of them:
+
+      M(x)[i][r] = sum_a x_a W[i][a][r]   (module_contraction, d x m)
+      N(y)[i][a] = sum_r W[i][a][r] y_r   (dual_contraction, d x m)
+
+    so phi -> Phi(x (x) phi) is G^-1 . M(x) and xi -> Phi(xi (x) y) is
+    G^-1 . N(y).  Both are integer matrices whenever the action and the
+    pairing are.  Every pentad owns one instance, StandardPentad.phi.
     """
 
     def __init__(self, p: StandardPentad):
-        self.pentad = p
-        gram = p.form.gram
-        if kernel_basis(gram):
-            raise PentadError("form is degenerate; the Phi-map is not defined")
-        self._gram_inv = inverse(gram)
-        # row i of the table sends (v, phi) to <pi(b_i)v, phi> = t(v).W_i.phi
-        self._tables = tuple(a.transpose() @ p.dual.pairing for a in p.rep.action)
+        self.dim = p.algebra.dim
+        self.module_dim = p.module_dim
+        try:
+            self.gram_inv = inverse(p.form.gram)
+        except ValueError:
+            raise PentadError("form is degenerate; the Phi-map is not defined") from None
+        tables = [a.transpose() @ p.dual.pairing for a in p.rep.action]
+        # by_module[a]: the nonzeros (i, r, W[i][a][r]) of slice a
+        self._by_module = tuple(
+            tuple((i, r, w) for i, t in enumerate(tables)
+                  for r, w in enumerate(t.entries[a]) if w)
+            for a in range(self.module_dim))
+
+    def _check_length(self, v: Sequence[Q]) -> None:
+        if len(v) != self.module_dim:
+            raise ValueError(f"expected {self.module_dim} coordinates, got {len(v)}")
+
+    def module_contraction(self, x: Sequence[Q]) -> Matrix:
+        """M(x), the d x m matrix with G^-1 . M(x) . phi = Phi(x (x) phi)."""
+        self._check_length(x)
+        out = [[0] * self.module_dim for _ in range(self.dim)]
+        for a, xa in enumerate(x):
+            if xa:
+                for i, r, w in self._by_module[a]:
+                    out[i][r] += xa * w
+        return _normalized(out)
+
+    def dual_contraction(self, y: Sequence[Q]) -> Matrix:
+        """N(y), the d x m matrix with G^-1 . N(y) . xi = Phi(xi (x) y)."""
+        self._check_length(y)
+        out = [[0] * self.module_dim for _ in range(self.dim)]
+        for a, entries in enumerate(self._by_module):
+            for i, r, w in entries:
+                yr = y[r]
+                if yr:
+                    out[i][a] += w * yr
+        return _normalized(out)
+
+    def to_algebra(self, t: Matrix) -> Matrix:
+        """G^-1 . t: turns a contraction into algebra coordinates, columnwise."""
+        return _normalized((self.gram_inv @ t).entries)
 
     def apply(self, v: Sequence[Q], phi: Sequence[Q]) -> Vec:
         """Algebra coordinates of Phi(v (x) phi)."""
-        t = tuple(qnorm(vec_dot(v, w.apply(phi))) for w in self._tables)
-        return self._gram_inv.apply(t)
+        self._check_length(v)
+        self._check_length(phi)
+        t: list[Q] = [0] * self.dim
+        for a, va in enumerate(v):
+            if va:
+                for i, r, w in self._by_module[a]:
+                    fr = phi[r]
+                    if fr:
+                        t[i] += va * w * fr
+        return self.gram_inv.apply(t)
+
+
+def _normalized(rows) -> Matrix:
+    return Matrix(tuple(tuple(qnorm(x) for x in row) for row in rows))
 
 
 def phi_map(p: StandardPentad, v: Sequence[Q], phi: Sequence[Q]) -> Vec:
-    """One-shot Phi-map evaluation; build a PhiMap for repeated calls."""
-    return PhiMap(p).apply(v, phi)
+    """Phi(v (x) phi) through the pentad's own PhiMap."""
+    return p.phi.apply(v, phi)
 
 
 @dataclass(frozen=True)
@@ -297,7 +361,7 @@ def check_equivariance(p: StandardPentad, trials: int = 20, seed: int = 0) -> Eq
     Runs over every algebra basis element a and `trials` random (v, phi)
     pairs drawn from the seeded sampler.
     """
-    phi_solver = PhiMap(p)
+    phi_solver = p.phi
     rng = random.Random(seed)
     d, m = p.algebra.dim, p.module_dim
     for t in range(trials):

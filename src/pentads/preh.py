@@ -9,6 +9,16 @@ phi -> Phi(x (x) phi); on the second it is injectivity of
 xi -> Phi(xi (x) y).  Every verdict carries the ranks, kernels, and
 witnesses needed to replay those claims independently.
 
+All three legs run on the pentad's Phi tensor (pentad.PhiMap).  With G the
+form's gram matrix, ad_on_dual(x) = G^-1 . M(x) and module_partner_map(y)
+= G^-1 . N(y), where M(x) and N(y) are the tensor contracted with x and y.
+G is invertible, so M(x) has the row space of ad_on_dual(x), and the
+partner system [G^-1 . M(x); E] y = [h; 0] has the row space of
+[M(x); E] y = [G.h; 0] once its first block is multiplied by G.  Ranks,
+kernels and reduced echelon forms depend only on the row space, so the
+pipeline works on M(x) and N(y) directly, and every rank, solution and
+kernel vector is identical to the one computed through G^-1.
+
 Random search only ever certifies positives: failing to sample a generic
 point yields Inconclusive, never a negative verdict.
 """
@@ -31,7 +41,7 @@ from .exact_linalg import (
 )
 from .graded import GradingElement, grading_element
 from .lie import scalar_center_report, unit_coords
-from .pentad import PhiMap, StandardPentad, phi_map, random_int_vector
+from .pentad import StandardPentad, random_int_vector
 
 
 class ScalarCenterError(ValueError):
@@ -50,25 +60,19 @@ def _dual_apply(p: StandardPentad, g: Vec, v: Vec) -> Vec:
     return acc
 
 
-def ad_on_dual(p: StandardPentad, x: Vec, phi: PhiMap | None = None) -> Matrix:
+def ad_on_dual(p: StandardPentad, x: Vec) -> Matrix:
     """Matrix of phi -> Phi(x (x) phi), shape (dim algebra) x (dim dual)."""
-    phi = PhiMap(p) if phi is None else phi
-    m = p.module_dim
-    cols = [phi.apply(x, unit_coords(m, r)) for r in range(m)]
-    return Matrix(tuple(zip(*cols)))
+    return p.phi.to_algebra(p.phi.module_contraction(x))
 
 
-def module_partner_map(p: StandardPentad, y: Vec, phi: PhiMap | None = None) -> Matrix:
+def module_partner_map(p: StandardPentad, y: Vec) -> Matrix:
     """Matrix of xi -> Phi(xi (x) y), shape (dim algebra) x (dim module)."""
-    phi = PhiMap(p) if phi is None else phi
-    m = p.module_dim
-    cols = [phi.apply(unit_coords(m, a), y) for a in range(m)]
-    return Matrix(tuple(zip(*cols)))
+    return p.phi.to_algebra(p.phi.dual_contraction(y))
 
 
 def is_generic(p: StandardPentad, x: Vec) -> bool:
     """True iff phi -> Phi(x (x) phi) is injective."""
-    return rank(ad_on_dual(p, x)) == p.module_dim
+    return rank(p.phi.module_contraction(x)) == p.module_dim
 
 
 @dataclass(frozen=True)
@@ -105,14 +109,13 @@ def find_generic(p: StandardPentad, attempts: int = 64, seed: int = 0) -> Generi
             "not_found", None, 0, m, 0, seed,
             f"dual dimension {m} exceeds algebra dimension {d}; "
             "no injective map into the algebra exists")
-    phi = PhiMap(p)
     rng = random.Random(seed)
     best = 0
     used = 0
     for k in range(attempts):
         x = unit_coords(m, k) if k < m else random_int_vector(rng, m)
         used += 1
-        r = rank(ad_on_dual(p, x, phi))
+        r = rank(p.phi.module_contraction(x))
         if r == m:
             return GenericSearch("found", x, r, m, used, seed)
         best = max(best, r)
@@ -140,7 +143,7 @@ class Sl2Triple:
             raise ValueError("sl2 relation [h, x] = 2x fails")
         if _dual_apply(p, self.h, self.y) != vec_scale(-2, self.y):
             raise ValueError("sl2 relation [h, y] = -2y fails")
-        if phi_map(p, self.x, self.y) != tuple(self.h):
+        if p.phi.apply(self.x, self.y) != tuple(self.h):
             raise ValueError("sl2 relation [x, y] = h fails")
 
 
@@ -166,8 +169,8 @@ def sl2_partner(p: StandardPentad, h, x: Vec) -> PartnerResult:
     certified = isinstance(h, GradingElement)
     hc = h.coords if certified else tuple(h)
     m = p.module_dim
-    rows = list(ad_on_dual(p, x).entries)
-    rhs: list = list(hc)
+    rows = list(p.phi.module_contraction(x).entries)
+    rhs: list = list(p.form.gram.apply(hc))
     if not certified:
         if p.rep.apply(hc, x) != vec_scale(2, x):
             return PartnerResult("none", None, (), None)
@@ -203,11 +206,11 @@ def has_unique_module_partner(p: StandardPentad, h, y: Vec) -> bool:
     m = p.module_dim
     if not certified and _dual_apply(p, hc, y) != vec_scale(-2, y):
         return False
-    mmat = module_partner_map(p, y)
-    if kernel_basis(mmat):
+    nmat = p.phi.dual_contraction(y)
+    if kernel_basis(nmat):
         return False
-    rows = list(mmat.entries)
-    rhs: list = list(hc)
+    rows = list(nmat.entries)
+    rhs: list = list(p.form.gram.apply(hc))
     if not certified:
         eigen = Matrix.zeros(m, m)
         for gi, mat in zip(hc, p.rep.action):
@@ -281,8 +284,7 @@ def decide_regularity(p: StandardPentad, attempts: int = 64, seed: int = 0) -> R
         # injectivity of ad_on_dual(x) rules this out for a generic x
         raise ArithmeticError("affine partner solution at a certified generic point")
     y = pr.y
-    mmat = module_partner_map(p, y)
-    ker = kernel_basis(mmat)
+    ker = kernel_basis(p.phi.dual_contraction(y))
     if ker:
         return RegularityVerdict(
             "NotRegular", h0.coords, x, y, ranks,
@@ -315,17 +317,17 @@ def verify_certificate(p: StandardPentad, v: RegularityVerdict) -> bool:
                 w = tuple(v.witness["vector"])
                 y = tuple(v.y)
                 return (not is_zero_vec(w)
-                        and is_zero_vec(module_partner_map(p, y).apply(w))
-                        and phi_map(p, x, y) == h0)
+                        and is_zero_vec(p.phi.dual_contraction(y).apply(w))
+                        and p.phi.apply(x, y) == h0)
             return False
         if v.outcome == "Regular":
             pr = sl2_partner(p, GradingElement(h0), x)
             if pr.status != "unique" or pr.y != tuple(v.y):
                 return False
-            mmat = module_partner_map(p, pr.y)
-            if kernel_basis(mmat):
+            nmat = p.phi.dual_contraction(pr.y)
+            if kernel_basis(nmat):
                 return False
-            return solve(mmat, h0).is_solvable
+            return solve(nmat, p.form.gram.apply(h0)).is_solvable
         return False
     except (ValueError, KeyError, TypeError):
         return False

@@ -1,9 +1,15 @@
 """Exit codes, JSON schemas, and byte stability of the command line."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pentads
 from pentads import cli
 from pentads.catalog import catalog, resolve
 from pentads.exact_linalg import Matrix, qstr
@@ -101,6 +107,23 @@ class TestInvalidInput:
         code, doc = run(capsys, "regularity", "--pentad", str(path))
         assert code == 1
         assert "error" in doc
+
+    def test_singular_pairing_without_dual_action(self, tmp_path):
+        # The contragredient dual needs the inverse pairing; a singular one
+        # must be a load error, not a traceback out of the inversion.
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({"algebra": {"ambient_size": 1, "basis": [[["1"]]]},
+                                    "action": [[["1"]]], "pairing": [["0"]]}),
+                        encoding="utf-8")
+        src = str(Path(pentads.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "pentads.cli", "regularity",
+                               "--pentad", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "pairing is singular" in json.loads(proc.stdout)["error"]
 
     def test_max_degree_bound(self, capsys):
         code, doc = run(capsys, "graded-dims", "--example", "gl1_scalar",
@@ -294,3 +317,31 @@ class TestDeterminismAndRoundTrip:
         from_file = run_raw(capsys, "graded-dims", "--pentad", path)
         from_catalog = run_raw(capsys, "graded-dims", "--example", "gl2_trace")
         assert from_file == from_catalog
+
+
+# sha256 of `pentads regularity --verify-certificate --seed 0 --example NAME`
+# stdout; any change to a certificate, the verdict or its replay shows here.
+PINNED_CERTIFICATES = {
+    "matrix_space_example(2)": "4bacd34df37d4382a1901b9c3469f621f55ab58445e2d26dcf76ed2bc0203911",
+    "matrix_space_example(3)": "648de55c075a15b7fa980e6ab8bc1b8231a9364bdf17e1be586688fd94c30e5f",
+    "matrix_space_example(4)": "17cdd22fe4a5ded300fc601a750be895897750d563df3b35a15be64b12abd7b5",
+    "gl1_so_vector(3)": "ef544785e620cbf754e7b26a995bceb3d44eac4f713656988964c36104768709",
+    "gl1_so_vector(4)": "8368656daac984911292049a2b8d98441770c45d7d32733197d2de10de132e24",
+    "gl1_so_vector(5)": "82cda3991413a74092c5fb3abb9af3153adc99fb5a43f67d798f9fc1b798495d",
+    "gl1_scalar": "3f99efd3b6a9f9760d1abf04451287df06c64b43f119c0e855f4b9e7ed7cb862",
+    "gl2_standard": "a3d082c1b63a3772ac5c3c236469b88cef78285c4e745ce8054b6450dc4156be",
+    "gl2_trace": "9464336e159e31ebd137b1e1a212a343c2098a20fb1dbff87c12deecc73d49fb",
+}
+
+
+class TestPinnedCertificates:
+    def test_every_parameter_free_entry_is_pinned(self):
+        free = {e.name for e in catalog() if not e.parameters}
+        assert free <= set(PINNED_CERTIFICATES)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CERTIFICATES))
+    def test_certificate_bytes(self, capsys, name):
+        code, out = run_raw(capsys, "regularity", "--verify-certificate",
+                            "--seed", "0", "--example", name)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CERTIFICATES[name]

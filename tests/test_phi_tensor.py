@@ -1,0 +1,192 @@
+"""The Phi tensor contraction against the per-unit-vector construction.
+
+The oracle below is the dense solver the contraction replaced: one table
+W_i = t(pi(b_i)).P per algebra basis element, each apply() a full
+matrix-vector product per table followed by G^-1, and the matrices of
+phi -> Phi(x (x) phi) and xi -> Phi(xi (x) y) assembled one unit vector
+at a time.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pentads.catalog import catalog, matrix_space_example, resolve
+from pentads.exact_linalg import (Matrix, inverse, kernel_basis, kronecker, qnorm, rank,
+                                  solve, vec_dot)
+from pentads.graded import grading_element
+from pentads.lie import BilinearForm, standard_symplectic_form, trace_form, unit_coords
+from pentads.pentad import (
+    PhiMap,
+    StandardPentad,
+    check_standard,
+    dual_representation,
+    phi_map,
+)
+from pentads.preh import (ad_on_dual, decide_regularity, find_generic, module_partner_map,
+                         sl2_partner, verify_certificate)
+
+
+class DenseOracle:
+    def __init__(self, p):
+        self.m = p.module_dim
+        self.gram_inv = inverse(p.form.gram)
+        self.tables = tuple(a.transpose() @ p.dual.pairing for a in p.rep.action)
+
+    def apply(self, v, phi):
+        t = tuple(qnorm(vec_dot(v, w.apply(phi))) for w in self.tables)
+        return self.gram_inv.apply(t)
+
+    def ad_on_dual(self, x):
+        cols = [self.apply(x, unit_coords(self.m, r)) for r in range(self.m)]
+        return Matrix(tuple(zip(*cols)))
+
+    def module_partner_map(self, y):
+        cols = [self.apply(unit_coords(self.m, a), y) for a in range(self.m)]
+        return Matrix(tuple(zip(*cols)))
+
+
+def _blockwise_form(p, scales):
+    """The trace form rescaled on each ideal: scales[i] multiplies row and
+    column i, which keeps it invariant as long as each ideal gets one scale."""
+    gram = trace_form(p.algebra).gram
+    return BilinearForm(Matrix(tuple(
+        tuple(scales[i] * x * scales[j] for j, x in enumerate(row))
+        for i, row in enumerate(gram.entries))))
+
+
+def rational_vector_pentad():
+    """gl(1) + so(3) on C^3 with a rational pairing and a non-trace form."""
+    base = resolve("gl1_so_vector(3)").build()
+    pairing = Matrix.from_rows([["2", "1/3", "0"], ["0", "1", "-1"], ["1", "0", "1/2"]])
+    form = _blockwise_form(base, [3] + [Fraction(1, 2)] * 3)
+    return StandardPentad(base.algebra, base.rep,
+                          dual_representation(base.rep, pairing), form)
+
+
+def rational_matrix_space_pentad():
+    """matrix_space_example(2) with the pairing kron(J, diag(1, 2, 1/3)) and
+    the trace form scaled by 2 on gl(1), 1/2 on sp(2) and 3 on so(3)."""
+    base = matrix_space_example(2)
+    diag = Matrix.from_rows([["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1/3"]])
+    pairing = kronecker(standard_symplectic_form(2), diag)
+    scales = [2] + [Fraction(1, 2)] * 10 + [3] * 3
+    return StandardPentad(base.algebra, base.rep,
+                          dual_representation(base.rep, pairing),
+                          _blockwise_form(base, scales))
+
+
+PENTADS = {e.display_name: e.build() for e in catalog()}
+PENTADS["rational_vector"] = rational_vector_pentad()
+PENTADS["rational_matrix_space"] = rational_matrix_space_pentad()
+ORACLES = {name: DenseOracle(p) for name, p in PENTADS.items()}
+
+
+def assert_agrees(name, x, y):
+    p, oracle = PENTADS[name], ORACLES[name]
+    assert ad_on_dual(p, x) == oracle.ad_on_dual(x)
+    assert module_partner_map(p, y) == oracle.module_partner_map(y)
+    assert p.phi.apply(x, y) == oracle.apply(x, y)
+    assert phi_map(p, x, y) == oracle.apply(x, y)
+    assert rank(ad_on_dual(p, x)) == rank(p.phi.module_contraction(x))
+    assert rank(module_partner_map(p, y)) == rank(p.phi.dual_contraction(y))
+
+
+class TestFixtures:
+    @pytest.mark.parametrize("name", ["rational_vector", "rational_matrix_space"])
+    def test_neither_gram_nor_pairing_is_identity(self, name):
+        p = PENTADS[name]
+        assert check_standard(p).ok
+        assert p.form.gram != Matrix.identity(p.algebra.dim)
+        assert p.form.gram != trace_form(p.algebra).gram
+        assert p.dual.pairing != Matrix.identity(p.module_dim)
+        assert any(type(x) is Fraction for row in p.dual.pairing.entries for x in row)
+
+
+class TestContractionMatchesOracle:
+    @pytest.mark.parametrize("name", sorted(PENTADS))
+    def test_unit_and_sampled_vectors(self, name):
+        m = PENTADS[name].module_dim
+        rng = random.Random(0)
+        vectors = [unit_coords(m, k) for k in range(m)]
+        vectors += [tuple(rng.randint(-9, 9) for _ in range(m)) for _ in range(3)]
+        for x, y in zip(vectors, vectors[1:] + vectors[:1]):
+            assert_agrees(name, x, y)
+
+    @pytest.mark.parametrize("name", sorted(PENTADS))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_drawn_vectors(self, name, data):
+        m = PENTADS[name].module_dim
+        scalar = st.one_of(st.integers(-20, 20),
+                           st.fractions(min_value=-5, max_value=5, max_denominator=7))
+        vector = st.one_of(st.just((0,) * m), st.tuples(*[scalar] * m))
+        assert_agrees(name, data.draw(vector), data.draw(vector))
+
+    def test_integer_contractions_on_integer_data(self):
+        p = PENTADS["matrix_space_example(2)"]
+        x = tuple(range(-6, 6))
+        for mat in (p.phi.module_contraction(x), p.phi.dual_contraction(x)):
+            assert all(type(v) is int for row in mat.entries for v in row)
+
+    def test_wrong_length_rejected(self):
+        p = PENTADS["gl1_so_vector(3)"]
+        with pytest.raises(ValueError):
+            p.phi.module_contraction((1, 0))
+        with pytest.raises(ValueError):
+            p.phi.apply((1, 0, 0), (1, 0, 0, 0))
+
+
+class TestPipelineMatchesOracle:
+    """The pipeline skips G^-1; its solves and kernels must not notice."""
+
+    @pytest.mark.parametrize("name", sorted(PENTADS))
+    def test_partner_solve_and_kernel(self, name):
+        p, oracle = PENTADS[name], ORACLES[name]
+        h0 = grading_element(p).element
+        x = find_generic(p).x
+        expected = solve(oracle.ad_on_dual(x), h0.coords)
+        pr = sl2_partner(p, h0, x)
+        assert pr.status == expected.status
+        assert pr.y == expected.solution
+        raw = sl2_partner(p, h0.coords, x)
+        assert (raw.status, raw.y) == (pr.status, pr.y)
+        if pr.y is not None:
+            assert (kernel_basis(p.phi.dual_contraction(pr.y))
+                    == kernel_basis(oracle.module_partner_map(pr.y)))
+        assert verify_certificate(p, decide_regularity(p))
+
+    def test_rescaled_form_moves_the_partner(self):
+        # The rational fixtures' forms are not the trace form on the grading
+        # element's line, so a right-hand side of h instead of G.h would
+        # give a different partner.
+        p = PENTADS["rational_vector"]
+        h0 = grading_element(p).element.coords
+        assert p.form.gram.apply(h0) != h0
+        assert decide_regularity(p).outcome == "Regular"
+
+
+class TestWorkCount:
+    def test_one_phi_map_per_pentad(self, monkeypatch):
+        inits, applies = [], []
+        init, apply = PhiMap.__init__, PhiMap.apply
+
+        def counting_init(self, p):
+            inits.append(p)
+            init(self, p)
+
+        def counting_apply(self, v, phi):
+            applies.append((v, phi))
+            return apply(self, v, phi)
+
+        monkeypatch.setattr(PhiMap, "__init__", counting_init)
+        monkeypatch.setattr(PhiMap, "apply", counting_apply)
+        p = matrix_space_example(3)
+        verdict = decide_regularity(p)
+        assert verdict.outcome == "NotRegular"
+        assert verify_certificate(p, verdict)
+        assert len(inits) == 1
+        assert len(applies) <= 4
