@@ -39,7 +39,7 @@ def qof(x: Q | str) -> Q:
 
 def qnorm(x: Q) -> Q:
     """Collapse integral Fractions back to int (keeps the fast path alive)."""
-    if isinstance(x, Fraction) and x.denominator == 1:
+    if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
 
@@ -465,10 +465,6 @@ def coords_in_rows(basis: Sequence[Vec], v: Sequence[Q]) -> Vec | None:
 
 def vec_add(u: Sequence[Q], v: Sequence[Q]) -> Vec:
     return tuple(qnorm(a + b) for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence[Q], v: Sequence[Q]) -> Vec:
-    return tuple(qnorm(a - b) for a, b in zip(u, v))
 
 
 def vec_scale(c: Q, v: Sequence[Q]) -> Vec:

@@ -67,12 +67,8 @@ def grading_element(p: StandardPentad) -> GradingElementResult:
     result meaningful on broken input too.
     """
     d, m = p.algebra.dim, p.module_dim
-    rows: list[Vec] = []
-    rhs: list[Q] = []
-    for j in range(d):
-        for k in range(d):
-            rows.append(tuple(p.algebra.structure[i][j][k] for i in range(d)))
-            rhs.append(0)
+    rows = p.algebra.commutation_rows()
+    rhs: list[Q] = [0] * len(rows)
     for r in range(m):
         for c in range(m):
             rows.append(tuple(p.rep.action[i].entry(r, c) for i in range(d)))

@@ -1,9 +1,12 @@
 """Matrix Lie algebras over the rationals.
 
 An algebra here is a list of ambient matrices closed under the commutator.
-Structure constants are computed once, exactly, at construction; everything
-downstream (center, derived subalgebra, invariant-form checks, the graded
-construction) works in coordinates with respect to the stored basis.
+Structure constants are computed once, exactly, at construction, and stored
+once, sparsely: for each pair (i, j) only the nonzero coordinates (k, c) of
+[b_i, b_j].  Everything downstream (brackets, ad matrices, the center, the
+derived subalgebra, invariant-form checks, homomorphism checks, the graded
+construction) reads that one table and works in coordinates with respect to
+the stored basis, so no reader walks the d^3 dense entries.
 
 Classical families are produced as canonical kernel bases of their defining
 linear equations, so two calls with the same parameters return identical
@@ -19,16 +22,16 @@ from .exact_linalg import (
     Matrix,
     Q,
     Vec,
-    is_zero_vec,
     kernel_basis,
+    pivot_columns,
     qnorm,
     rank,
     row_space_basis,
     solve_multi,
-    vec_add,
-    vec_scale,
-    zero_vec,
 )
+
+# The nonzero coordinates (k, c) of a vector, ascending in k.
+SparseVec = tuple[tuple[int, Q], ...]
 
 
 class LieAlgebraError(ValueError):
@@ -68,39 +71,66 @@ class MatrixLieAlgebra:
     """A Lie algebra of ambient_size x ambient_size matrices.
 
     structure[i][j] holds the coordinates of [basis[i], basis[j]] in the
-    basis, so bracketing never re-solves a linear system.
+    basis as a SparseVec: the (k, c) pairs with c != 0, ascending in k, so
+    structure[i][i] and the brackets of commuting pairs are empty.  It is the
+    only copy of the structure constants; bracketing never re-solves a linear
+    system, and basis_bracket gives the dense coordinates of one entry.
     """
 
     ambient_size: int
     basis: tuple[Matrix, ...]
-    structure: tuple[tuple[Vec, ...], ...]
+    structure: tuple[tuple[SparseVec, ...], ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    def basis_bracket(self, i: int, j: int) -> Vec:
+        """Dense coordinates of [basis[i], basis[j]]."""
+        out: list[Q] = [0] * self.dim
+        for k, c in self.structure[i][j]:
+            out[k] = c
+        return tuple(out)
+
     def bracket_coords(self, u: Sequence[Q], v: Sequence[Q]) -> Vec:
         """Coordinates of [u, v] for u, v given in coordinates."""
-        acc = list(zero_vec(self.dim))
+        acc: list[Q] = [0] * self.dim
         for i, ui in enumerate(u):
             if not ui:
                 continue
             row = self.structure[i]
             for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                cij = row[j]
-                if cij:
+                if vj:
                     f = ui * vj
-                    for k, ck in enumerate(cij):
-                        if ck:
-                            acc[k] = acc[k] + f * ck
+                    for k, c in row[j]:
+                        acc[k] = acc[k] + f * c
         return tuple(qnorm(x) for x in acc)
 
     def ad_matrix(self, u: Sequence[Q]) -> Matrix:
         """Matrix of v -> [u, v] in coordinates."""
-        cols = [self.bracket_coords(u, unit_coords(self.dim, j)) for j in range(self.dim)]
-        return Matrix(tuple(zip(*cols))) if cols else Matrix(())
+        d = self.dim
+        out: list[list[Q]] = [[0] * d for _ in range(d)]
+        for i, ui in enumerate(u):
+            if ui:
+                for j, cij in enumerate(self.structure[i]):
+                    for k, c in cij:
+                        out[k][j] = out[k][j] + ui * c
+        return Matrix(tuple(tuple(qnorm(x) for x in row) for row in out))
+
+    def commutation_rows(self) -> list[Vec]:
+        """The nonzero rows of the linear system [z, b_j] = 0 for all j.
+
+        Row (j, k) is (C_0j^k, ..., C_(d-1)j^k) in the unknown coordinates z;
+        rows are ordered by (j, k), and the zero rows are left out because
+        they do not change the solution set.
+        """
+        d = self.dim
+        rows: dict[tuple[int, int], list[Q]] = {}
+        for i, row in enumerate(self.structure):
+            for j, cij in enumerate(row):
+                for k, c in cij:
+                    rows.setdefault((j, k), [0] * d)[i] = c
+        return [tuple(rows[key]) for key in sorted(rows)]
 
     def matrix_of(self, coords: Sequence[Q]) -> Matrix:
         """Reconstruct the ambient matrix with the given coordinates."""
@@ -122,30 +152,71 @@ def unit_coords(dim: int, j: int) -> Vec:
     return tuple(1 if i == j else 0 for i in range(dim))
 
 
+def sparse_rows(m: Matrix) -> list[SparseVec]:
+    """The nonzeros of each row of m."""
+    return [tuple((c, x) for c, x in enumerate(row) if x) for row in m.entries]
+
+
+def commutator_row(a: Sequence[SparseVec], b: Sequence[SparseVec], r: int) -> dict[int, Q]:
+    """Row r of ab - ba, for a and b given by sparse_rows; it may hold zeros."""
+    acc: dict[int, Q] = {}
+    for c, x in a[r]:
+        for t, y in b[c]:
+            acc[t] = acc.get(t, 0) + x * y
+    for c, x in b[r]:
+        for t, y in a[c]:
+            acc[t] = acc.get(t, 0) - x * y
+    return acc
+
+
 def build_algebra(ambient_size: int, basis: Sequence[Matrix]) -> MatrixLieAlgebra:
-    """Assemble an algebra from a basis, verifying independence and closure."""
+    """Assemble an algebra from a basis, verifying independence and closure.
+
+    One echelon of the stack [flat(b_i) | e_i] does all the linear algebra.
+    Its RREF is [R | E] with R = E.B the RREF of the basis span, so the
+    basis is independent exactly when all d pivots lie in the first block.
+    A flattened commutator v then has the coordinates v[pivots] . E, and it
+    lies in the span exactly when v - v[pivots] . R vanishes.
+    """
     basis = tuple(basis)
+    n = ambient_size
     for b in basis:
-        if b.shape() != (ambient_size, ambient_size):
+        if b.shape() != (n, n):
             raise LieAlgebraError("basis matrix has the wrong ambient size")
     d = len(basis)
-    flat_stack = Matrix(tuple(b.flat() for b in basis))
-    if d and rank(flat_stack) != d:
+    echelon = row_space_basis(b.flat() + unit_coords(d, i) for i, b in enumerate(basis))
+    pivots = pivot_columns(echelon)
+    if any(c >= n * n for c in pivots):
         raise NotIndependentError("basis is linearly dependent")
+    # row index of each pivot column; the off-pivot nonzeros of each row of
+    # R; the nonzeros of each row of E
+    pivot_row = {c: idx for idx, c in enumerate(pivots)}
+    r_rest = [[(c, x) for c, x in enumerate(row[:n * n]) if x and c not in pivot_row]
+              for row in echelon]
+    e_rows = [[(k, x) for k, x in enumerate(row[n * n:]) if x] for row in echelon]
 
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    coords: list[Vec | None] = []
-    if pairs:
-        rhs = Matrix(tuple(
-            commutator(basis[i], basis[j]).flat() for i, j in pairs
-        )).transpose()
-        coords = solve_multi(flat_stack.transpose(), rhs)
-    table = [[zero_vec(d)] * d for _ in range(d)]
-    for (i, j), c in zip(pairs, coords):
-        if c is None:
-            raise NotClosedError(i, j)
-        table[i][j] = c
-        table[j][i] = vec_scale(-1, c)
+    rows = [sparse_rows(b) for b in basis]
+    table: list[list[SparseVec]] = [[()] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            residual: dict[int, Q] = {}
+            coords: dict[int, Q] = {}
+            for r in range(n):
+                for c, t in commutator_row(rows[i], rows[j], r).items():
+                    col = r * n + c
+                    idx = pivot_row.get(col)
+                    if idx is None:
+                        residual[col] = residual.get(col, 0) + t
+                    elif t:
+                        for c2, x in r_rest[idx]:
+                            residual[c2] = residual.get(c2, 0) - t * x
+                        for k, x in e_rows[idx]:
+                            coords[k] = coords.get(k, 0) + t * x
+            if any(residual.values()):
+                raise NotClosedError(i, j)
+            cij = tuple((k, qnorm(x)) for k, x in sorted(coords.items()) if x)
+            table[i][j] = cij
+            table[j][i] = tuple((k, -x) for k, x in cij)
     return MatrixLieAlgebra(ambient_size, basis, tuple(tuple(row) for row in table))
 
 
@@ -183,7 +254,7 @@ def family(kind: str, n: int) -> MatrixLieAlgebra:
         return build_algebra(n, basis)
     if kind == "sl":
         i_n = Matrix.identity(n)
-        return build_algebra(n, _solution_basis(n, lambda a: _scalar_embed(a.trace(), i_n)))
+        return build_algebra(n, _solution_basis(n, lambda a: i_n.scale(a.trace())))
     if kind == "so":
         return build_algebra(n, _solution_basis(n, lambda a: a + a.transpose()))
     if kind == "sp":
@@ -191,10 +262,6 @@ def family(kind: str, n: int) -> MatrixLieAlgebra:
         return build_algebra(
             2 * n, _solution_basis(2 * n, lambda a: a @ j + j @ a.transpose()))
     raise LieAlgebraError(f"unknown family kind: {kind!r}")
-
-
-def _scalar_embed(c: Q, identity: Matrix) -> Matrix:
-    return identity.scale(c)
 
 
 def direct_sum(algebras: Sequence[MatrixLieAlgebra]) -> MatrixLieAlgebra:
@@ -268,56 +335,59 @@ def check_form(alg: MatrixLieAlgebra, form: BilinearForm) -> FormReport:
         if not symmetric:
             break
     ker = kernel_basis(g)
-    nondegenerate = not ker
-    invariant, inv_wit = True, None
-    d = alg.dim
-    for i in range(d):
-        if not invariant:
-            break
-        for j in range(d):
-            if not invariant:
-                break
-            cij = alg.structure[i][j]
-            for k in range(d):
-                lhs: Q = 0
-                if not is_zero_vec(cij):
-                    for m, c in enumerate(cij):
-                        if c and g.entries[m][k]:
-                            lhs = lhs + c * g.entries[m][k]
-                rhs: Q = 0
-                cjk = alg.structure[j][k]
-                if not is_zero_vec(cjk):
-                    for m, c in enumerate(cjk):
-                        if c and g.entries[i][m]:
-                            rhs = rhs + c * g.entries[i][m]
-                if lhs != rhs:
-                    invariant, inv_wit = False, (i, j, k)
-                    break
-    return FormReport(symmetric, nondegenerate, invariant,
+    inv_wit = _invariance_witness(alg, g)
+    return FormReport(symmetric, not ker, inv_wit is None,
                       sym_wit, ker[0] if ker else None, inv_wit)
+
+
+def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix) -> tuple[int, int, int] | None:
+    """The first (i, j, k) in lexicographic order with
+    B([b_i,b_j],b_k) != B(b_i,[b_j,b_k]), or None if B is invariant.
+
+    For fixed (i, j) the two sides, as rows over k, are C_ij . G and
+    G_i . ad(b_j), where C_ij is the sparse structure vector and
+    ad(b_j)[m][k] = C_jk^m; both products run over nonzeros only.
+    """
+    d = alg.dim
+    g_rows = sparse_rows(g)
+    # ad_rows[j][m]: the nonzeros (k, C_jk^m) of row m of ad(b_j)
+    ad_rows: list[dict[int, list[tuple[int, Q]]]] = []
+    for row in alg.structure:
+        by_m: dict[int, list[tuple[int, Q]]] = {}
+        for k, cjk in enumerate(row):
+            for m, c in cjk:
+                by_m.setdefault(m, []).append((k, c))
+        ad_rows.append(by_m)
+    for i in range(d):
+        gi = g_rows[i]
+        for j in range(d):
+            diff: dict[int, Q] = {}
+            for m, c in alg.structure[i][j]:
+                for k, x in g_rows[m]:
+                    diff[k] = diff.get(k, 0) + c * x
+            ad_j = ad_rows[j]
+            for m, x in gi:
+                for k, c in ad_j.get(m, ()):
+                    diff[k] = diff.get(k, 0) - x * c
+            bad = [k for k, v in diff.items() if v]
+            if bad:
+                return (i, j, min(bad))
+    return None
 
 
 def center(alg: MatrixLieAlgebra) -> list[Vec]:
     """Canonical coordinate basis of {z : [z, g] = 0}."""
-    d = alg.dim
-    if d == 0:
-        return []
-    rows = []
-    for j in range(d):
-        for k in range(d):
-            rows.append(tuple(alg.structure[i][j][k] for i in range(d)))
-    return kernel_basis(Matrix(tuple(rows)))
+    reduced = row_space_basis(alg.commutation_rows())
+    if not reduced:
+        return [unit_coords(alg.dim, i) for i in range(alg.dim)]
+    return kernel_basis(Matrix(tuple(reduced)))
 
 
 def derived_subalgebra(alg: MatrixLieAlgebra) -> list[Vec]:
     """Canonical coordinate basis of the span of all commutators."""
-    gens = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            c = alg.structure[i][j]
-            if not is_zero_vec(c):
-                gens.append(c)
-    return row_space_basis(gens)
+    return row_space_basis(alg.basis_bracket(i, j)
+                           for i in range(alg.dim) for j in range(i + 1, alg.dim)
+                           if alg.structure[i][j])
 
 
 @dataclass(frozen=True)

@@ -345,3 +345,42 @@ class TestPinnedCertificates:
                             "--seed", "0", "--example", name)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CERTIFICATES[name]
+
+
+def _identity_form(obj):
+    obj["form"] = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+
+
+def _asymmetric_form(obj):
+    obj["form"][0][1] = "5"
+
+
+# `pentads check --pentad FILE` on gl2_trace with a broken form: the failures
+# it reports and the sha256 of its stdout.  The invariance witness is the
+# first failing (i, j, k) in lexicographic order.
+PINNED_CHECKS = {
+    "identity": (_identity_form, [
+        {"axiom": "form_invariant", "detail": "B([b_0,b_1],b_1) != B(b_0,[b_1,b_1])",
+         "indices": [0, 1, 1]},
+    ], "00ad12de48b9adf8e3088435667606b276d0fc5cc11e098c1f4866a7562213a1"),
+    "asymmetric": (_asymmetric_form, [
+        {"axiom": "form_symmetric", "detail": "B(b_0,b_1) = 5 but B(b_1,b_0) = 0",
+         "indices": [0, 1]},
+        {"axiom": "form_invariant", "detail": "B([b_0,b_0],b_1) != B(b_0,[b_0,b_1])",
+         "indices": [0, 0, 1]},
+    ], "4afa732f66fc0034c3e822586a4448d12141f1231ac882ac416bca83bd5ccc85"),
+}
+
+
+class TestPinnedCheckOutput:
+    @pytest.mark.parametrize("form", sorted(PINNED_CHECKS))
+    def test_check_bytes(self, capsys, tmp_path, form):
+        edit, failures, digest = PINNED_CHECKS[form]
+        obj = pentad_to_json(resolve("gl2_trace").build())
+        edit(obj)
+        path = tmp_path / "form.json"
+        path.write_text(dumps(obj), encoding="utf-8")
+        code, out = run_raw(capsys, "check", "--pentad", str(path))
+        assert code == 1
+        assert json.loads(out)["failures"] == failures
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

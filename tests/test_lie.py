@@ -5,9 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pentads.exact_linalg import Matrix, rank, vec_add, vec_scale
+from pentads.catalog import catalog, resolve
+from pentads.exact_linalg import (Matrix, is_zero_vec, kernel_basis, qof, rank,
+                                  row_space_basis, solve_multi, vec_add, vec_scale,
+                                  zero_vec)
 from pentads.lie import (
     BilinearForm,
+    FormReport,
     MatrixLieAlgebra,
     NotClosedError,
     NotIndependentError,
@@ -66,9 +70,9 @@ class TestBuildAlgebra:
     def test_structure_constants_of_borel(self):
         alg = build_algebra(2, [e(2, 0, 0), e(2, 0, 1)])
         # [E_00, E_01] = E_01
-        assert alg.structure[0][1] == (0, 1)
-        assert alg.structure[1][0] == (0, -1)
-        assert alg.structure[0][0] == (0, 0)
+        assert alg.basis_bracket(0, 1) == (0, 1)
+        assert alg.basis_bracket(1, 0) == (0, -1)
+        assert alg.basis_bracket(0, 0) == (0, 0)
 
     def test_bracket_coords_matches_ambient_commutator(self):
         alg = family("gl", 2)
@@ -248,7 +252,8 @@ class TestForms:
     def test_noninvariant_form_reports_triple(self):
         report = check_form(family("gl", 2), BilinearForm(Matrix.identity(4)))
         assert not report.invariant
-        assert report.invariance_witness is not None
+        # [b_0, b_1] = b_1 and [b_1, b_1] = 0, so B(b_1, b_1) = 1 != 0 at k = 1
+        assert report.invariance_witness == (0, 1, 1)
 
     def test_asymmetric_form_reports_pair(self):
         gram = Matrix.from_rows([[0, 1], [0, 0]])
@@ -301,3 +306,253 @@ class TestScalarCenter:
     def test_wrong_action_count_rejected(self):
         with pytest.raises(ValueError):
             scalar_center_report(family("gl", 2), [Matrix.identity(2)])
+
+
+# --- Differential tests against the dense implementations -------------------
+#
+# The structure constants used to be a dense d x d table of length-d vectors,
+# built with a Bareiss rank and one solve_multi over all commutators, and
+# check_form walked every (i, j, k) of it.  Those routines are kept here, as
+# they were, as the oracle for the sparse table and its readers.
+
+def dense_structure(ambient_size, basis):
+    """The dense table, or the same exception build_algebra raised before."""
+    basis = tuple(basis)
+    for b in basis:
+        if b.shape() != (ambient_size, ambient_size):
+            raise ValueError("basis matrix has the wrong ambient size")
+    d = len(basis)
+    flat_stack = Matrix(tuple(b.flat() for b in basis))
+    if d and rank(flat_stack) != d:
+        raise NotIndependentError("basis is linearly dependent")
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    coords = []
+    if pairs:
+        rhs = Matrix(tuple(
+            commutator(basis[i], basis[j]).flat() for i, j in pairs
+        )).transpose()
+        coords = solve_multi(flat_stack.transpose(), rhs)
+    table = [[zero_vec(d)] * d for _ in range(d)]
+    for (i, j), c in zip(pairs, coords):
+        if c is None:
+            raise NotClosedError(i, j)
+        table[i][j] = c
+        table[j][i] = vec_scale(-1, c)
+    return table
+
+
+def dense_check_form(table, g):
+    d = len(table)
+    symmetric, sym_wit = True, None
+    for i in range(d):
+        for j in range(i + 1, d):
+            if g.entries[i][j] != g.entries[j][i]:
+                symmetric, sym_wit = False, (i, j)
+                break
+        if not symmetric:
+            break
+    ker = kernel_basis(g)
+    invariant, inv_wit = True, None
+    for i in range(d):
+        if not invariant:
+            break
+        for j in range(d):
+            if not invariant:
+                break
+            cij = table[i][j]
+            for k in range(d):
+                lhs = 0
+                if not is_zero_vec(cij):
+                    for m, c in enumerate(cij):
+                        if c and g.entries[m][k]:
+                            lhs = lhs + c * g.entries[m][k]
+                rhs = 0
+                cjk = table[j][k]
+                if not is_zero_vec(cjk):
+                    for m, c in enumerate(cjk):
+                        if c and g.entries[i][m]:
+                            rhs = rhs + c * g.entries[i][m]
+                if lhs != rhs:
+                    invariant, inv_wit = False, (i, j, k)
+                    break
+    return FormReport(symmetric, not ker, invariant,
+                      sym_wit, ker[0] if ker else None, inv_wit)
+
+
+def dense_center(table):
+    d = len(table)
+    if d == 0:
+        return []
+    rows = [tuple(table[i][j][k] for i in range(d)) for j in range(d) for k in range(d)]
+    return kernel_basis(Matrix(tuple(rows)))
+
+
+def dense_derived(table):
+    d = len(table)
+    return row_space_basis(table[i][j] for i in range(d) for j in range(i + 1, d)
+                           if not is_zero_vec(table[i][j]))
+
+
+def dense_table(alg):
+    return [[alg.basis_bracket(i, j) for j in range(alg.dim)] for i in range(alg.dim)]
+
+
+CATALOG_PENTADS = [e.display_name for e in catalog()] + [
+    "matrix_space_example(3)", "gl1_so_vector(4)", "gl1_so_vector(5)"]
+FAMILY_ALGEBRAS = [("gl", 1), ("gl", 3), ("sl", 2), ("sl", 3), ("so", 2), ("so", 5),
+                   ("sp", 1), ("sp", 2)]
+
+
+def catalog_algebras():
+    out = [(name, resolve(name).build().algebra) for name in CATALOG_PENTADS]
+    out += [(f"{k}({n})", family(k, n)) for k, n in FAMILY_ALGEBRAS]
+    out.append(("gl1+so3", direct_sum([family("gl", 1), family("so", 3)])))
+    return out
+
+
+CATALOG_ALGEBRAS = catalog_algebras()
+ALGEBRA_IDS = [name for name, _ in CATALOG_ALGEBRAS]
+
+
+class TestSparseStructureMatchesDense:
+    @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
+    def test_structure_constants(self, alg):
+        assert dense_table(alg) == dense_structure(alg.ambient_size, alg.basis)
+        for row in alg.structure:
+            for cij in row:
+                ks = [k for k, _ in cij]
+                assert ks == sorted(set(ks))
+                assert all(c for _, c in cij)
+
+    @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
+    def test_center_and_derived(self, alg):
+        table = dense_structure(alg.ambient_size, alg.basis)
+        assert center(alg) == dense_center(table)
+        assert derived_subalgebra(alg) == dense_derived(table)
+
+    @pytest.mark.parametrize("name", CATALOG_PENTADS)
+    def test_form_report_on_catalog_pentads(self, name):
+        p = resolve(name).build()
+        table = dense_structure(p.algebra.ambient_size, p.algebra.basis)
+        for gram in (p.form.gram, trace_form(p.algebra).gram, Matrix.identity(p.algebra.dim)):
+            assert check_form(p.algebra, BilinearForm(gram)) == dense_check_form(table, gram)
+
+    @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
+    def test_ad_matrix_columns_are_brackets(self, alg):
+        table = dense_structure(alg.ambient_size, alg.basis)
+        u = tuple((i % 5) - 2 for i in range(alg.dim))
+        ad = alg.ad_matrix(u)
+        for j in range(alg.dim):
+            col = [0] * alg.dim
+            for i, ui in enumerate(u):
+                for k in range(alg.dim):
+                    col[k] += ui * table[i][j][k]
+            assert ad.col(j) == tuple(col)
+
+
+SMALL_ALGEBRAS = [family("gl", 2), family("so", 3), family("sp", 2), family("sl", 3),
+                  direct_sum([family("gl", 1), family("so", 3)])]
+SMALL_ALGEBRA_IDS = ["gl2", "so3", "sp2", "sl3", "gl1+so3"]
+# valid invariant forms: the trace forms, and gl(2) with the rescaled center
+SMALL_FORMS = [(a, trace_form(a).gram) for a in SMALL_ALGEBRAS] + [
+    (resolve("gl2_standard").build().algebra, resolve("gl2_standard").build().form.gram)]
+scalars = st.one_of(st.integers(min_value=-4, max_value=4),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=5).map(qof))
+
+
+@st.composite
+def tampered_grams(draw):
+    """A valid invariant form on a small algebra with single entries changed:
+    one entry at a time, a symmetric pair at a time, or a zeroed row and
+    column, which leave it asymmetric, non-invariant or degenerate."""
+    alg, gram = draw(st.sampled_from(SMALL_FORMS))
+    d = alg.dim
+    g = [list(row) for row in gram.entries]
+    mode = draw(st.sampled_from(["asymmetric", "symmetric", "degenerate"]))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=d - 1))
+        j = draw(st.integers(min_value=0, max_value=d - 1))
+        if mode == "degenerate":
+            for k in range(d):
+                g[i][k] = g[k][i] = 0
+            continue
+        v = draw(scalars)
+        g[i][j] = v
+        if mode == "symmetric":
+            g[j][i] = v
+    return alg, Matrix(tuple(tuple(row) for row in g))
+
+
+class TestFormReportDifferential:
+    @given(tampered_grams())
+    def test_tampered_grams_match_dense(self, case):
+        alg, gram = case
+        table = dense_structure(alg.ambient_size, alg.basis)
+        assert check_form(alg, BilinearForm(gram)) == dense_check_form(table, gram)
+
+    @pytest.mark.parametrize("alg", SMALL_ALGEBRAS, ids=SMALL_ALGEBRA_IDS)
+    def test_every_single_entry_bump_matches_dense(self, alg):
+        table = dense_structure(alg.ambient_size, alg.basis)
+        base = trace_form(alg).gram.entries
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                g = [list(row) for row in base]
+                g[i][j] += 1
+                gram = Matrix(tuple(tuple(row) for row in g))
+                assert check_form(alg, BilinearForm(gram)) == dense_check_form(table, gram)
+
+
+def outcome(build, ambient_size, basis):
+    """('ok', dense table), ('closed', pair) or ('dependent', None)."""
+    try:
+        result = build(ambient_size, basis)
+    except NotClosedError as exc:
+        return ("closed", exc.pair)
+    except NotIndependentError:
+        return ("dependent", None)
+    return ("ok", result if isinstance(result, list) else dense_table(result))
+
+
+small_entries = st.one_of(st.integers(min_value=-2, max_value=2),
+                          st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]))
+small_matrices = st.integers(min_value=2, max_value=3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.lists(small_entries, min_size=n, max_size=n),
+                 min_size=n, max_size=n).map(Matrix.from_rows),
+        min_size=1, max_size=4))
+
+
+class TestBuildAlgebraDifferential:
+    @given(small_matrices)
+    def test_random_bases_match_dense(self, basis):
+        n = basis[0].rows
+        assert outcome(build_algebra, n, basis) == outcome(dense_structure, n, basis)
+
+    @given(small_matrices, st.lists(scalars, min_size=4, max_size=4))
+    def test_dependent_bases_match_dense(self, basis, coeffs):
+        n = basis[0].rows
+        combo = Matrix.zeros(n, n)
+        for c, b in zip(coeffs, basis):
+            combo = combo + b.scale(c)
+        for pos in (0, len(basis)):
+            dependent = basis[:pos] + [combo] + basis[pos:]
+            got = outcome(build_algebra, n, dependent)
+            assert got == outcome(dense_structure, n, dependent)
+            assert got == ("dependent", None)
+
+    @given(small_matrices)
+    def test_closed_spans_match_dense(self, basis):
+        # Adding commutators until the span closes gives closed algebras too.
+        n = basis[0].rows
+        reduced = row_space_basis(b.flat() for b in basis)
+        for _ in range(3):
+            mats = [Matrix(tuple(r[i * n:(i + 1) * n] for i in range(n))) for r in reduced]
+            more = [commutator(a, b).flat() for a in mats for b in mats]
+            grown = row_space_basis([m.flat() for m in mats] + more)
+            if len(grown) == len(reduced):
+                break
+            reduced = grown
+        mats = [Matrix(tuple(r[i * n:(i + 1) * n] for i in range(n))) for r in reduced]
+        if not mats:
+            return
+        assert outcome(build_algebra, n, mats) == outcome(dense_structure, n, mats)
