@@ -22,6 +22,8 @@ from typing import Iterable, Sequence, Union
 
 Q = Union[int, Fraction]
 Vec = tuple[Q, ...]
+# The nonzero coordinates (k, c) of a vector, ascending in k.
+SparseVec = tuple[tuple[int, Q], ...]
 
 
 def qof(x: Q | str) -> Q:
@@ -33,6 +35,11 @@ def qof(x: Q | str) -> Q:
     if isinstance(x, Fraction):
         return qnorm(x)
     if isinstance(x, str):
+        # Plain ASCII integer literals, the bulk of every pentad file, skip
+        # Fraction's regex; int() gives them the same value.
+        digits = x[1:] if x[:1] == "-" else x
+        if digits.isascii() and digits.isdigit():
+            return int(x)
         return qnorm(Fraction(x))
     raise TypeError(f"not a rational scalar: {x!r}")
 
@@ -339,9 +346,9 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix(tuple(zip(*cols)))
 
 
-def _sparse_int_row(row: Sequence[Q]) -> dict[int, int]:
+def _sparse_int_row(row: Iterable[tuple[int, Q]]) -> dict[int, int]:
     """Clear denominators and strip the content; {column: nonzero int}."""
-    nz = [(j, x) for j, x in enumerate(row) if x]
+    nz = [(j, x) for j, x in row if x]
     if not nz:
         return {}
     denom = 1
@@ -372,20 +379,20 @@ def _strip_content(r: dict[int, int]) -> dict[int, int]:
     return r
 
 
-def row_space_basis(rows: Iterable[Sequence[Q]]) -> list[Vec]:
-    """Canonical (RREF) basis of the span of the given row vectors.
+def sparse_row_space_basis(rows: Iterable[Iterable[tuple[int, Q]]]) -> list[SparseVec]:
+    """Canonical (RREF) basis of the span of rows given by their nonzeros.
 
-    The echelon runs on sparse integer rows with fraction-free updates
-    (cross-multiply, then divide out the content), because candidate stacks
-    in the graded construction run to hundreds of mostly-sparse rows and
-    dense Fraction arithmetic is an order of magnitude slower there.  The
-    final backward pass still returns the RREF of the span, which is unique,
-    so generator order cannot leak into the result.
+    Each row is its (column, value) pairs; zero values are ignored, and each
+    basis row comes back as its nonzeros ascending in column.  The echelon
+    runs on sparse integer rows with fraction-free updates (cross-multiply,
+    then divide out the content), because candidate stacks in the graded
+    construction run to hundreds of mostly-sparse rows and dense Fraction
+    arithmetic is an order of magnitude slower there.  The final backward
+    pass still returns the RREF of the span, which is unique, so generator
+    order cannot leak into the result.
     """
     echelon: dict[int, dict[int, int]] = {}  # leading column -> sparse row
-    width = 0
     for row in rows:
-        width = max(width, len(row))
         r = _sparse_int_row(row)
         while r:
             lead = min(r)
@@ -432,11 +439,32 @@ def row_space_basis(rows: Iterable[Sequence[Q]]) -> list[Vec]:
     for lead in leads:
         r = echelon[lead]
         head = r[lead]
-        dense: list[Q] = [0] * width
-        for j, v in r.items():
-            dense[j] = v if head == 1 else qnorm(Fraction(v, head))
-        out.append(tuple(dense))
+        out.append(tuple((j, r[j] if head == 1 else qnorm(Fraction(r[j], head)))
+                         for j in sorted(r)))
     return out
+
+
+def row_space_basis(rows: Iterable[Sequence[Q]]) -> list[Vec]:
+    """Canonical (RREF) basis of the span of the given dense row vectors,
+    as dense rows as wide as the widest input row."""
+    width = 0
+
+    def nonzeros():
+        nonlocal width
+        for row in rows:
+            width = max(width, len(row))
+            yield enumerate(row)
+
+    basis = sparse_row_space_basis(nonzeros())
+    return [dense_vec(r, width) for r in basis]
+
+
+def dense_vec(v: Iterable[tuple[int, Q]], n: int) -> Vec:
+    """The length-n vector with the given nonzeros."""
+    out: list[Q] = [0] * n
+    for j, x in v:
+        out[j] = x
+    return tuple(out)
 
 
 def pivot_columns(basis: Sequence[Vec]) -> tuple[int, ...]:

@@ -7,7 +7,16 @@ candidates.  The negative side runs the same machinery on the mirrored
 pentad.  Realizing each component as maps makes evaluation against U_{-1}
 literally the bracket, so minimality (no nonzero vector bracketing to zero
 with the opposite generator line) is a rank statement about the stored
-matrices.
+maps.
+
+Every component is stored by its nonzeros only (see _Half): a basis map as
+its entries (t, r, c), an action matrix as its entries (row, col, x), a
+bracket-table or memo entry as (index, value) pairs.  The components are
+almost all zeros (the 572 degree-3 maps of matrix_space_example(2) fill
+0.22% of their cells), so construction, the checks and every bracket walk
+nonzeros only, accumulating in place into one list per result that is
+normalized once at the end.  component_maps and action_matrices build
+dense matrices on demand.
 
 Components can keep growing forever for general input; construction always
 truncates at a caller-supplied degree bound.  A zero component shuts down
@@ -18,21 +27,21 @@ the degree-one line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .exact_linalg import (
     Matrix,
     Q,
+    SparseVec,
     Vec,
+    dense_vec,
     is_zero_vec,
-    pivot_columns,
     qnorm,
-    rank,
     row_space_basis,
     solve,
     solve_multi,
-    vec_add,
+    sparse_row_space_basis,
     vec_neg,
-    vec_scale,
     zero_vec,
 )
 from .lie import unit_coords
@@ -87,10 +96,21 @@ def grading_element(p: StandardPentad) -> GradingElementResult:
 class _Half:
     """Positive-degree components of one side of the graded algebra.
 
-    Degrees 2..max hold, per degree: the basis as matrices U_{-1} -> U_{k-1}
-    (in coordinates of the previous component), the bracket table from the
-    degree-one line, and the algebra action.  Bracket expansions back into
-    generator pairs are solved lazily; they are only needed for general
+    Everything is stored by its nonzeros, per degree k:
+
+      maps[k][s]     (k >= 2) basis vector s of U_k as the map
+                     U_{-1} -> U_{k-1}: the entries (t, r, c) with
+                     [u_s, y_r] = sum over t of c u_t, ascending in (t, r);
+      actions[k][i]  algebra basis element i acting on U_k: the entries
+                     (row, col, x), ascending; degree 1 is the pentad's own
+                     action, and the truncation degree is built on first use;
+      up[k][a][s]    [x_a, u_s] in U_{k+1}, as (index, value) pairs;
+      dual[i]        algebra basis element i acting on U_{-1}, as entries.
+
+    Every reader (evaluation, the actions, the table, the next candidates,
+    the checks) is one contraction over these nonzeros into a single list or
+    dict accumulator, normalized once at the end.  Bracket expansions back
+    into generator pairs are solved lazily; they are only needed for general
     brackets whose first argument sits in degree >= 2.
     """
 
@@ -100,15 +120,20 @@ class _Half:
         self.phi = pentad.phi
         m = pentad.module_dim
         self.dims: dict[int, int] = {1: m}
-        self.maps: dict[int, tuple[Matrix, ...]] = {}
-        self.actions: dict[int, list[Matrix]] = {}
-        # up[k][a][s]: coordinates in U_{k+1} of [x_a, u_s]
-        self.up: dict[int, list[list[Vec]]] = {}
-        self._candidates: dict[int, list[Vec]] = {}
+        self.maps: dict[int, tuple[Entries, ...]] = {}
+        self.actions: dict[int, list[Entries]] = {1: [_entries(a) for a in pentad.rep.action]}
+        self.dual = [_entries(a) for a in pentad.dual.action]
+        self.up: dict[int, list[list[SparseVec]]] = {}
+        # _candidates[k + 1][a * dim U_k + s]: the map [x_a, u_s] by flat
+        # index t * m + r (the row-major position of entry (t, r))
+        self._candidates: dict[int, list[dict[int, Q]]] = {}
         self._expansions: dict[int, list[tuple[tuple[Q, int, int], ...]]] = {}
-        # _phi_units[a][r] = Phi(x_a (x) y_r), column r of G^-1 . M(x_a)
+        # _phi_units[a][r]: the nonzeros of Phi(x_a (x) y_r), column r of
+        # G^-1 . M(x_a)
         self._phi_units = [
-            self.phi.to_algebra(self.phi.module_contraction(unit_coords(m, a))).transpose().entries
+            [tuple((i, x) for i, x in enumerate(col) if x) for col in
+             self.phi.to_algebra(self.phi.module_contraction(unit_coords(m, a)))
+             .transpose().entries]
             for a in range(m)]
         for k in range(1, max_degree):
             if self.dims.get(k, 0) == 0:
@@ -119,103 +144,83 @@ class _Half:
     def _build_next(self, k: int) -> None:
         m = self.pentad.module_dim
         nk = self.dims[k]
-        candidates: list[Vec] = []
+        cands: list[dict[int, Q]] = [{} for _ in range(m * nk)]
+        act = self.action_rows(k)
+        units = self._phi_units
+        # [[x_a, y_r], u_s] = pi(Phi(x_a (x) y_r)) u_s, for every s at once
         for a in range(m):
-            up_prev = self.up[k - 1][a] if k > 1 else None
-            for s in range(nk):
-                cols: list[list[Q]] = []
+            for r in range(m):
+                for i, g in units[a][r]:
+                    for t, s, x in act[i]:
+                        cand = cands[a * nk + s]
+                        j = t * m + r
+                        cand[j] = cand.get(j, 0) + g * x
+        if k == 1:
+            # [x_a, [u_s, y_r]] = -pi(Phi(u_s (x) y_r)) x_a
+            for s in range(m):
                 for r in range(m):
-                    g = self._phi_units[a][r]
-                    col = list(self._act_column(k, g, s))
-                    if k == 1:
-                        # [x_a, [u_s, y_r]] = -pi(Phi(u_s (x) y_r)) x_a
-                        h = self._phi_units[s][r]
-                        for t, x in enumerate(self._act_column(1, h, a)):
-                            if x:
-                                col[t] -= x
-                    else:
-                        # [u_s, y_r] is column r of the stored map
-                        w = self.maps[k][s].col(r)
-                        for t, wt in enumerate(w):
-                            if wt:
-                                for t2, uv in enumerate(up_prev[t]):
-                                    if uv:
-                                        col[t2] += wt * uv
-                    cols.append(col)
-                # row-major flat of the map matrix (rows: U_k coords, cols: y)
-                flat = tuple(qnorm(col[t]) for t in range(nk) for col in cols)
-                candidates.append(flat)
-        basis = row_space_basis(candidates)
+                    for i, h in units[s][r]:
+                        for t, a, x in act[i]:
+                            cand = cands[a * nk + s]
+                            j = t * m + r
+                            cand[j] = cand.get(j, 0) - h * x
+        else:
+            # [x_a, [u_s, y_r]], with [u_s, y_r] read off the stored map
+            up_prev = self.up[k - 1]
+            for s, f in enumerate(self.maps[k]):
+                for t, r, w in f:
+                    for a in range(m):
+                        cand = cands[a * nk + s]
+                        for t2, uv in up_prev[a][t]:
+                            j = t2 * m + r
+                            cand[j] = cand.get(j, 0) + w * uv
+        candidates = [{j: qnorm(x) for j, x in cand.items() if x} for cand in cands]
+        basis = sparse_row_space_basis(cand.items() for cand in candidates)
         self._candidates[k + 1] = candidates
         self.dims[k + 1] = len(basis)
         if not basis:
             self.up[k] = [[() for _ in range(nk)] for _ in range(m)]
             return
-        self.maps[k + 1] = tuple(
-            Matrix(tuple(v[t * m:(t + 1) * m] for t in range(self.dims[k])))
-            for v in basis)
+        self.maps[k + 1] = tuple(tuple((j // m, j % m, x) for j, x in row) for row in basis)
         # The basis is the RREF of the candidate stack, so each candidate's
         # coordinates are plain reads at the pivot columns.
-        pivots = pivot_columns(basis)
-        table: list[list[Vec]] = []
-        idx = 0
-        for a in range(m):
-            row: list[Vec] = []
-            for s in range(nk):
-                cand = candidates[idx]
-                row.append(tuple(cand[p] for p in pivots))
-                idx += 1
-            table.append(row)
-        self.up[k] = table
+        pivot_of = {row[0][0]: p for p, row in enumerate(basis)}
+        table = [tuple((pivot_of[j], cand[j]) for j in sorted(cand) if j in pivot_of)
+                 for cand in candidates]
+        self.up[k] = [table[a * nk:(a + 1) * nk] for a in range(m)]
         # Construction of degree k+2 needs the algebra action on degree k+1;
         # at the truncation bound the table is built on first use instead.
         if k + 1 < self.max_degree:
             self._build_action(k + 1)
 
-    def _act_column(self, k: int, g: Vec, s: int) -> Vec:
-        """Column s of the action of g on U_k."""
-        mats = self.pentad.rep.action if k == 1 else self.actions[k]
-        acc = list(zero_vec(self.dims[k]))
-        for i, gi in enumerate(g):
-            if not gi:
-                continue
-            for r, row in enumerate(mats[i].entries):
-                x = row[s]
-                if x:
-                    acc[r] = acc[r] + gi * x
-        return tuple(qnorm(x) for x in acc)
-
     def _build_action(self, degree: int) -> None:
         """(a.f)(y) = [a, f(y)] - f([a, y]) on the stored basis maps."""
-        prev = degree - 1
-        amats = self.pentad.rep.action if prev == 1 else self.actions[prev]
-        dmats = self.pentad.dual.action
-        basis_flats = [mp.flat() for mp in self.maps[degree]]
-        pivots = pivot_columns(basis_flats)
-        sparse_rows = [tuple((j, x) for j, x in enumerate(v) if x)
-                       for v in basis_flats]
-        out: list[Matrix] = []
-        for i in range(self.pentad.algebra.dim):
-            cols = []
-            for mp in self.maps[degree]:
-                g = (amats[i] @ mp - mp @ dmats[i]).flat()
-                coords = tuple(g[p] for p in pivots)
+        m = self.pentad.module_dim
+        maps = self.maps[degree]
+        pivots = [f[0][0] * m + f[0][1] for f in maps]
+        out: list[Entries] = []
+        for amat, dmat in zip(self.action_rows(degree - 1), self.dual):
+            a_cols, d_rows = _by_col(amat), _by_row(dmat)
+            entries = []
+            for s, f in enumerate(maps):
+                g = _twist(a_cols, f, d_rows, m)
+                coords = [g.get(p, 0) for p in pivots]
                 # Stability of the component under the algebra is what makes
                 # pivot reads valid here, so rebuild and compare to be sure.
-                resid = list(g)
-                for c, srow in zip(coords, sparse_rows):
+                for c, basis_map in zip(coords, maps):
                     if c:
-                        for j, x in srow:
-                            resid[j] -= c * x
-                if any(resid):
+                        for t, r, x in basis_map:
+                            j = t * m + r
+                            g[j] = g.get(j, 0) - c * x
+                if any(g.values()):
                     raise ArithmeticError("action left the component span")
-                cols.append(coords)
-            out.append(Matrix(tuple(zip(*cols))))
+                entries.extend((row, s, qnorm(c)) for row, c in enumerate(coords) if c)
+            out.append(tuple(sorted(entries)))
         self.actions[degree] = out
 
-    def action_table(self, k: int) -> list[Matrix]:
-        """Matrices of the algebra basis on U_k, built on first use at the
-        truncation bound."""
+    def action_rows(self, k: int) -> list[Entries]:
+        """The algebra basis acting on U_k, by matrix entries; built on first
+        use at the truncation bound."""
         if k not in self.actions and self.dims.get(k, 0):
             self._build_action(k)
         return self.actions.get(k, [])
@@ -228,10 +233,12 @@ class _Half:
         """
         if degree in self._expansions:
             return self._expansions[degree]
-        cands = self._candidates[degree]
+        m = self.pentad.module_dim
         nk = self.dims[degree - 1]
-        stack = Matrix(tuple(cands)).transpose()
-        rhs = Matrix(tuple(mp.flat() for mp in self.maps[degree])).transpose()
+        stack = Matrix(tuple(dense_vec(c.items(), nk * m)
+                             for c in self._candidates[degree])).transpose()
+        rhs = Matrix(tuple(dense_vec(((t * m + r, x) for t, r, x in f), nk * m)
+                           for f in self.maps[degree])).transpose()
         sols = solve_multi(stack, rhs)
         result = []
         for sol in sols:
@@ -247,36 +254,116 @@ class _Half:
 
     def evaluate(self, degree: int, f_coords: Vec, y: Vec) -> Vec:
         """[f, y] for f in U_degree (degree >= 2), y in U_{-1}: evaluation."""
-        acc = zero_vec(self.dims[degree - 1])
+        acc: list[Q] = [0] * self.dims[degree - 1]
+        maps = self.maps[degree]
         for s, c in enumerate(f_coords):
             if c:
-                acc = vec_add(acc, vec_scale(c, self.maps[degree][s].apply(y)))
-        return acc
+                for t, r, w in maps[s]:
+                    yr = y[r]
+                    if yr:
+                        acc[t] += c * w * yr
+        return _normalized(acc)
+
+    def phi_bracket(self, x: Vec, y: Vec) -> Vec:
+        """Phi(x (x) y) for x in the degree-one line and y in U_{-1}."""
+        acc: list[Q] = [0] * self.pentad.algebra.dim
+        for a, xa in enumerate(x):
+            if xa:
+                row = self._phi_units[a]
+                for r, yr in enumerate(y):
+                    if yr:
+                        f = xa * yr
+                        for i, g in row[r]:
+                            acc[i] += f * g
+        return _normalized(acc)
 
     def up_bracket(self, k: int, x: Vec, u: Vec) -> Vec:
         """[x, u] for x in the degree-one line and u in U_k, via the table."""
-        acc = zero_vec(self.dims.get(k + 1, 0))
+        acc: list[Q] = [0] * self.dims.get(k + 1, 0)
         table = self.up.get(k)
         if table is None:
-            return acc
+            return tuple(acc)
         for a, xa in enumerate(x):
-            if not xa:
-                continue
-            for s, us in enumerate(u):
-                if us and table[a][s]:
-                    acc = vec_add(acc, vec_scale(xa * us, table[a][s]))
-        return acc
+            if xa:
+                row = table[a]
+                for s, us in enumerate(u):
+                    if us:
+                        f = xa * us
+                        for p, c in row[s]:
+                            acc[p] += f * c
+        return _normalized(acc)
 
     def action(self, k: int, g: Vec, v: Vec) -> Vec:
         """[g, v] for v in U_k, k >= 1."""
-        if k == 1:
-            return self.pentad.rep.apply(g, v)
-        acc = zero_vec(self.dims[k])
-        mats = self.action_table(k)
-        for i, gi in enumerate(g):
+        acc: list[Q] = [0] * self.dims[k]
+        for gi, mat in zip(g, self.action_rows(k)):
             if gi:
-                acc = vec_add(acc, vec_scale(gi, mats[i].apply(v)))
-        return acc
+                for r, c, x in mat:
+                    vc = v[c]
+                    if vc:
+                        acc[r] += gi * x * vc
+        return _normalized(acc)
+
+
+# The nonzero entries (row, col, x) of a matrix, ascending in (row, col).
+Entries = tuple[tuple[int, int, Q], ...]
+
+
+def _entries(m: Matrix) -> Entries:
+    return tuple((r, c, x) for r, row in enumerate(m.entries)
+                 for c, x in enumerate(row) if x)
+
+
+def _matrix(entries: Entries, rows: int, cols: int) -> Matrix:
+    out = [[0] * cols for _ in range(rows)]
+    for r, c, x in entries:
+        out[r][c] = x
+    return Matrix(tuple(tuple(row) for row in out))
+
+
+def _combination(coeffs: Sequence[Q], mats: Sequence[Entries]) -> Entries:
+    """The entries of sum_i c_i M_i."""
+    acc: dict[tuple[int, int], Q] = {}
+    for c, mat in zip(coeffs, mats):
+        if c:
+            for r, col, x in mat:
+                acc[r, col] = acc.get((r, col), 0) + c * x
+    return tuple((r, col, qnorm(x)) for (r, col), x in sorted(acc.items()) if x)
+
+
+def _by_row(mat: Iterable[tuple[int, int, Q]]) -> dict[int, list[tuple[int, Q]]]:
+    """The nonzeros (col, x) of each nonempty row."""
+    out: dict[int, list[tuple[int, Q]]] = {}
+    for r, c, x in mat:
+        out.setdefault(r, []).append((c, x))
+    return out
+
+
+def _by_col(mat: Entries) -> dict[int, list[tuple[int, Q]]]:
+    """The nonzeros (row, x) of each nonempty column."""
+    return _by_row((c, r, x) for r, c, x in mat)
+
+
+def _twist(a_cols, f: Entries, d_rows, m: int) -> dict[int, Q]:
+    """a.f - f.d for a map f: U_{-1} -> U_k, keyed by flat index t * m + r.
+
+    a acts on U_k and is given by its columns, d acts on U_{-1} and is given
+    by its rows; cancelled entries stay in the result as zeros.
+    """
+    out: dict[int, Q] = {}
+    for t, r, c in f:
+        for t2, x in a_cols.get(t, ()):
+            j = t2 * m + r
+            out[j] = out.get(j, 0) + x * c
+        base = t * m
+        for r2, y in d_rows.get(r, ()):
+            j = base + r2
+            out[j] = out.get(j, 0) - c * y
+    return out
+
+
+def _normalized(acc: list[Q]) -> Vec:
+    return tuple(qnorm(x) for x in acc)
 
 
 @dataclass(frozen=True)
@@ -302,7 +389,7 @@ class GradedAlgebra:
         self.max_degree = max_degree
         self.positive = _Half(pentad, max_degree)
         self.negative = _Half(mirror(pentad), max_degree)
-        self._memo: dict[tuple[int, int, int, int], Vec] = {}
+        self._memo: dict[tuple[int, int, int, int], SparseVec] = {}
         self._dims = {0: pentad.algebra.dim}
         for k in range(1, max_degree + 1):
             self._dims[k] = self.positive.dims.get(k, 0)
@@ -322,7 +409,8 @@ class GradedAlgebra:
         if abs(degree) < 2:
             raise DegreeError("components below degree 2 are not stored as maps")
         half = self.positive if degree > 0 else self.negative
-        return half.maps.get(abs(degree), ())
+        rows, cols = half.dims.get(abs(degree) - 1, 0), half.pentad.module_dim
+        return tuple(_matrix(f, rows, cols) for f in half.maps.get(abs(degree), ()))
 
     def action_matrices(self, degree: int) -> list[Matrix]:
         """Matrices of the algebra basis acting on U_degree."""
@@ -334,7 +422,8 @@ class GradedAlgebra:
         if degree == -1:
             return list(self.pentad.dual.action)
         half = self.positive if degree > 0 else self.negative
-        return list(half.action_table(abs(degree)))
+        n = half.dims.get(abs(degree), 0)
+        return [_matrix(mat, n, n) for mat in half.action_rows(abs(degree))]
 
     def bracket(self, a: GradedVector, b: GradedVector) -> GradedVector:
         j, k = a.degree, b.degree
@@ -359,13 +448,13 @@ class GradedAlgebra:
             return vec_neg(self._bracket(0, b, j, a))
         if j == 1:
             if k == -1:
-                return self.positive.phi.apply(a, b)
+                return self.positive.phi_bracket(a, b)
             if k >= 1:
                 return self.positive.up_bracket(k, a, b)
             return vec_neg(self.negative.evaluate(-k, b, a))
         if j == -1:
             if k == 1:
-                return vec_neg(self.positive.phi.apply(b, a))
+                return vec_neg(self.positive.phi_bracket(b, a))
             if k <= -1:
                 return self.negative.up_bracket(-k, a, b)
             return vec_neg(self.positive.evaluate(k, b, a))
@@ -373,44 +462,80 @@ class GradedAlgebra:
             return self.positive.evaluate(j, a, b)
         if j <= -2 and k == 1:
             return self.negative.evaluate(-j, a, b)
-        # first argument in degree >= 2: expand into generator pairs
-        acc = zero_vec(target)
-        for s, cs in enumerate(a):
-            if cs:
-                acc = vec_add(acc, vec_scale(cs, self._bracket_unit(j, s, k, b)))
-        return acc
-
-    def _bracket_unit(self, j: int, s: int, k: int, b: Vec) -> Vec:
-        """[e_s of U_j, b] for |j| >= 2, via [x,[u,b]] - [u,[x,b]]."""
+        # First argument in degree >= 2: expand each basis vector into
+        # generator pairs, [[x, u], b] = [x, [u, b]] - [u, [x, b]], and group
+        # the terms by generator a, so that the call brackets b with each
+        # x_a and each u once:
+        #   sum over a of [x_a, sum f [u, b]] - sum f [u, [x_a, b]],
+        # the last through the memoized unit-pair brackets.
         half = self.positive if j > 0 else self.negative
         one = 1 if j > 0 else -1
         prev = j - one
         m = self.pentad.module_dim
-        acc = zero_vec(self._dims[j + k])
-        for c, a_idx, u_idx in half.expansions(abs(j))[s]:
-            x = unit_coords(m, a_idx)
-            u = unit_coords(self._dims[prev], u_idx)
-            ub = self._memo_bracket(prev, u_idx, k, b)
-            term = self._bracket(one, x, prev + k, ub)
-            xb = self._bracket(one, x, k, b)
-            term = vec_add(term, vec_neg(self._bracket(prev, u, one + k, xb)))
-            acc = vec_add(acc, vec_scale(c, term))
-        return acc
+        seen: dict[tuple[int, int], Vec] = {}
+        outer: dict[int, list[Q]] = {}  # a -> sum f [u, b], in U_{prev+k}
+        inner: dict[int, dict[int, Q]] = {}  # a -> sum f u, in U_prev
+        expansions = half.expansions(abs(j))
+        for s, cs in enumerate(a):
+            if not cs:
+                continue
+            for c, a_idx, u_idx in expansions[s]:
+                f = cs * c
+                ub = self._bracket_unit(prev, u_idx, k, b, seen)
+                if a_idx not in outer:
+                    outer[a_idx] = [0] * len(ub)
+                    inner[a_idx] = {}
+                acc = outer[a_idx]
+                for t, x in enumerate(ub):
+                    if x:
+                        acc[t] += f * x
+                inner[a_idx][u_idx] = inner[a_idx].get(u_idx, 0) + f
+        acc = [0] * target
+        for a_idx, ub_sum in outer.items():
+            first = self._bracket(one, unit_coords(m, a_idx), prev + k, _normalized(ub_sum))
+            for t, y in enumerate(first):
+                if y:
+                    acc[t] += y
+            xb = self._bracket_unit(one, a_idx, k, b, seen)
+            for u_idx, w in inner[a_idx].items():
+                if w:
+                    self._memo_add(acc, -w, prev, u_idx, one + k, xb)
+        return _normalized(acc)
 
-    def _memo_bracket(self, j: int, s: int, k: int, b: Vec) -> Vec:
-        """[e_s of U_j, b] expanded over the nonzero coordinates of b."""
-        acc = zero_vec(self._dims[j + k])
+    def _bracket_unit(self, j: int, s: int, k: int, b: Vec,
+                      seen: dict[tuple[int, int], Vec]) -> Vec:
+        """[e_s of U_j, b], once per (j, s) for the calls sharing `seen`.
+
+        A degree-one e_s is bracketed directly; a higher one goes through
+        the memoized unit-pair brackets.
+        """
+        got = seen.get((j, s))
+        if got is None:
+            if abs(j) == 1:
+                got = self._bracket(j, unit_coords(self._dims[j], s), k, b)
+            else:
+                acc: list[Q] = [0] * self._dims[j + k]
+                self._memo_add(acc, 1, j, s, k, b)
+                got = _normalized(acc)
+            seen[j, s] = got
+        return got
+
+    def _memo_add(self, acc: list[Q], f: Q, j: int, s: int, k: int, b: Vec) -> None:
+        """acc += f [e_s of U_j, b], summed over the nonzero coordinates of b
+        from the memoized unit-pair brackets, which are kept by their
+        nonzeros."""
         for t, bt in enumerate(b):
             if not bt:
                 continue
             key = (j, s, k, t)
             got = self._memo.get(key)
             if got is None:
-                got = self._bracket(j, unit_coords(self._dims[j], s),
-                                    k, unit_coords(self._dims[k], t))
-                self._memo[key] = got
-            acc = vec_add(acc, vec_scale(bt, got))
-        return acc
+                v = self._bracket(j, unit_coords(self._dims[j], s),
+                                  k, unit_coords(self._dims[k], t))
+                got = self._memo[key] = tuple((i, x) for i, x in enumerate(v) if x)
+            fb = f * bt
+            for i, x in got:
+                acc[i] += fb * x
 
 
 def extend(p: StandardPentad, max_degree: int) -> GradedAlgebra:
@@ -422,22 +547,24 @@ def check_minimality(g: GradedAlgebra) -> bool:
     """No nonzero element of a stored component evaluates to zero.
 
     A vector of U_k (|k| >= 2) with [v, U_{-sign(k)}] = {0} would be exactly
-    a linear dependence among the stored map matrices, so the condition is a
-    rank equality on their flattened stack.  Stored bases are echelon rows,
-    where strictly increasing leading columns already certify independence;
+    a linear dependence among the stored maps, so the condition is a rank
+    equality on their flattened stack.  Stored bases are echelon rows, where
+    strictly increasing leading entries already certify independence;
     anything else falls back to an actual rank computation.
     """
     for half in (g.positive, g.negative):
+        m = half.pentad.module_dim
         for k in range(2, g.max_degree + 1):
             n = half.dims.get(k, 0)
             if n == 0:
                 continue
-            flats = [mp.flat() for mp in half.maps[k]]
+            flats = [[(t * m + r, c) for t, r, c in f] for f in half.maps[k]]
+            width = half.dims[k - 1] * m
             last = -1
             for v in flats:
-                lead = next((j for j, x in enumerate(v) if x), None)
+                lead = min((j for j, c in v if c), default=None)
                 if lead is None or lead <= last:
-                    if rank(Matrix(tuple(flats))) != n:
+                    if len(row_space_basis(dense_vec(v, width) for v in flats)) != n:
                         return False
                     break
                 last = lead
@@ -451,36 +578,25 @@ def check_grading(g: GradedAlgebra, h: GradingElement) -> bool:
     stored basis maps F satisfy ad(h) F = M F - F D with M the action of h
     one degree down and D its action on the evaluation line, so the check
     runs against those tables and never forces the top-degree action table
-    into existence.
+    into existence.  Everything is compared by nonzero entries.
     """
     p = g.pentad
     d = p.algebra.dim
     for j in range(d):
         if not is_zero_vec(p.algebra.bracket_coords(h.coords, unit_coords(d, j))):
             return False
-    for degree, mats in ((1, p.rep.action), (-1, p.dual.action)):
-        m = p.module_dim
-        acc = Matrix.zeros(m, m)
-        for hi, mat in zip(h.coords, mats):
-            if hi:
-                acc = acc + mat.scale(hi)
-        if acc != Matrix.identity(m).scale(2 * degree):
-            return False
     for half, sign in ((g.positive, 1), (g.negative, -1)):
-        dmats = half.pentad.dual.action
-        dh = Matrix.zeros(p.module_dim, p.module_dim)
-        for hi, mat in zip(h.coords, dmats):
-            if hi:
-                dh = dh + mat.scale(hi)
+        m = half.pentad.module_dim
+        if _combination(h.coords, half.actions[1]) != tuple(
+                (r, r, 2 * sign) for r in range(m)):
+            return False
+        d_rows = _by_row(_combination(h.coords, half.dual))
         for n in range(2, g.max_degree + 1):
             if half.dims.get(n, 0) == 0:
                 continue
-            amats = half.pentad.rep.action if n == 2 else half.actions[n - 1]
-            mh = Matrix.zeros(half.dims[n - 1], half.dims[n - 1])
-            for hi, mat in zip(h.coords, amats):
-                if hi:
-                    mh = mh + mat.scale(hi)
+            mh_cols = _by_col(_combination(h.coords, half.action_rows(n - 1)))
             for f in half.maps[n]:
-                if mh @ f - f @ dh != f.scale(2 * sign * n):
+                twisted = {j: x for j, x in _twist(mh_cols, f, d_rows, m).items() if x}
+                if twisted != {t * m + r: 2 * sign * n * c for t, r, c in f}:
                     return False
     return True

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 from .exact_linalg import (
     Matrix,
     Q,
+    SparseVec,
     Vec,
     kernel_basis,
     pivot_columns,
@@ -29,9 +30,6 @@ from .exact_linalg import (
     row_space_basis,
     solve_multi,
 )
-
-# The nonzero coordinates (k, c) of a vector, ascending in k.
-SparseVec = tuple[tuple[int, Q], ...]
 
 
 class LieAlgebraError(ValueError):

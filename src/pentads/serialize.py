@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .exact_linalg import Matrix, Q, Vec, qof, qstr
-from .lie import BilinearForm, build_algebra, trace_form
+from .lie import BilinearForm, build_algebra, trace_form, trace_product
 from .pentad import DualModule, Representation, StandardPentad, dual_representation
 from .preh import RegularityVerdict
 
@@ -118,9 +118,18 @@ def pentad_from_json(obj) -> StandardPentad:
 
 
 def _form_descriptor(p: StandardPentad):
-    if p.form.gram == trace_form(p.algebra).gram:
-        return "trace"
-    return matrix_to_json(p.form.gram)
+    """The certificate's form field: "trace" for the trace form, else the gram.
+
+    Tr(b_i b_j) = Tr(b_j b_i), so each product is computed once for both
+    entries, and the comparison stops at the first mismatch.
+    """
+    gram, basis = p.form.gram.entries, p.algebra.basis
+    for i, bi in enumerate(basis):
+        for j in range(i, len(basis)):
+            t = trace_product(bi, basis[j])
+            if gram[i][j] != t or gram[j][i] != t:
+                return matrix_to_json(p.form.gram)
+    return "trace"
 
 
 def _witness_to_json(witness):

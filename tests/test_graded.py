@@ -1,20 +1,39 @@
 """Graded construction: dimensions, brackets, grading and minimality checks."""
 
+import hashlib
+
 import pytest
 
 from pentads.catalog import resolve
-from pentads.exact_linalg import Matrix, vec_add, vec_scale
+from pentads.exact_linalg import (
+    Matrix,
+    dense_vec,
+    pivot_columns,
+    qnorm,
+    rank,
+    row_space_basis,
+    solve_multi,
+    vec_add,
+    vec_scale,
+)
 from pentads.graded import (
     DegreeError,
     GradedVector,
     GradingElement,
+    _Half,
     check_grading,
     check_minimality,
     extend,
     grading_element,
 )
 from pentads.lie import direct_sum, family, trace_form, unit_coords
-from pentads.pentad import Representation, StandardPentad, dual_representation, phi_map
+from pentads.pentad import (
+    Representation,
+    StandardPentad,
+    dual_representation,
+    mirror,
+    phi_map,
+)
 
 
 def build(spec, degree):
@@ -226,7 +245,8 @@ class TestBracket:
             for s0, terms in enumerate(half.expansions(2)):
                 acc = (0,) * n
                 for coeff, a_idx, s_idx in terms:
-                    acc = vec_add(acc, vec_scale(coeff, half.up[1][a_idx][s_idx]))
+                    up = dense_vec(half.up[1][a_idx][s_idx], n)
+                    acc = vec_add(acc, vec_scale(coeff, up))
                 assert acc == unit_coords(n, s0)
 
 
@@ -295,8 +315,7 @@ class TestChecks:
     def test_zero_row_breaks_minimality(self):
         g = build("gl2_trace", 2)
         half = g.positive
-        shape = half.maps[2][0].shape()
-        half.maps[2] = half.maps[2] + (Matrix.zeros(*shape),)
+        half.maps[2] = half.maps[2] + ((),)  # a map with no nonzero entry
         half.dims[2] += 1
         assert check_minimality(g) is False
 
@@ -306,3 +325,421 @@ class TestChecks:
         half.maps[2] = half.maps[2] + half.maps[2]
         half.dims[2] *= 2
         assert check_minimality(g) is False
+
+
+# ---------------------------------------------------------------------------
+# Dense oracle: the graded construction as it was before components were
+# stored by their nonzeros, with every map and action table a dense Matrix.
+# The sparse storage must reproduce it exactly.
+
+
+class _DenseHalf:
+    def __init__(self, pentad, max_degree):
+        self.pentad = pentad
+        self.max_degree = max_degree
+        self.phi = pentad.phi
+        m = pentad.module_dim
+        self.dims = {1: m}
+        self.maps = {}
+        self.actions = {}
+        self.up = {}
+        self._candidates = {}
+        self._expansions = {}
+        self._phi_units = [
+            self.phi.to_algebra(self.phi.module_contraction(unit_coords(m, a))).transpose().entries
+            for a in range(m)]
+        for k in range(1, max_degree):
+            if self.dims.get(k, 0) == 0:
+                self.dims[k + 1] = 0
+                continue
+            self._build_next(k)
+
+    def _build_next(self, k):
+        m = self.pentad.module_dim
+        nk = self.dims[k]
+        candidates = []
+        for a in range(m):
+            up_prev = self.up[k - 1][a] if k > 1 else None
+            for s in range(nk):
+                cols = []
+                for r in range(m):
+                    col = list(self._act_column(k, self._phi_units[a][r], s))
+                    if k == 1:
+                        h = self._phi_units[s][r]
+                        for t, x in enumerate(self._act_column(1, h, a)):
+                            if x:
+                                col[t] -= x
+                    else:
+                        w = self.maps[k][s].col(r)
+                        for t, wt in enumerate(w):
+                            if wt:
+                                for t2, uv in enumerate(up_prev[t]):
+                                    if uv:
+                                        col[t2] += wt * uv
+                    cols.append(col)
+                candidates.append(tuple(qnorm(col[t]) for t in range(nk) for col in cols))
+        basis = row_space_basis(candidates)
+        self._candidates[k + 1] = candidates
+        self.dims[k + 1] = len(basis)
+        if not basis:
+            self.up[k] = [[() for _ in range(nk)] for _ in range(m)]
+            return
+        self.maps[k + 1] = tuple(
+            Matrix(tuple(v[t * m:(t + 1) * m] for t in range(self.dims[k]))) for v in basis)
+        pivots = pivot_columns(basis)
+        self.up[k] = [[tuple(candidates[a * nk + s][p] for p in pivots) for s in range(nk)]
+                      for a in range(m)]
+        if k + 1 < self.max_degree:
+            self._build_action(k + 1)
+
+    def _act_column(self, k, g, s):
+        mats = self.pentad.rep.action if k == 1 else self.actions[k]
+        acc = [0] * self.dims[k]
+        for i, gi in enumerate(g):
+            if gi:
+                for r, row in enumerate(mats[i].entries):
+                    if row[s]:
+                        acc[r] = acc[r] + gi * row[s]
+        return tuple(qnorm(x) for x in acc)
+
+    def _build_action(self, degree):
+        prev = degree - 1
+        amats = self.pentad.rep.action if prev == 1 else self.actions[prev]
+        dmats = self.pentad.dual.action
+        basis_flats = [mp.flat() for mp in self.maps[degree]]
+        pivots = pivot_columns(basis_flats)
+        out = []
+        for i in range(self.pentad.algebra.dim):
+            cols = []
+            for mp in self.maps[degree]:
+                g = (amats[i] @ mp - mp @ dmats[i]).flat()
+                coords = tuple(g[p] for p in pivots)
+                resid = list(g)
+                for c, row in zip(coords, basis_flats):
+                    resid = [x - c * y for x, y in zip(resid, row)]
+                if any(resid):
+                    raise ArithmeticError("action left the component span")
+                cols.append(coords)
+            out.append(Matrix(tuple(zip(*cols))))
+        self.actions[degree] = out
+
+    def action_table(self, k):
+        if k not in self.actions and self.dims.get(k, 0):
+            self._build_action(k)
+        return self.actions.get(k, [])
+
+    def expansions(self, degree):
+        if degree not in self._expansions:
+            nk = self.dims[degree - 1]
+            stack = Matrix(tuple(self._candidates[degree])).transpose()
+            rhs = Matrix(tuple(mp.flat() for mp in self.maps[degree])).transpose()
+            self._expansions[degree] = [
+                tuple((c, *divmod(pos, nk)) for pos, c in enumerate(sol) if c)
+                for sol in solve_multi(stack, rhs)]
+        return self._expansions[degree]
+
+    def evaluate(self, degree, f_coords, y):
+        acc = (0,) * self.dims[degree - 1]
+        for s, c in enumerate(f_coords):
+            if c:
+                acc = vec_add(acc, vec_scale(c, self.maps[degree][s].apply(y)))
+        return acc
+
+    def up_bracket(self, k, x, u):
+        acc = (0,) * self.dims.get(k + 1, 0)
+        table = self.up.get(k)
+        if table is None:
+            return acc
+        for a, xa in enumerate(x):
+            for s, us in enumerate(u):
+                if xa and us and table[a][s]:
+                    acc = vec_add(acc, vec_scale(xa * us, table[a][s]))
+        return acc
+
+    def action(self, k, g, v):
+        if k == 1:
+            return self.pentad.rep.apply(g, v)
+        acc = (0,) * self.dims[k]
+        for gi, mat in zip(g, self.action_table(k)):
+            if gi:
+                acc = vec_add(acc, vec_scale(gi, mat.apply(v)))
+        return acc
+
+
+class _DenseAlgebra:
+    def __init__(self, pentad, max_degree):
+        self.pentad = pentad
+        self.max_degree = max_degree
+        self.positive = _DenseHalf(pentad, max_degree)
+        self.negative = _DenseHalf(mirror(pentad), max_degree)
+        self._memo = {}
+        self._dims = {0: pentad.algebra.dim}
+        for k in range(1, max_degree + 1):
+            self._dims[k] = self.positive.dims.get(k, 0)
+            self._dims[-k] = self.negative.dims.get(k, 0)
+
+    def bracket(self, j, a, k, b):
+        target = self._dims[j + k]
+        if target == 0 or not any(a) or not any(b):
+            return (0,) * target
+        if j == 0:
+            if k == 0:
+                return self.pentad.algebra.bracket_coords(a, b)
+            return (self.positive if k > 0 else self.negative).action(abs(k), a, b)
+        if k == 0:
+            return vec_scale(-1, self.bracket(0, b, j, a))
+        if j == 1:
+            if k == -1:
+                return self.positive.phi.apply(a, b)
+            if k >= 1:
+                return self.positive.up_bracket(k, a, b)
+            return vec_scale(-1, self.negative.evaluate(-k, b, a))
+        if j == -1:
+            if k == 1:
+                return vec_scale(-1, self.positive.phi.apply(b, a))
+            if k <= -1:
+                return self.negative.up_bracket(-k, a, b)
+            return vec_scale(-1, self.positive.evaluate(k, b, a))
+        if j >= 2 and k == -1:
+            return self.positive.evaluate(j, a, b)
+        if j <= -2 and k == 1:
+            return self.negative.evaluate(-j, a, b)
+        acc = (0,) * target
+        for s, cs in enumerate(a):
+            if cs:
+                acc = vec_add(acc, vec_scale(cs, self._bracket_unit(j, s, k, b)))
+        return acc
+
+    def _bracket_unit(self, j, s, k, b):
+        half = self.positive if j > 0 else self.negative
+        one = 1 if j > 0 else -1
+        prev = j - one
+        acc = (0,) * self._dims[j + k]
+        for c, a_idx, u_idx in half.expansions(abs(j))[s]:
+            x = unit_coords(self.pentad.module_dim, a_idx)
+            u = unit_coords(self._dims[prev], u_idx)
+            term = self.bracket(one, x, prev + k, self._memo_bracket(prev, u_idx, k, b))
+            xb = self.bracket(one, x, k, b)
+            term = vec_add(term, vec_scale(-1, self.bracket(prev, u, one + k, xb)))
+            acc = vec_add(acc, vec_scale(c, term))
+        return acc
+
+    def _memo_bracket(self, j, s, k, b):
+        acc = (0,) * self._dims[j + k]
+        for t, bt in enumerate(b):
+            if bt:
+                key = (j, s, k, t)
+                if key not in self._memo:
+                    self._memo[key] = self.bracket(j, unit_coords(self._dims[j], s),
+                                                   k, unit_coords(self._dims[k], t))
+                acc = vec_add(acc, vec_scale(bt, self._memo[key]))
+        return acc
+
+
+def dense_check_minimality(g):
+    for half in (g.positive, g.negative):
+        for k in range(2, g.max_degree + 1):
+            n = half.dims.get(k, 0)
+            if n == 0:
+                continue
+            flats = [mp.flat() for mp in half.maps[k]]
+            last = -1
+            for v in flats:
+                lead = next((j for j, x in enumerate(v) if x), None)
+                if lead is None or lead <= last:
+                    if rank(Matrix(tuple(flats))) != n:
+                        return False
+                    break
+                last = lead
+    return True
+
+
+def dense_check_grading(g, h):
+    p = g.pentad
+    d = p.algebra.dim
+    for j in range(d):
+        if any(p.algebra.bracket_coords(h.coords, unit_coords(d, j))):
+            return False
+
+    def combo(mats, n):
+        acc = Matrix.zeros(n, n)
+        for hi, mat in zip(h.coords, mats):
+            if hi:
+                acc = acc + mat.scale(hi)
+        return acc
+
+    m = p.module_dim
+    for degree, mats in ((1, p.rep.action), (-1, p.dual.action)):
+        if combo(mats, m) != Matrix.identity(m).scale(2 * degree):
+            return False
+    for half, sign in ((g.positive, 1), (g.negative, -1)):
+        dh = combo(half.pentad.dual.action, m)
+        for n in range(2, g.max_degree + 1):
+            if half.dims.get(n, 0) == 0:
+                continue
+            amats = half.pentad.rep.action if n == 2 else half.actions[n - 1]
+            mh = combo(amats, half.dims[n - 1])
+            for f in half.maps[n]:
+                if mh @ f - f @ dh != f.scale(2 * sign * n):
+                    return False
+    return True
+
+
+ORACLE_CASES = [("gl2_trace", 3), ("gl2_standard", 3), ("gl1_so_vector(3)", 3),
+                ("gl1_so_vector(4)", 4), ("matrix_space_example(2)", 2)]
+ORACLE_IDS = [f"{spec}@{k}" for spec, k in ORACLE_CASES]
+
+
+@pytest.fixture(scope="module", params=ORACLE_CASES, ids=ORACLE_IDS)
+def sparse_and_dense(request):
+    spec, degree = request.param
+    p = resolve(spec).build()
+    return extend(p, degree), _DenseAlgebra(p, degree)
+
+
+def unit_pairs(g):
+    """Every pair of unit vectors whose bracket stays inside the degree bound,
+    in the order their brackets are hashed below."""
+    dims = g.dims
+    for j, nj in dims.items():
+        for k, nk in dims.items():
+            if abs(j + k) <= g.max_degree:
+                for s in range(nj):
+                    for t in range(nk):
+                        yield GradedVector(j, unit_coords(nj, s)), GradedVector(k, unit_coords(nk, t))
+
+
+def unit_pair_digest(g):
+    digest = hashlib.sha256()
+    for a, b in unit_pairs(g):
+        digest.update(repr(g.bracket(a, b).coords).encode())
+    return digest.hexdigest()
+
+
+class TestSparseMatchesDense:
+    def test_dims(self, sparse_and_dense):
+        g, dense = sparse_and_dense
+        assert g.dims == dict(sorted(dense._dims.items()))
+
+    def test_component_maps_and_up(self, sparse_and_dense):
+        g, dense = sparse_and_dense
+        for half, dhalf, sign in ((g.positive, dense.positive, 1),
+                                  (g.negative, dense.negative, -1)):
+            for k in range(2, g.max_degree + 1):
+                assert g.component_maps(sign * k) == dhalf.maps.get(k, ())
+            assert half.up.keys() == dhalf.up.keys()
+            for k, table in half.up.items():
+                n = half.dims[k + 1]
+                assert ([[dense_vec(v, n) for v in row] for row in table]
+                        == [[v or (0,) * n for v in row] for row in dhalf.up[k]])
+
+    def test_action_matrices(self, sparse_and_dense):
+        g, dense = sparse_and_dense
+        for half, dhalf, sign in ((g.positive, dense.positive, 1),
+                                  (g.negative, dense.negative, -1)):
+            for k in range(2, g.max_degree + 1):
+                assert g.action_matrices(sign * k) == dhalf.action_table(k)
+
+    def test_checks_agree(self, sparse_and_dense):
+        g, dense = sparse_and_dense
+        h = grading_element(g.pentad).element
+        alg = g.pentad.algebra
+        d = alg.dim
+        noncentral = next(j for j in range(d) if any(alg.structure[j]))
+        elements = [h, GradingElement(vec_scale(2, h.coords)),
+                    GradingElement(vec_add(h.coords, unit_coords(d, noncentral)))]
+        verdicts = [check_grading(g, e) for e in elements]
+        assert verdicts == [dense_check_grading(dense, e) for e in elements]
+        assert verdicts == [True, False, False]
+        assert check_minimality(g) is dense_check_minimality(dense) is True
+
+
+# The dense bracket recursion takes 4.5 s on matrix_space_example(2)@2 and
+# 20 s on gl1_so_vector(4)@4, so those two are checked by the digests pinned
+# further down, computed with the dense construction.
+@pytest.mark.parametrize("spec,degree", [("gl2_trace", 3), ("gl2_standard", 3),
+                                         ("gl1_so_vector(3)", 3), ("gl1_so_vector(4)", 3)])
+def test_unit_pair_brackets_match_dense(spec, degree):
+    p = resolve(spec).build()
+    g, dense = extend(p, degree), _DenseAlgebra(p, degree)
+    for a, b in unit_pairs(g):
+        assert g.bracket(a, b).coords == dense.bracket(a.degree, a.coords, b.degree, b.coords)
+
+
+def test_tampered_action_fails_both_grading_checks():
+    # A central h acting by 2 on U_1 gives M F - F D = 2n F for any map F, so
+    # the map comparison can only fail through a wrong action table: bump one
+    # off-diagonal entry of the action of b_0 (the support of h) on U_2.
+    p = resolve("gl1_so_vector(3)").build()
+    g, dense = extend(p, 3), _DenseAlgebra(p, 3)
+    h = grading_element(p).element
+    assert h.coords[0] and not any(h.coords[1:])
+    entries = dict(((r, c), x) for r, c, x in g.positive.actions[2][0])
+    entries[0, 1] = entries.get((0, 1), 0) + 1
+    g.positive.actions[2][0] = tuple((r, c, x) for (r, c), x in sorted(entries.items()) if x)
+    rows = [list(row) for row in dense.positive.actions[2][0].entries]
+    rows[0][1] += 1
+    dense.positive.actions[2][0] = Matrix(tuple(map(tuple, rows)))
+    assert g.action_matrices(2)[0] == dense.positive.actions[2][0]
+    assert check_grading(g, h) is dense_check_grading(dense, h) is False
+
+
+# sha256 of the unit-pair brackets in unit_pairs order, computed with the
+# dense construction above (the one the sparse storage replaced)
+UNIT_PAIR_DIGESTS = [
+    ("matrix_space_example(2)", 2,
+     "8275ae0b255311bd4ef1760758d47a296f8c6946b8142ccf2849b0f01ad7f866"),
+    ("gl1_so_vector(4)", 3, "bfee5fa640ce426dbec4f3de2f6703d15f51a5df12ec3510e00df29c4c00fdfe"),
+    ("gl1_so_vector(4)", 4, "8a83ff7bc5a7f632c2c86ab74e012035c209f3e1b967d7d2838d0e9a3fe1cda7"),
+]
+
+
+@pytest.mark.parametrize("spec,degree,digest", UNIT_PAIR_DIGESTS,
+                         ids=[f"{s}@{k}" for s, k, _ in UNIT_PAIR_DIGESTS])
+def test_pinned_unit_pair_brackets(spec, degree, digest):
+    assert unit_pair_digest(build(spec, degree)) == digest
+
+
+class TestWorkCounts:
+    """The degree-two brackets and the grading check stay on the sparse rows."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        calls = {"apply": 0, "matmul": 0, "evaluate": 0}
+
+        def spy(cls, name, key):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        spy(Matrix, "apply", "apply")
+        spy(Matrix, "__matmul__", "matmul")
+        spy(_Half, "evaluate", "evaluate")
+        return calls
+
+    def test_no_dense_products(self, spied):
+        import random
+
+        g = build("matrix_space_example(2)", 2)
+        h = grading_element(g.pentad).element
+        spied.update(apply=0, matmul=0)
+        rng = random.Random(3)
+        for _ in range(3):
+            a, b = (GradedVector(k, tuple(rng.randint(-9, 9) for _ in range(66)))
+                    for k in (2, -2))
+            g.bracket(a, b)
+            g.bracket(b, a)
+        assert check_grading(g, h) is True
+        assert spied["apply"] == spied["matmul"] == 0
+
+    def test_generator_brackets_hoisted(self, spied):
+        # [a, b] for a in U_2 and a dense b in U_-2 brackets b with each
+        # generator x_a once: at most m = 12 evaluations of U_-2 on U_1.
+        g = build("matrix_space_example(2)", 2)
+        b = GradedVector(-2, tuple(range(1, 67)))
+        spied["evaluate"] = 0
+        g.bracket(GradedVector(2, (1,) * 66), b)
+        assert 0 < spied["evaluate"] <= 12

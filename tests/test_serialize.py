@@ -4,10 +4,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pentads.catalog import catalog, resolve
-from pentads.exact_linalg import Matrix
-from pentads.lie import NotClosedError, family, trace_form
+from pentads.exact_linalg import Matrix, qnorm, qof
+from pentads.lie import BilinearForm, NotClosedError, family, trace_form
 from pentads.pentad import Representation, StandardPentad, dual_representation
 from pentads.preh import decide_regularity
 from pentads.serialize import (
@@ -44,6 +46,29 @@ class TestScalars:
     def test_rejects_inexact_or_malformed(self, bad):
         with pytest.raises(SerializationError):
             scalar_from_json(bad)
+
+    @given(st.one_of(
+        st.integers().map(str),
+        st.from_regex(r"\A\s?[+-]{0,2}[0-9_]{0,7}([./][0-9_]{0,3})?([eE][+-]?[0-9]{1,2})?\s?\Z"),
+        st.text(alphabet="0123456789-+_ /.eE\t\n\u00a0\u0663\u00b2\uff10", max_size=10)))
+    @example("")
+    @example("-0")
+    @example("007")
+    @example("1" * 5000)
+    @example("-" + "1" * 4300)
+    def test_parsing_matches_fraction(self, text):
+        # The int fast path for plain ASCII integers must accept exactly the
+        # strings Fraction accepts, with the same value and type.
+        try:
+            old = qnorm(Fraction(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                qof(text)
+            with pytest.raises(SerializationError):
+                scalar_from_json(text)
+            return
+        for new in (qof(text), scalar_from_json(text)):
+            assert new == old and type(new) is type(old)
 
     def test_vector_round_trip(self):
         v = (Fraction(1, 3), -2, 0)
@@ -151,6 +176,19 @@ class TestCertificates:
         assert verdict_to_json(decide_regularity(trace), trace)["form"] == "trace"
         form = verdict_to_json(decide_regularity(scaled), scaled)["form"]
         assert form == matrix_to_json(scaled.form.gram)
+
+    @pytest.mark.parametrize("i,j", [(0, 1), (1, 0)])
+    def test_form_off_by_one_entry_in_one_direction(self, i, j):
+        # The trace form with one off-diagonal entry changed and its mirror
+        # entry left alone is not the trace form.
+        p = resolve("gl2_trace").build()
+        rows = [list(row) for row in trace_form(p.algebra).gram.entries]
+        rows[i][j] += 1
+        bent = StandardPentad(p.algebra, p.rep, p.dual,
+                              BilinearForm(Matrix(tuple(map(tuple, rows)))))
+        verdict = decide_regularity(p)
+        assert verdict_to_json(verdict, p)["form"] == "trace"
+        assert verdict_to_json(verdict, bent)["form"] == matrix_to_json(bent.form.gram)
 
     def test_witness_vector_restored_as_tuple(self):
         p = resolve("matrix_space_example(2)").build()
