@@ -5,7 +5,15 @@ kernels, and linear solves computed without rounding.  Scalars are plain
 ``int`` or ``fractions.Fraction``; integers are kept as ``int`` wherever
 possible because integer arithmetic is much cheaper than Fraction
 arithmetic and the two compare equal.  Division is the only operation that
-can leave the integers, so it always goes through :func:`qdiv`.
+can leave the integers, and its results are always normalized (:func:`qdiv`,
+:func:`qnorm`).
+
+All elimination is one sparse echelon, :func:`sparse_row_space_basis`: a
+fraction-free pass over sparse integer rows that returns the reduced row
+echelon form (RREF) of their span, dividing only at the end, once per entry
+of the result.  rank, rref, kernel_basis, solve,
+solve_multi and inverse only read that RREF.  A solve echelons [A | b] once:
+its pivot rows give the particular solution and the kernel of A together.
 
 Determinism matters as much as exactness here: kernel bases come from the
 reduced row echelon form, which is unique for a given row space, so every
@@ -17,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 Q = Union[int, Fraction]
@@ -104,7 +113,7 @@ class Matrix:
 
     def flat(self) -> Vec:
         """Row-major flattening."""
-        return tuple(x for row in self.entries for x in row)
+        return tuple(chain.from_iterable(self.entries))
 
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)
@@ -179,75 +188,43 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(tuple(out))
 
 
-def _int_rows(m: Matrix) -> list[list[int]]:
-    """Scale each row to integer entries (rank-preserving)."""
-    out = []
-    for row in m.entries:
-        denom = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
-    return out
+def _sparse_rows(m: Matrix) -> Iterable[Iterable[tuple[int, Q]]]:
+    return (enumerate(row) for row in m.entries)
 
 
 def rank(m: Matrix) -> int:
-    """Rank by fraction-free (Bareiss) elimination on an integer-scaled copy."""
-    a = _int_rows(m)
-    nrows, ncols = len(a), m.cols
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        piv = a[r][c]
-        for i in range(r + 1, nrows):
-            head = a[i][c]
-            ai, ar = a[i], a[r]
-            # Sylvester's identity makes this division exact for every row,
-            # including head == 0, so the update must never be skipped.
-            for j in range(c, ncols):
-                ai[j] = (ai[j] * piv - head * ar[j]) // prev
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank: the number of rows of the canonical echelon basis."""
+    return len(sparse_row_space_basis(_sparse_rows(m)))
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot columns (unique for the row space)."""
-    a = [list(row) for row in m.entries]
-    nrows, ncols = len(a), m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        piv = a[r][c]
-        if piv != 1:
-            a[r] = [qdiv(x, piv) for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [qnorm(x - f * y) for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return Matrix(tuple(tuple(row) for row in a)), tuple(pivots)
+    """Reduced row echelon form and the pivot columns (unique for the row space).
+
+    The basis rows of the row space come first, padded with zero rows to
+    the input's shape.
+    """
+    basis = sparse_row_space_basis(_sparse_rows(m))
+    ncols = m.cols
+    rows = [dense_vec(r, ncols) for r in basis]
+    rows.extend([(0,) * ncols] * (m.rows - len(basis)))
+    return Matrix(tuple(rows)), tuple(r[0][0] for r in basis)
+
+
+def _kernel_of_rref(basis: Sequence[SparseVec], ncols: int) -> list[Vec]:
+    """Canonical kernel basis of the first ncols columns of RREF rows whose
+    pivots all lie in those columns: one vector per free column f, with 1 at
+    f and minus column f of the pivot rows at their pivots."""
+    vecs = {f: [0] * ncols for f in range(ncols)}
+    for row in basis:
+        del vecs[row[0][0]]
+    for f, v in vecs.items():
+        v[f] = 1
+    for row in basis:
+        lead = row[0][0]
+        for j, x in row[1:]:
+            if j < ncols:
+                vecs[j][lead] = -x
+    return [tuple(v) for v in vecs.values()]
 
 
 def kernel_basis(m: Matrix) -> list[Vec]:
@@ -257,18 +234,7 @@ def kernel_basis(m: Matrix) -> list[Vec]:
     columns the result is in reduced column echelon form, so equal inputs
     give byte-equal bases.
     """
-    reduced, pivots = rref(m)
-    ncols = m.cols
-    pivot_of_col = {c: i for i, c in enumerate(pivots)}
-    free = [c for c in range(ncols) if c not in pivot_of_col]
-    basis = []
-    for f in free:
-        v: list[Q] = [0] * ncols
-        v[f] = 1
-        for c, i in pivot_of_col.items():
-            v[c] = qnorm(-reduced.entries[i][f])
-        basis.append(tuple(v))
-    return basis
+    return _kernel_of_rref(sparse_row_space_basis(_sparse_rows(m)), m.cols)
 
 
 @dataclass(frozen=True)
@@ -294,46 +260,51 @@ class SolveResult:
 
 
 def solve(a: Matrix, b: Sequence[Q]) -> SolveResult:
-    """Solve a @ x = b exactly, classifying the solution set."""
+    """Solve a @ x = b exactly, classifying the solution set.
+
+    One echelon of [a | b]: a pivot in the last column means no solution;
+    otherwise the pivot rows, read without that column, are the RREF of a,
+    so they give the kernel, and their last entries the particular solution.
+    """
     if len(b) != a.rows:
         raise ValueError("right-hand side length does not match row count")
-    solutions = solve_multi(a, Matrix(tuple((qof(x),) for x in b)))
-    x = solutions[0]
-    if x is None:
+    ncols = a.cols
+    basis = sparse_row_space_basis(chain(enumerate(row), ((ncols, qof(x)),))
+                                   for row, x in zip(a.entries, b))
+    if basis and basis[-1][0][0] == ncols:
         return SolveResult("none", None, [])
-    ker = kernel_basis(a)
-    if ker:
-        return SolveResult("affine", x, ker)
-    return SolveResult("unique", x, [])
+    x: list[Q] = [0] * ncols
+    for row in basis:
+        j, c = row[-1]
+        if j == ncols:
+            x[row[0][0]] = c
+    ker = _kernel_of_rref(basis, ncols)
+    return SolveResult("affine" if ker else "unique", tuple(x), ker)
 
 
 def solve_multi(a: Matrix, rhs: Matrix) -> list[Vec | None]:
     """Particular solutions of a @ x = rhs[:, j] for each column j.
 
-    One echelon pass for all right-hand sides.  Each solution has free
-    variables set to zero; None marks an inconsistent column.
+    One echelon of [a | rhs] for all right-hand sides.  Each solution has
+    free variables set to zero; None marks an inconsistent column, one that
+    a pivot row of the rhs block involves.
     """
     if rhs.rows != a.rows:
         raise ValueError("right-hand side row count does not match")
-    ncols, nrhs = a.cols, rhs.cols
-    stacked = Matrix(tuple(tuple(ar) + tuple(br) for ar, br in zip(a.entries, rhs.entries)))
-    reduced, pivots = rref(stacked)
-    out: list[Vec | None] = []
-    sys_pivots = [c for c in pivots if c < ncols]
-    bad_rows = [i for i, c in enumerate(pivots) if c >= ncols]
-    for j in range(nrhs):
-        col = ncols + j
-        # A pivot in the rhs block means that column's system is inconsistent,
-        # but only if the offending row actually involves this rhs column.
-        inconsistent = any(reduced.entries[i][col] for i in bad_rows)
-        if inconsistent:
-            out.append(None)
-            continue
-        x: list[Q] = [0] * ncols
-        for i, c in enumerate(sys_pivots):
-            x[c] = reduced.entries[i][col]
-        out.append(tuple(x))
-    return out
+    ncols = a.cols
+    basis = sparse_row_space_basis(chain(enumerate(ar), enumerate(br, ncols))
+                                   for ar, br in zip(a.entries, rhs.entries))
+    sols: list[list[Q]] = [[0] * ncols for _ in range(rhs.cols)]
+    bad = set()
+    for row in basis:
+        lead = row[0][0]
+        for j, x in row:
+            if j >= ncols:
+                if lead >= ncols:
+                    bad.add(j - ncols)
+                else:
+                    sols[j - ncols][lead] = x
+    return [None if j in bad else tuple(x) for j, x in enumerate(sols)]
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -348,23 +319,13 @@ def inverse(m: Matrix) -> Matrix:
 
 def _sparse_int_row(row: Iterable[tuple[int, Q]]) -> dict[int, int]:
     """Clear denominators and strip the content; {column: nonzero int}."""
-    nz = [(j, x) for j, x in row if x]
-    if not nz:
-        return {}
-    denom = 1
-    for _, x in nz:
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    vals = {}
-    g = 0
-    for j, x in nz:
-        v = int(x * denom)
-        vals[j] = v
-        g = gcd(g, v)
-    if g > 1:
-        for j in vals:
-            vals[j] //= g
-    return vals
+    vals = {j: x for j, x in row if x}
+    denominators = [x.denominator for x in vals.values() if type(x) is Fraction]
+    if denominators:
+        denom = lcm(*denominators)
+        vals = {j: x.numerator * (denom // x.denominator) if type(x) is Fraction else x * denom
+                for j, x in vals.items()}
+    return _strip_content(vals)
 
 
 def _strip_content(r: dict[int, int]) -> dict[int, int]:
@@ -385,9 +346,10 @@ def sparse_row_space_basis(rows: Iterable[Iterable[tuple[int, Q]]]) -> list[Spar
     Each row is its (column, value) pairs; zero values are ignored, and each
     basis row comes back as its nonzeros ascending in column.  The echelon
     runs on sparse integer rows with fraction-free updates (cross-multiply,
-    then divide out the content), because candidate stacks in the graded
-    construction run to hundreds of mostly-sparse rows and dense Fraction
-    arithmetic is an order of magnitude slower there.  The final backward
+    then divide out the content), because the systems here (graded candidate
+    stacks, the grading-element and partner solves) run to hundreds or
+    thousands of mostly-sparse rows, and dense Fraction arithmetic is an
+    order of magnitude slower there.  The final backward
     pass still returns the RREF of the span, which is unique, so generator
     order cannot leak into the result.
     """
@@ -470,25 +432,6 @@ def dense_vec(v: Iterable[tuple[int, Q]], n: int) -> Vec:
 def pivot_columns(basis: Sequence[Vec]) -> tuple[int, ...]:
     """Leading column of each row of an echelon basis."""
     return tuple(next(j for j, x in enumerate(row) if x) for row in basis)
-
-
-def coords_in_rows(basis: Sequence[Vec], v: Sequence[Q]) -> Vec | None:
-    """Coordinates of v in an RREF row basis, or None if v is outside the span.
-
-    Because the basis is in reduced form, the coordinate on each row is just
-    v's entry at that row's pivot column.
-    """
-    coords = []
-    residual = list(v)
-    for row in basis:
-        lead = next(j for j, x in enumerate(row) if x)
-        c = residual[lead]
-        coords.append(qnorm(c))
-        if c:
-            residual = [qnorm(x - c * y) for x, y in zip(residual, row)]
-    if any(residual):
-        return None
-    return tuple(coords)
 
 
 def vec_add(u: Sequence[Q], v: Sequence[Q]) -> Vec:

@@ -37,7 +37,7 @@ from .exact_linalg import (
     dense_vec,
     is_zero_vec,
     qnorm,
-    row_space_basis,
+    row_space_basis,  # noqa: F401  (perfbench's tracer patches this name here)
     solve,
     solve_multi,
     sparse_row_space_basis,
@@ -75,15 +75,15 @@ def grading_element(p: StandardPentad) -> GradingElementResult:
     implied by the others for compatible pentads but keeping them makes the
     result meaningful on broken input too.
     """
-    d, m = p.algebra.dim, p.module_dim
+    m = p.module_dim
     rows = p.algebra.commutation_rows()
     rhs: list[Q] = [0] * len(rows)
-    for r in range(m):
-        for c in range(m):
-            rows.append(tuple(p.rep.action[i].entry(r, c) for i in range(d)))
-            rhs.append(2 if r == c else 0)
-            rows.append(tuple(p.dual.action[i].entry(r, c) for i in range(d)))
-            rhs.append(-2 if r == c else 0)
+    # One row per matrix cell (r, c) and side: the cell's entries over the
+    # basis, against the cell of +-2 Id.  Row order cannot change the RREF.
+    for action, lam in ((p.rep.action, 2), (p.dual.action, -2)):
+        for cell, row in enumerate(zip(*(a.flat() for a in action))):
+            rows.append(row)
+            rhs.append(lam if cell % (m + 1) == 0 else 0)
     res = solve(Matrix(tuple(rows)), tuple(rhs))
     if res.status == "none":
         return GradingElementResult("absent", None, ())
@@ -559,12 +559,11 @@ def check_minimality(g: GradedAlgebra) -> bool:
             if n == 0:
                 continue
             flats = [[(t * m + r, c) for t, r, c in f] for f in half.maps[k]]
-            width = half.dims[k - 1] * m
             last = -1
             for v in flats:
                 lead = min((j for j, c in v if c), default=None)
                 if lead is None or lead <= last:
-                    if len(row_space_basis(dense_vec(v, width) for v in flats)) != n:
+                    if len(sparse_row_space_basis(flats)) != n:
                         return False
                     break
                 last = lead

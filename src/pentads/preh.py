@@ -321,6 +321,8 @@ def verify_certificate(p: StandardPentad, v: RegularityVerdict) -> bool:
                         and p.phi.apply(x, y) == h0)
             return False
         if v.outcome == "Regular":
+            if v.witness is not None:
+                return False
             pr = sl2_partner(p, GradingElement(h0), x)
             if pr.status != "unique" or pr.y != tuple(v.y):
                 return False

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 from pentads.exact_linalg import (
     Matrix,
-    coords_in_rows,
     inverse,
     kernel_basis,
     kronecker,
     qdiv,
+    qnorm,
     qof,
     qstr,
     rank,
@@ -64,6 +65,129 @@ def random_elementary_ops(rng: random.Random, base: Matrix, steps: int) -> Matri
             c = rng.choice([-2, -1, 1, 2, 3])
             rows[i] = [x * c for x in rows[i]]
     return Matrix.from_rows(rows)
+
+
+# --- The dense oracle -------------------------------------------------------
+# The elimination routines as they stood before every routine became a reader
+# of sparse_row_space_basis: Bareiss rank on integer-scaled rows and a dense
+# Fraction Gauss-Jordan rref, with kernel_basis, solve and solve_multi on top.
+# The differential tests below hold the sparse engine to their output.
+
+
+def _oracle_int_rows(m: Matrix) -> list[list[int]]:
+    out = []
+    for row in m.entries:
+        denom = 1
+        for x in row:
+            if isinstance(x, Fraction):
+                denom = denom * x.denominator // gcd(denom, x.denominator)
+        out.append([int(x * denom) for x in row])
+    return out
+
+
+def oracle_rank(m: Matrix) -> int:
+    a = _oracle_int_rows(m)
+    nrows, ncols = len(a), m.cols
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if a[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        piv = a[r][c]
+        for i in range(r + 1, nrows):
+            head = a[i][c]
+            ai, ar = a[i], a[r]
+            for j in range(c, ncols):
+                ai[j] = (ai[j] * piv - head * ar[j]) // prev
+        prev = piv
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def oracle_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    a = [list(row) for row in m.entries]
+    nrows, ncols = len(a), m.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if a[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        piv = a[r][c]
+        if piv != 1:
+            a[r] = [qdiv(x, piv) for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [qnorm(x - f * y) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return Matrix(tuple(tuple(row) for row in a)), tuple(pivots)
+
+
+def oracle_kernel_basis(m: Matrix) -> list[tuple]:
+    reduced, pivots = oracle_rref(m)
+    ncols = m.cols
+    pivot_of_col = {c: i for i, c in enumerate(pivots)}
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_of_col):
+        v = [0] * ncols
+        v[f] = 1
+        for c, i in pivot_of_col.items():
+            v[c] = qnorm(-reduced.entries[i][f])
+        basis.append(tuple(v))
+    return basis
+
+
+def oracle_solve_multi(a: Matrix, rhs: Matrix) -> list:
+    ncols = a.cols
+    stacked = Matrix(tuple(tuple(ar) + tuple(br) for ar, br in zip(a.entries, rhs.entries)))
+    reduced, pivots = oracle_rref(stacked)
+    out = []
+    sys_pivots = [c for c in pivots if c < ncols]
+    bad_rows = [i for i, c in enumerate(pivots) if c >= ncols]
+    for j in range(rhs.cols):
+        col = ncols + j
+        if any(reduced.entries[i][col] for i in bad_rows):
+            out.append(None)
+            continue
+        x = [0] * ncols
+        for i, c in enumerate(sys_pivots):
+            x[c] = reduced.entries[i][col]
+        out.append(tuple(x))
+    return out
+
+
+def oracle_solve(a: Matrix, b) -> tuple:
+    """(status, solution, kernel), solving with one rref and taking the
+    kernel from a second one."""
+    x = oracle_solve_multi(a, Matrix(tuple((qof(v),) for v in b)))[0]
+    if x is None:
+        return "none", None, []
+    ker = oracle_kernel_basis(a)
+    return ("affine" if ker else "unique"), x, ker
+
+
+def oracle_inverse(m: Matrix) -> Matrix | None:
+    cols = oracle_solve_multi(m, Matrix.identity(m.rows))
+    if any(c is None for c in cols):
+        return None
+    return Matrix(tuple(zip(*cols)))
 
 
 class TestScalars:
@@ -170,7 +294,7 @@ class TestRref:
     @given(matrices())
     def test_pivot_count_matches_bareiss_rank(self, m):
         _, pivots = rref(m)
-        assert len(pivots) == rank(m)
+        assert len(pivots) == oracle_rank(m)
 
 
 class TestKernel:
@@ -312,16 +436,142 @@ class TestRowSpace:
         rows = [(1, 2, 3), (0, 1, 1), (1, 3, 4), (2, 5, 7)]
         assert row_space_basis(rows) == row_space_basis(list(reversed(rows)))
 
-    def test_coords_in_rows(self):
-        basis = row_space_basis([(1, 0, 2), (0, 1, 1)])
-        v = (3, -2, 4)
-        coords = coords_in_rows(basis, v)
-        assert coords == (3, -2)
-        rebuilt = [0, 0, 0]
-        for c, row in zip(coords, basis):
-            rebuilt = [r + c * x for r, x in zip(rebuilt, row)]
-        assert tuple(rebuilt) == v
-        assert coords_in_rows(basis, (0, 0, 1)) is None
-
     def test_dot(self):
         assert vec_dot((1, 2, 3), (4, 5, 6)) == 32
+
+
+# --- Differential tests against the dense oracle ------------------------------
+
+_small = st.integers(min_value=-6, max_value=6)
+_big = st.builds(lambda mag, sign: sign * mag,
+                 st.integers(min_value=2 ** 200, max_value=2 ** 260), st.sampled_from((-1, 1)))
+ENTRY_KINDS = {
+    "integer": _small,
+    "fraction-heavy": st.one_of(
+        st.builds(qdiv, st.integers(-99, 99), st.integers(1, 97)), _small),
+    "200-bit": st.one_of(
+        _big, st.builds(qdiv, _big, st.integers(2 ** 200, 2 ** 230)), st.just(0), _small),
+}
+SHAPES = {
+    "square": (st.integers(1, 5), st.integers(1, 5)),
+    "tall": (st.integers(5, 9), st.integers(1, 3)),
+    "wide": (st.integers(1, 3), st.integers(5, 9)),
+}
+
+
+@st.composite
+def adversarial(draw, square=False):
+    """A matrix of one entry kind and one shape, then made degenerate: zero
+    rows, zero columns, duplicated rows, or a product of thin factors."""
+    entry = ENTRY_KINDS[draw(st.sampled_from(sorted(ENTRY_KINDS)))]
+    if square:
+        r = c = draw(st.integers(1, 5))
+    else:
+        rs, cs = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+        r, c = draw(rs), draw(cs)
+    grid = lambda nr, nc: [draw(st.lists(entry, min_size=nc, max_size=nc)) for _ in range(nr)]
+    kind = draw(st.sampled_from(("plain", "zero-rows", "zero-cols", "duplicate", "deficient")))
+    rows = grid(r, c)
+    if kind == "zero-rows":
+        for i in draw(st.sets(st.integers(0, r - 1), min_size=1)):
+            rows[i] = [0] * c
+    elif kind == "zero-cols":
+        for j in draw(st.sets(st.integers(0, c - 1), min_size=1)):
+            for row in rows:
+                row[j] = 0
+    elif kind == "duplicate" and r > 1:
+        src = draw(st.integers(0, r - 1))
+        for i in draw(st.sets(st.integers(0, r - 1), min_size=1)):
+            rows[i] = list(rows[src])
+    elif kind == "deficient":
+        k = draw(st.integers(0, max(0, min(r, c) - 1)))
+        if k == 0:
+            rows = [[0] * c for _ in range(r)]
+        else:
+            rows = (Matrix.from_rows(grid(r, k)) @ Matrix.from_rows(grid(k, c))).entries
+    return Matrix.from_rows(rows)
+
+
+@st.composite
+def systems(draw, nrhs=1):
+    """A matrix and right-hand sides, each either a @ x for a drawn x
+    (consistent) or a drawn vector (usually inconsistent on tall input)."""
+    a = draw(adversarial())
+    entry = ENTRY_KINDS[draw(st.sampled_from(sorted(ENTRY_KINDS)))]
+    cols = []
+    for _ in range(nrhs):
+        if draw(st.booleans()):
+            cols.append(a.apply(tuple(draw(st.lists(entry, min_size=a.cols, max_size=a.cols)))))
+        else:
+            cols.append(tuple(draw(st.lists(entry, min_size=a.rows, max_size=a.rows))))
+    return a, cols
+
+
+def typed(v):
+    """Values with their types, so an int and an equal Fraction differ."""
+    if v is None:
+        return None
+    return [typed(x) if isinstance(x, (tuple, list)) else (type(x).__name__, x) for x in v]
+
+
+class TestEngineMatchesDenseOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(adversarial())
+    def test_rank(self, m):
+        assert rank(m) == oracle_rank(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(adversarial())
+    def test_rref_with_padding_and_pivots(self, m):
+        reduced, pivots = rref(m)
+        want, want_pivots = oracle_rref(m)
+        assert pivots == want_pivots
+        assert reduced.shape() == want.shape() == m.shape()
+        assert typed(reduced.entries) == typed(want.entries)
+
+    @settings(max_examples=150, deadline=None)
+    @given(adversarial())
+    def test_kernel_basis(self, m):
+        assert typed(kernel_basis(m)) == typed(oracle_kernel_basis(m))
+
+    @settings(max_examples=150, deadline=None)
+    @given(systems())
+    def test_solve(self, system):
+        a, (b,) = system
+        res = solve(a, b)
+        status, solution, kernel = oracle_solve(a, b)
+        assert res.status == status
+        assert typed(res.solution) == typed(solution)
+        assert typed(res.kernel) == typed(kernel)
+
+    @settings(max_examples=150, deadline=None)
+    @given(systems(nrhs=3))
+    def test_solve_multi(self, system):
+        a, cols = system
+        rhs = Matrix.from_rows(zip(*cols))
+        got = solve_multi(a, rhs)
+        want = oracle_solve_multi(a, rhs)
+        assert [x is None for x in got] == [x is None for x in want]
+        assert typed(got) == typed(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(adversarial(square=True))
+    def test_inverse(self, m):
+        want = oracle_inverse(m)
+        if want is None:
+            with pytest.raises(ValueError):
+                inverse(m)
+        else:
+            assert typed(inverse(m).entries) == typed(want.entries)
+
+    @settings(max_examples=100, deadline=None)
+    @given(systems())
+    def test_integral_fractions_read_as_ints(self, system):
+        # Matrix() keeps entries as given, so Fraction(k, 1) can reach the
+        # engine; the output must not depend on it
+        a, (b,) = system
+        raw = Matrix(tuple(tuple(Fraction(x) for x in row) for row in a.entries))
+        assert typed(rref(raw)[0].entries) == typed(rref(a)[0].entries)
+        assert typed(kernel_basis(raw)) == typed(kernel_basis(a))
+        assert solve(raw, [Fraction(x) for x in b]) == solve(a, b)
+        assert typed(solve(raw, [Fraction(x) for x in b]).solution) == typed(solve(a, b).solution)

@@ -1,11 +1,13 @@
 """Generic points, sl2 partners, and the regularity decision procedure."""
 
 from dataclasses import replace
+from functools import cache
 
 import pytest
 
+from pentads import exact_linalg, graded, preh
 from pentads.catalog import resolve
-from pentads.exact_linalg import Matrix, is_zero_vec, kernel_basis, rank
+from pentads.exact_linalg import Matrix, is_zero_vec, kernel_basis, qof, qstr, rank
 from pentads.graded import GradingElement, grading_element
 from pentads.lie import family, trace_form, unit_coords
 from pentads.pentad import (
@@ -30,6 +32,7 @@ from pentads.preh import (
     sl2_partner,
     verify_certificate,
 )
+from pentads.serialize import verdict_from_json, verdict_to_json
 
 # Known generic points of the matrix-space entries (block-identity 2n x 3
 # matrices, flattened row-major) and the unique partner of the first one.
@@ -302,6 +305,122 @@ class TestDecideRegularity:
         assert verify_certificate(p, replace(v, outcome="NotRegular")) is False
         assert verify_certificate(p, replace(v, h0=(4,))) is False
 
+
+def _bump(vec, k=0, by=1):
+    """A certificate vector (JSON strings) with entry k moved by `by`."""
+    out = list(vec)
+    out[k] = qstr(qof(out[k]) + by)
+    return out
+
+
+def _doubled(vec):
+    return [qstr(2 * qof(x)) for x in vec]
+
+
+# Each tamper changes one field of a certificate's JSON, the form the CLI
+# replays.  Regular certificate of gl1_so_vector(3): H0 (2,0,0,0), X (1,0,0),
+# Y (2,0,0), no witness.  NotRegular certificate of matrix_space_example(2):
+# clause module_partner_kernel with a kernel vector of N(Y).
+REGULAR_TAMPERS = {
+    "H0 entry": lambda c: {"H0": _bump(c["H0"])},
+    "H0 off-center": lambda c: {"H0": _bump(c["H0"], k=1)},
+    "X doubled": lambda c: {"X": _doubled(c["X"])},
+    "X entry": lambda c: {"X": _bump(c["X"], k=1)},
+    "X zero": lambda c: {"X": ["0"] * len(c["X"])},
+    "X short": lambda c: {"X": c["X"][:-1]},
+    "Y doubled": lambda c: {"Y": _doubled(c["Y"])},
+    "Y entry": lambda c: {"Y": _bump(c["Y"], k=2)},
+    "witness vector": lambda c: {"witness": {"clause": "module_partner_kernel",
+                                             "vector": ["1"] + ["0"] * (len(c["X"]) - 1)}},
+    "clause": lambda c: {"witness": {"clause": "no_dual_partner"}},
+    "outcome NotRegular": lambda c: {"outcome": "NotRegular"},
+    "outcome Inconclusive": lambda c: {"outcome": "Inconclusive"},
+    "outcome unknown": lambda c: {"outcome": "regular"},
+}
+NOT_REGULAR_TAMPERS = {
+    "H0 entry": lambda c: {"H0": _bump(c["H0"])},
+    "H0 off-center": lambda c: {"H0": _bump(c["H0"], k=3)},
+    "X doubled": lambda c: {"X": _doubled(c["X"])},
+    "X entry": lambda c: {"X": _bump(c["X"], k=4)},
+    "Y doubled": lambda c: {"Y": _doubled(c["Y"])},
+    "Y entry": lambda c: {"Y": _bump(c["Y"], k=0)},
+    "witness vector entry": lambda c: {"witness": {**c["witness"],
+                                                   "vector": _bump(c["witness"]["vector"], k=-1)}},
+    "witness vector zero": lambda c: {"witness": {**c["witness"],
+                                                  "vector": ["0"] * len(c["witness"]["vector"])}},
+    "witness vector dropped": lambda c: {"witness": {"clause": c["witness"]["clause"]}},
+    "clause no_dual_partner": lambda c: {"witness": {**c["witness"], "clause": "no_dual_partner"}},
+    "clause unknown": lambda c: {"witness": {**c["witness"], "clause": "kernel"}},
+    "outcome Regular": lambda c: {"outcome": "Regular"},
+    "outcome Inconclusive": lambda c: {"outcome": "Inconclusive"},
+}
+
+
+@cache
+def certificate(spec):
+    """(pentad, certificate JSON) of the seed-0 verdict, built once."""
+    p = resolve(spec).build()
+    return p, verdict_to_json(decide_regularity(p), p)
+
+
+class TestCertificateTampering:
+    @pytest.mark.parametrize("spec, outcome", [
+        ("gl1_so_vector(3)", "Regular"), ("matrix_space_example(2)", "NotRegular")])
+    def test_untampered_certificate_verifies(self, spec, outcome):
+        p, cert = certificate(spec)
+        assert cert["outcome"] == outcome
+        assert verify_certificate(p, verdict_from_json(cert)) is True
+
+    @pytest.mark.parametrize("tamper", sorted(REGULAR_TAMPERS))
+    def test_regular_certificate(self, tamper):
+        p, cert = certificate("gl1_so_vector(3)")
+        tampered = {**cert, **REGULAR_TAMPERS[tamper](cert)}
+        assert tampered != cert
+        assert verify_certificate(p, verdict_from_json(tampered)) is False
+
+    @pytest.mark.parametrize("tamper", sorted(NOT_REGULAR_TAMPERS))
+    def test_not_regular_certificate(self, tamper):
+        p, cert = certificate("matrix_space_example(2)")
+        tampered = {**cert, **NOT_REGULAR_TAMPERS[tamper](cert)}
+        assert tampered != cert
+        assert verify_certificate(p, verdict_from_json(tampered)) is False
+
+
+class TestEngineWorkCounts:
+    def test_one_echelon_per_solve(self, monkeypatch):
+        p = resolve("matrix_space_example(3)").build()
+        engine, real_solve = exact_linalg.sparse_row_space_basis, exact_linalg.solve
+        echelons, per_solve = [], []
+
+        def counting_engine(rows):
+            echelons.append(1)
+            return engine(rows)
+
+        def counting_solve(a, b):
+            before = len(echelons)
+            res = real_solve(a, b)
+            per_solve.append(len(echelons) - before)
+            return res
+
+        monkeypatch.setattr(exact_linalg, "sparse_row_space_basis", counting_engine)
+        monkeypatch.setattr(preh, "solve", counting_solve)
+        monkeypatch.setattr(graded, "solve", counting_solve)
+        v = decide_regularity(p)
+        assert verify_certificate(p, v) is True
+        # two grading-element solves (decide and verify) and the dual partner
+        assert per_solve == [1, 1, 1]
+
+    def test_grading_element_reads_no_single_entries(self, monkeypatch):
+        p = resolve("matrix_space_example(3)").build()
+        real_entry, reads = Matrix.entry, []
+
+        def counting_entry(self, i, j):
+            reads.append((i, j))
+            return real_entry(self, i, j)
+
+        monkeypatch.setattr(Matrix, "entry", counting_entry)
+        assert grading_element(p).status == "found"
+        assert reads == []
 
 class TestSymmetryInvariance:
     def test_module_symmetries_preserve_classification(self):
