@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .exact_linalg import Matrix, kronecker
-from .lie import BilinearForm, family, standard_symplectic_form, trace_form
+from .lie import BilinearForm, MatrixLieAlgebra, family, standard_symplectic_form, trace_form
 from .pentad import (
     Representation,
     StandardPentad,
@@ -52,8 +52,7 @@ def gl1_scalar() -> StandardPentad:
     return StandardPentad(alg, rep, dual_representation(rep), trace_form(alg))
 
 
-def _gl2_pentad(form: BilinearForm) -> StandardPentad:
-    alg = family("gl", 2)
+def _gl2_pentad(alg: MatrixLieAlgebra, form: BilinearForm) -> StandardPentad:
     rep = Representation(alg, alg.basis)
     return StandardPentad(alg, rep, dual_representation(rep), form)
 
@@ -72,7 +71,7 @@ def gl2_standard() -> StandardPentad:
     adjusted = Matrix(tuple(
         tuple(gram.entry(i, j) - Fraction(tr[i] * tr[j], 3) for j in range(4))
         for i in range(4)))
-    return _gl2_pentad(BilinearForm(adjusted))
+    return _gl2_pentad(alg, BilinearForm(adjusted))
 
 
 def gl2_trace() -> StandardPentad:
@@ -80,7 +79,8 @@ def gl2_trace() -> StandardPentad:
 
     Grades out to dimensions (1, 2, 4, 2, 1), a copy of sp(4).
     """
-    return _gl2_pentad(trace_form(family("gl", 2)))
+    alg = family("gl", 2)
+    return _gl2_pentad(alg, trace_form(alg))
 
 
 def gl1_so_vector(m: int = 3) -> StandardPentad:
@@ -88,7 +88,8 @@ def gl1_so_vector(m: int = 3) -> StandardPentad:
     if m < 2:
         raise CatalogError("gl1_so_vector needs m >= 2")
     scalar = Representation(family("gl", 1), (Matrix.identity(1),))
-    vector = Representation(family("so", m), family("so", m).basis)
+    so = family("so", m)
+    vector = Representation(so, so.basis)
     rep = box_tensor([scalar, vector])
     return StandardPentad(rep.algebra, rep, dual_representation(rep),
                           trace_form(rep.algebra))
@@ -106,8 +107,9 @@ def matrix_space_example(n: int = 2) -> StandardPentad:
     if n < 2:
         raise CatalogError("matrix_space_example needs n >= 2")
     scalar = Representation(family("gl", 1), (Matrix.identity(1),))
-    left = Representation(family("sp", n), family("sp", n).basis)
-    right = Representation(family("so", 3), family("so", 3).basis)
+    sp, so = family("sp", n), family("so", 3)
+    left = Representation(sp, sp.basis)
+    right = Representation(so, so.basis)
     rep = box_tensor([scalar, left, right])
     pairing = kronecker(standard_symplectic_form(n), Matrix.identity(3))
     return StandardPentad(rep.algebra, rep,

@@ -105,12 +105,6 @@ class Matrix:
     def entry(self, i: int, j: int) -> Q:
         return self.entries[i][j]
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
-    def col(self, j: int) -> Vec:
-        return tuple(row[j] for row in self.entries)
-
     def flat(self) -> Vec:
         """Row-major flattening."""
         return tuple(chain.from_iterable(self.entries))
@@ -177,6 +171,22 @@ class Matrix:
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.shape() != other.shape():
             raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
+
+
+def linear_combination(coeffs: Sequence[Q], mats: Sequence[Matrix]) -> Matrix:
+    """sum_i c_i M_i over equally shaped matrices, skipping zero coefficients
+    and zero entries and normalizing once; the zero matrix of the common
+    shape when every coefficient is zero."""
+    shape = mats[0].shape()
+    acc: list[list[Q]] = [[0] * shape[1] for _ in range(shape[0])]
+    for c, m in zip(coeffs, mats):
+        if c:
+            m._check_same_shape(mats[0])
+            for out, row in zip(acc, m.entries):
+                for j, x in enumerate(row):
+                    if x:
+                        out[j] += c * x
+    return Matrix(tuple(tuple(qnorm(x) for x in row) for row in acc))
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
@@ -249,10 +259,6 @@ class SolveResult:
     status: str
     solution: Vec | None
     kernel: list[Vec]
-
-    @property
-    def is_unique(self) -> bool:
-        return self.status == "unique"
 
     @property
     def is_solvable(self) -> bool:

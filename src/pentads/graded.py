@@ -254,15 +254,7 @@ class _Half:
 
     def evaluate(self, degree: int, f_coords: Vec, y: Vec) -> Vec:
         """[f, y] for f in U_degree (degree >= 2), y in U_{-1}: evaluation."""
-        acc: list[Q] = [0] * self.dims[degree - 1]
-        maps = self.maps[degree]
-        for s, c in enumerate(f_coords):
-            if c:
-                for t, r, w in maps[s]:
-                    yr = y[r]
-                    if yr:
-                        acc[t] += c * w * yr
-        return _normalized(acc)
+        return _apply_combination(f_coords, self.maps[degree], y, self.dims[degree - 1])
 
     def phi_bracket(self, x: Vec, y: Vec) -> Vec:
         """Phi(x (x) y) for x in the degree-one line and y in U_{-1}."""
@@ -295,14 +287,7 @@ class _Half:
 
     def action(self, k: int, g: Vec, v: Vec) -> Vec:
         """[g, v] for v in U_k, k >= 1."""
-        acc: list[Q] = [0] * self.dims[k]
-        for gi, mat in zip(g, self.action_rows(k)):
-            if gi:
-                for r, c, x in mat:
-                    vc = v[c]
-                    if vc:
-                        acc[r] += gi * x * vc
-        return _normalized(acc)
+        return _apply_combination(g, self.action_rows(k), v, self.dims[k])
 
 
 # The nonzero entries (row, col, x) of a matrix, ascending in (row, col).
@@ -329,6 +314,18 @@ def _combination(coeffs: Sequence[Q], mats: Sequence[Entries]) -> Entries:
             for r, col, x in mat:
                 acc[r, col] = acc.get((r, col), 0) + c * x
     return tuple((r, col, qnorm(x)) for (r, col), x in sorted(acc.items()) if x)
+
+
+def _apply_combination(coeffs: Sequence[Q], mats: Sequence[Entries], v: Vec, n: int) -> Vec:
+    """(sum_i c_i M_i) v, a length-n vector, without forming the sum."""
+    acc: list[Q] = [0] * n
+    for c, mat in zip(coeffs, mats):
+        if c:
+            for r, col, x in mat:
+                vc = v[col]
+                if vc:
+                    acc[r] += c * x * vc
+    return _normalized(acc)
 
 
 def _by_row(mat: Iterable[tuple[int, int, Q]]) -> dict[int, list[tuple[int, Q]]]:

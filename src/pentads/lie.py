@@ -4,7 +4,7 @@ An algebra here is a list of ambient matrices closed under the commutator.
 Structure constants are computed once, exactly, at construction, and stored
 once, sparsely: for each pair (i, j) only the nonzero coordinates (k, c) of
 [b_i, b_j].  Everything downstream (brackets, ad matrices, the center, the
-derived subalgebra, invariant-form checks, homomorphism checks, the graded
+derived subalgebra, invariant-form checks, the homomorphism check, the graded
 construction) reads that one table and works in coordinates with respect to
 the stored basis, so no reader walks the d^3 dense entries.
 
@@ -16,6 +16,7 @@ bases, entry for entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .exact_linalg import (
@@ -24,11 +25,11 @@ from .exact_linalg import (
     SparseVec,
     Vec,
     kernel_basis,
+    linear_combination,
     pivot_columns,
     qnorm,
     rank,
     row_space_basis,
-    solve_multi,
 )
 
 
@@ -130,20 +131,16 @@ class MatrixLieAlgebra:
                     rows.setdefault((j, k), [0] * d)[i] = c
         return [tuple(rows[key]) for key in sorted(rows)]
 
-    def matrix_of(self, coords: Sequence[Q]) -> Matrix:
-        """Reconstruct the ambient matrix with the given coordinates."""
-        if len(coords) != self.dim:
-            raise ValueError("coordinate length does not match dimension")
-        acc = Matrix.zeros(self.ambient_size, self.ambient_size)
-        for c, b in zip(coords, self.basis):
-            if c:
-                acc = acc + b.scale(c)
-        return acc
-
-    def coords_of(self, m: Matrix) -> Vec | None:
-        """Coordinates of an ambient matrix, or None if it lies outside."""
-        stack = Matrix(tuple(b.flat() for b in self.basis)).transpose()
-        return solve_multi(stack, Matrix(tuple((x,) for x in m.flat())))[0]
+    @cached_property
+    def trace_gram(self) -> Matrix:
+        """Gram matrix of (a, b) -> Tr(ab) on the basis, one product per
+        unordered pair; computed on first use and kept."""
+        d = self.dim
+        gram: list[list[Q]] = [[0] * d for _ in range(d)]
+        for i, bi in enumerate(self.basis):
+            for j in range(i, d):
+                gram[i][j] = gram[j][i] = trace_product(bi, self.basis[j])
+        return Matrix(tuple(tuple(row) for row in gram))
 
 
 def unit_coords(dim: int, j: int) -> Vec:
@@ -299,10 +296,8 @@ class BilinearForm:
 
 
 def trace_form(alg: MatrixLieAlgebra) -> BilinearForm:
-    """Gram matrix of (a, b) -> Tr(ab) on the stored basis."""
-    d = alg.dim
-    gram = [[trace_product(alg.basis[i], alg.basis[j]) for j in range(d)] for i in range(d)]
-    return BilinearForm(Matrix(tuple(tuple(row) for row in gram)))
+    """The trace form (a, b) -> Tr(ab) on the stored basis."""
+    return BilinearForm(alg.trace_gram)
 
 
 @dataclass(frozen=True)
@@ -420,13 +415,7 @@ def scalar_center_report(alg: MatrixLieAlgebra,
     if not decomposes:
         return ScalarCenterReport(False, center_dim, None, False,
                                   "center and derived subalgebra do not span")
-    z = zs[0]
-    pi_z = None
-    for c, m in zip(z, action):
-        if c:
-            pi_z = m.scale(c) if pi_z is None else pi_z + m.scale(c)
-    if pi_z is None:
-        return ScalarCenterReport(False, 1, None, decomposes, "center acts by zero")
+    pi_z = linear_combination(zs[0], action)
     n = pi_z.rows
     scalar = pi_z.entries[0][0]
     if pi_z != Matrix.identity(n).scale(scalar):

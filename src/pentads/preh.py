@@ -33,11 +33,10 @@ from .exact_linalg import (
     Vec,
     is_zero_vec,
     kernel_basis,
+    linear_combination,
     rank,
     solve,
-    vec_add,
     vec_scale,
-    zero_vec,
 )
 from .graded import GradingElement, grading_element
 from .lie import scalar_center_report, unit_coords
@@ -50,14 +49,6 @@ class ScalarCenterError(ValueError):
 
 class GradingElementError(ValueError):
     """The pentad admits no (unique) grading element."""
-
-
-def _dual_apply(p: StandardPentad, g: Vec, v: Vec) -> Vec:
-    acc = zero_vec(p.module_dim)
-    for gi, mat in zip(g, p.dual.action):
-        if gi:
-            acc = vec_add(acc, vec_scale(gi, mat.apply(v)))
-    return acc
 
 
 def ad_on_dual(p: StandardPentad, x: Vec) -> Matrix:
@@ -141,7 +132,7 @@ class Sl2Triple:
         p = self.pentad
         if p.rep.apply(self.h, self.x) != vec_scale(2, self.x):
             raise ValueError("sl2 relation [h, x] = 2x fails")
-        if _dual_apply(p, self.h, self.y) != vec_scale(-2, self.y):
+        if linear_combination(self.h, p.dual.action).apply(self.y) != vec_scale(-2, self.y):
             raise ValueError("sl2 relation [h, y] = -2y fails")
         if p.phi.apply(self.x, self.y) != tuple(self.h):
             raise ValueError("sl2 relation [x, y] = h fails")
@@ -174,11 +165,7 @@ def sl2_partner(p: StandardPentad, h, x: Vec) -> PartnerResult:
     if not certified:
         if p.rep.apply(hc, x) != vec_scale(2, x):
             return PartnerResult("none", None, (), None)
-        eigen = Matrix.zeros(m, m)
-        for gi, mat in zip(hc, p.dual.action):
-            if gi:
-                eigen = eigen + mat.scale(gi)
-        eigen = eigen + Matrix.identity(m).scale(2)
+        eigen = linear_combination(hc, p.dual.action) + Matrix.identity(m).scale(2)
         rows.extend(eigen.entries)
         rhs.extend([0] * m)
     res = solve(Matrix(tuple(rows)), tuple(rhs))
@@ -188,38 +175,6 @@ def sl2_partner(p: StandardPentad, h, x: Vec) -> PartnerResult:
         return PartnerResult("affine", res.solution, tuple(res.kernel), None)
     return PartnerResult("unique", res.solution, (),
                          Sl2Triple(p, res.solution, hc, x))
-
-
-def has_unique_partner(p: StandardPentad, h, x: Vec) -> bool:
-    """True iff exactly one dual vector completes (h, x) to a triple."""
-    return sl2_partner(p, h, x).status == "unique"
-
-
-def has_unique_module_partner(p: StandardPentad, h, y: Vec) -> bool:
-    """True iff exactly one module vector completes (y, h) to a triple.
-
-    Two separate facts: the system Phi(xi (x) y) = h is solvable, and
-    xi -> Phi(xi (x) y) is injective.
-    """
-    certified = isinstance(h, GradingElement)
-    hc = h.coords if certified else tuple(h)
-    m = p.module_dim
-    if not certified and _dual_apply(p, hc, y) != vec_scale(-2, y):
-        return False
-    nmat = p.phi.dual_contraction(y)
-    if kernel_basis(nmat):
-        return False
-    rows = list(nmat.entries)
-    rhs: list = list(p.form.gram.apply(hc))
-    if not certified:
-        eigen = Matrix.zeros(m, m)
-        for gi, mat in zip(hc, p.rep.action):
-            if gi:
-                eigen = eigen + mat.scale(gi)
-        eigen = eigen - Matrix.identity(m).scale(2)
-        rows.extend(eigen.entries)
-        rhs.extend([0] * m)
-    return solve(Matrix(tuple(rows)), tuple(rhs)).is_solvable
 
 
 def relative_invariant_indicator(p: StandardPentad, h, x: Vec) -> bool:

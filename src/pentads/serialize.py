@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .exact_linalg import Matrix, Q, Vec, qof, qstr
-from .lie import BilinearForm, build_algebra, trace_form, trace_product
+from .lie import BilinearForm, build_algebra, trace_form
 from .pentad import DualModule, Representation, StandardPentad, dual_representation
 from .preh import RegularityVerdict
 
@@ -118,18 +118,10 @@ def pentad_from_json(obj) -> StandardPentad:
 
 
 def _form_descriptor(p: StandardPentad):
-    """The certificate's form field: "trace" for the trace form, else the gram.
-
-    Tr(b_i b_j) = Tr(b_j b_i), so each product is computed once for both
-    entries, and the comparison stops at the first mismatch.
-    """
-    gram, basis = p.form.gram.entries, p.algebra.basis
-    for i, bi in enumerate(basis):
-        for j in range(i, len(basis)):
-            t = trace_product(bi, basis[j])
-            if gram[i][j] != t or gram[j][i] != t:
-                return matrix_to_json(p.form.gram)
-    return "trace"
+    """The certificate's form field: "trace" for the trace form, else the gram."""
+    if p.form.gram == p.algebra.trace_gram:
+        return "trace"
+    return matrix_to_json(p.form.gram)
 
 
 def _witness_to_json(witness):
@@ -155,18 +147,28 @@ def verdict_to_json(v: RegularityVerdict, p: StandardPentad) -> dict:
     }
 
 
+_OUTCOMES = ("Regular", "NotRegular", "Inconclusive")
+
+
 def verdict_from_json(obj) -> RegularityVerdict:
     _require_keys(obj, ("outcome", "H0", "X", "Y", "ranks", "witness", "seed"),
                   ("attempts", "form"), "a certificate")
+    if obj["outcome"] not in _OUTCOMES:
+        raise SerializationError(f"outcome must be one of {', '.join(_OUTCOMES)}")
+    attempts = obj.get("attempts", 64)
+    if type(obj["seed"]) is not int or type(attempts) is not int:  # excludes bool
+        raise SerializationError("seed and attempts must be integers")
     witness = obj["witness"]
     if witness is not None:
         if not isinstance(witness, dict):
             raise SerializationError("witness must be an object or null")
-        witness = {k: vector_from_json(v) if isinstance(v, list) else v
+        witness = {k: vector_from_json(v) if isinstance(v, list) or k == "vector" else v
                    for k, v in witness.items()}
     ranks = obj["ranks"]
-    if not isinstance(ranks, dict):
-        raise SerializationError("ranks must be an object")
+    if not isinstance(ranks, dict) or not all(
+            isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v)
+            for v in ranks.values()):
+        raise SerializationError("ranks must map labels to pairs of integers")
     return RegularityVerdict(
         outcome=obj["outcome"],
         h0=None if obj["H0"] is None else vector_from_json(obj["H0"]),
@@ -175,7 +177,7 @@ def verdict_from_json(obj) -> RegularityVerdict:
         ranks={k: tuple(v) for k, v in ranks.items()},
         witness=witness,
         seed=obj["seed"],
-        attempts=obj.get("attempts", 64),
+        attempts=attempts,
     )
 
 

@@ -17,7 +17,9 @@ from pentads.catalog import (
 )
 from pentads.exact_linalg import Matrix
 from pentads.lie import standard_symplectic_form
-from pentads.pentad import PhiMap, check_equivariance, check_standard
+from pentads.pentad import PhiMap, check_standard
+
+from oracles import coords_of, equivariance_failure
 
 
 def closed_form_phi(pentad, n, v_flat, u_flat):
@@ -44,7 +46,7 @@ def closed_form_phi(pentad, n, v_flat, u_flat):
     for i in range(3):
         for k in range(3):
             ambient[1 + rows + i][1 + rows + k] = so_part.entry(i, k)
-    coords = pentad.algebra.coords_of(Matrix(tuple(tuple(r) for r in ambient)))
+    coords = coords_of(pentad.algebra, Matrix(tuple(tuple(r) for r in ambient)))
     assert coords is not None, "closed form fell outside the algebra"
     return coords
 
@@ -120,7 +122,7 @@ class TestMatrixSpacePhi:
         assert solver.apply(v, u) == closed_form_phi(p, 3, v, u)
 
     def test_equivariance(self):
-        assert check_equivariance(matrix_space_example(2), trials=5, seed=1).ok
+        assert equivariance_failure(matrix_space_example(2), trials=5, seed=1) is None
 
     def test_pairing_is_trace_against_symplectic_twist(self):
         p = matrix_space_example(2)

@@ -31,6 +31,15 @@ def run_raw(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def run_process(*argv):
+    """The command run in a fresh interpreter, as a user runs it."""
+    src = str(Path(pentads.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "pentads.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def write_pentad(tmp_path, p, name="pentad.json"):
     path = tmp_path / name
     path.write_text(dumps(pentad_to_json(p)), encoding="utf-8")
@@ -115,15 +124,24 @@ class TestInvalidInput:
         path.write_text(json.dumps({"algebra": {"ambient_size": 1, "basis": [[["1"]]]},
                                     "action": [[["1"]]], "pairing": [["0"]]}),
                         encoding="utf-8")
-        src = str(Path(pentads.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "pentads.cli", "regularity",
-                               "--pentad", str(path)],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = run_process("regularity", "--pentad", str(path))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "pairing is singular" in json.loads(proc.stdout)["error"]
+
+    @pytest.mark.parametrize("command", ["check", "regularity"])
+    def test_non_homomorphic_action(self, tmp_path, command):
+        # so(3)'s first two action matrices swapped in gl1_so_vector(3): the
+        # file fails to load at the one homomorphism check, in Representation.
+        obj = pentad_to_json(resolve("gl1_so_vector(3)").build())
+        obj["action"][1], obj["action"][2] = obj["action"][2], obj["action"][1]
+        path = tmp_path / "swapped.json"
+        path.write_text(dumps(obj), encoding="utf-8")
+        proc = run_process(command, "--pentad", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert proc.stdout == ('{\n  "error": "action of [b_1, b_2] differs from the '
+                               'commutator of the actions"\n}\n')
 
     def test_max_degree_bound(self, capsys):
         code, doc = run(capsys, "graded-dims", "--example", "gl1_scalar",

@@ -13,6 +13,7 @@ from pentads.exact_linalg import (
     inverse,
     kernel_basis,
     kronecker,
+    linear_combination,
     qdiv,
     qnorm,
     qof,
@@ -243,6 +244,39 @@ class TestMatrixOps:
         assert m.flat() == (1, 2, 3, 4)
 
 
+@st.composite
+def combinations(draw):
+    """Equally shaped matrices with one coefficient each; the coefficients
+    are all integers, mixed integers and Fractions, or all zero."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    grid = st.lists(st.lists(scalars, min_size=c, max_size=c), min_size=r, max_size=r)
+    mats = draw(st.lists(grid.map(Matrix.from_rows), min_size=1, max_size=5))
+    coeff = draw(st.sampled_from((st.integers(-6, 6), scalars, st.just(0))))
+    return draw(st.lists(coeff, min_size=len(mats), max_size=len(mats))), mats
+
+
+class TestLinearCombination:
+    @settings(max_examples=150, deadline=None)
+    @given(combinations())
+    def test_matches_fold_of_scaled_sums(self, case):
+        coeffs, mats = case
+        fold = Matrix.zeros(*mats[0].shape())
+        for c, m in zip(coeffs, mats):
+            fold = fold + m.scale(c)
+        got = linear_combination(coeffs, mats)
+        assert got == fold
+        # normalized: an integral Fraction comes back as an int
+        assert typed(got.flat()) == typed(tuple(qnorm(x) for x in fold.flat()))
+
+    def test_zero_coefficients_give_zero_matrix_of_input_shape(self):
+        mats = [Matrix.from_rows([[1, 2, 3], [4, 5, 6]]), Matrix.from_rows([[0, 0, 1], [1, 0, 0]])]
+        assert linear_combination((0, Fraction(0)), mats) == Matrix.zeros(2, 3)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            linear_combination((1, 1), [Matrix.identity(2), Matrix.identity(3)])
+
+
 class TestRank:
     def test_identity(self):
         assert rank(Matrix.identity(3)) == 3
@@ -364,7 +398,7 @@ class TestSolve:
         res = solve(m, b)
         assert res.is_solvable
         assert m.apply(res.solution) == b
-        assert res.is_unique == (len(kernel_basis(m)) == 0)
+        assert (res.status == "unique") == (len(kernel_basis(m)) == 0)
 
     def test_solve_multi_matches_solve(self):
         a = Matrix.from_rows([[1, 2], [3, 4], [4, 6]])
@@ -430,7 +464,7 @@ class TestRowSpace:
         m = Matrix.from_rows([[2, 4, 0], [1, 2, 1], [3, 6, 1]])
         basis = row_space_basis(m.entries)
         reduced, pivots = rref(m)
-        assert basis == [reduced.row(i) for i in range(len(pivots))]
+        assert basis == list(reduced.entries[:len(pivots)])
 
     def test_order_independent(self):
         rows = [(1, 2, 3), (0, 1, 1), (1, 3, 4), (2, 5, 7)]

@@ -370,7 +370,7 @@ class _DenseHalf:
                             if x:
                                 col[t] -= x
                     else:
-                        w = self.maps[k][s].col(r)
+                        w = tuple(row[r] for row in self.maps[k][s].entries)
                         for t, wt in enumerate(w):
                             if wt:
                                 for t2, uv in enumerate(up_prev[t]):

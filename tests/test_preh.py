@@ -1,11 +1,12 @@
 """Generic points, sl2 partners, and the regularity decision procedure."""
 
+import importlib
 from dataclasses import replace
 from functools import cache
 
 import pytest
 
-from pentads import exact_linalg, graded, preh
+from pentads import exact_linalg, graded, lie, pentad, preh
 from pentads.catalog import resolve
 from pentads.exact_linalg import Matrix, is_zero_vec, kernel_basis, qof, qstr, rank
 from pentads.graded import GradingElement, grading_element
@@ -14,6 +15,7 @@ from pentads.pentad import (
     DualModule,
     Representation,
     StandardPentad,
+    check_standard,
     dual_representation,
     phi_map,
 )
@@ -24,15 +26,13 @@ from pentads.preh import (
     ad_on_dual,
     decide_regularity,
     find_generic,
-    has_unique_module_partner,
-    has_unique_partner,
     is_generic,
     module_partner_map,
     relative_invariant_indicator,
     sl2_partner,
     verify_certificate,
 )
-from pentads.serialize import verdict_from_json, verdict_to_json
+from pentads.serialize import SerializationError, verdict_from_json, verdict_to_json
 
 # Known generic points of the matrix-space entries (block-identity 2n x 3
 # matrices, flattened row-major) and the unique partner of the first one.
@@ -179,7 +179,7 @@ class TestSl2Partner:
                 if res.status == "affine":
                     assert not is_generic(p, x)
                 if res.status != "none":
-                    assert has_unique_partner(p, h, x) == is_generic(p, x)
+                    assert (res.status == "unique") == is_generic(p, x)
 
 
 class TestSl2Triple:
@@ -195,12 +195,15 @@ class TestSl2Triple:
 class TestModulePartner:
     def test_scalar_pentad(self):
         p = resolve("gl1_scalar").build()
-        assert has_unique_module_partner(p, h0_of(p), (2,)) is True
-        assert has_unique_module_partner(p, h0_of(p), (0,)) is False
+        # y = 2 completes x = 1, and xi -> Phi(xi (x) y) is injective
+        assert sl2_partner(p, h0_of(p), (1,)).y == (2,)
+        assert kernel_basis(p.phi.dual_contraction((2,))) == []
+        assert kernel_basis(p.phi.dual_contraction((0,))) == [(1,)]
 
     def test_pinned_partner_has_kernel(self):
         p = resolve("matrix_space_example(2)").build()
-        assert has_unique_module_partner(p, h0_of(p), PARTNER_Y2) is False
+        assert sl2_partner(p, h0_of(p), GENERIC_X2).y == PARTNER_Y2
+        assert kernel_basis(p.phi.dual_contraction(PARTNER_Y2))
         # and the obstruction is a genuine kernel vector
         ker = kernel_basis(module_partner_map(p, PARTNER_Y2))
         assert ker
@@ -209,7 +212,9 @@ class TestModulePartner:
     def test_regular_entry_passes(self):
         p = resolve("gl1_so_vector(3)").build()
         v = decide_regularity(p)
-        assert has_unique_module_partner(p, h0_of(p), v.y) is True
+        assert v.outcome == "Regular"
+        assert sl2_partner(p, h0_of(p), v.x).y == v.y
+        assert kernel_basis(p.phi.dual_contraction(v.y)) == []
 
 
 class TestRelativeInvariantIndicator:
@@ -337,6 +342,8 @@ REGULAR_TAMPERS = {
     "outcome Inconclusive": lambda c: {"outcome": "Inconclusive"},
     "outcome unknown": lambda c: {"outcome": "regular"},
 }
+# tampers that verdict_from_json itself refuses, before any replay
+REJECTED_AT_LOAD = {"outcome unknown"}
 NOT_REGULAR_TAMPERS = {
     "H0 entry": lambda c: {"H0": _bump(c["H0"])},
     "H0 off-center": lambda c: {"H0": _bump(c["H0"], k=3)},
@@ -376,7 +383,11 @@ class TestCertificateTampering:
         p, cert = certificate("gl1_so_vector(3)")
         tampered = {**cert, **REGULAR_TAMPERS[tamper](cert)}
         assert tampered != cert
-        assert verify_certificate(p, verdict_from_json(tampered)) is False
+        if tamper in REJECTED_AT_LOAD:
+            with pytest.raises(SerializationError):
+                verdict_from_json(tampered)
+        else:
+            assert verify_certificate(p, verdict_from_json(tampered)) is False
 
     @pytest.mark.parametrize("tamper", sorted(NOT_REGULAR_TAMPERS))
     def test_not_regular_certificate(self, tamper):
@@ -421,6 +432,42 @@ class TestEngineWorkCounts:
         monkeypatch.setattr(Matrix, "entry", counting_entry)
         assert grading_element(p).status == "found"
         assert reads == []
+
+
+class TestPipelineWorkCounts:
+    def test_each_check_and_trace_product_once(self, monkeypatch):
+        # Catalog build, check_standard, decide_regularity and the certificate
+        # of matrix_space_example(3).  Four algebras are built (gl(1), sp(3),
+        # so(3) and their sum), each Representation checks the homomorphism
+        # axiom once and check_standard does not repeat it, and the 25 x 25
+        # trace form costs one product per unordered pair, shared by the
+        # catalog's form and the certificate's "trace" descriptor.
+        modules = [importlib.import_module(f"pentads.{name}") for name in
+                   ("exact_linalg", "lie", "pentad", "graded", "preh", "serialize", "catalog")]
+
+        def count(home, name):
+            original, calls = getattr(home, name), []
+
+            def counting(*args, **kwargs):
+                calls.append(1)
+                return original(*args, **kwargs)
+
+            for mod in modules:
+                if mod.__dict__.get(name) is original:
+                    monkeypatch.setattr(mod, name, counting)
+            return calls
+
+        builds = count(lie, "build_algebra")
+        hom_checks = count(pentad, "homomorphism_failures")
+        traces = count(lie, "trace_product")
+        p = resolve("matrix_space_example(3)").build()
+        assert check_standard(p).ok
+        v = decide_regularity(p)
+        assert verdict_to_json(v, p)["form"] == "trace"
+        assert len(builds) == 4
+        assert len(hom_checks) == 4
+        assert len(traces) <= 25 * 26 // 2
+
 
 class TestSymmetryInvariance:
     def test_module_symmetries_preserve_classification(self):

@@ -30,6 +30,23 @@ from pentads.serialize import (
 
 ENTRY_NAMES = [e.display_name for e in catalog()]
 
+# One mistyped field each, laid over a valid Regular certificate.
+MISTYPED_CERTIFICATE_FIELDS = {
+    "outcome lowercase": {"outcome": "regular"},
+    "outcome number": {"outcome": 1},
+    "seed string": {"seed": "x"},
+    "seed bool": {"seed": True},
+    "seed float": {"seed": 0.0},
+    "attempts string": {"attempts": "many"},
+    "attempts bool": {"attempts": False},
+    "ranks scalar": {"ranks": {"dual_partner_injectivity": 5}},
+    "ranks single": {"ranks": {"dual_partner_injectivity": [3]}},
+    "ranks string entry": {"ranks": {"dual_partner_injectivity": [3, "3"]}},
+    "ranks bool entry": {"ranks": {"dual_partner_injectivity": [True, 1]}},
+    "witness vector string": {"witness": {"clause": "module_partner_kernel", "vector": "1,0,0"}},
+    "witness vector number": {"witness": {"clause": "module_partner_kernel", "vector": 0}},
+}
+
 
 def reload(obj):
     """Push a JSON-ready dict through actual text and back."""
@@ -196,6 +213,14 @@ class TestCertificates:
         back = verdict_from_json(reload(verdict_to_json(v, p)))
         assert back.witness["vector"] == v.witness["vector"]
         assert isinstance(back.witness["vector"], tuple)
+
+    @pytest.mark.parametrize("case", sorted(MISTYPED_CERTIFICATE_FIELDS))
+    def test_mistyped_field_rejected(self, case):
+        p = resolve("gl1_so_vector(3)").build()
+        cert = reload(verdict_to_json(decide_regularity(p), p))
+        assert cert["outcome"] == "Regular"
+        with pytest.raises(SerializationError):
+            verdict_from_json({**cert, **MISTYPED_CERTIFICATE_FIELDS[case]})
 
     def test_bad_certificate_shape(self):
         with pytest.raises(SerializationError, match="missing keys"):
