@@ -107,34 +107,26 @@ class _Half:
       up[k][a][s]    [x_a, u_s] in U_{k+1}, as (index, value) pairs;
       dual[i]        algebra basis element i acting on U_{-1}, as entries.
 
-    Every reader (evaluation, the actions, the table, the next candidates,
-    the checks) is one contraction over these nonzeros into a single list or
-    dict accumulator, normalized once at the end.  Bracket expansions back
-    into generator pairs are solved lazily; they are only needed for general
-    brackets whose first argument sits in degree >= 2.
+    The bracket U_1 x U_{-1} -> g is not stored here: the next candidates
+    read the pentad's Phi unit table (PhiMap.units) and GradedAlgebra
+    evaluates it with PhiMap.apply.  Every reader (evaluation, the actions,
+    the table, the next candidates, the checks) is one contraction over
+    these nonzeros into a single list or dict accumulator, normalized once
+    at the end.  Bracket expansions back into generator pairs are solved
+    lazily from the up table; they are only needed for general brackets
+    whose first argument sits in degree >= 2.
     """
 
     def __init__(self, pentad: StandardPentad, max_degree: int):
         self.pentad = pentad
         self.max_degree = max_degree
-        self.phi = pentad.phi
         m = pentad.module_dim
         self.dims: dict[int, int] = {1: m}
         self.maps: dict[int, tuple[Entries, ...]] = {}
         self.actions: dict[int, list[Entries]] = {1: [_entries(a) for a in pentad.rep.action]}
         self.dual = [_entries(a) for a in pentad.dual.action]
         self.up: dict[int, list[list[SparseVec]]] = {}
-        # _candidates[k + 1][a * dim U_k + s]: the map [x_a, u_s] by flat
-        # index t * m + r (the row-major position of entry (t, r))
-        self._candidates: dict[int, list[dict[int, Q]]] = {}
         self._expansions: dict[int, list[tuple[tuple[Q, int, int], ...]]] = {}
-        # _phi_units[a][r]: the nonzeros of Phi(x_a (x) y_r), column r of
-        # G^-1 . M(x_a)
-        self._phi_units = [
-            [tuple((i, x) for i, x in enumerate(col) if x) for col in
-             self.phi.to_algebra(self.phi.module_contraction(unit_coords(m, a)))
-             .transpose().entries]
-            for a in range(m)]
         for k in range(1, max_degree):
             if self.dims.get(k, 0) == 0:
                 self.dims[k + 1] = 0
@@ -146,24 +138,23 @@ class _Half:
         nk = self.dims[k]
         cands: list[dict[int, Q]] = [{} for _ in range(m * nk)]
         act = self.action_rows(k)
-        units = self._phi_units
+        # units[a]: the nonzeros (i, r, g) of Phi(x_a (x) y_r)
+        units = self.pentad.phi.units
         # [[x_a, y_r], u_s] = pi(Phi(x_a (x) y_r)) u_s, for every s at once
         for a in range(m):
-            for r in range(m):
-                for i, g in units[a][r]:
-                    for t, s, x in act[i]:
-                        cand = cands[a * nk + s]
-                        j = t * m + r
-                        cand[j] = cand.get(j, 0) + g * x
+            for i, r, g in units[a]:
+                for t, s, x in act[i]:
+                    cand = cands[a * nk + s]
+                    j = t * m + r
+                    cand[j] = cand.get(j, 0) + g * x
         if k == 1:
             # [x_a, [u_s, y_r]] = -pi(Phi(u_s (x) y_r)) x_a
             for s in range(m):
-                for r in range(m):
-                    for i, h in units[s][r]:
-                        for t, a, x in act[i]:
-                            cand = cands[a * nk + s]
-                            j = t * m + r
-                            cand[j] = cand.get(j, 0) - h * x
+                for i, r, h in units[s]:
+                    for t, a, x in act[i]:
+                        cand = cands[a * nk + s]
+                        j = t * m + r
+                        cand[j] = cand.get(j, 0) - h * x
         else:
             # [x_a, [u_s, y_r]], with [u_s, y_r] read off the stored map
             up_prev = self.up[k - 1]
@@ -176,7 +167,6 @@ class _Half:
                             cand[j] = cand.get(j, 0) + w * uv
         candidates = [{j: qnorm(x) for j, x in cand.items() if x} for cand in cands]
         basis = sparse_row_space_basis(cand.items() for cand in candidates)
-        self._candidates[k + 1] = candidates
         self.dims[k + 1] = len(basis)
         if not basis:
             self.up[k] = [[() for _ in range(nk)] for _ in range(m)]
@@ -228,46 +218,25 @@ class _Half:
     def expansions(self, degree: int) -> list[tuple[tuple[Q, int, int], ...]]:
         """Each basis vector of U_degree as a combination of [x_a, u_s].
 
-        Solved once per degree on first use; index pairs refer to the
-        degree-one basis and the U_{degree-1} basis.
+        Solved once per degree on first use, in U_degree coordinates: column
+        a * dim U_{degree-1} + s of the system is the table entry [x_a, u_s],
+        and the right-hand sides are the unit vectors.  Index pairs refer to
+        the degree-one basis and the U_{degree-1} basis.
         """
         if degree in self._expansions:
             return self._expansions[degree]
-        m = self.pentad.module_dim
-        nk = self.dims[degree - 1]
-        stack = Matrix(tuple(dense_vec(c.items(), nk * m)
-                             for c in self._candidates[degree])).transpose()
-        rhs = Matrix(tuple(dense_vec(((t * m + r, x) for t, r, x in f), nk * m)
-                           for f in self.maps[degree])).transpose()
-        sols = solve_multi(stack, rhs)
+        n, nk = self.dims[degree], self.dims[degree - 1]
+        columns = [dense_vec(v, n) for row in self.up[degree - 1] for v in row]
         result = []
-        for sol in sols:
+        for sol in solve_multi(Matrix(tuple(zip(*columns))), Matrix.identity(n)):
             assert sol is not None, "basis vector outside candidate span"
-            terms = []
-            for pos, c in enumerate(sol):
-                if c:
-                    a_idx, s_idx = divmod(pos, nk)
-                    terms.append((c, a_idx, s_idx))
-            result.append(tuple(terms))
+            result.append(tuple((c, *divmod(pos, nk)) for pos, c in enumerate(sol) if c))
         self._expansions[degree] = result
         return result
 
     def evaluate(self, degree: int, f_coords: Vec, y: Vec) -> Vec:
         """[f, y] for f in U_degree (degree >= 2), y in U_{-1}: evaluation."""
         return _apply_combination(f_coords, self.maps[degree], y, self.dims[degree - 1])
-
-    def phi_bracket(self, x: Vec, y: Vec) -> Vec:
-        """Phi(x (x) y) for x in the degree-one line and y in U_{-1}."""
-        acc: list[Q] = [0] * self.pentad.algebra.dim
-        for a, xa in enumerate(x):
-            if xa:
-                row = self._phi_units[a]
-                for r, yr in enumerate(y):
-                    if yr:
-                        f = xa * yr
-                        for i, g in row[r]:
-                            acc[i] += f * g
-        return _normalized(acc)
 
     def up_bracket(self, k: int, x: Vec, u: Vec) -> Vec:
         """[x, u] for x in the degree-one line and u in U_k, via the table."""
@@ -445,13 +414,13 @@ class GradedAlgebra:
             return vec_neg(self._bracket(0, b, j, a))
         if j == 1:
             if k == -1:
-                return self.positive.phi_bracket(a, b)
+                return self.pentad.phi.apply(a, b)
             if k >= 1:
                 return self.positive.up_bracket(k, a, b)
             return vec_neg(self.negative.evaluate(-k, b, a))
         if j == -1:
             if k == 1:
-                return vec_neg(self.positive.phi_bracket(b, a))
+                return vec_neg(self.pentad.phi.apply(b, a))
             if k <= -1:
                 return self.negative.up_bracket(-k, a, b)
             return vec_neg(self.positive.evaluate(k, b, a))

@@ -369,11 +369,9 @@ def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix) -> tuple[int, int, int
 
 
 def center(alg: MatrixLieAlgebra) -> list[Vec]:
-    """Canonical coordinate basis of {z : [z, g] = 0}."""
-    reduced = row_space_basis(alg.commutation_rows())
-    if not reduced:
-        return [unit_coords(alg.dim, i) for i in range(alg.dim)]
-    return kernel_basis(Matrix(tuple(reduced)))
+    """Canonical coordinate basis of {z : [z, g] = 0}; one zero row keeps
+    the width of the system for an abelian algebra."""
+    return kernel_basis(Matrix(tuple(alg.commutation_rows()) or ((0,) * alg.dim,)))
 
 
 def derived_subalgebra(alg: MatrixLieAlgebra) -> list[Vec]:

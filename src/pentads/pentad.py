@@ -176,6 +176,8 @@ class StandardPentad:
     def __post_init__(self):
         if self.rep.algebra is not self.algebra and self.rep.algebra != self.algebra:
             raise PentadError("representation is over a different algebra")
+        if len(self.dual.action) != self.algebra.dim:
+            raise PentadError("one dual action matrix per basis element is required")
         if self.dual.dim != self.rep.module_dim:
             raise PentadError("dual dimension must equal the module dimension")
         if self.form.gram.shape() != (self.algebra.dim, self.algebra.dim):
@@ -260,26 +262,33 @@ def check_standard(p: StandardPentad) -> ValidationReport:
 
 
 class PhiMap:
-    """Solver for B(a, Phi(v (x) phi)) = <pi(a)v, phi>, as one sparse tensor.
+    """Solver for B(a, Phi(v (x) phi)) = <pi(a)v, phi>, as sparse tensors.
 
     With G the form's gram matrix, Phi(v (x) phi) = G^-1 . t where
     t_i = <pi(b_i)v, phi> = t(v).W_i.phi and W_i = t(pi(b_i)).P.  The
-    nonzeros of the 3-tensor W[i][a][r] are stored once, grouped by the
-    module index a, and every Phi quantity is a contraction of them:
+    nonzeros of the integer 3-tensor W[i][a][r] are stored once, grouped by
+    the module index a, for the contractions the regularity legs rank,
+    solve and take kernels of:
 
       M(x)[i][r] = sum_a x_a W[i][a][r]   (module_contraction, d x m)
       N(y)[i][a] = sum_r W[i][a][r] y_r   (dual_contraction, d x m)
 
     so phi -> Phi(x (x) phi) is G^-1 . M(x) and xi -> Phi(xi (x) y) is
-    G^-1 . N(y).  Both are integer matrices whenever the action and the
-    pairing are.  Every pentad owns one instance, StandardPentad.phi.
+    G^-1 . N(y).  G^-1 is applied once, at construction, to give the unit
+    table: units[a] holds the nonzeros (i, r, c) of Phi(x_a (x) y_r),
+    ascending in (i, r), i.e. the entries of G^-1 . M(x_a).  Every Phi
+    value is a contraction of that table (apply), and the graded
+    construction reads it directly.  Every pentad owns one instance,
+    StandardPentad.phi.
     """
 
     def __init__(self, p: StandardPentad):
         self.dim = p.algebra.dim
         self.module_dim = p.module_dim
         try:
-            self.gram_inv = inverse(p.form.gram)
+            # ginv_cols[i]: the nonzeros (row, g) of column i of G^-1
+            ginv_cols = [[(row, g) for row, g in enumerate(col) if g]
+                         for col in inverse(p.form.gram).transpose().entries]
         except ValueError:
             raise PentadError("form is degenerate; the Phi-map is not defined") from None
         tables = [a.transpose() @ p.dual.pairing for a in p.rep.action]
@@ -288,6 +297,14 @@ class PhiMap:
             tuple((i, r, w) for i, t in enumerate(tables)
                   for r, w in enumerate(t.entries[a]) if w)
             for a in range(self.module_dim))
+        units = []
+        for entries in self._by_module:
+            acc: dict[tuple[int, int], Q] = {}
+            for i, r, w in entries:
+                for row, g in ginv_cols[i]:
+                    acc[row, r] = acc.get((row, r), 0) + g * w
+            units.append(tuple((i, r, qnorm(c)) for (i, r), c in sorted(acc.items()) if c))
+        self.units = tuple(units)
 
     def _check_length(self, v: Sequence[Q]) -> None:
         if len(v) != self.module_dim:
@@ -314,22 +331,18 @@ class PhiMap:
                     out[i][a] += w * yr
         return _normalized(out)
 
-    def to_algebra(self, t: Matrix) -> Matrix:
-        """G^-1 . t: turns a contraction into algebra coordinates, columnwise."""
-        return _normalized((self.gram_inv @ t).entries)
-
     def apply(self, v: Sequence[Q], phi: Sequence[Q]) -> Vec:
-        """Algebra coordinates of Phi(v (x) phi)."""
+        """Algebra coordinates of Phi(v (x) phi), contracted from the units."""
         self._check_length(v)
         self._check_length(phi)
-        t: list[Q] = [0] * self.dim
+        acc: list[Q] = [0] * self.dim
         for a, va in enumerate(v):
             if va:
-                for i, r, w in self._by_module[a]:
+                for i, r, c in self.units[a]:
                     fr = phi[r]
                     if fr:
-                        t[i] += va * w * fr
-        return self.gram_inv.apply(t)
+                        acc[i] += va * c * fr
+        return tuple(qnorm(x) for x in acc)
 
 
 def _normalized(rows) -> Matrix:

@@ -11,7 +11,9 @@ witnesses needed to replay those claims independently.
 
 All three legs run on the pentad's Phi tensor (pentad.PhiMap).  With G the
 form's gram matrix, ad_on_dual(x) = G^-1 . M(x) and module_partner_map(y)
-= G^-1 . N(y), where M(x) and N(y) are the tensor contracted with x and y.
+= G^-1 . N(y), where M(x) and N(y) are the integer tensor W contracted with
+x and y; the two matrices themselves are assembled column by column from
+PhiMap.apply, the one Phi evaluation, and the pipeline never forms them.
 G is invertible, so M(x) has the row space of ad_on_dual(x), and the
 partner system [G^-1 . M(x); E] y = [h; 0] has the row space of
 [M(x); E] y = [G.h; 0] once its first block is multiplied by G.  Ranks,
@@ -52,13 +54,17 @@ class GradingElementError(ValueError):
 
 
 def ad_on_dual(p: StandardPentad, x: Vec) -> Matrix:
-    """Matrix of phi -> Phi(x (x) phi), shape (dim algebra) x (dim dual)."""
-    return p.phi.to_algebra(p.phi.module_contraction(x))
+    """Matrix of phi -> Phi(x (x) phi), shape (dim algebra) x (dim dual);
+    column r is Phi(x (x) y_r)."""
+    m = p.module_dim
+    return Matrix(tuple(zip(*(p.phi.apply(x, unit_coords(m, r)) for r in range(m)))))
 
 
 def module_partner_map(p: StandardPentad, y: Vec) -> Matrix:
-    """Matrix of xi -> Phi(xi (x) y), shape (dim algebra) x (dim module)."""
-    return p.phi.to_algebra(p.phi.dual_contraction(y))
+    """Matrix of xi -> Phi(xi (x) y), shape (dim algebra) x (dim module);
+    column a is Phi(x_a (x) y)."""
+    m = p.module_dim
+    return Matrix(tuple(zip(*(p.phi.apply(unit_coords(m, a), y) for a in range(m)))))
 
 
 def is_generic(p: StandardPentad, x: Vec) -> bool:

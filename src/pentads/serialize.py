@@ -23,11 +23,10 @@ class SerializationError(ValueError):
 
 
 def scalar_from_json(obj) -> Q:
-    if isinstance(obj, bool) or isinstance(obj, float):
-        raise SerializationError(f"not an exact scalar: {obj!r}")
-    if isinstance(obj, int):
+    kind = type(obj)  # exact: a bool is not an int here
+    if kind is int:
         return obj
-    if isinstance(obj, str):
+    if kind is str:
         try:
             return qof(obj)
         except (ValueError, ZeroDivisionError, TypeError):

@@ -40,10 +40,14 @@ def run_process(*argv):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
-def write_pentad(tmp_path, p, name="pentad.json"):
+def write_json(tmp_path, obj, name="pentad.json"):
     path = tmp_path / name
-    path.write_text(dumps(pentad_to_json(p)), encoding="utf-8")
+    path.write_text(dumps(obj), encoding="utf-8")
     return str(path)
+
+
+def write_pentad(tmp_path, p, name="pentad.json"):
+    return write_json(tmp_path, pentad_to_json(p), name)
 
 
 def sl2_standard_pentad():
@@ -148,6 +152,71 @@ class TestInvalidInput:
                         "--max-degree", "0")
         assert code == 1
         assert "max-degree" in doc["error"]
+
+
+def _set(path, value):
+    """A mutation that puts value at the nested index path of the file."""
+    def mutate(obj):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        obj[last] = value
+    return mutate
+
+
+def _not_closed(obj):
+    # b_1 plus the ambient unit E_01: in both catalog files the span is
+    # then no longer closed under brackets.
+    obj["algebra"]["basis"][1][0][1] = qstr(int(obj["algebra"]["basis"][1][0][1]) + 1)
+
+
+def _singular_pairing(obj):
+    obj["pairing"][0] = ["0"] * len(obj["pairing"][0])
+
+
+# name -> in-place edit of a pentad file's JSON object
+MUTATIONS = {
+    "drop_dual_action": lambda obj: obj["dual_action"].pop(),
+    "duplicate_dual_action": lambda obj: obj["dual_action"].append(obj["dual_action"][0]),
+    "drop_action": lambda obj: obj["action"].pop(),
+    "duplicate_action": lambda obj: obj["action"].append(obj["action"][0]),
+    "shrink_action": _set(("action", 1), [["1"]]),
+    "truncate_form_row": lambda obj: obj["form"][0].pop(),
+    "singular_pairing": _singular_pairing,
+    "float_scalar": _set(("action", 0, 0, 0), 1.0),
+    "bool_scalar": _set(("form", 0, 0), True),
+    "zero_denominator": _set(("pairing", 0, 0), "1/0"),
+    "zero_ambient_size": _set(("algebra", "ambient_size"), 0),
+    "basis_not_closed": _not_closed,
+}
+DUAL_COUNT_ERROR = {"error": "one dual action matrix per basis element is required"}
+SWEEP_FILES = ["gl1_so_vector(3)", "matrix_space_example(2)"]
+SWEEP_COMMANDS = [["check"], ["grading-element"], ["generic-point"], ["sl2"],
+                  ["regularity", "--verify-certificate"], ["graded-dims", "--max-degree", "2"],
+                  ["phi"]]
+
+
+class TestMutationSweep:
+    """Named mutations of catalog pentad files, run through every command
+    that reads a pentad: each must exit 1 with one JSON document saying why,
+    and no exception may escape."""
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @pytest.mark.parametrize("name", SWEEP_FILES)
+    def test_every_command_rejects(self, capsys, tmp_path, name, mutation):
+        p = resolve(name).build()
+        obj = pentad_to_json(p)
+        MUTATIONS[mutation](obj)
+        path = write_json(tmp_path, obj)
+        ones = ",".join(["1"] * p.module_dim)
+        for command in SWEEP_COMMANDS:
+            extra = ["--v", ones, "--dual", ones] if command == ["phi"] else []
+            code, out = run_raw(capsys, command[0], "--pentad", path, *command[1:], *extra)
+            doc = json.loads(out)
+            assert code == 1, (command, doc)
+            assert "error" in doc or doc.get("failures"), (command, doc)
+            if mutation.endswith("dual_action"):
+                assert doc == DUAL_COUNT_ERROR, command
 
 
 class TestCheck:

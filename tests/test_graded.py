@@ -8,6 +8,7 @@ from pentads.catalog import resolve
 from pentads.exact_linalg import (
     Matrix,
     dense_vec,
+    inverse,
     pivot_columns,
     qnorm,
     rank,
@@ -345,8 +346,9 @@ class _DenseHalf:
         self.up = {}
         self._candidates = {}
         self._expansions = {}
+        gram_inv = inverse(pentad.form.gram)
         self._phi_units = [
-            self.phi.to_algebra(self.phi.module_contraction(unit_coords(m, a))).transpose().entries
+            (gram_inv @ self.phi.module_contraction(unit_coords(m, a))).transpose().entries
             for a in range(m)]
         for k in range(1, max_degree):
             if self.dims.get(k, 0) == 0:
@@ -639,6 +641,19 @@ class TestSparseMatchesDense:
                                   (g.negative, dense.negative, -1)):
             for k in range(2, g.max_degree + 1):
                 assert g.action_matrices(sign * k) == dhalf.action_table(k)
+
+    def test_expansions(self, sparse_and_dense):
+        # The sparse half solves in U_k coordinates against its bracket
+        # table, the dense one in map space against the candidate maps; both
+        # systems share one row space, so the solutions agree exactly.
+        g, dense = sparse_and_dense
+        for half, dhalf in ((g.positive, dense.positive), (g.negative, dense.negative)):
+            for k in range(2, g.max_degree + 1):
+                if half.dims.get(k, 0):
+                    got, want = half.expansions(k), dhalf.expansions(k)
+                    assert got == want
+                    assert ([[type(c) for c, _, _ in terms] for terms in got]
+                            == [[type(c) for c, _, _ in terms] for terms in want])
 
     def test_checks_agree(self, sparse_and_dense):
         g, dense = sparse_and_dense

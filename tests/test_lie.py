@@ -219,6 +219,13 @@ class TestCenterAndDerived:
     def test_center_of_sl2_is_trivial(self):
         assert center(family("sl", 2)) == []
 
+    def test_center_of_abelian_is_everything(self):
+        gl1 = family("gl", 1)
+        assert center(gl1) == [(1,)]
+        both = center(direct_sum([gl1, gl1]))
+        assert both == [(1, 0), (0, 1)]
+        assert all(type(x) is int for v in both for x in v)
+
     def test_derived_of_gl2_is_sl2(self):
         alg = family("gl", 2)
         der = derived_subalgebra(alg)

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentads.catalog import catalog, matrix_space_example, resolve
-from pentads.exact_linalg import (Matrix, inverse, kernel_basis, kronecker, qnorm, rank,
-                                  solve, vec_dot)
+from pentads.exact_linalg import (Matrix, dense_vec, inverse, kernel_basis, kronecker, qnorm,
+                                  rank, solve, vec_dot)
 from pentads.graded import grading_element
 from pentads.lie import BilinearForm, standard_symplectic_form, trace_form, unit_coords
 from pentads.pentad import (
@@ -138,6 +138,24 @@ class TestContractionMatchesOracle:
             p.phi.module_contraction((1, 0))
         with pytest.raises(ValueError):
             p.phi.apply((1, 0, 0), (1, 0, 0, 0))
+
+
+class TestUnitTable:
+    @pytest.mark.parametrize("name", sorted(PENTADS))
+    def test_units_are_the_oracle_columns(self, name):
+        # units[a] holds Phi(x_a (x) y_r) = G^-1 . (W_i[a][r])_i for every r,
+        # by its nonzeros ascending in (i, r)
+        p, oracle = PENTADS[name], ORACLES[name]
+        d = p.algebra.dim
+        assert len(p.phi.units) == p.module_dim
+        for a, entries in enumerate(p.phi.units):
+            assert [(i, r) for i, r, _ in entries] == sorted((i, r) for i, r, _ in entries)
+            assert all(c for _, _, c in entries)
+            for r in range(p.module_dim):
+                want = oracle.gram_inv.apply(tuple(w.entries[a][r] for w in oracle.tables))
+                got = dense_vec(((i, c) for i, rr, c in entries if rr == r), d)
+                assert got == want
+                assert list(map(type, got)) == list(map(type, want))
 
 
 class TestPipelineMatchesOracle:
