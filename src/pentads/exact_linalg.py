@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from itertools import chain
 from typing import Iterable, Sequence, Union
@@ -72,7 +73,8 @@ def qstr(x: Q) -> str:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense rational matrix, stored as a row-major grid."""
+    """Immutable dense rational matrix, stored as a row-major grid; every
+    reader of its nonzeros walks the sparse view `nonzeros`, built once."""
 
     entries: tuple[Vec, ...]
 
@@ -105,12 +107,17 @@ class Matrix:
     def entry(self, i: int, j: int) -> Q:
         return self.entries[i][j]
 
+    @cached_property
+    def nonzeros(self) -> tuple[SparseVec, ...]:
+        """For each row, the (col, x) pairs with x != 0, ascending in col."""
+        return tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in self.entries)
+
     def flat(self) -> Vec:
         """Row-major flattening."""
         return tuple(chain.from_iterable(self.entries))
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(self.nonzeros)
 
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -134,16 +141,13 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape()} @ {other.shape()}")
-        # Skip zero entries; the action matrices this package builds are sparse.
-        brows = other.entries
+        brows = other.nonzeros
         out = []
-        for arow in self.entries:
+        for arow in self.nonzeros:
             acc: list[Q] = [0] * other.cols
-            for k, a in enumerate(arow):
-                if a:
-                    for j, b in enumerate(brows[k]):
-                        if b:
-                            acc[j] = acc[j] + a * b
+            for k, a in arow:
+                for j, b in brows[k]:
+                    acc[j] = acc[j] + a * b
             out.append(tuple(acc))
         return Matrix(tuple(out))
 
@@ -160,10 +164,11 @@ class Matrix:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
         out = []
-        for row in self.entries:
+        for row in self.nonzeros:
             acc: Q = 0
-            for a, x in zip(row, v):
-                if a and x:
+            for j, a in row:
+                x = v[j]
+                if x:
                     acc = acc + a * x
             out.append(qnorm(acc))
         return tuple(out)
@@ -174,18 +179,17 @@ class Matrix:
 
 
 def linear_combination(coeffs: Sequence[Q], mats: Sequence[Matrix]) -> Matrix:
-    """sum_i c_i M_i over equally shaped matrices, skipping zero coefficients
-    and zero entries and normalizing once; the zero matrix of the common
-    shape when every coefficient is zero."""
+    """sum_i c_i M_i over equally shaped matrices, walking the nonzeros of
+    the matrices with nonzero coefficients and normalizing once; the zero
+    matrix of the common shape when every coefficient is zero."""
     shape = mats[0].shape()
     acc: list[list[Q]] = [[0] * shape[1] for _ in range(shape[0])]
     for c, m in zip(coeffs, mats):
         if c:
             m._check_same_shape(mats[0])
-            for out, row in zip(acc, m.entries):
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] += c * x
+            for out, row in zip(acc, m.nonzeros):
+                for j, x in row:
+                    out[j] += c * x
     return Matrix(tuple(tuple(qnorm(x) for x in row) for row in acc))
 
 
@@ -198,13 +202,9 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(tuple(out))
 
 
-def _sparse_rows(m: Matrix) -> Iterable[Iterable[tuple[int, Q]]]:
-    return (enumerate(row) for row in m.entries)
-
-
 def rank(m: Matrix) -> int:
     """Rank: the number of rows of the canonical echelon basis."""
-    return len(sparse_row_space_basis(_sparse_rows(m)))
+    return len(sparse_row_space_basis(m.nonzeros))
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -213,7 +213,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     The basis rows of the row space come first, padded with zero rows to
     the input's shape.
     """
-    basis = sparse_row_space_basis(_sparse_rows(m))
+    basis = sparse_row_space_basis(m.nonzeros)
     ncols = m.cols
     rows = [dense_vec(r, ncols) for r in basis]
     rows.extend([(0,) * ncols] * (m.rows - len(basis)))
@@ -244,7 +244,7 @@ def kernel_basis(m: Matrix) -> list[Vec]:
     columns the result is in reduced column echelon form, so equal inputs
     give byte-equal bases.
     """
-    return _kernel_of_rref(sparse_row_space_basis(_sparse_rows(m)), m.cols)
+    return _kernel_of_rref(sparse_row_space_basis(m.nonzeros), m.cols)
 
 
 @dataclass(frozen=True)
@@ -275,8 +275,8 @@ def solve(a: Matrix, b: Sequence[Q]) -> SolveResult:
     if len(b) != a.rows:
         raise ValueError("right-hand side length does not match row count")
     ncols = a.cols
-    basis = sparse_row_space_basis(chain(enumerate(row), ((ncols, qof(x)),))
-                                   for row, x in zip(a.entries, b))
+    basis = sparse_row_space_basis(row + ((ncols, qof(x)),)
+                                   for row, x in zip(a.nonzeros, b))
     if basis and basis[-1][0][0] == ncols:
         return SolveResult("none", None, [])
     x: list[Q] = [0] * ncols
@@ -298,8 +298,8 @@ def solve_multi(a: Matrix, rhs: Matrix) -> list[Vec | None]:
     if rhs.rows != a.rows:
         raise ValueError("right-hand side row count does not match")
     ncols = a.cols
-    basis = sparse_row_space_basis(chain(enumerate(ar), enumerate(br, ncols))
-                                   for ar, br in zip(a.entries, rhs.entries))
+    basis = sparse_row_space_basis(chain(ar, ((ncols + j, x) for j, x in br))
+                                   for ar, br in zip(a.nonzeros, rhs.nonzeros))
     sols: list[list[Q]] = [[0] * ncols for _ in range(rhs.cols)]
     bad = set()
     for row in basis:
@@ -433,11 +433,6 @@ def dense_vec(v: Iterable[tuple[int, Q]], n: int) -> Vec:
     for j, x in v:
         out[j] = x
     return tuple(out)
-
-
-def pivot_columns(basis: Sequence[Vec]) -> tuple[int, ...]:
-    """Leading column of each row of an echelon basis."""
-    return tuple(next(j for j, x in enumerate(row) if x) for row in basis)
 
 
 def vec_add(u: Sequence[Q], v: Sequence[Q]) -> Vec:

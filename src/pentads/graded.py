@@ -264,8 +264,7 @@ Entries = tuple[tuple[int, int, Q], ...]
 
 
 def _entries(m: Matrix) -> Entries:
-    return tuple((r, c, x) for r, row in enumerate(m.entries)
-                 for c, x in enumerate(row) if x)
+    return tuple((r, c, x) for r, row in enumerate(m.nonzeros) for c, x in row)
 
 
 def _matrix(entries: Entries, rows: int, cols: int) -> Matrix:

@@ -26,10 +26,10 @@ from .exact_linalg import (
     Vec,
     kernel_basis,
     linear_combination,
-    pivot_columns,
     qnorm,
     rank,
     row_space_basis,
+    sparse_row_space_basis,
 )
 
 
@@ -54,14 +54,14 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 def trace_product(a: Matrix, b: Matrix) -> Q:
-    """Tr(a @ b) without forming the product."""
+    """Tr(a @ b) without forming the product, over the nonzeros of a."""
     acc: Q = 0
-    for i, row in enumerate(a.entries):
-        for k, x in enumerate(row):
-            if x:
-                y = b.entries[k][i]
-                if y:
-                    acc = acc + x * y
+    b_rows = b.entries
+    for i, row in enumerate(a.nonzeros):
+        for k, x in row:
+            y = b_rows[k][i]
+            if y:
+                acc = acc + x * y
     return qnorm(acc)
 
 
@@ -147,13 +147,8 @@ def unit_coords(dim: int, j: int) -> Vec:
     return tuple(1 if i == j else 0 for i in range(dim))
 
 
-def sparse_rows(m: Matrix) -> list[SparseVec]:
-    """The nonzeros of each row of m."""
-    return [tuple((c, x) for c, x in enumerate(row) if x) for row in m.entries]
-
-
 def commutator_row(a: Sequence[SparseVec], b: Sequence[SparseVec], r: int) -> dict[int, Q]:
-    """Row r of ab - ba, for a and b given by sparse_rows; it may hold zeros."""
+    """Row r of ab - ba from a.nonzeros and b.nonzeros; it may hold zeros."""
     acc: dict[int, Q] = {}
     for c, x in a[r]:
         for t, y in b[c]:
@@ -167,36 +162,40 @@ def commutator_row(a: Sequence[SparseVec], b: Sequence[SparseVec], r: int) -> di
 def build_algebra(ambient_size: int, basis: Sequence[Matrix]) -> MatrixLieAlgebra:
     """Assemble an algebra from a basis, verifying independence and closure.
 
-    One echelon of the stack [flat(b_i) | e_i] does all the linear algebra.
-    Its RREF is [R | E] with R = E.B the RREF of the basis span, so the
-    basis is independent exactly when all d pivots lie in the first block.
-    A flattened commutator v then has the coordinates v[pivots] . E, and it
-    lies in the span exactly when v - v[pivots] . R vanishes.
+    One sparse echelon of the nonzeros of [flat(b_i) | e_i] does all the
+    linear algebra.  Its RREF is [R | E] with R = E.B the RREF of the basis
+    span, so the basis is independent exactly when all pivots lie in the
+    first block.  A flattened commutator v then has the coordinates
+    v[pivots] . E, and it lies in the span exactly when v - v[pivots] . R
+    vanishes.
     """
     basis = tuple(basis)
     n = ambient_size
+    nn = n * n
     for b in basis:
         if b.shape() != (n, n):
             raise LieAlgebraError("basis matrix has the wrong ambient size")
     d = len(basis)
-    echelon = row_space_basis(b.flat() + unit_coords(d, i) for i, b in enumerate(basis))
-    pivots = pivot_columns(echelon)
-    if any(c >= n * n for c in pivots):
+    echelon = sparse_row_space_basis(
+        tuple((r * n + c, x) for r, row in enumerate(b.nonzeros) for c, x in row)
+        + ((nn + i, 1),) for i, b in enumerate(basis))
+    if any(row[0][0] >= nn for row in echelon):
         raise NotIndependentError("basis is linearly dependent")
-    # row index of each pivot column; the off-pivot nonzeros of each row of
-    # R; the nonzeros of each row of E
-    pivot_row = {c: idx for idx, c in enumerate(pivots)}
-    r_rest = [[(c, x) for c, x in enumerate(row[:n * n]) if x and c not in pivot_row]
-              for row in echelon]
-    e_rows = [[(k, x) for k, x in enumerate(row[n * n:]) if x] for row in echelon]
+    # Each RREF row split at column n^2: its pivot, its nonzeros in R past
+    # the pivot (the other pivot columns are zero there), and those in E.
+    pivot_row = {row[0][0]: idx for idx, row in enumerate(echelon)}
+    r_rest = [[(c, x) for c, x in row[1:] if c < nn] for row in echelon]
+    e_rows = [[(c - nn, x) for c, x in row if c >= nn] for row in echelon]
 
-    rows = [sparse_rows(b) for b in basis]
+    rows = [b.nonzeros for b in basis]
     table: list[list[SparseVec]] = [[()] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
             residual: dict[int, Q] = {}
             coords: dict[int, Q] = {}
             for r in range(n):
+                if not (rows[i][r] or rows[j][r]):
+                    continue
                 for c, t in commutator_row(rows[i], rows[j], r).items():
                     col = r * n + c
                     idx = pivot_row.get(col)
@@ -288,10 +287,10 @@ class BilinearForm:
         acc: Q = 0
         for i, ui in enumerate(u):
             if ui:
-                row = self.gram.entries[i]
-                for j, vj in enumerate(v):
-                    if vj and row[j]:
-                        acc = acc + ui * row[j] * vj
+                for j, g in self.gram.nonzeros[i]:
+                    vj = v[j]
+                    if vj:
+                        acc = acc + ui * g * vj
         return qnorm(acc)
 
 
@@ -342,7 +341,7 @@ def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix) -> tuple[int, int, int
     ad(b_j)[m][k] = C_jk^m; both products run over nonzeros only.
     """
     d = alg.dim
-    g_rows = sparse_rows(g)
+    g_rows = g.nonzeros
     # ad_rows[j][m]: the nonzeros (k, C_jk^m) of row m of ad(b_j)
     ad_rows: list[dict[int, list[tuple[int, Q]]]] = []
     for row in alg.structure:

@@ -44,7 +44,6 @@ from .lie import (
     check_form,
     commutator_row,
     direct_sum,
-    sparse_rows,
 )
 
 
@@ -68,7 +67,7 @@ def homomorphism_failures(algebra: MatrixLieAlgebra,
     Both sides are compared row by row on the nonzeros of the action
     matrices, with pi([b_i, b_j]) summed over the sparse structure table.
     """
-    rows = [sparse_rows(a) for a in action]
+    rows = [a.nonzeros for a in action]
     n = algebra.dim
     for i in range(n):
         for j in range(i + 1, n):
@@ -148,13 +147,10 @@ class DualModule:
 
 
 def dual_representation(rep: Representation, pairing: Matrix | None = None) -> DualModule:
-    """Contragredient dual: pi*(a) = -inverse(P) . t(pi(a)) . P.
-
-    With the default identity pairing this is plain negated transposition.
-    """
+    """Contragredient dual: pi*(a) = -inverse(P) . t(pi(a)) . P; no pairing
+    means the identity."""
     if pairing is None:
-        return DualModule(tuple(a.transpose().scale(-1) for a in rep.action),
-                          Matrix.identity(rep.module_dim))
+        pairing = Matrix.identity(rep.module_dim)
     if pairing.shape() != (rep.module_dim, rep.module_dim):
         raise PentadError("pairing size must match the module dimension")
     try:
@@ -246,12 +242,11 @@ def check_standard(p: StandardPentad) -> ValidationReport:
     for i, (a, d) in enumerate(zip(p.rep.action, p.dual.action)):
         resid = a.transpose() @ p.dual.pairing + p.dual.pairing @ d
         if not resid.is_zero():
-            r, c = next((r, c) for r in range(resid.rows)
-                        for c in range(resid.cols) if resid.entry(r, c))
+            r, (c, x) = next((r, row[0]) for r, row in enumerate(resid.nonzeros) if row)
             failures.append(AxiomFailure(
                 "dual_compatibility", (i,),
                 f"t(pi(b_{i})).P + P.pi*(b_{i}) has entry "
-                f"{qstr(resid.entry(r, c))} at ({r}, {c})"))
+                f"{qstr(x)} at ({r}, {c})"))
 
     notes = (
         "With B nondegenerate, a -> B(a, .) identifies the algebra with its "
@@ -287,15 +282,13 @@ class PhiMap:
         self.module_dim = p.module_dim
         try:
             # ginv_cols[i]: the nonzeros (row, g) of column i of G^-1
-            ginv_cols = [[(row, g) for row, g in enumerate(col) if g]
-                         for col in inverse(p.form.gram).transpose().entries]
+            ginv_cols = inverse(p.form.gram).transpose().nonzeros
         except ValueError:
             raise PentadError("form is degenerate; the Phi-map is not defined") from None
         tables = [a.transpose() @ p.dual.pairing for a in p.rep.action]
         # by_module[a]: the nonzeros (i, r, W[i][a][r]) of slice a
         self._by_module = tuple(
-            tuple((i, r, w) for i, t in enumerate(tables)
-                  for r, w in enumerate(t.entries[a]) if w)
+            tuple((i, r, w) for i, t in enumerate(tables) for r, w in t.nonzeros[a])
             for a in range(self.module_dim))
         units = []
         for entries in self._by_module:

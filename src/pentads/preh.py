@@ -266,11 +266,17 @@ def verify_certificate(p: StandardPentad, v: RegularityVerdict) -> bool:
         if gres.status != "found" or gres.element.coords != h0:
             return False
         if v.outcome == "Inconclusive":
-            return not find_generic(p, v.attempts, v.seed).found
+            s = find_generic(p, v.attempts, v.seed)
+            return v.x is None and v.y is None and not v.ranks and not s.found and v.witness == {
+                "reason": s.reason, "best_rank": s.rank, "needed": s.needed,
+                "attempts": s.attempts_used}
         x = tuple(v.x)
         if not is_generic(p, x):
             return False
+        full = (p.module_dim, p.module_dim)
         if v.outcome == "NotRegular":
+            if v.ranks != {"dual_partner_injectivity": full}:
+                return False
             clause = v.witness["clause"]
             if clause == "no_dual_partner":
                 return sl2_partner(p, GradingElement(h0), x).status == "none"
@@ -282,7 +288,8 @@ def verify_certificate(p: StandardPentad, v: RegularityVerdict) -> bool:
                         and p.phi.apply(x, y) == h0)
             return False
         if v.outcome == "Regular":
-            if v.witness is not None:
+            if v.witness is not None or v.ranks != {"dual_partner_injectivity": full,
+                                                     "module_partner_injectivity": full}:
                 return False
             pr = sl2_partner(p, GradingElement(h0), x)
             if pr.status != "unique" or pr.y != tuple(v.y):

@@ -78,7 +78,7 @@ def algebra_to_json(alg) -> dict:
 def algebra_from_json(obj):
     _require_keys(obj, ("ambient_size", "basis"), (), "an algebra description")
     size = obj["ambient_size"]
-    if not isinstance(size, int) or size < 1:
+    if type(size) is not int or size < 1:  # exact: a bool is not an int here
         raise SerializationError("ambient_size must be a positive integer")
     if not isinstance(obj["basis"], list) or not obj["basis"]:
         raise SerializationError("basis must be a non-empty array of matrices")
@@ -161,6 +161,8 @@ def verdict_from_json(obj) -> RegularityVerdict:
     if witness is not None:
         if not isinstance(witness, dict):
             raise SerializationError("witness must be an object or null")
+        if any(type(v) is bool for v in witness.values()):  # true would replay as 1
+            raise SerializationError("witness values must not be booleans")
         witness = {k: vector_from_json(v) if isinstance(v, list) or k == "vector" else v
                    for k, v in witness.items()}
     ranks = obj["ranks"]

@@ -1,13 +1,14 @@
 """Reference code the tests check the library against.
 
 None of it is on the pipeline's path: it reconstructs ambient matrices from
-algebra coordinates, reads coordinates back with a dense solve, and checks
-the Phi-map's equivariance identity on random samples.
+algebra coordinates, reads coordinates back with a dense solve, checks the
+Phi-map's equivariance identity on random samples, and keeps the dense
+cell-by-cell loops that Matrix.nonzeros replaced.
 """
 
 import random
 
-from pentads.exact_linalg import Matrix, solve_multi, vec_add
+from pentads.exact_linalg import Matrix, qnorm, solve_multi, vec_add
 from pentads.lie import unit_coords
 from pentads.pentad import random_int_vector
 
@@ -46,3 +47,69 @@ def equivariance_failure(p, trials=20, seed=0):
             if lhs != p.algebra.bracket_coords(unit_coords(d, i), base):
                 return f"basis element {i}, trial {t}: v = {v}, phi = {phi}"
     return None
+
+
+# --- Dense loops over every cell, the reference for Matrix.nonzeros ----------
+
+def dense_nonzeros(m):
+    """For each row, the (col, x) pairs with x != 0, found by scanning cells."""
+    return tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in m.entries)
+
+
+def dense_matmul(a, b):
+    """a @ b, skipping zero cells."""
+    out = []
+    for arow in a.entries:
+        acc = [0] * b.cols
+        for k, x in enumerate(arow):
+            if x:
+                for j, y in enumerate(b.entries[k]):
+                    if y:
+                        acc[j] = acc[j] + x * y
+        out.append(tuple(acc))
+    return Matrix(tuple(out))
+
+
+def dense_apply(m, v):
+    """m . v, skipping zero cells."""
+    out = []
+    for row in m.entries:
+        acc = 0
+        for a, x in zip(row, v):
+            if a and x:
+                acc = acc + a * x
+        out.append(qnorm(acc))
+    return tuple(out)
+
+
+def dense_is_zero(m):
+    return all(not x for row in m.entries for x in row)
+
+
+def dense_linear_combination(coeffs, mats):
+    """sum_i c_i M_i, skipping zero coefficients and zero cells."""
+    acc = [[0] * mats[0].cols for _ in range(mats[0].rows)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for out, row in zip(acc, m.entries):
+                for j, x in enumerate(row):
+                    if x:
+                        out[j] += c * x
+    return Matrix(tuple(tuple(qnorm(x) for x in row) for row in acc))
+
+
+def dense_trace_product(a, b):
+    """Tr(a @ b), skipping zero cells."""
+    acc = 0
+    for i, row in enumerate(a.entries):
+        for k, x in enumerate(row):
+            if x:
+                y = b.entries[k][i]
+                if y:
+                    acc = acc + x * y
+    return qnorm(acc)
+
+
+def pivot_columns(basis):
+    """Leading column of each row of a dense echelon basis."""
+    return tuple(next(j for j, x in enumerate(row) if x) for row in basis)

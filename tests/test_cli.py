@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -147,6 +148,14 @@ class TestInvalidInput:
         assert proc.stdout == ('{\n  "error": "action of [b_1, b_2] differs from the '
                                'commutator of the actions"\n}\n')
 
+    def test_bool_ambient_size(self, capsys, tmp_path):
+        # gl1_scalar has ambient size 1, which a JSON true must not pass for
+        obj = pentad_to_json(resolve("gl1_scalar").build())
+        obj["algebra"]["ambient_size"] = True
+        code, doc = run(capsys, "check", "--pentad", write_json(tmp_path, obj))
+        assert code == 1
+        assert doc == AMBIENT_SIZE_ERROR
+
     def test_max_degree_bound(self, capsys):
         code, doc = run(capsys, "graded-dims", "--example", "gl1_scalar",
                         "--max-degree", "0")
@@ -187,9 +196,11 @@ MUTATIONS = {
     "bool_scalar": _set(("form", 0, 0), True),
     "zero_denominator": _set(("pairing", 0, 0), "1/0"),
     "zero_ambient_size": _set(("algebra", "ambient_size"), 0),
+    "bool_ambient_size": _set(("algebra", "ambient_size"), True),
     "basis_not_closed": _not_closed,
 }
 DUAL_COUNT_ERROR = {"error": "one dual action matrix per basis element is required"}
+AMBIENT_SIZE_ERROR = {"error": "ambient_size must be a positive integer"}
 SWEEP_FILES = ["gl1_so_vector(3)", "matrix_space_example(2)"]
 SWEEP_COMMANDS = [["check"], ["grading-element"], ["generic-point"], ["sl2"],
                   ["regularity", "--verify-certificate"], ["graded-dims", "--max-degree", "2"],
@@ -217,6 +228,89 @@ class TestMutationSweep:
             assert "error" in doc or doc.get("failures"), (command, doc)
             if mutation.endswith("dual_action"):
                 assert doc == DUAL_COUNT_ERROR, command
+            if mutation.endswith("ambient_size"):
+                assert doc == AMBIENT_SIZE_ERROR, command
+
+
+def _paths(obj, path=()):
+    """Every nested index path of a JSON value, the root's own () included."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+# values a replaced entry may take: other scalars, wrong JSON types, shapes
+REPLACEMENTS = ["0", "1", "-1", "1/2", "1/0", "x", 0, 2, -1, True, None, 1.5,
+                [], {}, ["1"], [["1"]], [["0", "1"], ["1", "0"]]]
+
+
+def random_mutation(rng, obj):
+    """Apply one random edit to obj in place and say what it was: replace a
+    value, delete a key, duplicate or drop a list element, or transpose a
+    matrix (a list of equally long lists)."""
+    paths = list(_paths(obj))
+    while True:
+        kind = rng.choice(("replace", "delete", "duplicate", "drop", "transpose"))
+        if kind == "replace":
+            path = rng.choice(paths[1:])
+            value = rng.choice(REPLACEMENTS)
+            _at(obj, path[:-1])[path[-1]] = value
+            return f"replace {path} with {value!r}"
+        if kind == "delete":
+            dicts = [p for p in paths if isinstance(_at(obj, p), dict) and _at(obj, p)]
+            path = rng.choice(dicts)
+            key = rng.choice(sorted(_at(obj, path)))
+            del _at(obj, path)[key]
+            return f"delete {path + (key,)}"
+        lists = [p for p in paths if isinstance(_at(obj, p), list) and _at(obj, p)]
+        if kind in ("duplicate", "drop"):
+            path = rng.choice(lists)
+            target = _at(obj, path)
+            i = rng.randrange(len(target))
+            if kind == "duplicate":
+                target.insert(i, json.loads(json.dumps(target[i])))
+            else:
+                del target[i]
+            return f"{kind} {path + (i,)}"
+        matrices = [p for p in lists if all(isinstance(r, list) for r in _at(obj, p))
+                    and len({len(r) for r in _at(obj, p)}) == 1]
+        if matrices:
+            path = rng.choice(matrices)
+            _at(obj, path[:-1])[path[-1]] = [list(col) for col in zip(*_at(obj, path))]
+            return f"transpose {path}"
+
+
+RANDOM_SWEEP_FILES = ["gl1_scalar", "gl2_trace", "gl1_so_vector(3)"]
+RANDOM_SWEEP_DOCUMENTS = 20  # per file; the seed is the file's index
+
+
+class TestRandomMutationSweep:
+    """Seeded random edits of catalog pentad files through the six commands
+    that take only a pentad: a command may accept the edited file or reject
+    it, but it must end with exit 0 or 1 and one JSON document on stdout,
+    and no exception may escape."""
+
+    @pytest.mark.parametrize("name", RANDOM_SWEEP_FILES)
+    def test_every_command_answers_in_json(self, capsys, tmp_path, name):
+        rng = random.Random(RANDOM_SWEEP_FILES.index(name))
+        clean = pentad_to_json(resolve(name).build())
+        for doc_index in range(RANDOM_SWEEP_DOCUMENTS):
+            obj = json.loads(json.dumps(clean))
+            what = random_mutation(rng, obj)
+            path = write_json(tmp_path, obj)
+            for command in SWEEP_COMMANDS:
+                if command == ["phi"]:
+                    continue
+                code, out = run_raw(capsys, command[0], "--pentad", path, *command[1:])
+                assert code in (0, 1), (doc_index, what, command, out)
+                assert isinstance(json.loads(out), dict), (doc_index, what, command)
 
 
 class TestCheck:

@@ -26,6 +26,16 @@ from pentads.exact_linalg import (
     vec_dot,
     vec_scale,
 )
+from pentads.lie import trace_product
+
+from oracles import (
+    dense_apply,
+    dense_is_zero,
+    dense_linear_combination,
+    dense_matmul,
+    dense_nonzeros,
+    dense_trace_product,
+)
 
 scalars = st.one_of(
     st.integers(min_value=-6, max_value=6),
@@ -609,3 +619,80 @@ class TestEngineMatchesDenseOracle:
         assert typed(kernel_basis(raw)) == typed(kernel_basis(a))
         assert solve(raw, [Fraction(x) for x in b]) == solve(a, b)
         assert typed(solve(raw, [Fraction(x) for x in b]).solution) == typed(solve(a, b).solution)
+
+
+# --- The sparse view against the dense cell loops it replaced -----------------
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None):
+    """A matrix of one entry kind, mostly zeros, with some rows and some
+    columns zeroed outright; rows and cols fix the shape when given."""
+    entry = ENTRY_KINDS[draw(st.sampled_from(sorted(ENTRY_KINDS)))]
+    r = rows if rows is not None else draw(st.integers(1, 6))
+    c = cols if cols is not None else draw(st.integers(1, 6))
+    cell = st.one_of(st.just(0), st.just(0), entry)
+    grid = [draw(st.lists(cell, min_size=c, max_size=c)) for _ in range(r)]
+    for i in draw(st.sets(st.integers(0, r - 1))):
+        grid[i] = [0] * c
+    for j in draw(st.sets(st.integers(0, c - 1))):
+        for row in grid:
+            row[j] = 0
+    return Matrix.from_rows(grid)
+
+
+@st.composite
+def products(draw):
+    a = draw(sparse_matrices())
+    return a, draw(sparse_matrices(rows=a.cols))
+
+
+@st.composite
+def square_pairs(draw):
+    n = draw(st.integers(1, 6))
+    return draw(sparse_matrices(n, n)), draw(sparse_matrices(n, n))
+
+
+@st.composite
+def sparse_combinations(draw):
+    a = draw(sparse_matrices())
+    mats = [a] + draw(st.lists(sparse_matrices(a.rows, a.cols), max_size=4))
+    return draw(st.lists(scalars, min_size=len(mats), max_size=len(mats))), mats
+
+
+class TestSparseViewMatchesDenseLoops:
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices())
+    def test_nonzeros(self, m):
+        assert typed(m.nonzeros) == typed(dense_nonzeros(m))
+        assert m.nonzeros is m.nonzeros  # computed once
+
+    @settings(max_examples=100, deadline=None)
+    @given(products())
+    def test_matmul(self, pair):
+        a, b = pair
+        assert typed((a @ b).entries) == typed(dense_matmul(a, b).entries)
+
+    @settings(max_examples=100, deadline=None)
+    @given(products())
+    def test_apply(self, pair):
+        m, vecs = pair
+        for v in vecs.transpose().entries:
+            assert typed(m.apply(v)) == typed(dense_apply(m, v))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices())
+    def test_is_zero(self, m):
+        assert m.is_zero() == dense_is_zero(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_combinations())
+    def test_linear_combination(self, case):
+        coeffs, mats = case
+        assert (typed(linear_combination(coeffs, mats).entries)
+                == typed(dense_linear_combination(coeffs, mats).entries))
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_pairs())
+    def test_trace_product(self, pair):
+        a, b = pair
+        assert typed((trace_product(a, b),)) == typed((dense_trace_product(a, b),))

@@ -9,7 +9,6 @@ from pentads.exact_linalg import (
     Matrix,
     dense_vec,
     inverse,
-    pivot_columns,
     qnorm,
     rank,
     row_space_basis,
@@ -35,6 +34,8 @@ from pentads.pentad import (
     mirror,
     phi_map,
 )
+
+from oracles import pivot_columns
 
 
 def build(spec, degree):

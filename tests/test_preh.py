@@ -360,6 +360,36 @@ NOT_REGULAR_TAMPERS = {
     "clause unknown": lambda c: {"witness": {**c["witness"], "clause": "kernel"}},
     "outcome Regular": lambda c: {"outcome": "Regular"},
     "outcome Inconclusive": lambda c: {"outcome": "Inconclusive"},
+    "ranks empty": lambda c: {"ranks": {}},
+    "ranks other label": lambda c: {"ranks": {"x": [1, 2]}},
+    "ranks short": lambda c: {"ranks": {"dual_partner_injectivity": [11, 12]}},
+    "ranks extra label": lambda c: {"ranks": {**c["ranks"],
+                                              "module_partner_injectivity": [12, 12]}},
+}
+REGULAR_TAMPERS.update({
+    "ranks empty": lambda c: {"ranks": {}},
+    "ranks wrong": lambda c: {"ranks": {"dual_partner_injectivity": [0, 99]}},
+    "ranks module dropped": lambda c: {"ranks": {"dual_partner_injectivity": [3, 3]}},
+    "ranks module short": lambda c: {"ranks": {**c["ranks"],
+                                               "module_partner_injectivity": [2, 3]}},
+})
+
+
+def _witness(key, value):
+    return lambda c: {"witness": {**c["witness"], key: value}}
+
+
+# Inconclusive certificates: the module outgrows the algebra (scalar_pentad(5),
+# no sample drawn), or a two-sample search misses (matrix_space_example(2)).
+INCONCLUSIVE_TAMPERS = {
+    "ranks set": lambda c: {"ranks": {"dual_partner_injectivity": [0, 5]}},
+    "X set": lambda c: {"X": ["1"] * len(c["H0"])},
+    "Y set": lambda c: {"Y": ["1"] * len(c["H0"])},
+    "witness reason": _witness("reason", "no generic point"),
+    "witness best_rank": lambda c: _witness("best_rank", c["witness"]["best_rank"] + 1)(c),
+    "witness needed": lambda c: _witness("needed", c["witness"]["needed"] - 1)(c),
+    "witness attempts": lambda c: _witness("attempts", c["witness"]["attempts"] + 1)(c),
+    "witness dropped": lambda c: {"witness": None},
 }
 
 
@@ -370,6 +400,13 @@ def certificate(spec):
     return p, verdict_to_json(decide_regularity(p), p)
 
 
+@cache
+def inconclusive_certificate(kind):
+    p, attempts = {"gap": (scalar_pentad(5), 64),
+                   "missed": (resolve("matrix_space_example(2)").build(), 2)}[kind]
+    return p, verdict_to_json(decide_regularity(p, attempts=attempts), p)
+
+
 class TestCertificateTampering:
     @pytest.mark.parametrize("spec, outcome", [
         ("gl1_so_vector(3)", "Regular"), ("matrix_space_example(2)", "NotRegular")])
@@ -377,6 +414,20 @@ class TestCertificateTampering:
         p, cert = certificate(spec)
         assert cert["outcome"] == outcome
         assert verify_certificate(p, verdict_from_json(cert)) is True
+
+    @pytest.mark.parametrize("kind", ["gap", "missed"])
+    def test_untampered_inconclusive_certificate_verifies(self, kind):
+        p, cert = inconclusive_certificate(kind)
+        assert cert["outcome"] == "Inconclusive"
+        assert verify_certificate(p, verdict_from_json(cert)) is True
+
+    @pytest.mark.parametrize("tamper", sorted(INCONCLUSIVE_TAMPERS))
+    @pytest.mark.parametrize("kind", ["gap", "missed"])
+    def test_inconclusive_certificate(self, kind, tamper):
+        p, cert = inconclusive_certificate(kind)
+        tampered = {**cert, **INCONCLUSIVE_TAMPERS[tamper](cert)}
+        assert tampered != cert
+        assert verify_certificate(p, verdict_from_json(tampered)) is False
 
     @pytest.mark.parametrize("tamper", sorted(REGULAR_TAMPERS))
     def test_regular_certificate(self, tamper):

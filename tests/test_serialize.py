@@ -45,6 +45,7 @@ MISTYPED_CERTIFICATE_FIELDS = {
     "ranks bool entry": {"ranks": {"dual_partner_injectivity": [True, 1]}},
     "witness vector string": {"witness": {"clause": "module_partner_kernel", "vector": "1,0,0"}},
     "witness vector number": {"witness": {"clause": "module_partner_kernel", "vector": 0}},
+    "witness bool": {"witness": {"reason": "r", "best_rank": False, "needed": 5, "attempts": 0}},
 }
 
 
