@@ -8,6 +8,10 @@ arithmetic and the two compare equal.  Division is the only operation that
 can leave the integers, and its results are always normalized (:func:`qdiv`,
 :func:`qnorm`).
 
+A :class:`Matrix` stores only its nonzeros and its width: the matrices here
+are almost all zeros, so every operation walks and returns nonzeros, and the
+dense grid is derived only to print or to test.
+
 All elimination is one sparse echelon, :func:`sparse_row_space_basis`: a
 fraction-free pass over sparse integer rows that returns the reduced row
 echelon form (RREF) of their span, dividing only at the end, once per entry
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from itertools import chain
 from typing import Iterable, Sequence, Union
@@ -71,18 +74,34 @@ def qstr(x: Q) -> str:
     return str(qnorm(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Matrix:
-    """Immutable dense rational matrix, stored as a row-major grid; every
-    reader of its nonzeros walks the sparse view `nonzeros`, built once."""
+    """Immutable sparse rational matrix, stored as `nonzeros`, for each row
+    the (col, x) pairs with x != 0 ascending in col, and the width `cols`;
+    == and hash read exactly those.  `Matrix(rows)` takes dense rows,
+    `from_nonzeros` rows already in stored form; the dense grid `entries` is
+    derived on demand, for serialization and tests."""
 
-    entries: tuple[Vec, ...]
+    nonzeros: tuple[SparseVec, ...]
+    cols: int
 
-    def __post_init__(self):
-        if self.entries:
-            width = len(self.entries[0])
-            if any(len(row) != width for row in self.entries):
-                raise ValueError("ragged rows")
+    def __init__(self, entries: Iterable[Sequence[Q]]):
+        rows = tuple(entries)
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
+            raise ValueError("ragged rows")
+        object.__setattr__(self, "nonzeros",
+                           tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in rows))
+        object.__setattr__(self, "cols", cols)
+
+    @staticmethod
+    def from_nonzeros(nonzeros: Iterable[SparseVec], cols: int) -> "Matrix":
+        """The matrix with these rows of nonzeros, each already ascending in
+        column with no zero value; the caller guarantees that form."""
+        m = object.__new__(Matrix)
+        object.__setattr__(m, "nonzeros", tuple(nonzeros))
+        object.__setattr__(m, "cols", cols)
+        return m
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Q | str]]) -> "Matrix":
@@ -90,31 +109,32 @@ class Matrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(tuple((0,) * cols for _ in range(rows)))
+        return Matrix.from_nonzeros(((),) * rows, cols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return Matrix.from_nonzeros((((i, 1),) for i in range(n)), n)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.nonzeros)
 
     @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+    def entries(self) -> tuple[Vec, ...]:
+        """The dense grid of rows."""
+        return tuple(dense_vec(row, self.cols) for row in self.nonzeros)
 
     def entry(self, i: int, j: int) -> Q:
-        return self.entries[i][j]
-
-    @cached_property
-    def nonzeros(self) -> tuple[SparseVec, ...]:
-        """For each row, the (col, x) pairs with x != 0, ascending in col."""
-        return tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in self.entries)
+        return dense_vec(self.nonzeros[i], self.cols)[j]
 
     def flat(self) -> Vec:
         """Row-major flattening."""
         return tuple(chain.from_iterable(self.entries))
+
+    def flat_nonzeros(self) -> SparseVec:
+        """The nonzeros of the row-major flattening, ascending."""
+        n = self.cols
+        return tuple((i * n + j, x) for i, row in enumerate(self.nonzeros) for j, x in row)
 
     def is_zero(self) -> bool:
         return not any(self.nonzeros)
@@ -123,20 +143,17 @@ class Matrix:
         return (self.rows, self.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.entries, other.entries)))
+        return linear_combination((1, 1), (self, other))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(tuple(tuple(a - b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.entries, other.entries)))
+        return linear_combination((1, -1), (self, other))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-a for a in row) for row in self.entries))
+        return self.scale(-1)
 
     def scale(self, c: Q) -> "Matrix":
-        return Matrix(tuple(tuple(c * a for a in row) for row in self.entries))
+        return Matrix.from_nonzeros((tuple((j, c * x) for j, x in row) if c else ()
+                                     for row in self.nonzeros), self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -144,62 +161,75 @@ class Matrix:
         brows = other.nonzeros
         out = []
         for arow in self.nonzeros:
-            acc: list[Q] = [0] * other.cols
+            acc: dict[int, Q] = {}
             for k, a in arow:
                 for j, b in brows[k]:
-                    acc[j] = acc[j] + a * b
-            out.append(tuple(acc))
-        return Matrix(tuple(out))
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(tuple((j, x) for j, x in sorted(acc.items()) if x))
+        return Matrix.from_nonzeros(out, other.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.entries)) if self.entries else ())
+        out: list[list[tuple[int, Q]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzeros):
+            for j, x in row:
+                out[j].append((i, x))
+        return Matrix.from_nonzeros(map(tuple, out), self.rows)
 
     def trace(self) -> Q:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return qnorm(sum(self.entries[i][i] for i in range(self.rows)))
+        return qnorm(sum(x for i, row in enumerate(self.nonzeros) for j, x in row if i == j))
 
     def apply(self, v: Sequence[Q]) -> Vec:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        out = []
-        for row in self.nonzeros:
-            acc: Q = 0
-            for j, a in row:
-                x = v[j]
-                if x:
-                    acc = acc + a * x
-            out.append(qnorm(acc))
-        return tuple(out)
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.shape() != other.shape():
-            raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
+        return linear_combination_apply((1,), (self,), v)
 
 
 def linear_combination(coeffs: Sequence[Q], mats: Sequence[Matrix]) -> Matrix:
     """sum_i c_i M_i over equally shaped matrices, walking the nonzeros of
     the matrices with nonzero coefficients and normalizing once; the zero
     matrix of the common shape when every coefficient is zero."""
-    shape = mats[0].shape()
-    acc: list[list[Q]] = [[0] * shape[1] for _ in range(shape[0])]
+    rows, cols = mats[0].shape()
+    acc: list[dict[int, Q]] = [{} for _ in range(rows)]
     for c, m in zip(coeffs, mats):
         if c:
-            m._check_same_shape(mats[0])
+            if m.shape() != (rows, cols):
+                raise ValueError(f"shape mismatch: {m.shape()} vs {(rows, cols)}")
             for out, row in zip(acc, m.nonzeros):
                 for j, x in row:
-                    out[j] += c * x
-    return Matrix(tuple(tuple(qnorm(x) for x in row) for row in acc))
+                    out[j] = out.get(j, 0) + c * x
+    return Matrix.from_nonzeros(map(sparse_row, acc), cols)
+
+
+def linear_combination_apply(coeffs: Sequence[Q], mats: Sequence[Matrix],
+                             v: Sequence[Q]) -> Vec:
+    """linear_combination(coeffs, mats).apply(v) without forming the sum:
+    one accumulation over the nonzeros of the matrices with nonzero
+    coefficients, normalized once."""
+    acc: list[Q] = [0] * mats[0].rows
+    for c, m in zip(coeffs, mats):
+        if c:
+            for r, row in enumerate(m.nonzeros):
+                for j, x in row:
+                    vj = v[j]
+                    if vj:
+                        acc[r] += c * x * vj
+    return tuple(qnorm(x) for x in acc)
+
+
+def sparse_row(acc: dict[int, Q]) -> SparseVec:
+    """A row accumulator {col: x} as its normalized nonzeros, ascending."""
+    return tuple((j, qnorm(x)) for j, x in sorted(acc.items()) if x)
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; row-major, so kron(A, I) acts blockwise on the left."""
-    out = []
-    for arow in a.entries:
-        for brow in b.entries:
-            out.append(tuple(x * y for x in arow for y in brow))
-    return Matrix(tuple(out))
+    n = b.cols
+    return Matrix.from_nonzeros(
+        (tuple((i * n + j, x * y) for i, x in arow for j, y in brow)
+         for arow in a.nonzeros for brow in b.nonzeros), a.cols * n)
 
 
 def rank(m: Matrix) -> int:
@@ -214,10 +244,8 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     the input's shape.
     """
     basis = sparse_row_space_basis(m.nonzeros)
-    ncols = m.cols
-    rows = [dense_vec(r, ncols) for r in basis]
-    rows.extend([(0,) * ncols] * (m.rows - len(basis)))
-    return Matrix(tuple(rows)), tuple(r[0][0] for r in basis)
+    padded = Matrix.from_nonzeros(basis + [()] * (m.rows - len(basis)), m.cols)
+    return padded, tuple(r[0][0] for r in basis)
 
 
 def _kernel_of_rref(basis: Sequence[SparseVec], ncols: int) -> list[Vec]:
@@ -320,7 +348,7 @@ def inverse(m: Matrix) -> Matrix:
     cols = solve_multi(m, Matrix.identity(m.rows))
     if any(c is None for c in cols):
         raise ValueError("matrix is singular")
-    return Matrix(tuple(zip(*cols)))
+    return Matrix(cols).transpose()
 
 
 def _sparse_int_row(row: Iterable[tuple[int, Q]]) -> dict[int, int]:
@@ -415,16 +443,9 @@ def sparse_row_space_basis(rows: Iterable[Iterable[tuple[int, Q]]]) -> list[Spar
 def row_space_basis(rows: Iterable[Sequence[Q]]) -> list[Vec]:
     """Canonical (RREF) basis of the span of the given dense row vectors,
     as dense rows as wide as the widest input row."""
-    width = 0
-
-    def nonzeros():
-        nonlocal width
-        for row in rows:
-            width = max(width, len(row))
-            yield enumerate(row)
-
-    basis = sparse_row_space_basis(nonzeros())
-    return [dense_vec(r, width) for r in basis]
+    rows = list(rows)
+    width = max(map(len, rows), default=0)
+    return [dense_vec(r, width) for r in sparse_row_space_basis(map(enumerate, rows))]
 
 
 def dense_vec(v: Iterable[tuple[int, Q]], n: int) -> Vec:

@@ -9,14 +9,14 @@ literally the bracket, so minimality (no nonzero vector bracketing to zero
 with the opposite generator line) is a rank statement about the stored
 maps.
 
-Every component is stored by its nonzeros only (see _Half): a basis map as
-its entries (t, r, c), an action matrix as its entries (row, col, x), a
-bracket-table or memo entry as (index, value) pairs.  The components are
-almost all zeros (the 572 degree-3 maps of matrix_space_example(2) fill
-0.22% of their cells), so construction, the checks and every bracket walk
-nonzeros only, accumulating in place into one list per result that is
-normalized once at the end.  component_maps and action_matrices build
-dense matrices on demand.
+Every component is stored by its nonzeros only (see _Half): basis maps and
+action matrices as sparse Matrix objects, bracket-table and memo entries as
+(index, value) pairs.  The components are almost all zeros (the 572
+degree-3 maps of matrix_space_example(2) fill 0.22% of their cells), so
+construction, the checks and every bracket walk nonzeros only,
+accumulating in place into one list per result that is normalized once at
+the end.  action_matrices returns the stored matrices, component_maps the
+stored maps transposed.
 
 Components can keep growing forever for general input; construction always
 truncates at a caller-supplied degree bound.  A zero component shuts down
@@ -27,15 +27,16 @@ the degree-one line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exact_linalg import (
     Matrix,
     Q,
     SparseVec,
     Vec,
-    dense_vec,
     is_zero_vec,
+    linear_combination,
+    linear_combination_apply,
     qnorm,
     row_space_basis,  # noqa: F401  (perfbench's tracer patches this name here)
     solve,
@@ -76,15 +77,16 @@ def grading_element(p: StandardPentad) -> GradingElementResult:
     result meaningful on broken input too.
     """
     m = p.module_dim
-    rows = p.algebra.commutation_rows()
+    rows = list(p.algebra.commutation_rows().nonzeros)
     rhs: list[Q] = [0] * len(rows)
     # One row per matrix cell (r, c) and side: the cell's entries over the
-    # basis, against the cell of +-2 Id.  Row order cannot change the RREF.
+    # basis, against the cell of +-2 Id.  An empty diagonal cell stays, as
+    # the equation 0 = +-2.  Row order cannot change the RREF.
     for action, lam in ((p.rep.action, 2), (p.dual.action, -2)):
-        for cell, row in enumerate(zip(*(a.flat() for a in action))):
-            rows.append(row)
-            rhs.append(lam if cell % (m + 1) == 0 else 0)
-    res = solve(Matrix(tuple(rows)), tuple(rhs))
+        stacked = Matrix.from_nonzeros((a.flat_nonzeros() for a in action), m * m)
+        rows.extend(stacked.transpose().nonzeros)
+        rhs.extend(lam if cell % (m + 1) == 0 else 0 for cell in range(m * m))
+    res = solve(Matrix.from_nonzeros(rows, p.algebra.dim), tuple(rhs))
     if res.status == "none":
         return GradingElementResult("absent", None, ())
     if res.status == "affine":
@@ -96,16 +98,16 @@ def grading_element(p: StandardPentad) -> GradingElementResult:
 class _Half:
     """Positive-degree components of one side of the graded algebra.
 
-    Everything is stored by its nonzeros, per degree k:
+    Per degree k:
 
-      maps[k][s]     (k >= 2) basis vector s of U_k as the map
-                     U_{-1} -> U_{k-1}: the entries (t, r, c) with
-                     [u_s, y_r] = sum over t of c u_t, ascending in (t, r);
-      actions[k][i]  algebra basis element i acting on U_k: the entries
-                     (row, col, x), ascending; degree 1 is the pentad's own
-                     action, and the truncation degree is built on first use;
+      maps[k][s]     (k >= 2) basis vector s of U_k as the m x dim U_{k-1}
+                     Matrix whose row r is [u_s, y_r]: the transpose of the
+                     map U_{-1} -> U_{k-1}, so m rows however large U_{k-1};
+      actions[k][i]  the Matrix of algebra basis element i acting on U_k;
+                     degree 1 is the pentad's own action, and the
+                     truncation degree is built on first use;
       up[k][a][s]    [x_a, u_s] in U_{k+1}, as (index, value) pairs;
-      dual[i]        algebra basis element i acting on U_{-1}, as entries.
+      dual[i]        the pentad's matrix of basis element i acting on U_{-1}.
 
     The bracket U_1 x U_{-1} -> g is not stored here: the next candidates
     read the pentad's Phi unit table (PhiMap.units) and GradedAlgebra
@@ -122,9 +124,9 @@ class _Half:
         self.max_degree = max_degree
         m = pentad.module_dim
         self.dims: dict[int, int] = {1: m}
-        self.maps: dict[int, tuple[Entries, ...]] = {}
-        self.actions: dict[int, list[Entries]] = {1: [_entries(a) for a in pentad.rep.action]}
-        self.dual = [_entries(a) for a in pentad.dual.action]
+        self.maps: dict[int, tuple[Matrix, ...]] = {}
+        self.actions: dict[int, list[Matrix]] = {1: list(pentad.rep.action)}
+        self.dual = pentad.dual.action
         self.up: dict[int, list[list[SparseVec]]] = {}
         self._expansions: dict[int, list[tuple[tuple[Q, int, int], ...]]] = {}
         for k in range(1, max_degree):
@@ -143,35 +145,38 @@ class _Half:
         # [[x_a, y_r], u_s] = pi(Phi(x_a (x) y_r)) u_s, for every s at once
         for a in range(m):
             for i, r, g in units[a]:
-                for t, s, x in act[i]:
-                    cand = cands[a * nk + s]
+                for t, row in enumerate(act[i].nonzeros):
                     j = t * m + r
-                    cand[j] = cand.get(j, 0) + g * x
+                    for s, x in row:
+                        cand = cands[a * nk + s]
+                        cand[j] = cand.get(j, 0) + g * x
         if k == 1:
             # [x_a, [u_s, y_r]] = -pi(Phi(u_s (x) y_r)) x_a
             for s in range(m):
                 for i, r, h in units[s]:
-                    for t, a, x in act[i]:
-                        cand = cands[a * nk + s]
+                    for t, row in enumerate(act[i].nonzeros):
                         j = t * m + r
-                        cand[j] = cand.get(j, 0) - h * x
+                        for a, x in row:
+                            cand = cands[a * nk + s]
+                            cand[j] = cand.get(j, 0) - h * x
         else:
             # [x_a, [u_s, y_r]], with [u_s, y_r] read off the stored map
             up_prev = self.up[k - 1]
             for s, f in enumerate(self.maps[k]):
-                for t, r, w in f:
-                    for a in range(m):
-                        cand = cands[a * nk + s]
-                        for t2, uv in up_prev[a][t]:
-                            j = t2 * m + r
-                            cand[j] = cand.get(j, 0) + w * uv
+                for r, row in enumerate(f.nonzeros):
+                    for t, w in row:
+                        for a in range(m):
+                            cand = cands[a * nk + s]
+                            for t2, uv in up_prev[a][t]:
+                                j = t2 * m + r
+                                cand[j] = cand.get(j, 0) + w * uv
         candidates = [{j: qnorm(x) for j, x in cand.items() if x} for cand in cands]
         basis = sparse_row_space_basis(cand.items() for cand in candidates)
         self.dims[k + 1] = len(basis)
         if not basis:
             self.up[k] = [[() for _ in range(nk)] for _ in range(m)]
             return
-        self.maps[k + 1] = tuple(tuple((j // m, j % m, x) for j, x in row) for row in basis)
+        self.maps[k + 1] = tuple(_unflatten(row, nk, m) for row in basis)
         # The basis is the RREF of the candidate stack, so each candidate's
         # coordinates are plain reads at the pivot columns.
         pivot_of = {row[0][0]: p for p, row in enumerate(basis)}
@@ -187,30 +192,30 @@ class _Half:
         """(a.f)(y) = [a, f(y)] - f([a, y]) on the stored basis maps."""
         m = self.pentad.module_dim
         maps = self.maps[degree]
-        pivots = [f[0][0] * m + f[0][1] for f in maps]
-        out: list[Entries] = []
+        flats = [_flat(f, m) for f in maps]
+        pivots = [v[0][0] for v in flats]
+        out: list[Matrix] = []
         for amat, dmat in zip(self.action_rows(degree - 1), self.dual):
-            a_cols, d_rows = _by_col(amat), _by_row(dmat)
-            entries = []
-            for s, f in enumerate(maps):
+            a_cols, d_rows = amat.transpose().nonzeros, dmat.nonzeros
+            columns = []
+            for f in maps:
                 g = _twist(a_cols, f, d_rows, m)
                 coords = [g.get(p, 0) for p in pivots]
                 # Stability of the component under the algebra is what makes
                 # pivot reads valid here, so rebuild and compare to be sure.
-                for c, basis_map in zip(coords, maps):
+                for c, v in zip(coords, flats):
                     if c:
-                        for t, r, x in basis_map:
-                            j = t * m + r
+                        for j, x in v:
                             g[j] = g.get(j, 0) - c * x
                 if any(g.values()):
                     raise ArithmeticError("action left the component span")
-                entries.extend((row, s, qnorm(c)) for row, c in enumerate(coords) if c)
-            out.append(tuple(sorted(entries)))
+                columns.append(tuple((row, qnorm(c)) for row, c in enumerate(coords) if c))
+            out.append(Matrix.from_nonzeros(columns, len(maps)).transpose())
         self.actions[degree] = out
 
-    def action_rows(self, k: int) -> list[Entries]:
-        """The algebra basis acting on U_k, by matrix entries; built on first
-        use at the truncation bound."""
+    def action_rows(self, k: int) -> list[Matrix]:
+        """The algebra basis acting on U_k; built on first use at the
+        truncation bound."""
         if k not in self.actions and self.dims.get(k, 0):
             self._build_action(k)
         return self.actions.get(k, [])
@@ -226,17 +231,26 @@ class _Half:
         if degree in self._expansions:
             return self._expansions[degree]
         n, nk = self.dims[degree], self.dims[degree - 1]
-        columns = [dense_vec(v, n) for row in self.up[degree - 1] for v in row]
+        table = Matrix.from_nonzeros((v for row in self.up[degree - 1] for v in row), n)
         result = []
-        for sol in solve_multi(Matrix(tuple(zip(*columns))), Matrix.identity(n)):
+        for sol in solve_multi(table.transpose(), Matrix.identity(n)):
             assert sol is not None, "basis vector outside candidate span"
             result.append(tuple((c, *divmod(pos, nk)) for pos, c in enumerate(sol) if c))
         self._expansions[degree] = result
         return result
 
     def evaluate(self, degree: int, f_coords: Vec, y: Vec) -> Vec:
-        """[f, y] for f in U_degree (degree >= 2), y in U_{-1}: evaluation."""
-        return _apply_combination(f_coords, self.maps[degree], y, self.dims[degree - 1])
+        """[f, y] for f in U_degree (degree >= 2), y in U_{-1}: evaluation,
+        the sum over s and r of f_s y_r times row r of map s."""
+        acc: list[Q] = [0] * self.dims[degree - 1]
+        for c, f in zip(f_coords, self.maps[degree]):
+            if c:
+                for yr, row in zip(y, f.nonzeros):
+                    if yr:
+                        w = c * yr
+                        for t, x in row:
+                            acc[t] += w * x
+        return _normalized(acc)
 
     def up_bracket(self, k: int, x: Vec, u: Vec) -> Vec:
         """[x, u] for x in the degree-one line and u in U_k, via the table."""
@@ -256,74 +270,44 @@ class _Half:
 
     def action(self, k: int, g: Vec, v: Vec) -> Vec:
         """[g, v] for v in U_k, k >= 1."""
-        return _apply_combination(g, self.action_rows(k), v, self.dims[k])
+        return linear_combination_apply(g, self.action_rows(k), v)
 
 
-# The nonzero entries (row, col, x) of a matrix, ascending in (row, col).
-Entries = tuple[tuple[int, int, Q], ...]
+def _unflatten(v: SparseVec, n: int, m: int) -> Matrix:
+    """The stored m x n map with flat nonzeros v; candidate maps and the
+    echelon key the pair (t, r) of U_{k-1} and U_{-1} by t * m + r."""
+    out: list[list[tuple[int, Q]]] = [[] for _ in range(m)]
+    for j, x in v:
+        t, r = divmod(j, m)
+        out[r].append((t, x))
+    return Matrix.from_nonzeros(map(tuple, out), n)
 
 
-def _entries(m: Matrix) -> Entries:
-    return tuple((r, c, x) for r, row in enumerate(m.nonzeros) for c, x in row)
+def _flat(f: Matrix, m: int) -> SparseVec:
+    """The nonzeros of a stored map by flat index t * m + r, ascending."""
+    return tuple(sorted((t * m + r, x) for r, row in enumerate(f.nonzeros) for t, x in row))
 
 
-def _matrix(entries: Entries, rows: int, cols: int) -> Matrix:
-    out = [[0] * cols for _ in range(rows)]
-    for r, c, x in entries:
-        out[r][c] = x
-    return Matrix(tuple(tuple(row) for row in out))
+def _twist(a_cols: Sequence[SparseVec], f: Matrix, d_rows: Sequence[SparseVec],
+           m: int) -> dict[int, Q]:
+    """a.F - F.d for the map F: U_{-1} -> U_k whose transpose is the stored
+    map f, keyed by flat index t * m + r.
 
-
-def _combination(coeffs: Sequence[Q], mats: Sequence[Entries]) -> Entries:
-    """The entries of sum_i c_i M_i."""
-    acc: dict[tuple[int, int], Q] = {}
-    for c, mat in zip(coeffs, mats):
-        if c:
-            for r, col, x in mat:
-                acc[r, col] = acc.get((r, col), 0) + c * x
-    return tuple((r, col, qnorm(x)) for (r, col), x in sorted(acc.items()) if x)
-
-
-def _apply_combination(coeffs: Sequence[Q], mats: Sequence[Entries], v: Vec, n: int) -> Vec:
-    """(sum_i c_i M_i) v, a length-n vector, without forming the sum."""
-    acc: list[Q] = [0] * n
-    for c, mat in zip(coeffs, mats):
-        if c:
-            for r, col, x in mat:
-                vc = v[col]
-                if vc:
-                    acc[r] += c * x * vc
-    return _normalized(acc)
-
-
-def _by_row(mat: Iterable[tuple[int, int, Q]]) -> dict[int, list[tuple[int, Q]]]:
-    """The nonzeros (col, x) of each nonempty row."""
-    out: dict[int, list[tuple[int, Q]]] = {}
-    for r, c, x in mat:
-        out.setdefault(r, []).append((c, x))
-    return out
-
-
-def _by_col(mat: Entries) -> dict[int, list[tuple[int, Q]]]:
-    """The nonzeros (row, x) of each nonempty column."""
-    return _by_row((c, r, x) for r, c, x in mat)
-
-
-def _twist(a_cols, f: Entries, d_rows, m: int) -> dict[int, Q]:
-    """a.f - f.d for a map f: U_{-1} -> U_k, keyed by flat index t * m + r.
-
-    a acts on U_k and is given by its columns, d acts on U_{-1} and is given
-    by its rows; cancelled entries stay in the result as zeros.
+    a acts on U_k and is given by the nonzeros of its columns, d acts on
+    U_{-1} and is given by those of its rows; cancelled entries stay in the
+    result as zeros.
     """
     out: dict[int, Q] = {}
-    for t, r, c in f:
-        for t2, x in a_cols.get(t, ()):
-            j = t2 * m + r
-            out[j] = out.get(j, 0) + x * c
-        base = t * m
-        for r2, y in d_rows.get(r, ()):
-            j = base + r2
-            out[j] = out.get(j, 0) - c * y
+    for r, row in enumerate(f.nonzeros):
+        d_row = d_rows[r]
+        for t, c in row:
+            for t2, x in a_cols[t]:
+                j = t2 * m + r
+                out[j] = out.get(j, 0) + x * c
+            base = t * m
+            for r2, y in d_row:
+                j = base + r2
+                out[j] = out.get(j, 0) - c * y
     return out
 
 
@@ -370,12 +354,12 @@ class GradedAlgebra:
         return self._dims[degree]
 
     def component_maps(self, degree: int) -> tuple[Matrix, ...]:
-        """Basis of U_degree as maps, for |degree| >= 2."""
+        """Basis of U_degree, |degree| >= 2, as maps from the opposite
+        degree-one component: the stored maps, transposed back."""
         if abs(degree) < 2:
             raise DegreeError("components below degree 2 are not stored as maps")
         half = self.positive if degree > 0 else self.negative
-        rows, cols = half.dims.get(abs(degree) - 1, 0), half.pentad.module_dim
-        return tuple(_matrix(f, rows, cols) for f in half.maps.get(abs(degree), ()))
+        return tuple(f.transpose() for f in half.maps.get(abs(degree), ()))
 
     def action_matrices(self, degree: int) -> list[Matrix]:
         """Matrices of the algebra basis acting on U_degree."""
@@ -387,8 +371,7 @@ class GradedAlgebra:
         if degree == -1:
             return list(self.pentad.dual.action)
         half = self.positive if degree > 0 else self.negative
-        n = half.dims.get(abs(degree), 0)
-        return [_matrix(mat, n, n) for mat in half.action_rows(abs(degree))]
+        return list(half.action_rows(abs(degree)))
 
     def bracket(self, a: GradedVector, b: GradedVector) -> GradedVector:
         j, k = a.degree, b.degree
@@ -523,10 +506,10 @@ def check_minimality(g: GradedAlgebra) -> bool:
             n = half.dims.get(k, 0)
             if n == 0:
                 continue
-            flats = [[(t * m + r, c) for t, r, c in f] for f in half.maps[k]]
+            flats = [_flat(f, m) for f in half.maps[k]]
             last = -1
             for v in flats:
-                lead = min((j for j, c in v if c), default=None)
+                lead = v[0][0] if v else None
                 if lead is None or lead <= last:
                     if len(sparse_row_space_basis(flats)) != n:
                         return False
@@ -551,16 +534,16 @@ def check_grading(g: GradedAlgebra, h: GradingElement) -> bool:
             return False
     for half, sign in ((g.positive, 1), (g.negative, -1)):
         m = half.pentad.module_dim
-        if _combination(h.coords, half.actions[1]) != tuple(
-                (r, r, 2 * sign) for r in range(m)):
+        if linear_combination(h.coords, half.actions[1]) != Matrix.identity(m).scale(2 * sign):
             return False
-        d_rows = _by_row(_combination(h.coords, half.dual))
+        d_rows = linear_combination(h.coords, half.dual).nonzeros
         for n in range(2, g.max_degree + 1):
             if half.dims.get(n, 0) == 0:
                 continue
-            mh_cols = _by_col(_combination(h.coords, half.action_rows(n - 1)))
+            mh_cols = linear_combination(h.coords, half.action_rows(n - 1)).transpose().nonzeros
             for f in half.maps[n]:
                 twisted = {j: x for j, x in _twist(mh_cols, f, d_rows, m).items() if x}
-                if twisted != {t * m + r: 2 * sign * n * c for t, r, c in f}:
+                if twisted != {t * m + r: 2 * sign * n * c
+                               for r, row in enumerate(f.nonzeros) for t, c in row}:
                     return False
     return True

@@ -25,10 +25,11 @@ from .exact_linalg import (
     SparseVec,
     Vec,
     kernel_basis,
+    dense_vec,
     linear_combination,
     qnorm,
     rank,
-    row_space_basis,
+    sparse_row,
     sparse_row_space_basis,
 )
 
@@ -54,14 +55,16 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 def trace_product(a: Matrix, b: Matrix) -> Q:
-    """Tr(a @ b) without forming the product, over the nonzeros of a."""
+    """Tr(a @ b) without forming the product: row i of a against column i
+    of b, over the nonzeros of both."""
     acc: Q = 0
-    b_rows = b.entries
-    for i, row in enumerate(a.nonzeros):
-        for k, x in row:
-            y = b_rows[k][i]
-            if y:
-                acc = acc + x * y
+    for arow, bcol in zip(a.nonzeros, b.transpose().nonzeros):
+        if arow and bcol:
+            bi = dict(bcol)
+            for k, x in arow:
+                y = bi.get(k)
+                if y is not None:
+                    acc = acc + x * y
     return qnorm(acc)
 
 
@@ -107,40 +110,41 @@ class MatrixLieAlgebra:
 
     def ad_matrix(self, u: Sequence[Q]) -> Matrix:
         """Matrix of v -> [u, v] in coordinates."""
-        d = self.dim
-        out: list[list[Q]] = [[0] * d for _ in range(d)]
+        out: list[dict[int, Q]] = [{} for _ in range(self.dim)]
         for i, ui in enumerate(u):
             if ui:
                 for j, cij in enumerate(self.structure[i]):
                     for k, c in cij:
-                        out[k][j] = out[k][j] + ui * c
-        return Matrix(tuple(tuple(qnorm(x) for x in row) for row in out))
+                        out[k][j] = out[k].get(j, 0) + ui * c
+        return Matrix.from_nonzeros(map(sparse_row, out), self.dim)
 
-    def commutation_rows(self) -> list[Vec]:
+    def commutation_rows(self) -> Matrix:
         """The nonzero rows of the linear system [z, b_j] = 0 for all j.
 
         Row (j, k) is (C_0j^k, ..., C_(d-1)j^k) in the unknown coordinates z;
         rows are ordered by (j, k), and the zero rows are left out because
-        they do not change the solution set.
+        they do not change the solution set.  The matrix is d columns wide
+        even when no row is left.
         """
-        d = self.dim
-        rows: dict[tuple[int, int], list[Q]] = {}
+        rows: dict[tuple[int, int], list[tuple[int, Q]]] = {}
         for i, row in enumerate(self.structure):
             for j, cij in enumerate(row):
                 for k, c in cij:
-                    rows.setdefault((j, k), [0] * d)[i] = c
-        return [tuple(rows[key]) for key in sorted(rows)]
+                    rows.setdefault((j, k), []).append((i, c))
+        return Matrix.from_nonzeros((tuple(rows[key]) for key in sorted(rows)), self.dim)
 
     @cached_property
     def trace_gram(self) -> Matrix:
-        """Gram matrix of (a, b) -> Tr(ab) on the basis, one product per
-        unordered pair; computed on first use and kept."""
-        d = self.dim
-        gram: list[list[Q]] = [[0] * d for _ in range(d)]
-        for i, bi in enumerate(self.basis):
-            for j in range(i, d):
-                gram[i][j] = gram[j][i] = trace_product(bi, self.basis[j])
-        return Matrix(tuple(tuple(row) for row in gram))
+        """Gram matrix of (a, b) -> Tr(ab) on the basis, computed on first use
+        and kept.  Tr(b_i b_j) is flat(b_i) . flat(t(b_j)), so the whole Gram
+        matrix is one sparse product of the flattened basis with the
+        flattened transposed basis."""
+        nn = self.ambient_size ** 2
+        flat = Matrix.from_nonzeros((b.flat_nonzeros() for b in self.basis), nn)
+        flat_t = Matrix.from_nonzeros((b.transpose().flat_nonzeros() for b in self.basis), nn)
+        gram = flat @ flat_t.transpose()
+        return Matrix.from_nonzeros(
+            (tuple((j, qnorm(x)) for j, x in row) for row in gram.nonzeros), self.dim)
 
 
 def unit_coords(dim: int, j: int) -> Vec:
@@ -177,8 +181,7 @@ def build_algebra(ambient_size: int, basis: Sequence[Matrix]) -> MatrixLieAlgebr
             raise LieAlgebraError("basis matrix has the wrong ambient size")
     d = len(basis)
     echelon = sparse_row_space_basis(
-        tuple((r * n + c, x) for r, row in enumerate(b.nonzeros) for c, x in row)
-        + ((nn + i, 1),) for i, b in enumerate(basis))
+        b.flat_nonzeros() + ((nn + i, 1),) for i, b in enumerate(basis))
     if any(row[0][0] >= nn for row in echelon):
         raise NotIndependentError("basis is linearly dependent")
     # Each RREF row split at column n^2: its pivot, its nonzeros in R past
@@ -216,25 +219,22 @@ def build_algebra(ambient_size: int, basis: Sequence[Matrix]) -> MatrixLieAlgebr
 
 def standard_symplectic_form(n: int) -> Matrix:
     """The 2n x 2n block matrix [[0, I], [-I, 0]]."""
-    z, i = Matrix.zeros(n, n), Matrix.identity(n)
-    top = tuple(tuple(zr) + tuple(ir) for zr, ir in zip(z.entries, i.entries))
-    bottom = tuple(tuple((-x for x in ir)) + tuple(zr) for ir, zr in zip(i.entries, z.entries))
-    return Matrix(top + bottom)
+    return Matrix.from_nonzeros(
+        [((n + i, 1),) for i in range(n)] + [((i, -1),) for i in range(n)], 2 * n)
+
+
+def _unit_matrix(n: int, p: int, q: int) -> Matrix:
+    """The n x n matrix unit E_pq."""
+    return Matrix.from_nonzeros(((((q, 1),) if i == p else ()) for i in range(n)), n)
 
 
 def _solution_basis(n: int, defining: Callable[[Matrix], Matrix]) -> list[Matrix]:
     """Canonical basis of {A : defining(A) = 0} inside n x n matrices."""
-    columns = []
-    for p in range(n):
-        for q in range(n):
-            e = Matrix(tuple(tuple(1 if (i, j) == (p, q) else 0 for j in range(n))
-                             for i in range(n)))
-            columns.append(defining(e).flat())
-    constraint = Matrix(tuple(columns)).transpose()
-    out = []
-    for v in kernel_basis(constraint):
-        out.append(Matrix(tuple(v[i * n:(i + 1) * n] for i in range(n))))
-    return out
+    images = Matrix.from_nonzeros(
+        (defining(_unit_matrix(n, p, q)).flat_nonzeros() for p in range(n) for q in range(n)),
+        n * n)
+    return [Matrix(v[i * n:(i + 1) * n] for i in range(n))
+            for v in kernel_basis(images.transpose())]
 
 
 def family(kind: str, n: int) -> MatrixLieAlgebra:
@@ -242,10 +242,7 @@ def family(kind: str, n: int) -> MatrixLieAlgebra:
     if n < 1:
         raise LieAlgebraError("family parameter must be positive")
     if kind == "gl":
-        basis = [Matrix(tuple(tuple(1 if (i, j) == (p, q) else 0 for j in range(n))
-                              for i in range(n)))
-                 for p in range(n) for q in range(n)]
-        return build_algebra(n, basis)
+        return build_algebra(n, [_unit_matrix(n, p, q) for p in range(n) for q in range(n)])
     if kind == "sl":
         i_n = Matrix.identity(n)
         return build_algebra(n, _solution_basis(n, lambda a: i_n.scale(a.trace())))
@@ -264,15 +261,10 @@ def direct_sum(algebras: Sequence[MatrixLieAlgebra]) -> MatrixLieAlgebra:
     basis = []
     offset = 0
     for a in algebras:
+        above, below = ((),) * offset, ((),) * (total - offset - a.ambient_size)
         for b in a.basis:
-            rows = []
-            for i in range(total):
-                if offset <= i < offset + a.ambient_size:
-                    inner = b.entries[i - offset]
-                    rows.append((0,) * offset + tuple(inner) + (0,) * (total - offset - a.ambient_size))
-                else:
-                    rows.append((0,) * total)
-            basis.append(Matrix(tuple(rows)))
+            shifted = tuple(tuple((c + offset, x) for c, x in row) for row in b.nonzeros)
+            basis.append(Matrix.from_nonzeros(above + shifted + below, total))
         offset += a.ambient_size
     return build_algebra(total, basis)
 
@@ -318,17 +310,16 @@ def check_form(alg: MatrixLieAlgebra, form: BilinearForm) -> FormReport:
     g = form.gram
     if g.shape() != (alg.dim, alg.dim):
         raise LieAlgebraError("Gram matrix size does not match the algebra dimension")
-    symmetric, sym_wit = True, None
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            if g.entries[i][j] != g.entries[j][i]:
-                symmetric, sym_wit = False, (i, j)
-                break
-        if not symmetric:
+    sym_wit = None
+    for i, (row, col) in enumerate(zip(g.nonzeros, g.transpose().nonzeros)):
+        if row != col:
+            # the first asymmetric pair (i, j): a difference left of the
+            # diagonal would have shown in an earlier row, so j > i
+            sym_wit = (i, min(j for j, _ in set(row) ^ set(col)))
             break
     ker = kernel_basis(g)
     inv_wit = _invariance_witness(alg, g)
-    return FormReport(symmetric, not ker, inv_wit is None,
+    return FormReport(sym_wit is None, not ker, inv_wit is None,
                       sym_wit, ker[0] if ker else None, inv_wit)
 
 
@@ -342,14 +333,8 @@ def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix) -> tuple[int, int, int
     """
     d = alg.dim
     g_rows = g.nonzeros
-    # ad_rows[j][m]: the nonzeros (k, C_jk^m) of row m of ad(b_j)
-    ad_rows: list[dict[int, list[tuple[int, Q]]]] = []
-    for row in alg.structure:
-        by_m: dict[int, list[tuple[int, Q]]] = {}
-        for k, cjk in enumerate(row):
-            for m, c in cjk:
-                by_m.setdefault(m, []).append((k, c))
-        ad_rows.append(by_m)
+    # row m of ad(b_j) is column m of the matrix whose row k is C_jk
+    ad_rows = [Matrix.from_nonzeros(row, d).transpose().nonzeros for row in alg.structure]
     for i in range(d):
         gi = g_rows[i]
         for j in range(d):
@@ -359,7 +344,7 @@ def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix) -> tuple[int, int, int
                     diff[k] = diff.get(k, 0) + c * x
             ad_j = ad_rows[j]
             for m, x in gi:
-                for k, c in ad_j.get(m, ()):
+                for k, c in ad_j[m]:
                     diff[k] = diff.get(k, 0) - x * c
             bad = [k for k, v in diff.items() if v]
             if bad:
@@ -368,16 +353,15 @@ def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix) -> tuple[int, int, int
 
 
 def center(alg: MatrixLieAlgebra) -> list[Vec]:
-    """Canonical coordinate basis of {z : [z, g] = 0}; one zero row keeps
-    the width of the system for an abelian algebra."""
-    return kernel_basis(Matrix(tuple(alg.commutation_rows()) or ((0,) * alg.dim,)))
+    """Canonical coordinate basis of {z : [z, g] = 0}."""
+    return kernel_basis(alg.commutation_rows())
 
 
 def derived_subalgebra(alg: MatrixLieAlgebra) -> list[Vec]:
     """Canonical coordinate basis of the span of all commutators."""
-    return row_space_basis(alg.basis_bracket(i, j)
-                           for i in range(alg.dim) for j in range(i + 1, alg.dim)
-                           if alg.structure[i][j])
+    basis = sparse_row_space_basis(alg.structure[i][j]
+                                   for i in range(alg.dim) for j in range(i + 1, alg.dim))
+    return [dense_vec(row, alg.dim) for row in basis]
 
 
 @dataclass(frozen=True)
@@ -414,7 +398,7 @@ def scalar_center_report(alg: MatrixLieAlgebra,
                                   "center and derived subalgebra do not span")
     pi_z = linear_combination(zs[0], action)
     n = pi_z.rows
-    scalar = pi_z.entries[0][0]
+    scalar = pi_z.entry(0, 0)
     if pi_z != Matrix.identity(n).scale(scalar):
         return ScalarCenterReport(False, 1, None, decomposes,
                                   "center generator does not act as a scalar")

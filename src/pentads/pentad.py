@@ -34,8 +34,10 @@ from .exact_linalg import (
     kernel_basis,
     kronecker,
     linear_combination,
+    linear_combination_apply,
     qnorm,
     qstr,
+    sparse_row,
     vec_dot,
 )
 from .lie import (
@@ -66,14 +68,18 @@ def homomorphism_failures(algebra: MatrixLieAlgebra,
 
     Both sides are compared row by row on the nonzeros of the action
     matrices, with pi([b_i, b_j]) summed over the sparse structure table.
+    Where row r of both pi(b_i) and pi(b_j) is empty, so is row r of their
+    commutator, and only row r of pi([b_i, b_j]) is summed.
     """
     rows = [a.nonzeros for a in action]
     n = algebra.dim
     for i in range(n):
         for j in range(i + 1, n):
             cij = algebra.structure[i][j]
-            for r in range(len(rows[i])):
-                acc = commutator_row(rows[i], rows[j], r)
+            for r, (ri, rj) in enumerate(zip(rows[i], rows[j])):
+                if not (ri or rj or cij):
+                    continue
+                acc = commutator_row(rows[i], rows[j], r) if ri or rj else {}
                 for k, g in cij:
                     for t, y in rows[k][r]:
                         acc[t] = acc.get(t, 0) - g * y
@@ -116,7 +122,7 @@ class Representation:
 
     def apply(self, coords: Sequence[Q], v: Sequence[Q]) -> Vec:
         """[a, v] for a given in algebra coordinates."""
-        return self.act(coords).apply(v)
+        return linear_combination_apply(coords, self.action, v)
 
 
 @dataclass(frozen=True)
@@ -306,23 +312,23 @@ class PhiMap:
     def module_contraction(self, x: Sequence[Q]) -> Matrix:
         """M(x), the d x m matrix with G^-1 . M(x) . phi = Phi(x (x) phi)."""
         self._check_length(x)
-        out = [[0] * self.module_dim for _ in range(self.dim)]
+        out: list[dict[int, Q]] = [{} for _ in range(self.dim)]
         for a, xa in enumerate(x):
             if xa:
                 for i, r, w in self._by_module[a]:
-                    out[i][r] += xa * w
-        return _normalized(out)
+                    out[i][r] = out[i].get(r, 0) + xa * w
+        return Matrix.from_nonzeros(map(sparse_row, out), self.module_dim)
 
     def dual_contraction(self, y: Sequence[Q]) -> Matrix:
         """N(y), the d x m matrix with G^-1 . N(y) . xi = Phi(xi (x) y)."""
         self._check_length(y)
-        out = [[0] * self.module_dim for _ in range(self.dim)]
+        out: list[dict[int, Q]] = [{} for _ in range(self.dim)]
         for a, entries in enumerate(self._by_module):
             for i, r, w in entries:
                 yr = y[r]
                 if yr:
-                    out[i][a] += w * yr
-        return _normalized(out)
+                    out[i][a] = out[i].get(a, 0) + w * yr
+        return Matrix.from_nonzeros(map(sparse_row, out), self.module_dim)
 
     def apply(self, v: Sequence[Q], phi: Sequence[Q]) -> Vec:
         """Algebra coordinates of Phi(v (x) phi), contracted from the units."""
@@ -336,10 +342,6 @@ class PhiMap:
                     if fr:
                         acc[i] += va * c * fr
         return tuple(qnorm(x) for x in acc)
-
-
-def _normalized(rows) -> Matrix:
-    return Matrix(tuple(tuple(qnorm(x) for x in row) for row in rows))
 
 
 def phi_map(p: StandardPentad, v: Sequence[Q], phi: Sequence[Q]) -> Vec:

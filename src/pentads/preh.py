@@ -36,6 +36,7 @@ from .exact_linalg import (
     is_zero_vec,
     kernel_basis,
     linear_combination,
+    linear_combination_apply,
     rank,
     solve,
     vec_scale,
@@ -138,7 +139,7 @@ class Sl2Triple:
         p = self.pentad
         if p.rep.apply(self.h, self.x) != vec_scale(2, self.x):
             raise ValueError("sl2 relation [h, x] = 2x fails")
-        if linear_combination(self.h, p.dual.action).apply(self.y) != vec_scale(-2, self.y):
+        if linear_combination_apply(self.h, p.dual.action, self.y) != vec_scale(-2, self.y):
             raise ValueError("sl2 relation [h, y] = -2y fails")
         if p.phi.apply(self.x, self.y) != tuple(self.h):
             raise ValueError("sl2 relation [x, y] = h fails")
@@ -166,15 +167,15 @@ def sl2_partner(p: StandardPentad, h, x: Vec) -> PartnerResult:
     certified = isinstance(h, GradingElement)
     hc = h.coords if certified else tuple(h)
     m = p.module_dim
-    rows = list(p.phi.module_contraction(x).entries)
+    rows = list(p.phi.module_contraction(x).nonzeros)
     rhs: list = list(p.form.gram.apply(hc))
     if not certified:
         if p.rep.apply(hc, x) != vec_scale(2, x):
             return PartnerResult("none", None, (), None)
         eigen = linear_combination(hc, p.dual.action) + Matrix.identity(m).scale(2)
-        rows.extend(eigen.entries)
+        rows.extend(eigen.nonzeros)
         rhs.extend([0] * m)
-    res = solve(Matrix(tuple(rows)), tuple(rhs))
+    res = solve(Matrix.from_nonzeros(rows, m), tuple(rhs))
     if res.status == "none":
         return PartnerResult("none", None, (), None)
     if res.status == "affine":

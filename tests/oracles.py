@@ -2,11 +2,14 @@
 
 None of it is on the pipeline's path: it reconstructs ambient matrices from
 algebra coordinates, reads coordinates back with a dense solve, checks the
-Phi-map's equivariance identity on random samples, and keeps the dense
-cell-by-cell loops that Matrix.nonzeros replaced.
+Phi-map's equivariance identity on random samples, keeps the dense
+cell-by-cell loops that Matrix.nonzeros replaced, and keeps the operations
+of the dense row grid that Matrix stored before it stored only nonzeros,
+with a check of the stored form.
 """
 
 import random
+from itertools import chain
 
 from pentads.exact_linalg import Matrix, qnorm, solve_multi, vec_add
 from pentads.lie import unit_coords
@@ -113,3 +116,61 @@ def dense_trace_product(a, b):
 def pivot_columns(basis):
     """Leading column of each row of a dense echelon basis."""
     return tuple(next(j for j, x in enumerate(row) if x) for row in basis)
+
+
+# --- Operations on the dense row grid, the reference for Matrix storage -------
+
+def assert_canonical(m):
+    """m is in stored form: within each row, columns strictly ascending and
+    in range, and no zero value."""
+    for row in m.nonzeros:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= j < m.cols for j in cols)
+        assert all(x for _, x in row)
+
+
+# Each takes matrices (read through .entries) and returns a dense grid, a
+# tuple of row tuples, computed cell by cell as the grid-backed Matrix did;
+# its product is dense_matmul above.
+
+def grid_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a.entries, b.entries))
+
+
+def grid_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a.entries, b.entries))
+
+
+def grid_neg(a):
+    return tuple(tuple(-x for x in row) for row in a.entries)
+
+
+def grid_scale(a, c):
+    return tuple(tuple(c * x for x in row) for row in a.entries)
+
+
+def grid_transpose(a):
+    return tuple(zip(*a.entries)) if a.entries else ()
+
+
+def grid_trace(a):
+    if a.rows != a.cols:
+        raise ValueError("trace of a non-square matrix")
+    return qnorm(sum(a.entries[i][i] for i in range(a.rows)))
+
+
+def grid_kronecker(a, b):
+    return tuple(tuple(x * y for x in arow for y in brow)
+                 for arow in a.entries for brow in b.entries)
+
+
+def grid_identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def grid_zeros(rows, cols):
+    return tuple((0,) * cols for _ in range(rows))
+
+
+def grid_flat(a):
+    return tuple(chain.from_iterable(a.entries))

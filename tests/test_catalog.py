@@ -16,10 +16,11 @@ from pentads.catalog import (
     resolve,
 )
 from pentads.exact_linalg import Matrix
+from pentads.graded import extend
 from pentads.lie import standard_symplectic_form
 from pentads.pentad import PhiMap, check_standard
 
-from oracles import coords_of, equivariance_failure
+from oracles import assert_canonical, coords_of, equivariance_failure
 
 
 def closed_form_phi(pentad, n, v_flat, u_flat):
@@ -101,6 +102,28 @@ class TestEntries:
             gl1_so_vector(1)
         with pytest.raises(CatalogError):
             matrix_space_example(1)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_every_stored_matrix_is_canonical(name):
+    # == and hash read the stored nonzeros, so every producer must store
+    # them in the one canonical form.
+    p = resolve(name).build()
+    rng = random.Random(0)
+    x, y = (tuple(rng.randint(-9, 9) for _ in range(p.module_dim)) for _ in range(2))
+    mats = [*p.algebra.basis, *p.rep.action, *p.dual.action, p.dual.pairing, p.form.gram,
+            p.algebra.trace_gram, p.phi.module_contraction(x), p.phi.dual_contraction(y)]
+    g = extend(p, 3)
+    for sign in (1, -1):
+        half = g.positive if sign > 0 else g.negative
+        for k in range(1, 4):
+            mats += half.action_rows(k)
+            mats += half.maps.get(k, ())
+            mats += g.action_matrices(sign * k)
+            if k >= 2:
+                mats += g.component_maps(sign * k)
+    for m in mats:
+        assert_canonical(m)
 
 
 class TestMatrixSpacePhi:

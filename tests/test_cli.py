@@ -287,7 +287,8 @@ def random_mutation(rng, obj):
             return f"transpose {path}"
 
 
-RANDOM_SWEEP_FILES = ["gl1_scalar", "gl2_trace", "gl1_so_vector(3)"]
+RANDOM_SWEEP_FILES = ["gl1_scalar", "gl2_trace", "gl1_so_vector(3)", "gl2_standard",
+                      "matrix_space_example(2)"]
 RANDOM_SWEEP_DOCUMENTS = 20  # per file; the seed is the file's index
 
 

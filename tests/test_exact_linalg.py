@@ -29,12 +29,23 @@ from pentads.exact_linalg import (
 from pentads.lie import trace_product
 
 from oracles import (
+    assert_canonical,
     dense_apply,
     dense_is_zero,
     dense_linear_combination,
     dense_matmul,
     dense_nonzeros,
     dense_trace_product,
+    grid_add,
+    grid_flat,
+    grid_identity,
+    grid_kronecker,
+    grid_neg,
+    grid_scale,
+    grid_sub,
+    grid_trace,
+    grid_transpose,
+    grid_zeros,
 )
 
 scalars = st.one_of(
@@ -696,3 +707,138 @@ class TestSparseViewMatchesDenseLoops:
     def test_trace_product(self, pair):
         a, b = pair
         assert typed((trace_product(a, b),)) == typed((dense_trace_product(a, b),))
+
+
+# --- The nonzeros-only storage against the dense row grid it replaced ----------
+
+@st.composite
+def stored_matrices(draw, rows=None, cols=None):
+    """A mostly-zero matrix of one entry kind with 0 to 5 rows and columns,
+    built either from its dense rows or from its nonzeros (always from its
+    nonzeros when it has no rows: dense rows cannot carry a width then)."""
+    entry = ENTRY_KINDS[draw(st.sampled_from(sorted(ENTRY_KINDS)))]
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = draw(st.integers(0, 5)) if cols is None else cols
+    cell = st.one_of(st.just(0), st.just(0), entry)
+    grid = [draw(st.lists(cell, min_size=c, max_size=c)) for _ in range(r)]
+    if r and draw(st.booleans()):
+        return Matrix(grid)
+    return Matrix.from_nonzeros(
+        (tuple((j, x) for j, x in enumerate(row) if x) for row in grid), c)
+
+
+@st.composite
+def same_shape_pairs(draw):
+    a = draw(stored_matrices())
+    return a, draw(stored_matrices(a.rows, a.cols))
+
+
+@st.composite
+def stored_products(draw):
+    a = draw(stored_matrices())
+    return a, draw(stored_matrices(rows=a.cols))
+
+
+def nonzero_cells(grid):
+    """The (col, type, value) of every nonzero cell, row by row."""
+    return [[(j, type(x).__name__, x) for j, x in enumerate(row) if x] for row in grid]
+
+
+def normalized(grid):
+    return tuple(tuple(qnorm(x) for x in row) for row in grid)
+
+
+def assert_matches_grid(m, grid):
+    assert m.entries == grid
+    assert m.rows == len(grid)
+    if grid:
+        assert m.cols == len(grid[0])
+    assert nonzero_cells(m.entries) == nonzero_cells(grid)
+    assert_canonical(m)
+
+
+class TestStorageMatchesDenseGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(same_shape_pairs(), scalars)
+    def test_add_sub_neg_scale(self, pair, c):
+        a, b = pair
+        # sums are linear combinations, so they come back normalized
+        assert_matches_grid(a + b, normalized(grid_add(a, b)))
+        assert_matches_grid(a - b, normalized(grid_sub(a, b)))
+        assert_matches_grid(-a, grid_neg(a))
+        assert_matches_grid(a.scale(c), grid_scale(a, c))
+
+    @settings(max_examples=150, deadline=None)
+    @given(stored_products())
+    def test_matmul(self, pair):
+        a, b = pair
+        product = a @ b
+        assert_matches_grid(product, dense_matmul(a, b).entries)
+        assert product.shape() == (a.rows, b.cols)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stored_matrices())
+    def test_transpose_and_flat(self, m):
+        t = m.transpose()
+        if m.rows:
+            assert_matches_grid(t, grid_transpose(m))
+        else:  # the grid of a row-less matrix kept no width to transpose
+            assert t == Matrix.zeros(m.cols, 0)
+        assert t.shape() == (m.cols, m.rows)
+        assert t.transpose() == m
+        assert m.flat() == grid_flat(m)
+        assert m.flat_nonzeros() == tuple((j, x) for j, x in enumerate(m.flat()) if x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: stored_matrices(n, n)))
+    def test_trace(self, m):
+        assert typed((m.trace(),)) == typed((grid_trace(m),))
+
+    def test_trace_of_non_square_raises(self):
+        for m in (Matrix.zeros(2, 3), Matrix.from_nonzeros((), 2)):
+            with pytest.raises(ValueError, match="non-square"):
+                m.trace()
+            with pytest.raises(ValueError, match="non-square"):
+                grid_trace(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stored_matrices(), stored_matrices())
+    def test_kronecker(self, a, b):
+        k = kronecker(a, b)
+        assert_matches_grid(k, grid_kronecker(a, b))
+        assert k.shape() == (a.rows * b.rows, a.cols * b.cols)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_identity_and_zeros(self, n):
+        assert_matches_grid(Matrix.identity(n), grid_identity(n))
+        assert Matrix.identity(n).shape() == (n, n)
+        for r in range(4):
+            assert_matches_grid(Matrix.zeros(r, n), grid_zeros(r, n))
+            assert Matrix.zeros(r, n).shape() == (r, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stored_matrices())
+    def test_dense_and_nonzeros_builds_are_equal(self, m):
+        grid = m.entries
+        cols = len(grid[0]) if grid else 0
+        dense = Matrix(grid)
+        sparse = Matrix.from_nonzeros(dense.nonzeros, cols)
+        assert dense == sparse and hash(dense) == hash(sparse)
+        # an integral Fraction equals, and hashes like, its int
+        as_fractions = Matrix(tuple(tuple(Fraction(x) for x in row) for row in grid))
+        assert as_fractions == dense and hash(as_fractions) == hash(dense)
+
+    def test_shape_is_part_of_equality(self):
+        assert Matrix.zeros(2, 3) != Matrix.zeros(3, 2)
+        assert Matrix.zeros(0, 3) != Matrix.zeros(0, 2)
+        assert Matrix(((0, 0),)) == Matrix.zeros(1, 2)
+
+    @pytest.mark.parametrize("rows", [((1, 2), (3,)), ((), (0,)), ((1,), (2, 3), (4,))])
+    def test_ragged_rows_are_rejected(self, rows):
+        with pytest.raises(ValueError, match="^ragged rows$"):
+            Matrix(rows)
+
+    def test_is_immutable(self):
+        m = Matrix.identity(2)
+        with pytest.raises(AttributeError):
+            m.cols = 3

@@ -30,6 +30,7 @@ from pentads.lie import direct_sum, family, trace_form, unit_coords
 from pentads.pentad import (
     Representation,
     StandardPentad,
+    check_standard,
     dual_representation,
     mirror,
     phi_map,
@@ -314,10 +315,21 @@ class TestChecks:
         g = build("gl2_trace", 2)
         assert check_grading(g, GradingElement((0, 1, 0, 0))) is False
 
+    def test_grading_element_absent_for_gl1_on_a_plane_by_diag_1_0(self):
+        # The diagonal cell (1, 1) of pi(b_0) is empty, and its equation
+        # 0 = 2 is what makes the system inconsistent: a row builder that
+        # dropped empty cell rows would find h = 2.
+        alg = family("gl", 1)
+        rep = Representation(alg, (Matrix.from_rows([[1, 0], [0, 0]]),))
+        p = StandardPentad(alg, rep, dual_representation(rep), trace_form(alg))
+        assert check_standard(p).ok
+        res = grading_element(p)
+        assert (res.status, res.element, res.solution_space) == ("absent", None, ())
+
     def test_zero_row_breaks_minimality(self):
         g = build("gl2_trace", 2)
         half = g.positive
-        half.maps[2] = half.maps[2] + ((),)  # a map with no nonzero entry
+        half.maps[2] = half.maps[2] + (Matrix.zeros(2, half.dims[1]),)  # the zero map
         half.dims[2] += 1
         assert check_minimality(g) is False
 
@@ -690,9 +702,9 @@ def test_tampered_action_fails_both_grading_checks():
     g, dense = extend(p, 3), _DenseAlgebra(p, 3)
     h = grading_element(p).element
     assert h.coords[0] and not any(h.coords[1:])
-    entries = dict(((r, c), x) for r, c, x in g.positive.actions[2][0])
-    entries[0, 1] = entries.get((0, 1), 0) + 1
-    g.positive.actions[2][0] = tuple((r, c, x) for (r, c), x in sorted(entries.items()) if x)
+    rows = [list(row) for row in g.positive.actions[2][0].entries]
+    rows[0][1] += 1
+    g.positive.actions[2][0] = Matrix(tuple(map(tuple, rows)))
     rows = [list(row) for row in dense.positive.actions[2][0].entries]
     rows[0][1] += 1
     dense.positive.actions[2][0] = Matrix(tuple(map(tuple, rows)))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentads.exact_linalg import Matrix, kronecker, vec_add, vec_neg, vec_scale
-from pentads.lie import BilinearForm, family, trace_form, unit_coords
+from pentads.lie import BilinearForm, build_algebra, family, trace_form, unit_coords
 from pentads.pentad import (
     DualModule,
     HomomorphismError,
@@ -19,6 +19,7 @@ from pentads.pentad import (
     box_tensor,
     check_standard,
     dual_representation,
+    homomorphism_failures,
     mirror,
     phi_map,
 )
@@ -49,6 +50,22 @@ class TestRepresentation:
         bad = (alg.basis[1], alg.basis[0], alg.basis[2])
         with pytest.raises(HomomorphismError) as exc:
             Representation(alg, bad)
+        assert exc.value.pair == (0, 1)
+
+    def test_failure_on_a_row_both_actions_leave_empty(self):
+        # Heisenberg algebra [x, y] = z acting on a line by x, y -> 0 and
+        # z -> 1: row 0 of pi(x) and of pi(y) is empty, and only row 0 of
+        # pi([x, y]) = pi(z) breaks the axiom, for the pair (0, 1) alone.
+        def unit(p, q):
+            return Matrix.from_rows([[1 if (i, j) == (p, q) else 0 for j in range(3)]
+                                     for i in range(3)])
+
+        alg = build_algebra(3, [unit(0, 1), unit(1, 2), unit(0, 2)])
+        assert alg.structure[0][1] == ((2, 1),)
+        action = (Matrix.zeros(1, 1), Matrix.zeros(1, 1), Matrix.identity(1))
+        assert list(homomorphism_failures(alg, action)) == [(0, 1)]
+        with pytest.raises(HomomorphismError) as exc:
+            Representation(alg, action)
         assert exc.value.pair == (0, 1)
 
     def test_action_count_checked(self):
