@@ -182,15 +182,19 @@ class Matrix:
 
     def apply(self, v: Sequence[Q]) -> Vec:
         """Matrix-vector product."""
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
         return linear_combination_apply((1,), (self,), v)
+
+
+def _check_count(coeffs: Sequence[Q], mats: Sequence[Matrix]) -> None:
+    if len(coeffs) != len(mats):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(mats)} matrices")
 
 
 def linear_combination(coeffs: Sequence[Q], mats: Sequence[Matrix]) -> Matrix:
     """sum_i c_i M_i over equally shaped matrices, walking the nonzeros of
     the matrices with nonzero coefficients and normalizing once; the zero
     matrix of the common shape when every coefficient is zero."""
+    _check_count(coeffs, mats)
     rows, cols = mats[0].shape()
     acc: list[dict[int, Q]] = [{} for _ in range(rows)]
     for c, m in zip(coeffs, mats):
@@ -208,6 +212,8 @@ def linear_combination_apply(coeffs: Sequence[Q], mats: Sequence[Matrix],
     """linear_combination(coeffs, mats).apply(v) without forming the sum:
     one accumulation over the nonzeros of the matrices with nonzero
     coefficients, normalized once."""
+    _check_count(coeffs, mats)
+    check_length(v, mats[0].cols)
     acc: list[Q] = [0] * mats[0].rows
     for c, m in zip(coeffs, mats):
         if c:
@@ -456,8 +462,10 @@ def dense_vec(v: Iterable[tuple[int, Q]], n: int) -> Vec:
     return tuple(out)
 
 
-def vec_add(u: Sequence[Q], v: Sequence[Q]) -> Vec:
-    return tuple(qnorm(a + b) for a, b in zip(u, v))
+def check_length(v: Sequence[Q], n: int) -> None:
+    """Raise ValueError unless v has exactly n coordinates."""
+    if len(v) != n:
+        raise ValueError(f"expected {n} coordinates, got {len(v)}")
 
 
 def vec_scale(c: Q, v: Sequence[Q]) -> Vec:

@@ -110,13 +110,13 @@ class _Half:
       dual[i]        the pentad's matrix of basis element i acting on U_{-1}.
 
     The bracket U_1 x U_{-1} -> g is not stored here: the next candidates
-    read the pentad's Phi unit table (PhiMap.units) and GradedAlgebra
-    evaluates it with PhiMap.apply.  Every reader (evaluation, the actions,
-    the table, the next candidates, the checks) is one contraction over
-    these nonzeros into a single list or dict accumulator, normalized once
-    at the end.  Bracket expansions back into generator pairs are solved
-    lazily from the up table; they are only needed for general brackets
-    whose first argument sits in degree >= 2.
+    read this side's pentad's Phi unit table (PhiMap.units) and
+    GradedAlgebra evaluates it with that PhiMap's apply.  Every reader
+    (evaluation, the actions, the table, the next candidates, the checks) is
+    one contraction over these nonzeros into a single list or dict
+    accumulator, normalized once at the end.  Bracket expansions back into
+    generator pairs are solved lazily from the up table; they are only
+    needed for general brackets whose first argument sits in degree >= 2.
     """
 
     def __init__(self, pentad: StandardPentad, max_degree: int):
@@ -353,25 +353,23 @@ class GradedAlgebra:
             raise DegreeError(f"degree {degree} exceeds the bound {self.max_degree}")
         return self._dims[degree]
 
+    def _half(self, degree: int) -> _Half:
+        """The side holding the nonzero degree: positive, or the mirror's."""
+        return self.positive if degree > 0 else self.negative
+
     def component_maps(self, degree: int) -> tuple[Matrix, ...]:
         """Basis of U_degree, |degree| >= 2, as maps from the opposite
         degree-one component: the stored maps, transposed back."""
         if abs(degree) < 2:
             raise DegreeError("components below degree 2 are not stored as maps")
-        half = self.positive if degree > 0 else self.negative
-        return tuple(f.transpose() for f in half.maps.get(abs(degree), ()))
+        return tuple(f.transpose() for f in self._half(degree).maps.get(abs(degree), ()))
 
     def action_matrices(self, degree: int) -> list[Matrix]:
         """Matrices of the algebra basis acting on U_degree."""
         if degree == 0:
             d = self.pentad.algebra.dim
             return [self.pentad.algebra.ad_matrix(unit_coords(d, i)) for i in range(d)]
-        if degree == 1:
-            return list(self.pentad.rep.action)
-        if degree == -1:
-            return list(self.pentad.dual.action)
-        half = self.positive if degree > 0 else self.negative
-        return list(half.action_rows(abs(degree)))
+        return list(self._half(degree).action_rows(abs(degree)))
 
     def bracket(self, a: GradedVector, b: GradedVector) -> GradedVector:
         j, k = a.degree, b.degree
@@ -383,41 +381,33 @@ class GradedAlgebra:
         return GradedVector(j + k, self._bracket(j, a.coords, k, b.coords))
 
     def _bracket(self, j: int, a: Vec, k: int, b: Vec) -> Vec:
+        """Each case runs on the side of its sign: the negative side is the
+        mirror, whose own Phi gives [phi, v] = -Phi(v (x) phi) directly."""
         target = self._dims[j + k]
         if target == 0 or is_zero_vec(a) or is_zero_vec(b):
             return zero_vec(target)
         if j == 0:
             if k == 0:
                 return self.pentad.algebra.bracket_coords(a, b)
-            if k > 0:
-                return self.positive.action(k, a, b)
-            return self.negative.action(-k, a, b)
+            return self._half(k).action(abs(k), a, b)
         if k == 0:
             return vec_neg(self._bracket(0, b, j, a))
-        if j == 1:
-            if k == -1:
-                return self.pentad.phi.apply(a, b)
-            if k >= 1:
-                return self.positive.up_bracket(k, a, b)
-            return vec_neg(self.negative.evaluate(-k, b, a))
-        if j == -1:
-            if k == 1:
-                return vec_neg(self.pentad.phi.apply(b, a))
-            if k <= -1:
-                return self.negative.up_bracket(-k, a, b)
-            return vec_neg(self.positive.evaluate(k, b, a))
-        if j >= 2 and k == -1:
-            return self.positive.evaluate(j, a, b)
-        if j <= -2 and k == 1:
-            return self.negative.evaluate(-j, a, b)
+        one = 1 if j > 0 else -1
+        if abs(j) == 1:
+            if k == -j:
+                return self._half(j).pentad.phi.apply(a, b)
+            if j * k > 0:
+                return self._half(j).up_bracket(abs(k), a, b)
+            return vec_neg(self._half(k).evaluate(abs(k), b, a))
+        if k == -one:
+            return self._half(j).evaluate(abs(j), a, b)
         # First argument in degree >= 2: expand each basis vector into
         # generator pairs, [[x, u], b] = [x, [u, b]] - [u, [x, b]], and group
         # the terms by generator a, so that the call brackets b with each
         # x_a and each u once:
         #   sum over a of [x_a, sum f [u, b]] - sum f [u, [x_a, b]],
         # the last through the memoized unit-pair brackets.
-        half = self.positive if j > 0 else self.negative
-        one = 1 if j > 0 else -1
+        half = self._half(j)
         prev = j - one
         m = self.pentad.module_dim
         seen: dict[tuple[int, int], Vec] = {}

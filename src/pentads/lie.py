@@ -24,6 +24,7 @@ from .exact_linalg import (
     Q,
     SparseVec,
     Vec,
+    check_length,
     kernel_basis,
     dense_vec,
     linear_combination,
@@ -54,20 +55,6 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
 
 
-def trace_product(a: Matrix, b: Matrix) -> Q:
-    """Tr(a @ b) without forming the product: row i of a against column i
-    of b, over the nonzeros of both."""
-    acc: Q = 0
-    for arow, bcol in zip(a.nonzeros, b.transpose().nonzeros):
-        if arow and bcol:
-            bi = dict(bcol)
-            for k, x in arow:
-                y = bi.get(k)
-                if y is not None:
-                    acc = acc + x * y
-    return qnorm(acc)
-
-
 @dataclass(frozen=True)
 class MatrixLieAlgebra:
     """A Lie algebra of ambient_size x ambient_size matrices.
@@ -76,7 +63,7 @@ class MatrixLieAlgebra:
     basis as a SparseVec: the (k, c) pairs with c != 0, ascending in k, so
     structure[i][i] and the brackets of commuting pairs are empty.  It is the
     only copy of the structure constants; bracketing never re-solves a linear
-    system, and basis_bracket gives the dense coordinates of one entry.
+    system.
     """
 
     ambient_size: int
@@ -87,15 +74,10 @@ class MatrixLieAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def basis_bracket(self, i: int, j: int) -> Vec:
-        """Dense coordinates of [basis[i], basis[j]]."""
-        out: list[Q] = [0] * self.dim
-        for k, c in self.structure[i][j]:
-            out[k] = c
-        return tuple(out)
-
     def bracket_coords(self, u: Sequence[Q], v: Sequence[Q]) -> Vec:
         """Coordinates of [u, v] for u, v given in coordinates."""
+        check_length(u, self.dim)
+        check_length(v, self.dim)
         acc: list[Q] = [0] * self.dim
         for i, ui in enumerate(u):
             if not ui:
@@ -110,6 +92,7 @@ class MatrixLieAlgebra:
 
     def ad_matrix(self, u: Sequence[Q]) -> Matrix:
         """Matrix of v -> [u, v] in coordinates."""
+        check_length(u, self.dim)
         out: list[dict[int, Q]] = [{} for _ in range(self.dim)]
         for i, ui in enumerate(u):
             if ui:

@@ -30,14 +30,13 @@ from .exact_linalg import (
     Matrix,
     Q,
     Vec,
+    check_length,
     inverse,
     kernel_basis,
     kronecker,
-    linear_combination,
     linear_combination_apply,
     qnorm,
     qstr,
-    sparse_row,
     vec_dot,
 )
 from .lie import (
@@ -115,10 +114,6 @@ class Representation:
     @property
     def module_dim(self) -> int:
         return self.action[0].rows
-
-    def act(self, coords: Sequence[Q]) -> Matrix:
-        """Action matrix of the algebra element with the given coordinates."""
-        return linear_combination(coords, self.action)
 
     def apply(self, coords: Sequence[Q], v: Sequence[Q]) -> Vec:
         """[a, v] for a given in algebra coordinates."""
@@ -263,22 +258,15 @@ def check_standard(p: StandardPentad) -> ValidationReport:
 
 
 class PhiMap:
-    """Solver for B(a, Phi(v (x) phi)) = <pi(a)v, phi>, as sparse tensors.
+    """Solver for B(a, Phi(v (x) phi)) = <pi(a)v, phi>, as one sparse table.
 
     With G the form's gram matrix, Phi(v (x) phi) = G^-1 . t where
-    t_i = <pi(b_i)v, phi> = t(v).W_i.phi and W_i = t(pi(b_i)).P.  The
-    nonzeros of the integer 3-tensor W[i][a][r] are stored once, grouped by
-    the module index a, for the contractions the regularity legs rank,
-    solve and take kernels of:
-
-      M(x)[i][r] = sum_a x_a W[i][a][r]   (module_contraction, d x m)
-      N(y)[i][a] = sum_r W[i][a][r] y_r   (dual_contraction, d x m)
-
-    so phi -> Phi(x (x) phi) is G^-1 . M(x) and xi -> Phi(xi (x) y) is
-    G^-1 . N(y).  G^-1 is applied once, at construction, to give the unit
-    table: units[a] holds the nonzeros (i, r, c) of Phi(x_a (x) y_r),
-    ascending in (i, r), i.e. the entries of G^-1 . M(x_a).  Every Phi
-    value is a contraction of that table (apply), and the graded
+    t_i = <pi(b_i)v, phi> = t(v).W_i.phi and W_i = t(pi(b_i)).P.  The unit
+    table units[a] holds the nonzeros (i, r, c) of Phi(x_a (x) y_r),
+    ascending in (i, r): slice a of the integer tensor W with G^-1 applied,
+    once, at construction.  It is the only stored form of Phi: apply
+    contracts it, the regularity legs (preh.ad_on_dual and
+    preh.module_partner_map) contract it into matrices, and the graded
     construction reads it directly.  Every pentad owns one instance,
     StandardPentad.phi.
     """
@@ -291,49 +279,22 @@ class PhiMap:
             ginv_cols = inverse(p.form.gram).transpose().nonzeros
         except ValueError:
             raise PentadError("form is degenerate; the Phi-map is not defined") from None
-        tables = [a.transpose() @ p.dual.pairing for a in p.rep.action]
-        # by_module[a]: the nonzeros (i, r, W[i][a][r]) of slice a
-        self._by_module = tuple(
-            tuple((i, r, w) for i, t in enumerate(tables) for r, w in t.nonzeros[a])
-            for a in range(self.module_dim))
+        # row a of tables[i] holds the nonzeros (r, W[i][a][r])
+        tables = [(a.transpose() @ p.dual.pairing).nonzeros for a in p.rep.action]
         units = []
-        for entries in self._by_module:
+        for a in range(self.module_dim):
             acc: dict[tuple[int, int], Q] = {}
-            for i, r, w in entries:
-                for row, g in ginv_cols[i]:
-                    acc[row, r] = acc.get((row, r), 0) + g * w
+            for i, t in enumerate(tables):
+                for r, w in t[a]:
+                    for row, g in ginv_cols[i]:
+                        acc[row, r] = acc.get((row, r), 0) + g * w
             units.append(tuple((i, r, qnorm(c)) for (i, r), c in sorted(acc.items()) if c))
         self.units = tuple(units)
 
-    def _check_length(self, v: Sequence[Q]) -> None:
-        if len(v) != self.module_dim:
-            raise ValueError(f"expected {self.module_dim} coordinates, got {len(v)}")
-
-    def module_contraction(self, x: Sequence[Q]) -> Matrix:
-        """M(x), the d x m matrix with G^-1 . M(x) . phi = Phi(x (x) phi)."""
-        self._check_length(x)
-        out: list[dict[int, Q]] = [{} for _ in range(self.dim)]
-        for a, xa in enumerate(x):
-            if xa:
-                for i, r, w in self._by_module[a]:
-                    out[i][r] = out[i].get(r, 0) + xa * w
-        return Matrix.from_nonzeros(map(sparse_row, out), self.module_dim)
-
-    def dual_contraction(self, y: Sequence[Q]) -> Matrix:
-        """N(y), the d x m matrix with G^-1 . N(y) . xi = Phi(xi (x) y)."""
-        self._check_length(y)
-        out: list[dict[int, Q]] = [{} for _ in range(self.dim)]
-        for a, entries in enumerate(self._by_module):
-            for i, r, w in entries:
-                yr = y[r]
-                if yr:
-                    out[i][a] = out[i].get(a, 0) + w * yr
-        return Matrix.from_nonzeros(map(sparse_row, out), self.module_dim)
-
     def apply(self, v: Sequence[Q], phi: Sequence[Q]) -> Vec:
         """Algebra coordinates of Phi(v (x) phi), contracted from the units."""
-        self._check_length(v)
-        self._check_length(phi)
+        check_length(v, self.module_dim)
+        check_length(phi, self.module_dim)
         acc: list[Q] = [0] * self.dim
         for a, va in enumerate(v):
             if va:

@@ -9,17 +9,9 @@ phi -> Phi(x (x) phi); on the second it is injectivity of
 xi -> Phi(xi (x) y).  Every verdict carries the ranks, kernels, and
 witnesses needed to replay those claims independently.
 
-All three legs run on the pentad's Phi tensor (pentad.PhiMap).  With G the
-form's gram matrix, ad_on_dual(x) = G^-1 . M(x) and module_partner_map(y)
-= G^-1 . N(y), where M(x) and N(y) are the integer tensor W contracted with
-x and y; the two matrices themselves are assembled column by column from
-PhiMap.apply, the one Phi evaluation, and the pipeline never forms them.
-G is invertible, so M(x) has the row space of ad_on_dual(x), and the
-partner system [G^-1 . M(x); E] y = [h; 0] has the row space of
-[M(x); E] y = [G.h; 0] once its first block is multiplied by G.  Ranks,
-kernels and reduced echelon forms depend only on the row space, so the
-pipeline works on M(x) and N(y) directly, and every rank, solution and
-kernel vector is identical to the one computed through G^-1.
+Every rank, partner solve and kernel of both legs is taken on ad_on_dual(x)
+and module_partner_map(y), the pentad's one Phi table (pentad.PhiMap)
+contracted with x and with y.
 
 Random search only ever certifies positives: failing to sample a generic
 point yields Inconclusive, never a negative verdict.
@@ -32,13 +24,16 @@ from dataclasses import dataclass
 
 from .exact_linalg import (
     Matrix,
+    Q,
     Vec,
+    check_length,
     is_zero_vec,
     kernel_basis,
     linear_combination,
     linear_combination_apply,
     rank,
     solve,
+    sparse_row,
     vec_scale,
 )
 from .graded import GradingElement, grading_element
@@ -56,21 +51,32 @@ class GradingElementError(ValueError):
 
 def ad_on_dual(p: StandardPentad, x: Vec) -> Matrix:
     """Matrix of phi -> Phi(x (x) phi), shape (dim algebra) x (dim dual);
-    column r is Phi(x (x) y_r)."""
-    m = p.module_dim
-    return Matrix(tuple(zip(*(p.phi.apply(x, unit_coords(m, r)) for r in range(m)))))
+    column r is Phi(x (x) y_r), the unit table contracted with x."""
+    check_length(x, p.module_dim)
+    out: list[dict[int, Q]] = [{} for _ in range(p.algebra.dim)]
+    for xa, entries in zip(x, p.phi.units):
+        if xa:
+            for i, r, c in entries:
+                out[i][r] = out[i].get(r, 0) + xa * c
+    return Matrix.from_nonzeros(map(sparse_row, out), p.module_dim)
 
 
 def module_partner_map(p: StandardPentad, y: Vec) -> Matrix:
     """Matrix of xi -> Phi(xi (x) y), shape (dim algebra) x (dim module);
-    column a is Phi(x_a (x) y)."""
-    m = p.module_dim
-    return Matrix(tuple(zip(*(p.phi.apply(unit_coords(m, a), y) for a in range(m)))))
+    column a is Phi(x_a (x) y), the unit table contracted with y."""
+    check_length(y, p.module_dim)
+    out: list[dict[int, Q]] = [{} for _ in range(p.algebra.dim)]
+    for a, entries in enumerate(p.phi.units):
+        for i, r, c in entries:
+            yr = y[r]
+            if yr:
+                out[i][a] = out[i].get(a, 0) + c * yr
+    return Matrix.from_nonzeros(map(sparse_row, out), p.module_dim)
 
 
 def is_generic(p: StandardPentad, x: Vec) -> bool:
     """True iff phi -> Phi(x (x) phi) is injective."""
-    return rank(p.phi.module_contraction(x)) == p.module_dim
+    return rank(ad_on_dual(p, x)) == p.module_dim
 
 
 @dataclass(frozen=True)
@@ -113,7 +119,7 @@ def find_generic(p: StandardPentad, attempts: int = 64, seed: int = 0) -> Generi
     for k in range(attempts):
         x = unit_coords(m, k) if k < m else random_int_vector(rng, m)
         used += 1
-        r = rank(p.phi.module_contraction(x))
+        r = rank(ad_on_dual(p, x))
         if r == m:
             return GenericSearch("found", x, r, m, used, seed)
         best = max(best, r)
@@ -167,8 +173,8 @@ def sl2_partner(p: StandardPentad, h, x: Vec) -> PartnerResult:
     certified = isinstance(h, GradingElement)
     hc = h.coords if certified else tuple(h)
     m = p.module_dim
-    rows = list(p.phi.module_contraction(x).nonzeros)
-    rhs: list = list(p.form.gram.apply(hc))
+    rows = list(ad_on_dual(p, x).nonzeros)
+    rhs: list = list(hc)
     if not certified:
         if p.rep.apply(hc, x) != vec_scale(2, x):
             return PartnerResult("none", None, (), None)
@@ -246,7 +252,7 @@ def decide_regularity(p: StandardPentad, attempts: int = 64, seed: int = 0) -> R
         # injectivity of ad_on_dual(x) rules this out for a generic x
         raise ArithmeticError("affine partner solution at a certified generic point")
     y = pr.y
-    ker = kernel_basis(p.phi.dual_contraction(y))
+    ker = kernel_basis(module_partner_map(p, y))
     if ker:
         return RegularityVerdict(
             "NotRegular", h0.coords, x, y, ranks,
@@ -285,7 +291,7 @@ def verify_certificate(p: StandardPentad, v: RegularityVerdict) -> bool:
                 w = tuple(v.witness["vector"])
                 y = tuple(v.y)
                 return (not is_zero_vec(w)
-                        and is_zero_vec(p.phi.dual_contraction(y).apply(w))
+                        and is_zero_vec(module_partner_map(p, y).apply(w))
                         and p.phi.apply(x, y) == h0)
             return False
         if v.outcome == "Regular":
@@ -295,10 +301,10 @@ def verify_certificate(p: StandardPentad, v: RegularityVerdict) -> bool:
             pr = sl2_partner(p, GradingElement(h0), x)
             if pr.status != "unique" or pr.y != tuple(v.y):
                 return False
-            nmat = p.phi.dual_contraction(pr.y)
+            nmat = module_partner_map(p, pr.y)
             if kernel_basis(nmat):
                 return False
-            return solve(nmat, p.form.gram.apply(h0)).is_solvable
+            return solve(nmat, h0).is_solvable
         return False
     except (ValueError, KeyError, TypeError):
         return False

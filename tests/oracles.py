@@ -2,18 +2,26 @@
 
 None of it is on the pipeline's path: it reconstructs ambient matrices from
 algebra coordinates, reads coordinates back with a dense solve, checks the
-Phi-map's equivariance identity on random samples, keeps the dense
+Phi-map's equivariance identity on random samples, builds two pentads whose
+pairing and form are neither identity nor trace, keeps the dense
 cell-by-cell loops that Matrix.nonzeros replaced, and keeps the operations
 of the dense row grid that Matrix stored before it stored only nonzeros,
 with a check of the stored form.
 """
 
 import random
+from fractions import Fraction
 from itertools import chain
 
-from pentads.exact_linalg import Matrix, qnorm, solve_multi, vec_add
-from pentads.lie import unit_coords
-from pentads.pentad import random_int_vector
+from pentads.catalog import matrix_space_example, resolve
+from pentads.exact_linalg import Matrix, kronecker, qnorm, solve_multi
+from pentads.lie import BilinearForm, standard_symplectic_form, trace_form, unit_coords
+from pentads.pentad import StandardPentad, dual_representation, random_int_vector
+
+
+def vec_add(u, v):
+    """u + v, entry by entry, normalized."""
+    return tuple(qnorm(a + b) for a, b in zip(u, v))
 
 
 def matrix_of(alg, coords):
@@ -50,6 +58,38 @@ def equivariance_failure(p, trials=20, seed=0):
             if lhs != p.algebra.bracket_coords(unit_coords(d, i), base):
                 return f"basis element {i}, trial {t}: v = {v}, phi = {phi}"
     return None
+
+
+# --- Pentads with a rational, non-symmetric pairing and a non-trace form ------
+
+def _blockwise_form(p, scales):
+    """The trace form rescaled on each ideal: scales[i] multiplies row and
+    column i, which keeps it invariant as long as each ideal gets one scale."""
+    gram = trace_form(p.algebra).gram
+    return BilinearForm(Matrix(tuple(
+        tuple(scales[i] * x * scales[j] for j, x in enumerate(row))
+        for i, row in enumerate(gram.entries))))
+
+
+def rational_vector_pentad():
+    """gl(1) + so(3) on C^3 with a rational pairing and a non-trace form."""
+    base = resolve("gl1_so_vector(3)").build()
+    pairing = Matrix.from_rows([["2", "1/3", "0"], ["0", "1", "-1"], ["1", "0", "1/2"]])
+    form = _blockwise_form(base, [3] + [Fraction(1, 2)] * 3)
+    return StandardPentad(base.algebra, base.rep,
+                          dual_representation(base.rep, pairing), form)
+
+
+def rational_matrix_space_pentad():
+    """matrix_space_example(2) with the pairing kron(J, diag(1, 2, 1/3)) and
+    the trace form scaled by 2 on gl(1), 1/2 on sp(2) and 3 on so(3)."""
+    base = matrix_space_example(2)
+    diag = Matrix.from_rows([["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1/3"]])
+    pairing = kronecker(standard_symplectic_form(2), diag)
+    scales = [2] + [Fraction(1, 2)] * 10 + [3] * 3
+    return StandardPentad(base.algebra, base.rep,
+                          dual_representation(base.rep, pairing),
+                          _blockwise_form(base, scales))
 
 
 # --- Dense loops over every cell, the reference for Matrix.nonzeros ----------

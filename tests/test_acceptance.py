@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from pentads import cli
 from pentads.catalog import catalog, resolve
-from pentads.exact_linalg import Matrix, is_zero_vec, rank, vec_add, vec_scale
+from pentads.exact_linalg import Matrix, is_zero_vec, rank, vec_scale
 from pentads.graded import GradedVector, check_grading, check_minimality, extend, grading_element
 from pentads.lie import standard_symplectic_form, unit_coords
 from pentads.pentad import PhiMap, phi_map, random_int_vector
@@ -24,7 +24,7 @@ from pentads.preh import (
     sl2_partner,
 )
 
-from oracles import coords_of, equivariance_failure
+from oracles import coords_of, equivariance_failure, vec_add
 
 # Known generic point of matrix_space_example(2) (block-identity 4 x 3
 # matrix, flattened row-major) and its unique sl2 partner.

@@ -19,6 +19,7 @@ from pentads.exact_linalg import Matrix
 from pentads.graded import extend
 from pentads.lie import standard_symplectic_form
 from pentads.pentad import PhiMap, check_standard
+from pentads.preh import ad_on_dual, module_partner_map
 
 from oracles import assert_canonical, coords_of, equivariance_failure
 
@@ -112,7 +113,7 @@ def test_every_stored_matrix_is_canonical(name):
     rng = random.Random(0)
     x, y = (tuple(rng.randint(-9, 9) for _ in range(p.module_dim)) for _ in range(2))
     mats = [*p.algebra.basis, *p.rep.action, *p.dual.action, p.dual.pairing, p.form.gram,
-            p.algebra.trace_gram, p.phi.module_contraction(x), p.phi.dual_contraction(y)]
+            p.algebra.trace_gram, ad_on_dual(p, x), module_partner_map(p, y)]
     g = extend(p, 3)
     for sign in (1, -1):
         half = g.positive if sign > 0 else g.negative

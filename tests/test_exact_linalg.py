@@ -14,6 +14,7 @@ from pentads.exact_linalg import (
     kernel_basis,
     kronecker,
     linear_combination,
+    linear_combination_apply,
     qdiv,
     qnorm,
     qof,
@@ -26,7 +27,6 @@ from pentads.exact_linalg import (
     vec_dot,
     vec_scale,
 )
-from pentads.lie import trace_product
 
 from oracles import (
     assert_canonical,
@@ -296,6 +296,23 @@ class TestLinearCombination:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             linear_combination((1, 1), [Matrix.identity(2), Matrix.identity(3)])
+
+    def test_coefficient_count_must_match(self):
+        # one coefficient per matrix: neither truncated nor padded
+        mats = [Matrix.identity(3), Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])]
+        for coeffs in ((1,), (1, 0, 0)):
+            with pytest.raises(ValueError):
+                linear_combination(coeffs, mats)
+            with pytest.raises(ValueError):
+                linear_combination_apply(coeffs, mats, (1, 0, 0))
+
+    def test_apply_vector_length_must_match(self):
+        mats = [Matrix.identity(3)]
+        for v in ((1, 0), (1, 0, 0, 7)):
+            with pytest.raises(ValueError):
+                linear_combination_apply((1,), mats, v)
+            with pytest.raises(ValueError):
+                mats[0].apply(v)
 
 
 class TestRank:
@@ -706,7 +723,7 @@ class TestSparseViewMatchesDenseLoops:
     @given(square_pairs())
     def test_trace_product(self, pair):
         a, b = pair
-        assert typed((trace_product(a, b),)) == typed((dense_trace_product(a, b),))
+        assert typed(((a @ b).trace(),)) == typed((dense_trace_product(a, b),))
 
 
 # --- The nonzeros-only storage against the dense row grid it replaced ----------

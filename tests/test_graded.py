@@ -13,7 +13,6 @@ from pentads.exact_linalg import (
     rank,
     row_space_basis,
     solve_multi,
-    vec_add,
     vec_scale,
 )
 from pentads.graded import (
@@ -36,7 +35,8 @@ from pentads.pentad import (
     phi_map,
 )
 
-from oracles import pivot_columns
+from oracles import (pivot_columns, rational_matrix_space_pentad, rational_vector_pentad,
+                     vec_add)
 
 
 def build(spec, degree):
@@ -351,7 +351,6 @@ class _DenseHalf:
     def __init__(self, pentad, max_degree):
         self.pentad = pentad
         self.max_degree = max_degree
-        self.phi = pentad.phi
         m = pentad.module_dim
         self.dims = {1: m}
         self.maps = {}
@@ -359,10 +358,15 @@ class _DenseHalf:
         self.up = {}
         self._candidates = {}
         self._expansions = {}
+        # _phi_units[a][r] = Phi(x_a (x) y_r) = G^-1 . (W_i[a][r])_i, from this
+        # pentad's own tensor W_i = t(pi(b_i)).P
         gram_inv = inverse(pentad.form.gram)
-        self._phi_units = [
-            (gram_inv @ self.phi.module_contraction(unit_coords(m, a))).transpose().entries
-            for a in range(m)]
+        tables = [a.transpose().entries for a in pentad.rep.action]
+        pairing = pentad.dual.pairing.entries
+        w = [[[sum(t[a][c] * pairing[c][r] for c in range(m)) for r in range(m)]
+              for a in range(m)] for t in tables]
+        self._phi_units = [[gram_inv.apply(tuple(wi[a][r] for wi in w)) for r in range(m)]
+                           for a in range(m)]
         for k in range(1, max_degree):
             if self.dims.get(k, 0) == 0:
                 self.dims[k + 1] = 0
@@ -431,7 +435,8 @@ class _DenseHalf:
                 coords = tuple(g[p] for p in pivots)
                 resid = list(g)
                 for c, row in zip(coords, basis_flats):
-                    resid = [x - c * y for x, y in zip(resid, row)]
+                    if c:
+                        resid = [x - c * y for x, y in zip(resid, row)]
                 if any(resid):
                     raise ArithmeticError("action left the component span")
                 cols.append(coords)
@@ -471,6 +476,14 @@ class _DenseHalf:
                     acc = vec_add(acc, vec_scale(xa * us, table[a][s]))
         return acc
 
+    def phi(self, v, phi):
+        acc = (0,) * self.pentad.algebra.dim
+        for a, va in enumerate(v):
+            for r, fr in enumerate(phi):
+                if va and fr:
+                    acc = vec_add(acc, vec_scale(va * fr, self._phi_units[a][r]))
+        return acc
+
     def action(self, k, g, v):
         if k == 1:
             return self.pentad.rep.apply(g, v)
@@ -505,13 +518,13 @@ class _DenseAlgebra:
             return vec_scale(-1, self.bracket(0, b, j, a))
         if j == 1:
             if k == -1:
-                return self.positive.phi.apply(a, b)
+                return self.positive.phi(a, b)
             if k >= 1:
                 return self.positive.up_bracket(k, a, b)
             return vec_scale(-1, self.negative.evaluate(-k, b, a))
         if j == -1:
             if k == 1:
-                return vec_scale(-1, self.positive.phi.apply(b, a))
+                return vec_scale(-1, self.positive.phi(b, a))
             if k <= -1:
                 return self.negative.up_bracket(-k, a, b)
             return vec_scale(-1, self.positive.evaluate(k, b, a))
@@ -684,11 +697,20 @@ class TestSparseMatchesDense:
 
 # The dense bracket recursion takes 4.5 s on matrix_space_example(2)@2 and
 # 20 s on gl1_so_vector(4)@4, so those two are checked by the digests pinned
-# further down, computed with the dense construction.
+# further down, computed with the dense construction.  The two rational
+# pentads pair by a non-symmetric matrix of Fractions and carry a non-trace
+# form, so the negative side's bracket with U_1, read off the mirror's own
+# Phi, is checked against the negated dense Phi of the pentad itself.
+RATIONAL_PENTADS = {"rational_vector": rational_vector_pentad,
+                    "rational_matrix_space": rational_matrix_space_pentad}
+
+
 @pytest.mark.parametrize("spec,degree", [("gl2_trace", 3), ("gl2_standard", 3),
-                                         ("gl1_so_vector(3)", 3), ("gl1_so_vector(4)", 3)])
+                                         ("gl1_so_vector(3)", 3), ("gl1_so_vector(4)", 3),
+                                         ("rational_vector", 2),
+                                         ("rational_matrix_space", 2)])
 def test_unit_pair_brackets_match_dense(spec, degree):
-    p = resolve(spec).build()
+    p = RATIONAL_PENTADS[spec]() if spec in RATIONAL_PENTADS else resolve(spec).build()
     g, dense = extend(p, degree), _DenseAlgebra(p, degree)
     for a, b in unit_pairs(g):
         assert g.bracket(a, b).coords == dense.bracket(a.degree, a.coords, b.degree, b.coords)

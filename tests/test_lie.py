@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pentads.catalog import catalog, resolve
-from pentads.exact_linalg import (Matrix, is_zero_vec, kernel_basis, qof, rank,
-                                  row_space_basis, solve_multi, vec_add, vec_scale,
-                                  zero_vec)
+from pentads.exact_linalg import (Matrix, dense_vec, is_zero_vec, kernel_basis, qof, rank,
+                                  row_space_basis, solve_multi, vec_scale, zero_vec)
 from pentads.lie import (
     BilinearForm,
     FormReport,
@@ -25,11 +24,10 @@ from pentads.lie import (
     scalar_center_report,
     standard_symplectic_form,
     trace_form,
-    trace_product,
     unit_coords,
 )
 
-from oracles import coords_of, matrix_of
+from oracles import coords_of, dense_trace_product, matrix_of, vec_add
 
 
 def e(n, i, j):
@@ -51,7 +49,7 @@ class TestCommutator:
     def test_trace_product_matches_full_product(self):
         a = Matrix.from_rows([[1, Fraction(1, 2)], [0, 3]])
         b = Matrix.from_rows([[2, 1], [5, -1]])
-        assert trace_product(a, b) == (a @ b).trace()
+        assert dense_trace_product(a, b) == (a @ b).trace()
 
 
 class TestBuildAlgebra:
@@ -72,9 +70,9 @@ class TestBuildAlgebra:
     def test_structure_constants_of_borel(self):
         alg = build_algebra(2, [e(2, 0, 0), e(2, 0, 1)])
         # [E_00, E_01] = E_01
-        assert alg.basis_bracket(0, 1) == (0, 1)
-        assert alg.basis_bracket(1, 0) == (0, -1)
-        assert alg.basis_bracket(0, 0) == (0, 0)
+        assert alg.structure[0][1] == ((1, 1),)
+        assert alg.structure[1][0] == ((1, -1),)
+        assert alg.structure[0][0] == ()
 
     def test_bracket_coords_matches_ambient_commutator(self):
         alg = family("gl", 2)
@@ -91,6 +89,18 @@ class TestBuildAlgebra:
     def test_coords_of_outside_span_is_none(self):
         alg = family("so", 3)
         assert coords_of(alg, e(3, 0, 0)) is None
+
+    def test_wrong_coordinate_length_rejected(self):
+        # too short and too long, in either argument: no silent truncation
+        # and no bare IndexError
+        alg = family("gl", 2)
+        for bad in ((0, 1), (0, 0, 1, 0, 5)):
+            with pytest.raises(ValueError):
+                alg.bracket_coords(bad, (0, 0, 1, 0))
+            with pytest.raises(ValueError):
+                alg.bracket_coords((0, 0, 1, 0), bad)
+            with pytest.raises(ValueError):
+                alg.ad_matrix(bad)
 
     def test_ad_matrix_of_diagonal_element(self):
         # ad(E_00) acts on gl(2) with eigenvalues 0, 1, -1, 0 on the E_ij basis.
@@ -403,7 +413,8 @@ def dense_derived(table):
 
 
 def dense_table(alg):
-    return [[alg.basis_bracket(i, j) for j in range(alg.dim)] for i in range(alg.dim)]
+    return [[dense_vec(alg.structure[i][j], alg.dim) for j in range(alg.dim)]
+            for i in range(alg.dim)]
 
 
 CATALOG_PENTADS = [e.display_name for e in catalog()] + [
@@ -445,6 +456,11 @@ class TestSparseStructureMatchesDense:
         table = dense_structure(p.algebra.ambient_size, p.algebra.basis)
         for gram in (p.form.gram, trace_form(p.algebra).gram, Matrix.identity(p.algebra.dim)):
             assert check_form(p.algebra, BilinearForm(gram)) == dense_check_form(table, gram)
+
+    @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
+    def test_trace_gram(self, alg):
+        assert alg.trace_gram == Matrix(tuple(
+            tuple(dense_trace_product(a, b) for b in alg.basis) for a in alg.basis))
 
     @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
     def test_ad_matrix_columns_are_brackets(self, alg):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentads.exact_linalg import Matrix, kronecker, vec_add, vec_neg, vec_scale
+from pentads.catalog import resolve
+from pentads.exact_linalg import Matrix, kronecker, linear_combination, vec_neg, vec_scale
 from pentads.lie import BilinearForm, build_algebra, family, trace_form, unit_coords
 from pentads.pentad import (
     DualModule,
@@ -24,7 +25,7 @@ from pentads.pentad import (
     phi_map,
 )
 
-from oracles import equivariance_failure
+from oracles import equivariance_failure, vec_add
 
 
 def coordinate_pentad(alg, action=None, form=None):
@@ -73,15 +74,27 @@ class TestRepresentation:
             Representation(family("gl", 2), (Matrix.identity(2),))
 
     def test_act_is_linear_combination(self):
+        # E_00 - 2 E_11 acts as diag(1, -2)
         rep = Representation(family("gl", 2), family("gl", 2).basis)
-        m = rep.act((1, 0, 0, -2))
-        assert m == Matrix.from_rows([[1, 0], [0, -2]])
+        assert rep.apply((1, 0, 0, -2), (1, 0)) == (1, 0)
+        assert rep.apply((1, 0, 0, -2), (0, 1)) == (0, -2)
 
     def test_apply_matches_act(self):
         rep = Representation(family("sp", 2), family("sp", 2).basis)
         coords = (1, 0, -1, 2, 0, 0, 1, 0, 0, 3)
         v = (1, -1, 2, 0)
-        assert rep.apply(coords, v) == rep.act(coords).apply(v)
+        assert rep.apply(coords, v) == linear_combination(coords, rep.action).apply(v)
+
+    def test_apply_rejects_wrong_lengths(self):
+        # gl(1) + so(3) on C^3: d = 4, m = 3; no silent truncation, no IndexError
+        rep = resolve("gl1_so_vector(3)").build().rep
+        assert (rep.algebra.dim, rep.module_dim) == (4, 3)
+        for coords, v in (((1,), (1, 0, 0)), ((1, 0, 0, 0, 5), (1, 0, 0)),
+                          ((1, 0, 0, 0), (1, 0, 0, 7)), ((1, 0, 0, 0), (1, 0))):
+            with pytest.raises(ValueError):
+                rep.apply(coords, v)
+        with pytest.raises(ValueError):
+            linear_combination((1,), rep.action)
 
 
 class TestDualRepresentation:
