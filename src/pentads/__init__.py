@@ -28,7 +28,6 @@ from .pentad import (
     StandardPentad,
     check_standard,
     dual_representation,
-    phi_map,
 )
 from .preh import (
     GradingElementError,
@@ -39,7 +38,6 @@ from .preh import (
     decide_regularity,
     find_generic,
     is_generic,
-    relative_invariant_indicator,
     sl2_partner,
     verify_certificate,
 )
@@ -82,9 +80,7 @@ __all__ = [
     "kernel_basis",
     "pentad_from_json",
     "pentad_to_json",
-    "phi_map",
     "rank",
-    "relative_invariant_indicator",
     "resolve",
     "sl2_partner",
     "solve",

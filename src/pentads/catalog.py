@@ -35,12 +35,6 @@ class CatalogEntry:
     builder: Callable[..., StandardPentad]
     description: str
 
-    @property
-    def display_name(self) -> str:
-        if not self.parameters:
-            return self.name
-        return f"{self.name}({','.join(str(p) for p in self.parameters)})"
-
     def build(self) -> StandardPentad:
         return self.builder(*self.parameters)
 

@@ -18,7 +18,7 @@ from .catalog import CatalogError, catalog, resolve
 from .exact_linalg import Vec, qof
 from .graded import check_grading, check_minimality, extend, grading_element
 from .lie import LieAlgebraError
-from .pentad import PentadError, StandardPentad, ValidationReport, check_standard, phi_map
+from .pentad import PentadError, StandardPentad, ValidationReport, check_standard
 from .preh import (GradingElementError, ScalarCenterError, decide_regularity,
                    find_generic, sl2_partner, verify_certificate)
 from .serialize import (SerializationError, dumps, pentad_from_json,
@@ -105,7 +105,7 @@ def cmd_phi(args) -> int:
     p = _validated_pentad(args)
     _require_length("--v", args.v, p.module_dim)
     _require_length("--dual", args.dual, p.module_dim)
-    _emit({"value": vector_to_json(phi_map(p, args.v, args.dual))})
+    _emit({"value": vector_to_json(p.phi.apply(args.v, args.dual))})
     return 0
 
 

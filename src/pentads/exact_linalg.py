@@ -5,8 +5,8 @@ kernels, and linear solves computed without rounding.  Scalars are plain
 ``int`` or ``fractions.Fraction``; integers are kept as ``int`` wherever
 possible because integer arithmetic is much cheaper than Fraction
 arithmetic and the two compare equal.  Division is the only operation that
-can leave the integers, and its results are always normalized (:func:`qdiv`,
-:func:`qnorm`).
+can leave the integers, and its results are always normalized
+(:func:`qnorm`).
 
 A :class:`Matrix` stores only its nonzeros and its width: the matrices here
 are almost all zeros, so every operation walks and returns nonzeros, and the
@@ -40,20 +40,20 @@ SparseVec = tuple[tuple[int, Q], ...]
 
 
 def qof(x: Q | str) -> Q:
-    """Coerce an int, Fraction, or string like '-3/7' to a scalar."""
-    if isinstance(x, bool):
-        raise TypeError("bool is not a rational scalar")
-    if isinstance(x, int):
+    """Coerce an int, Fraction, or string like '-3/7' to a scalar; the
+    dispatch is on the exact type, so a bool is not a scalar."""
+    t = type(x)
+    if t is int:
         return x
-    if isinstance(x, Fraction):
-        return qnorm(x)
-    if isinstance(x, str):
+    if t is str:
         # Plain ASCII integer literals, the bulk of every pentad file, skip
         # Fraction's regex; int() gives them the same value.
         digits = x[1:] if x[:1] == "-" else x
         if digits.isascii() and digits.isdigit():
             return int(x)
         return qnorm(Fraction(x))
+    if t is Fraction:
+        return qnorm(x)
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
@@ -62,11 +62,6 @@ def qnorm(x: Q) -> Q:
     if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
-
-
-def qdiv(a: Q, b: Q) -> Q:
-    """Exact division; never touches floats."""
-    return qnorm(Fraction(a) / b)
 
 
 def qstr(x: Q) -> str:
@@ -294,10 +289,6 @@ class SolveResult:
     solution: Vec | None
     kernel: list[Vec]
 
-    @property
-    def is_solvable(self) -> bool:
-        return self.status != "none"
-
 
 def solve(a: Matrix, b: Sequence[Q]) -> SolveResult:
     """Solve a @ x = b exactly, classifying the solution set.
@@ -474,10 +465,6 @@ def vec_scale(c: Q, v: Sequence[Q]) -> Vec:
 
 def vec_neg(v: Sequence[Q]) -> Vec:
     return tuple(-x for x in v)
-
-
-def vec_dot(u: Sequence[Q], v: Sequence[Q]) -> Q:
-    return qnorm(sum(a * b for a, b in zip(u, v) if a and b))
 
 
 def is_zero_vec(v: Sequence[Q]) -> bool:

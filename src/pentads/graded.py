@@ -3,11 +3,11 @@
 Starting from the local part  U_{-1} + g + U_1  the positive components are
 built inside Hom(U_{-1}, U_k): for x in U_1 and u in U_k the bracket [x, u]
 is the map y -> [[x, y], u] + [x, [u, y]], and U_{k+1} is the span of these
-candidates.  The negative side runs the same machinery on the mirrored
-pentad.  Realizing each component as maps makes evaluation against U_{-1}
-literally the bracket, so minimality (no nonzero vector bracketing to zero
-with the opposite generator line) is a rank statement about the stored
-maps.
+candidates.  The negative side runs the same machinery with the module and
+its dual swapped and Phi's unit table swapped and negated.  Realizing each
+component as maps makes evaluation against U_{-1} literally the bracket, so
+minimality (no nonzero vector bracketing to zero with the opposite
+generator line) is a rank statement about the stored maps.
 
 Every component is stored by its nonzeros only (see _Half): basis maps and
 action matrices as sparse Matrix objects, bracket-table and memo entries as
@@ -46,7 +46,7 @@ from .exact_linalg import (
     zero_vec,
 )
 from .lie import unit_coords
-from .pentad import StandardPentad, mirror
+from .pentad import StandardPentad
 
 
 class DegreeError(ValueError):
@@ -98,35 +98,36 @@ def grading_element(p: StandardPentad) -> GradingElementResult:
 class _Half:
     """Positive-degree components of one side of the graded algebra.
 
-    Per degree k:
+    The side is given by the algebra's action on its degree-one line U_1
+    and on the opposite line U_{-1}, and by the bracket U_1 x U_{-1} -> g
+    as a unit table: units[a] holds the nonzeros (i, r, c) of [x_a, y_r],
+    ascending in (i, r), for the bases x of U_1 and y of U_{-1}.  Per
+    degree k:
 
       maps[k][s]     (k >= 2) basis vector s of U_k as the m x dim U_{k-1}
                      Matrix whose row r is [u_s, y_r]: the transpose of the
                      map U_{-1} -> U_{k-1}, so m rows however large U_{k-1};
-      actions[k][i]  the Matrix of algebra basis element i acting on U_k;
-                     degree 1 is the pentad's own action, and the
-                     truncation degree is built on first use;
+      actions[k][i]  the Matrix of algebra basis element i acting on U_k,
+                     built on first use above degree 1;
       up[k][a][s]    [x_a, u_s] in U_{k+1}, as (index, value) pairs;
-      dual[i]        the pentad's matrix of basis element i acting on U_{-1}.
+      dual[i]        the matrix of basis element i acting on U_{-1}.
 
-    The bracket U_1 x U_{-1} -> g is not stored here: the next candidates
-    read this side's pentad's Phi unit table (PhiMap.units) and
-    GradedAlgebra evaluates it with that PhiMap's apply.  Every reader
-    (evaluation, the actions, the table, the next candidates, the checks) is
-    one contraction over these nonzeros into a single list or dict
-    accumulator, normalized once at the end.  Bracket expansions back into
-    generator pairs are solved lazily from the up table; they are only
-    needed for general brackets whose first argument sits in degree >= 2.
+    Every reader (evaluation, the actions, the table, the next candidates,
+    the checks) is one contraction over these nonzeros into a single list
+    or dict accumulator, normalized once at the end.  Bracket expansions
+    back into generator pairs are solved lazily from the up table; they are
+    only needed for general brackets whose first argument sits in degree
+    >= 2.
     """
 
-    def __init__(self, pentad: StandardPentad, max_degree: int):
-        self.pentad = pentad
-        self.max_degree = max_degree
-        m = pentad.module_dim
+    def __init__(self, action: Sequence[Matrix], dual: Sequence[Matrix],
+                 units: Sequence[tuple[tuple[int, int, Q], ...]], max_degree: int):
+        self.m = m = len(units)
+        self.units = units
         self.dims: dict[int, int] = {1: m}
         self.maps: dict[int, tuple[Matrix, ...]] = {}
-        self.actions: dict[int, list[Matrix]] = {1: list(pentad.rep.action)}
-        self.dual = pentad.dual.action
+        self.actions: dict[int, list[Matrix]] = {1: list(action)}
+        self.dual = dual
         self.up: dict[int, list[list[SparseVec]]] = {}
         self._expansions: dict[int, list[tuple[tuple[Q, int, int], ...]]] = {}
         for k in range(1, max_degree):
@@ -136,13 +137,11 @@ class _Half:
             self._build_next(k)
 
     def _build_next(self, k: int) -> None:
-        m = self.pentad.module_dim
+        m, units = self.m, self.units
         nk = self.dims[k]
         cands: list[dict[int, Q]] = [{} for _ in range(m * nk)]
         act = self.action_rows(k)
-        # units[a]: the nonzeros (i, r, g) of Phi(x_a (x) y_r)
-        units = self.pentad.phi.units
-        # [[x_a, y_r], u_s] = pi(Phi(x_a (x) y_r)) u_s, for every s at once
+        # [[x_a, y_r], u_s] = pi([x_a, y_r]) u_s, for every s at once
         for a in range(m):
             for i, r, g in units[a]:
                 for t, row in enumerate(act[i].nonzeros):
@@ -151,7 +150,7 @@ class _Half:
                         cand = cands[a * nk + s]
                         cand[j] = cand.get(j, 0) + g * x
         if k == 1:
-            # [x_a, [u_s, y_r]] = -pi(Phi(u_s (x) y_r)) x_a
+            # [x_a, [u_s, y_r]] = -pi([u_s, y_r]) x_a
             for s in range(m):
                 for i, r, h in units[s]:
                     for t, row in enumerate(act[i].nonzeros):
@@ -183,39 +182,35 @@ class _Half:
         table = [tuple((pivot_of[j], cand[j]) for j in sorted(cand) if j in pivot_of)
                  for cand in candidates]
         self.up[k] = [table[a * nk:(a + 1) * nk] for a in range(m)]
-        # Construction of degree k+2 needs the algebra action on degree k+1;
-        # at the truncation bound the table is built on first use instead.
-        if k + 1 < self.max_degree:
-            self._build_action(k + 1)
 
     def _build_action(self, degree: int) -> None:
         """(a.f)(y) = [a, f(y)] - f([a, y]) on the stored basis maps."""
-        m = self.pentad.module_dim
+        m = self.m
         maps = self.maps[degree]
         flats = [_flat(f, m) for f in maps]
-        pivots = [v[0][0] for v in flats]
+        index_of = {v[0][0]: s for s, v in enumerate(flats)}
         out: list[Matrix] = []
         for amat, dmat in zip(self.action_rows(degree - 1), self.dual):
             a_cols, d_rows = amat.transpose().nonzeros, dmat.nonzeros
             columns = []
             for f in maps:
                 g = _twist(a_cols, f, d_rows, m)
-                coords = [g.get(p, 0) for p in pivots]
+                # The basis is in RREF, so the coordinates are g's entries
+                # at the pivots, found among g's own keys.
+                coords = sorted((index_of[j], c) for j, c in g.items() if c and j in index_of)
                 # Stability of the component under the algebra is what makes
                 # pivot reads valid here, so rebuild and compare to be sure.
-                for c, v in zip(coords, flats):
-                    if c:
-                        for j, x in v:
-                            g[j] = g.get(j, 0) - c * x
+                for s, c in coords:
+                    for j, x in flats[s]:
+                        g[j] = g.get(j, 0) - c * x
                 if any(g.values()):
                     raise ArithmeticError("action left the component span")
-                columns.append(tuple((row, qnorm(c)) for row, c in enumerate(coords) if c))
+                columns.append(tuple((s, qnorm(c)) for s, c in coords))
             out.append(Matrix.from_nonzeros(columns, len(maps)).transpose())
         self.actions[degree] = out
 
     def action_rows(self, k: int) -> list[Matrix]:
-        """The algebra basis acting on U_k; built on first use at the
-        truncation bound."""
+        """The algebra basis acting on U_k, built on first use."""
         if k not in self.actions and self.dims.get(k, 0):
             self._build_action(k)
         return self.actions.get(k, [])
@@ -326,9 +321,11 @@ class GradedAlgebra:
 
     Degree 0 is the algebra in its own basis; degrees +-1 are the module and
     the dual in theirs; higher components are canonical echelon bases of
-    candidate spans, positive degrees over the pentad and negative ones over
-    its mirror.  All brackets are exact; general ones recurse through stored
-    expansions and are memoized per basis pair.
+    candidate spans.  The negative half swaps the module and the dual:
+    [phi_r, v_a] = -Phi(v_a (x) phi_r), so its unit table is the pentad's
+    with the two indices swapped and every value negated.  All brackets are
+    exact; general ones recurse through stored expansions and are memoized
+    per basis pair.
     """
 
     def __init__(self, pentad: StandardPentad, max_degree: int):
@@ -336,8 +333,14 @@ class GradedAlgebra:
             raise DegreeError("max_degree must be at least 1")
         self.pentad = pentad
         self.max_degree = max_degree
-        self.positive = _Half(pentad, max_degree)
-        self.negative = _Half(mirror(pentad), max_degree)
+        units = pentad.phi.units
+        swapped: list[list[tuple[int, int, Q]]] = [[] for _ in units]
+        for a, entries in enumerate(units):
+            for i, r, c in entries:
+                swapped[r].append((i, a, -c))
+        self.positive = _Half(pentad.rep.action, pentad.dual.action, units, max_degree)
+        self.negative = _Half(pentad.dual.action, pentad.rep.action,
+                              tuple(tuple(sorted(e)) for e in swapped), max_degree)
         self._memo: dict[tuple[int, int, int, int], SparseVec] = {}
         self._dims = {0: pentad.algebra.dim}
         for k in range(1, max_degree + 1):
@@ -354,7 +357,7 @@ class GradedAlgebra:
         return self._dims[degree]
 
     def _half(self, degree: int) -> _Half:
-        """The side holding the nonzero degree: positive, or the mirror's."""
+        """The side holding the nonzero degree."""
         return self.positive if degree > 0 else self.negative
 
     def component_maps(self, degree: int) -> tuple[Matrix, ...]:
@@ -381,8 +384,7 @@ class GradedAlgebra:
         return GradedVector(j + k, self._bracket(j, a.coords, k, b.coords))
 
     def _bracket(self, j: int, a: Vec, k: int, b: Vec) -> Vec:
-        """Each case runs on the side of its sign: the negative side is the
-        mirror, whose own Phi gives [phi, v] = -Phi(v (x) phi) directly."""
+        """Each case runs on the side of its sign; [phi, v] = -Phi(v (x) phi)."""
         target = self._dims[j + k]
         if target == 0 or is_zero_vec(a) or is_zero_vec(b):
             return zero_vec(target)
@@ -395,7 +397,8 @@ class GradedAlgebra:
         one = 1 if j > 0 else -1
         if abs(j) == 1:
             if k == -j:
-                return self._half(j).pentad.phi.apply(a, b)
+                phi = self.pentad.phi
+                return phi.apply(a, b) if j > 0 else vec_neg(phi.apply(b, a))
             if j * k > 0:
                 return self._half(j).up_bracket(abs(k), a, b)
             return vec_neg(self._half(k).evaluate(abs(k), b, a))
@@ -491,7 +494,7 @@ def check_minimality(g: GradedAlgebra) -> bool:
     anything else falls back to an actual rank computation.
     """
     for half in (g.positive, g.negative):
-        m = half.pentad.module_dim
+        m = half.m
         for k in range(2, g.max_degree + 1):
             n = half.dims.get(k, 0)
             if n == 0:
@@ -517,13 +520,10 @@ def check_grading(g: GradedAlgebra, h: GradingElement) -> bool:
     runs against those tables and never forces the top-degree action table
     into existence.  Everything is compared by nonzero entries.
     """
-    p = g.pentad
-    d = p.algebra.dim
-    for j in range(d):
-        if not is_zero_vec(p.algebra.bracket_coords(h.coords, unit_coords(d, j))):
-            return False
+    if not g.pentad.algebra.ad_matrix(h.coords).is_zero():
+        return False
     for half, sign in ((g.positive, 1), (g.negative, -1)):
-        m = half.pentad.module_dim
+        m = half.m
         if linear_combination(h.coords, half.actions[1]) != Matrix.identity(m).scale(2 * sign):
             return False
         d_rows = linear_combination(h.coords, half.dual).nonzeros

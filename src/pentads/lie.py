@@ -51,10 +51,6 @@ class NotClosedError(LieAlgebraError):
         self.pair = (i, j)
 
 
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b - b @ a
-
-
 @dataclass(frozen=True)
 class MatrixLieAlgebra:
     """A Lie algebra of ambient_size x ambient_size matrices.

@@ -37,7 +37,6 @@ from .exact_linalg import (
     linear_combination_apply,
     qnorm,
     qstr,
-    vec_dot,
 )
 from .lie import (
     BilinearForm,
@@ -189,10 +188,6 @@ class StandardPentad:
         """The pentad's Phi-map, built on first use and shared afterwards."""
         return PhiMap(self)
 
-    def pair(self, v: Sequence[Q], phi: Sequence[Q]) -> Q:
-        """<v, phi> through the pairing matrix."""
-        return qnorm(vec_dot(v, self.dual.pairing.apply(phi)))
-
 
 @dataclass(frozen=True)
 class AxiomFailure:
@@ -267,8 +262,8 @@ class PhiMap:
     once, at construction.  It is the only stored form of Phi: apply
     contracts it, the regularity legs (preh.ad_on_dual and
     preh.module_partner_map) contract it into matrices, and the graded
-    construction reads it directly.  Every pentad owns one instance,
-    StandardPentad.phi.
+    construction reads it directly, swapped and negated for its negative
+    half.  Every pentad owns one instance, StandardPentad.phi.
     """
 
     def __init__(self, p: StandardPentad):
@@ -305,11 +300,6 @@ class PhiMap:
         return tuple(qnorm(x) for x in acc)
 
 
-def phi_map(p: StandardPentad, v: Sequence[Q], phi: Sequence[Q]) -> Vec:
-    """Phi(v (x) phi) through the pentad's own PhiMap."""
-    return p.phi.apply(v, phi)
-
-
 def random_int_vector(rng: random.Random, n: int) -> Vec:
     """Uniform integer entries in [-9, 9]; the shared sampling convention."""
     return tuple(rng.randint(-9, 9) for _ in range(n))
@@ -340,17 +330,3 @@ def box_tensor(reps: Sequence[Representation]) -> Representation:
             action.append(m)
     return Representation(algebra, tuple(action))
 
-
-def mirror(p: StandardPentad) -> StandardPentad:
-    """Swap the module and its dual.
-
-    The mirrored pairing is the transpose, so <phi, v>' = <v, phi>, and the
-    compatibility axiom transposes onto itself.  The graded construction
-    runs the positive-degree machinery on the mirror to build the negative
-    side.
-    """
-    return StandardPentad(
-        p.algebra,
-        Representation(p.algebra, p.dual.action),
-        DualModule(p.rep.action, p.dual.pairing.transpose()),
-        p.form)

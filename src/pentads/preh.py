@@ -29,7 +29,6 @@ from .exact_linalg import (
     check_length,
     is_zero_vec,
     kernel_basis,
-    linear_combination,
     linear_combination_apply,
     rank,
     solve,
@@ -161,42 +160,22 @@ class PartnerResult:
     triple: Sl2Triple | None
 
 
-def sl2_partner(p: StandardPentad, h, x: Vec) -> PartnerResult:
+def sl2_partner(p: StandardPentad, h: GradingElement, x: Vec) -> PartnerResult:
     """Solve Phi(x (x) y) = h for a dual vector y.
 
-    A GradingElement h makes the eigenvalue relations automatic for every
-    x and y.  A raw coordinate vector is not trusted: [h,x] = 2x is checked
-    up front and [h,y] = -2y joins the linear system, so any solution still
-    completes an honest triple.  A unique solution ships as a verified
-    Sl2Triple.
+    The grading element makes the eigenvalue relations automatic for every
+    x and y, so a unique solution ships as a verified Sl2Triple.  A status
+    other than "none" means a nontrivial relative invariant exists.
     """
-    certified = isinstance(h, GradingElement)
-    hc = h.coords if certified else tuple(h)
-    m = p.module_dim
-    rows = list(ad_on_dual(p, x).nonzeros)
-    rhs: list = list(hc)
-    if not certified:
-        if p.rep.apply(hc, x) != vec_scale(2, x):
-            return PartnerResult("none", None, (), None)
-        eigen = linear_combination(hc, p.dual.action) + Matrix.identity(m).scale(2)
-        rows.extend(eigen.nonzeros)
-        rhs.extend([0] * m)
-    res = solve(Matrix.from_nonzeros(rows, m), tuple(rhs))
+    if not isinstance(h, GradingElement):
+        raise TypeError("sl2_partner takes the pentad's GradingElement")
+    res = solve(ad_on_dual(p, x), h.coords)
     if res.status == "none":
         return PartnerResult("none", None, (), None)
     if res.status == "affine":
         return PartnerResult("affine", res.solution, tuple(res.kernel), None)
     return PartnerResult("unique", res.solution, (),
-                         Sl2Triple(p, res.solution, hc, x))
-
-
-def relative_invariant_indicator(p: StandardPentad, h, x: Vec) -> bool:
-    """Existence half of the partner condition.
-
-    True indicates a nontrivial relative invariant exists; no polynomial
-    is computed here.
-    """
-    return sl2_partner(p, h, x).status != "none"
+                         Sl2Triple(p, res.solution, h.coords, x))
 
 
 @dataclass(frozen=True)
@@ -301,10 +280,8 @@ def verify_certificate(p: StandardPentad, v: RegularityVerdict) -> bool:
             pr = sl2_partner(p, GradingElement(h0), x)
             if pr.status != "unique" or pr.y != tuple(v.y):
                 return False
-            nmat = module_partner_map(p, pr.y)
-            if kernel_basis(nmat):
-                return False
-            return solve(nmat, h0).is_solvable
+            # x solves Phi(xi (x) y) = h0; uniqueness is the trivial kernel
+            return solve(module_partner_map(p, pr.y), h0).status == "unique"
         return False
     except (ValueError, KeyError, TypeError):
         return False

@@ -3,10 +3,12 @@
 None of it is on the pipeline's path: it reconstructs ambient matrices from
 algebra coordinates, reads coordinates back with a dense solve, checks the
 Phi-map's equivariance identity on random samples, builds two pentads whose
-pairing and form are neither identity nor trace, keeps the dense
-cell-by-cell loops that Matrix.nonzeros replaced, and keeps the operations
-of the dense row grid that Matrix stored before it stored only nonzeros,
-with a check of the stored form.
+pairing and form are neither identity nor trace, builds the mirrored pentad
+whose Phi the graded construction's negative half reads, keeps the dense
+cell-by-cell loops that Matrix.nonzeros replaced, keeps the operations of
+the dense row grid that Matrix stored before it stored only nonzeros, with
+a check of the stored form, and reads graded action tables densely at every
+pivot.
 """
 
 import random
@@ -16,12 +18,49 @@ from itertools import chain
 from pentads.catalog import matrix_space_example, resolve
 from pentads.exact_linalg import Matrix, kronecker, qnorm, solve_multi
 from pentads.lie import BilinearForm, standard_symplectic_form, trace_form, unit_coords
-from pentads.pentad import StandardPentad, dual_representation, random_int_vector
+from pentads.graded import _flat, _twist
+from pentads.pentad import (
+    DualModule,
+    Representation,
+    StandardPentad,
+    dual_representation,
+    random_int_vector,
+)
 
 
 def vec_add(u, v):
     """u + v, entry by entry, normalized."""
     return tuple(qnorm(a + b) for a, b in zip(u, v))
+
+
+def vec_dot(u, v):
+    return qnorm(sum(a * b for a, b in zip(u, v)))
+
+
+def pair(p, v, phi):
+    """<v, phi> through the pentad's pairing matrix."""
+    return vec_dot(v, p.dual.pairing.apply(phi))
+
+
+def display_name(entry):
+    """A catalog entry as resolve() reads it back: 'name' or 'name(3,4)'."""
+    if not entry.parameters:
+        return entry.name
+    return f"{entry.name}({','.join(str(x) for x in entry.parameters)})"
+
+
+def mirror(p):
+    """Swap the module and its dual.
+
+    The mirrored pairing is the transpose, so <phi, v>' = <v, phi>, and the
+    compatibility axiom transposes onto itself.  Its Phi is the reference
+    for the unit table of the graded construction's negative half.
+    """
+    return StandardPentad(
+        p.algebra,
+        Representation(p.algebra, p.dual.action),
+        DualModule(p.rep.action, p.dual.pairing.transpose()),
+        p.form)
 
 
 def matrix_of(alg, coords):
@@ -214,3 +253,30 @@ def grid_zeros(rows, cols):
 
 def grid_flat(a):
     return tuple(chain.from_iterable(a.entries))
+
+
+# --- The dense pivot read, the reference for graded action tables -----------
+
+def dense_pivot_action(half, degree):
+    """The algebra basis acting on U_degree of a graded half, each column
+    read from the twisted map at every pivot of the stored basis in turn:
+    the dense reference for _Half._build_action."""
+    m = half.m
+    maps = half.maps[degree]
+    flats = [_flat(f, m) for f in maps]
+    pivots = [v[0][0] for v in flats]
+    out = []
+    for amat, dmat in zip(half.action_rows(degree - 1), half.dual):
+        a_cols, d_rows = amat.transpose().nonzeros, dmat.nonzeros
+        columns = []
+        for f in maps:
+            g = _twist(a_cols, f, d_rows, m)
+            coords = [g.get(p, 0) for p in pivots]
+            for c, v in zip(coords, flats):
+                if c:
+                    for j, x in v:
+                        g[j] = g.get(j, 0) - c * x
+            assert not any(g.values()), "action left the component span"
+            columns.append([qnorm(c) for c in coords])
+        out.append(Matrix(tuple(zip(*columns))))
+    return out

@@ -21,7 +21,7 @@ from pentads.lie import standard_symplectic_form
 from pentads.pentad import PhiMap, check_standard
 from pentads.preh import ad_on_dual, module_partner_map
 
-from oracles import assert_canonical, coords_of, equivariance_failure
+from oracles import assert_canonical, coords_of, equivariance_failure, pair
 
 
 def closed_form_phi(pentad, n, v_flat, u_flat):
@@ -156,14 +156,13 @@ class TestMatrixSpacePhi:
         vm = Matrix(tuple(v[i * 3:(i + 1) * 3] for i in range(4)))
         um = Matrix(tuple(u[i * 3:(i + 1) * 3] for i in range(4)))
         j = standard_symplectic_form(2)
-        assert p.pair(v, u) == (vm.transpose() @ j @ um).trace()
+        assert pair(p, v, u) == (vm.transpose() @ j @ um).trace()
 
 
 class TestResolve:
     def test_bare_name_uses_defaults(self):
         entry = resolve("gl1_so_vector")
-        assert entry.parameters == (3,)
-        assert entry.display_name == "gl1_so_vector(3)"
+        assert (entry.name, entry.parameters) == ("gl1_so_vector", (3,))
 
     def test_explicit_parameter(self):
         entry = resolve("gl1_so_vector(5)")

@@ -15,11 +15,13 @@ from pentads import cli
 from pentads.catalog import catalog, resolve
 from pentads.exact_linalg import Matrix, qstr
 from pentads.lie import family, trace_form
-from pentads.pentad import Representation, StandardPentad, dual_representation, phi_map
+from pentads.pentad import Representation, StandardPentad, dual_representation
 from pentads.preh import decide_regularity
 from pentads.serialize import dumps, pentad_to_json
 
-ENTRY_NAMES = [e.display_name for e in catalog()]
+from oracles import display_name
+
+ENTRY_NAMES = [display_name(e) for e in catalog()]
 
 
 def run(capsys, *argv):
@@ -334,7 +336,7 @@ class TestPhi:
         code, doc = run(capsys, "phi", "--example", "gl2_trace",
                         "--v", "1,0", "--dual", "0,1")
         assert code == 0
-        assert doc["value"] == [qstr(x) for x in phi_map(p, (1, 0), (0, 1))]
+        assert doc["value"] == [qstr(x) for x in p.phi.apply((1, 0), (0, 1))]
 
 
 class TestGradingElement:

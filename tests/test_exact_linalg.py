@@ -15,7 +15,6 @@ from pentads.exact_linalg import (
     kronecker,
     linear_combination,
     linear_combination_apply,
-    qdiv,
     qnorm,
     qof,
     qstr,
@@ -24,7 +23,6 @@ from pentads.exact_linalg import (
     rref,
     solve,
     solve_multi,
-    vec_dot,
     vec_scale,
 )
 
@@ -94,6 +92,11 @@ def random_elementary_ops(rng: random.Random, base: Matrix, steps: int) -> Matri
 # of sparse_row_space_basis: Bareiss rank on integer-scaled rows and a dense
 # Fraction Gauss-Jordan rref, with kernel_basis, solve and solve_multi on top.
 # The differential tests below hold the sparse engine to their output.
+
+
+def qdiv(a, b):
+    """Exact division, normalized."""
+    return qnorm(Fraction(a) / b)
 
 
 def _oracle_int_rows(m: Matrix) -> list[list[int]]:
@@ -218,10 +221,9 @@ class TestScalars:
         assert qof("-5") == -5
         assert isinstance(qof("6/2"), int)
 
-    def test_qdiv_stays_exact(self):
-        assert qdiv(1, 3) == Fraction(1, 3)
-        assert qdiv(4, 2) == 2
-        assert isinstance(qdiv(4, 2), int)
+    def test_qof_rejects_bool(self):
+        with pytest.raises(TypeError):
+            qof(True)
 
     def test_qstr_round_trip(self):
         for x in (0, -7, Fraction(2, 3), Fraction(-9, 4)):
@@ -434,7 +436,7 @@ class TestSolve:
         x = x[: m.cols] + [0] * max(0, m.cols - len(x))
         b = m.apply(tuple(x))
         res = solve(m, b)
-        assert res.is_solvable
+        assert res.status != "none"
         assert m.apply(res.solution) == b
         assert (res.status == "unique") == (len(kernel_basis(m)) == 0)
 
@@ -507,9 +509,6 @@ class TestRowSpace:
     def test_order_independent(self):
         rows = [(1, 2, 3), (0, 1, 1), (1, 3, 4), (2, 5, 7)]
         assert row_space_basis(rows) == row_space_basis(list(reversed(rows)))
-
-    def test_dot(self):
-        assert vec_dot((1, 2, 3), (4, 5, 6)) == 32
 
 
 # --- Differential tests against the dense oracle ------------------------------

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from pentads.catalog import resolve
+from pentads.catalog import catalog, matrix_space_example, resolve
 from pentads.exact_linalg import (
     Matrix,
     dense_vec,
@@ -27,16 +27,15 @@ from pentads.graded import (
 )
 from pentads.lie import direct_sum, family, trace_form, unit_coords
 from pentads.pentad import (
+    PhiMap,
     Representation,
     StandardPentad,
     check_standard,
     dual_representation,
-    mirror,
-    phi_map,
 )
 
-from oracles import (pivot_columns, rational_matrix_space_pentad, rational_vector_pentad,
-                     vec_add)
+from oracles import (dense_pivot_action, display_name, mirror, pivot_columns,
+                     rational_matrix_space_pentad, rational_vector_pentad, vec_add)
 
 
 def build(spec, degree):
@@ -146,7 +145,7 @@ class TestBracket:
             for b in range(2):
                 x = GradedVector(1, unit_coords(2, a))
                 y = GradedVector(-1, unit_coords(2, b))
-                expected = phi_map(p, x.coords, y.coords)
+                expected = p.phi.apply(x.coords, y.coords)
                 assert g.bracket(x, y).coords == expected
                 assert g.bracket(y, x).coords == vec_scale(-1, expected)
 
@@ -699,8 +698,9 @@ class TestSparseMatchesDense:
 # 20 s on gl1_so_vector(4)@4, so those two are checked by the digests pinned
 # further down, computed with the dense construction.  The two rational
 # pentads pair by a non-symmetric matrix of Fractions and carry a non-trace
-# form, so the negative side's bracket with U_1, read off the mirror's own
-# Phi, is checked against the negated dense Phi of the pentad itself.
+# form, so the negative side's bracket with U_1, read off the swapped and
+# negated unit table, is checked against the negated dense Phi of the
+# pentad itself.
 RATIONAL_PENTADS = {"rational_vector": rational_vector_pentad,
                     "rational_matrix_space": rational_matrix_space_pentad}
 
@@ -793,3 +793,46 @@ class TestWorkCounts:
         spied["evaluate"] = 0
         g.bracket(GradedVector(2, (1,) * 66), b)
         assert 0 < spied["evaluate"] <= 12
+
+
+CATALOG_SPECS = [display_name(e) for e in catalog()]
+
+
+class TestSinglePaths:
+    """The negative half reads the pentad's own unit table, swapped and
+    negated, and each action table reads its coordinates off g's own keys."""
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS + sorted(RATIONAL_PENTADS))
+    def test_negative_units_are_the_mirror_phi(self, spec):
+        p = RATIONAL_PENTADS[spec]() if spec in RATIONAL_PENTADS else resolve(spec).build()
+        got, want = extend(p, 1).negative.units, PhiMap(mirror(p)).units
+        assert got == want
+        assert ([[type(c) for _, _, c in row] for row in got]
+                == [[type(c) for _, _, c in row] for row in want])
+
+    def test_no_second_pentad(self, monkeypatch):
+        p = matrix_space_example(2)
+        p.phi
+        calls = {"Representation": 0, "PhiMap": 0}
+
+        def spy(cls, name, key):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        spy(Representation, "__post_init__", "Representation")
+        spy(PhiMap, "__init__", "PhiMap")
+        extend(p, 3)
+        assert calls == {"Representation": 0, "PhiMap": 0}
+
+    @pytest.mark.parametrize("spec,degree", [(s, 3) for s in CATALOG_SPECS]
+                             + [("gl1_so_vector(4)", 4)])
+    def test_action_tables_match_dense_pivot_read(self, spec, degree):
+        g = build(spec, degree)
+        for half in (g.positive, g.negative):
+            for k in range(2, degree + 1):
+                if half.dims.get(k, 0):
+                    assert half.action_rows(k) == dense_pivot_action(half, k)

@@ -17,7 +17,6 @@ from pentads.lie import (
     build_algebra,
     center,
     check_form,
-    commutator,
     derived_subalgebra,
     direct_sum,
     family,
@@ -27,7 +26,11 @@ from pentads.lie import (
     unit_coords,
 )
 
-from oracles import coords_of, dense_trace_product, matrix_of, vec_add
+from oracles import coords_of, dense_trace_product, display_name, matrix_of, vec_add
+
+
+def commutator(a, b):
+    return a @ b - b @ a
 
 
 def e(n, i, j):
@@ -417,7 +420,7 @@ def dense_table(alg):
             for i in range(alg.dim)]
 
 
-CATALOG_PENTADS = [e.display_name for e in catalog()] + [
+CATALOG_PENTADS = [display_name(e) for e in catalog()] + [
     "matrix_space_example(3)", "gl1_so_vector(4)", "gl1_so_vector(5)"]
 FAMILY_ALGEBRAS = [("gl", 1), ("gl", 3), ("sl", 2), ("sl", 3), ("so", 2), ("so", 5),
                    ("sp", 1), ("sp", 2)]

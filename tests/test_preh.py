@@ -17,7 +17,6 @@ from pentads.pentad import (
     StandardPentad,
     check_standard,
     dual_representation,
-    phi_map,
 )
 from pentads.preh import (
     GradingElementError,
@@ -28,7 +27,6 @@ from pentads.preh import (
     find_generic,
     is_generic,
     module_partner_map,
-    relative_invariant_indicator,
     sl2_partner,
     verify_certificate,
 )
@@ -157,11 +155,11 @@ class TestSl2Partner:
         assert res.kernel == ((-1, 1),)
         assert res.triple is None
 
-    def test_raw_vector_h_is_verified(self):
+    def test_raw_vector_h_is_rejected(self):
+        # only the grading element makes the eigenvalue relations automatic
         p = resolve("gl1_scalar").build()
-        assert sl2_partner(p, (2,), (1,)).status == "unique"
-        # h acting by 1 on x cannot open a triple
-        assert sl2_partner(p, (1,), (1,)).status == "none"
+        with pytest.raises(TypeError):
+            sl2_partner(p, (2,), (1,))
 
     def test_uniqueness_matches_genericity(self):
         # solvable systems split unique/affine exactly along genericity
@@ -218,15 +216,18 @@ class TestModulePartner:
 
 
 class TestRelativeInvariantIndicator:
+    """A partner exists, sl2_partner(...).status != "none", exactly when a
+    nontrivial relative invariant does."""
+
     def test_matrix_space_entry(self):
         p = resolve("matrix_space_example(2)").build()
         h = h0_of(p)
-        assert relative_invariant_indicator(p, h, GENERIC_X2) is True
-        assert relative_invariant_indicator(p, h, (0,) * 12) is False
+        assert sl2_partner(p, h, GENERIC_X2).status != "none"
+        assert sl2_partner(p, h, (0,) * 12).status == "none"
 
     def test_scalar_pentad(self):
         p = resolve("gl1_scalar").build()
-        assert relative_invariant_indicator(p, h0_of(p), (1,)) is True
+        assert sl2_partner(p, h0_of(p), (1,)).status != "none"
 
 
 class TestDecideRegularity:

@@ -28,7 +28,9 @@ from pentads.serialize import (
     verdict_to_json,
 )
 
-ENTRY_NAMES = [e.display_name for e in catalog()]
+from oracles import display_name
+
+ENTRY_NAMES = [display_name(e) for e in catalog()]
 
 # One mistyped field each, laid over a valid Regular certificate.
 MISTYPED_CERTIFICATE_FIELDS = {
