@@ -18,6 +18,9 @@ echelon form (RREF) of their span, dividing only at the end, once per entry
 of the result.  rank, rref, kernel_basis, solve,
 solve_multi and inverse only read that RREF.  A solve echelons [A | b] once:
 its pivot rows give the particular solution and the kernel of A together.
+The engine's forward step, :func:`echelon_add`, also grows a span one row at
+a time where a caller must know whether each new row enlarges it (the
+generating set of a Lie algebra).
 
 Determinism matters as much as exactness here: kernel bases come from the
 reduced row echelon form, which is unique for a given row space, so every
@@ -371,6 +374,32 @@ def _strip_content(r: dict[int, int]) -> dict[int, int]:
     return r
 
 
+def echelon_add(echelon: dict[int, dict[int, int]], row: Iterable[tuple[int, Q]]) -> bool:
+    """One step of the forward pass: reduce a row, given by its nonzeros,
+    against the echelon {leading column: sparse integer row}, and keep what
+    is left as a new echelon row.  False when the row was already in the
+    span, which leaves the echelon as it was."""
+    r = _sparse_int_row(row)
+    while r:
+        lead = min(r)
+        piv = echelon.get(lead)
+        if piv is None:
+            echelon[lead] = r
+            return True
+        a, b = r[lead], piv[lead]
+        g = gcd(a, b)
+        fa, fb = b // g, a // g
+        new = {j: fa * v for j, v in r.items()}
+        for j, v in piv.items():
+            w = new.get(j, 0) - fb * v
+            if w:
+                new[j] = w
+            else:
+                new.pop(j, None)
+        r = _strip_content(new)
+    return False
+
+
 def sparse_row_space_basis(rows: Iterable[Iterable[tuple[int, Q]]]) -> list[SparseVec]:
     """Canonical (RREF) basis of the span of rows given by their nonzeros.
 
@@ -386,24 +415,7 @@ def sparse_row_space_basis(rows: Iterable[Iterable[tuple[int, Q]]]) -> list[Spar
     """
     echelon: dict[int, dict[int, int]] = {}  # leading column -> sparse row
     for row in rows:
-        r = _sparse_int_row(row)
-        while r:
-            lead = min(r)
-            piv = echelon.get(lead)
-            if piv is None:
-                echelon[lead] = r
-                break
-            a, b = r[lead], piv[lead]
-            g = gcd(a, b)
-            fa, fb = b // g, a // g
-            new = {j: fa * v for j, v in r.items()}
-            for j, v in piv.items():
-                w = new.get(j, 0) - fb * v
-                if w:
-                    new[j] = w
-                else:
-                    new.pop(j, None)
-            r = _strip_content(new)
+        echelon_add(echelon, row)
     leads = sorted(echelon)
     # Backward pass, bottom row up.  Rows below are already reduced, so they
     # carry no pivot column but their own and one batched accumulation per

@@ -77,7 +77,7 @@ def grading_element(p: StandardPentad) -> GradingElementResult:
     result meaningful on broken input too.
     """
     m = p.module_dim
-    rows = list(p.algebra.commutation_rows().nonzeros)
+    rows = list(p.algebra.commutation_rows.nonzeros)
     rhs: list[Q] = [0] * len(rows)
     # One row per matrix cell (r, c) and side: the cell's entries over the
     # basis, against the cell of +-2 Id.  An empty diagonal cell stays, as

@@ -25,6 +25,7 @@ from .exact_linalg import (
     SparseVec,
     Vec,
     check_length,
+    echelon_add,
     kernel_basis,
     dense_vec,
     linear_combination,
@@ -97,8 +98,11 @@ class MatrixLieAlgebra:
                         out[k][j] = out[k].get(j, 0) + ui * c
         return Matrix.from_nonzeros(map(sparse_row, out), self.dim)
 
+    @cached_property
     def commutation_rows(self) -> Matrix:
-        """The nonzero rows of the linear system [z, b_j] = 0 for all j.
+        """The nonzero rows of the linear system [z, b_j] = 0 for all j,
+        computed on first use and kept (the center and every grading-element
+        solve read it).
 
         Row (j, k) is (C_0j^k, ..., C_(d-1)j^k) in the unknown coordinates z;
         rows are ordered by (j, k), and the zero rows are left out because
@@ -124,6 +128,30 @@ class MatrixLieAlgebra:
         gram = flat @ flat_t.transpose()
         return Matrix.from_nonzeros(
             (tuple((j, qnorm(x)) for j, x in row) for row in gram.nonzeros), self.dim)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Basis indices, ascending, of a generating set S with
+        span(S + [S, S]) = g, computed on first use and kept.
+
+        Walking the basis in order, b_j joins S when it is outside
+        span(S + [S, S]), which is echeloned as it grows, with the brackets
+        read off the structure table.  Checks may then run over S alone:
+        a subalgebra that holds S is all of g (by Jacobi, the x where a
+        linear map respects every bracket with x form one, and so do the x
+        with ad x skew for a bilinear form), and [g, g] is the span of
+        [S, g], since [[s, t], y] = [s, [t, y]] - [t, [s, y]].
+        """
+        echelon: dict[int, dict[int, int]] = {}
+        gens: list[int] = []
+        for j in range(self.dim):
+            if len(echelon) == self.dim:
+                break
+            if echelon_add(echelon, ((j, 1),)):
+                for s in gens:
+                    echelon_add(echelon, self.structure[j][s])
+                gens.append(j)
+        return tuple(gens)
 
 
 def unit_coords(dim: int, j: int) -> Vec:
@@ -170,14 +198,14 @@ def build_algebra(ambient_size: int, basis: Sequence[Matrix]) -> MatrixLieAlgebr
     e_rows = [[(c - nn, x) for c, x in row if c >= nn] for row in echelon]
 
     rows = [b.nonzeros for b in basis]
+    # a commutator row is empty where both factors' rows are
+    occupied = [{r for r, row in enumerate(m) if row} for m in rows]
     table: list[list[SparseVec]] = [[()] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
             residual: dict[int, Q] = {}
             coords: dict[int, Q] = {}
-            for r in range(n):
-                if not (rows[i][r] or rows[j][r]):
-                    continue
+            for r in occupied[i] | occupied[j]:
                 for c, t in commutator_row(rows[i], rows[j], r).items():
                     col = r * n + c
                     idx = pivot_row.get(col)
@@ -235,17 +263,30 @@ def family(kind: str, n: int) -> MatrixLieAlgebra:
 
 
 def direct_sum(algebras: Sequence[MatrixLieAlgebra]) -> MatrixLieAlgebra:
-    """Block-diagonal sum; the bases concatenate in argument order."""
+    """Block-diagonal sum; the bases concatenate in argument order.
+
+    The factors were verified when they were built, and blocks on disjoint
+    diagonal positions are independent and commute, so the structure table
+    is the factors' tables shifted along the diagonal, with no bracket
+    recomputed.
+    """
     total = sum(a.ambient_size for a in algebras)
-    basis = []
+    dim = sum(a.dim for a in algebras)
+    basis: list[Matrix] = []
+    table: list[tuple[SparseVec, ...]] = []
     offset = 0
     for a in algebras:
         above, below = ((),) * offset, ((),) * (total - offset - a.ambient_size)
         for b in a.basis:
             shifted = tuple(tuple((c + offset, x) for c, x in row) for row in b.nonzeros)
             basis.append(Matrix.from_nonzeros(above + shifted + below, total))
+        shift = len(table)
+        left, right = ((),) * shift, ((),) * (dim - shift - a.dim)
+        for row in a.structure:
+            table.append(left + tuple(tuple((k + shift, c) for k, c in cij) if cij else ()
+                                      for cij in row) + right)
         offset += a.ambient_size
-    return build_algebra(total, basis)
+    return MatrixLieAlgebra(total, tuple(basis), tuple(table))
 
 
 @dataclass(frozen=True)
@@ -297,14 +338,20 @@ def check_form(alg: MatrixLieAlgebra, form: BilinearForm) -> FormReport:
             sym_wit = (i, min(j for j, _ in set(row) ^ set(col)))
             break
     ker = kernel_basis(g)
-    inv_wit = _invariance_witness(alg, g)
+    # B is invariant once every ad(s), s in alg.generators, is B-skew; only
+    # a failure there pays for the full scan that finds the first witness
+    inv_wit = None
+    if _invariance_witness(alg, g, alg.generators) is not None:
+        inv_wit = _invariance_witness(alg, g, range(alg.dim))
     return FormReport(sym_wit is None, not ker, inv_wit is None,
                       sym_wit, ker[0] if ker else None, inv_wit)
 
 
-def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix) -> tuple[int, int, int] | None:
-    """The first (i, j, k) in lexicographic order with
-    B([b_i,b_j],b_k) != B(b_i,[b_j,b_k]), or None if B is invariant.
+def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix,
+                        js: Sequence[int]) -> tuple[int, int, int] | None:
+    """The first (i, j, k) in lexicographic order, with j among the
+    ascending js, where B([b_i,b_j],b_k) != B(b_i,[b_j,b_k]), that is, where
+    ad(b_j) is not B-skew; None when there is none.
 
     For fixed (i, j) the two sides, as rows over k, are C_ij . G and
     G_i . ad(b_j), where C_ij is the sparse structure vector and
@@ -313,10 +360,10 @@ def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix) -> tuple[int, int, int
     d = alg.dim
     g_rows = g.nonzeros
     # row m of ad(b_j) is column m of the matrix whose row k is C_jk
-    ad_rows = [Matrix.from_nonzeros(row, d).transpose().nonzeros for row in alg.structure]
+    ad_rows = {j: Matrix.from_nonzeros(alg.structure[j], d).transpose().nonzeros for j in js}
     for i in range(d):
         gi = g_rows[i]
-        for j in range(d):
+        for j in js:
             diff: dict[int, Q] = {}
             for m, c in alg.structure[i][j]:
                 for k, x in g_rows[m]:
@@ -333,13 +380,14 @@ def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix) -> tuple[int, int, int
 
 def center(alg: MatrixLieAlgebra) -> list[Vec]:
     """Canonical coordinate basis of {z : [z, g] = 0}."""
-    return kernel_basis(alg.commutation_rows())
+    return kernel_basis(alg.commutation_rows)
 
 
 def derived_subalgebra(alg: MatrixLieAlgebra) -> list[Vec]:
-    """Canonical coordinate basis of the span of all commutators."""
-    basis = sparse_row_space_basis(alg.structure[i][j]
-                                   for i in range(alg.dim) for j in range(i + 1, alg.dim))
+    """Canonical coordinate basis of the span of all commutators, which is
+    the span of the [s, b_j] for s in alg.generators."""
+    basis = sparse_row_space_basis(alg.structure[s][j]
+                                   for s in alg.generators for j in range(alg.dim))
     return [dense_vec(row, alg.dim) for row in basis]
 
 

@@ -45,16 +45,29 @@ def vector_from_json(obj) -> Vec:
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
-    return [[qstr(x) for x in row] for row in m.entries]
+    out = []
+    for row in m.nonzeros:
+        cells = ["0"] * m.cols
+        for j, x in row:
+            cells[j] = qstr(x)
+        out.append(cells)
+    return out
 
 
 def matrix_from_json(obj) -> Matrix:
+    """The matrix of a JSON array of rows, built from its nonzeros.  The
+    literal "0", most cells of a pentad file, is skipped unparsed; every
+    other cell is parsed, in row-major order, before the rows are checked
+    for equal length."""
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SerializationError("a matrix must be a non-empty JSON array of rows")
-    try:
-        return Matrix(tuple(tuple(scalar_from_json(x) for x in row) for row in obj))
-    except ValueError as exc:
-        raise SerializationError(str(exc)) from None
+    nonzeros = tuple(tuple((j, q) for j, x in enumerate(row)
+                           if x != "0" and (q := scalar_from_json(x)))
+                     for row in obj)
+    cols = len(obj[0])
+    if any(len(row) != cols for row in obj):
+        raise SerializationError("ragged rows")
+    return Matrix.from_nonzeros(nonzeros, cols)
 
 
 def _require_keys(obj, required, optional, what):

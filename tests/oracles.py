@@ -7,8 +7,9 @@ pairing and form are neither identity nor trace, builds the mirrored pentad
 whose Phi the graded construction's negative half reads, keeps the dense
 cell-by-cell loops that Matrix.nonzeros replaced, keeps the operations of
 the dense row grid that Matrix stored before it stored only nonzeros, with
-a check of the stored form, and reads graded action tables densely at every
-pivot.
+a check of the stored form, reads graded action tables densely at every
+pivot, keeps the all-pairs scans that the generating-set checks replaced,
+and keeps the JSON matrix reader and writer that walked every cell.
 """
 
 import random
@@ -16,9 +17,23 @@ from fractions import Fraction
 from itertools import chain
 
 from pentads.catalog import matrix_space_example, resolve
-from pentads.exact_linalg import Matrix, kronecker, qnorm, solve_multi
-from pentads.lie import BilinearForm, standard_symplectic_form, trace_form, unit_coords
+from pentads.exact_linalg import (
+    Matrix,
+    dense_vec,
+    kronecker,
+    qnorm,
+    qstr,
+    solve_multi,
+)
+from pentads.lie import (
+    BilinearForm,
+    commutator_row,
+    standard_symplectic_form,
+    trace_form,
+    unit_coords,
+)
 from pentads.graded import _flat, _twist
+from pentads.serialize import SerializationError, scalar_from_json
 from pentads.pentad import (
     DualModule,
     Representation,
@@ -280,3 +295,55 @@ def dense_pivot_action(half, degree):
             columns.append([qnorm(c) for c in coords])
         out.append(Matrix(tuple(zip(*columns))))
     return out
+
+
+# --- All-pairs scans, the reference for the generating-set checks -----------
+
+def all_pairs_homomorphism_failure(alg, action):
+    """The first pair i < j with [pi(b_i), pi(b_j)] != pi([b_i, b_j]),
+    scanning every pair; None when pi is a homomorphism."""
+    rows = [a.nonzeros for a in action]
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            for r in range(action[0].rows):
+                acc = commutator_row(rows[i], rows[j], r)
+                for k, g in alg.structure[i][j]:
+                    for t, y in rows[k][r]:
+                        acc[t] = acc.get(t, 0) - g * y
+                if any(acc.values()):
+                    return (i, j)
+    return None
+
+
+def all_pairs_invariance_witness(alg, gram):
+    """The first (i, j, k) with B([b_i,b_j],b_k) != B(b_i,[b_j,b_k]), each
+    side summed over dense coordinates; None when B is invariant."""
+    d = alg.dim
+    g = gram.entries
+    table = [[dense_vec(c, d) for c in row] for row in alg.structure]
+    for i in range(d):
+        for j in range(d):
+            cij = table[i][j]
+            for k in range(d):
+                cjk = table[j][k]
+                lhs = sum(cij[m] * g[m][k] for m in range(d))
+                rhs = sum(g[i][m] * cjk[m] for m in range(d))
+                if lhs != rhs:
+                    return (i, j, k)
+    return None
+
+
+# --- JSON matrices cell by cell, the reference for the nonzero reader/writer --
+
+def dense_matrix_from_json(obj):
+    """Every cell parsed, then the dense grid checked for equal rows."""
+    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
+        raise SerializationError("a matrix must be a non-empty JSON array of rows")
+    try:
+        return Matrix(tuple(tuple(scalar_from_json(x) for x in row) for row in obj))
+    except ValueError as exc:
+        raise SerializationError(str(exc)) from None
+
+
+def dense_matrix_to_json(m):
+    return [[qstr(x) for x in row] for row in m.entries]

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from pentads.catalog import catalog, resolve
 from pentads.exact_linalg import (Matrix, dense_vec, is_zero_vec, kernel_basis, qof, rank,
-                                  row_space_basis, solve_multi, vec_scale, zero_vec)
+                                  row_space_basis, solve_multi, sparse_row_space_basis,
+                                  vec_scale, zero_vec)
 from pentads.lie import (
     BilinearForm,
     FormReport,
@@ -224,6 +225,18 @@ class TestDirectSum:
         alg = direct_sum([family("gl", 1), family("so", 3)])
         assert center(alg) == [(1, 0, 0, 0)]
 
+    @pytest.mark.parametrize("parts", [
+        [("gl", 1), ("so", 2)], [("gl", 1), ("so", 3)], [("gl", 1), ("so", 5)],
+        [("gl", 1), ("sp", 2), ("so", 3)], [("gl", 1), ("sp", 3), ("so", 3)],
+        [("gl", 1), ("gl", 1)], [("sl", 2), ("gl", 2)]], ids=str)
+    def test_shifted_tables_match_build_algebra(self, parts):
+        # the sums the catalog builds, and two more: the table shifted from
+        # the factors is the one build_algebra derives from the matrices
+        alg = direct_sum([family(kind, n) for kind, n in parts])
+        built = build_algebra(alg.ambient_size, alg.basis)
+        assert alg == built
+        assert repr(alg.structure) == repr(built.structure)
+
 
 class TestCenterAndDerived:
     def test_center_of_gl2_is_scalars(self):
@@ -435,6 +448,35 @@ def catalog_algebras():
 
 CATALOG_ALGEBRAS = catalog_algebras()
 ALGEBRA_IDS = [name for name, _ in CATALOG_ALGEBRAS]
+
+
+def span_rank(alg, gens):
+    """dim span(S + [S, S]) for the basis indices S."""
+    return len(sparse_row_space_basis(
+        [((s, 1),) for s in gens] + [alg.structure[s][t] for s in gens for t in gens]))
+
+
+class TestGeneratingSet:
+    @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
+    def test_generators_and_their_brackets_span(self, alg):
+        gens = alg.generators
+        assert list(gens) == sorted(set(gens)) and all(0 <= s < alg.dim for s in gens)
+        assert span_rank(alg, gens) == alg.dim
+
+    @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
+    def test_generators_are_the_greedy_walk(self, alg):
+        # b_j is a generator exactly when it lies outside span(S' + [S', S'])
+        # for the generators S' before it
+        gens = alg.generators
+        for j in range(alg.dim):
+            earlier = [s for s in gens if s < j]
+            assert (j in gens) == (span_rank(alg, earlier + [j]) > span_rank(alg, earlier))
+
+    def test_semisimple_algebras_need_few_generators(self):
+        # gl(1) + so(12) has 67 basis elements and 12 greedy generators
+        alg = resolve("gl1_so_vector(12)").build().algebra
+        assert (alg.dim, len(alg.generators)) == (67, 12)
+        assert family("gl", 1).generators == (0,)
 
 
 class TestSparseStructureMatchesDense:

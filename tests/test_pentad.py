@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentads.catalog import resolve
+from pentads.catalog import catalog, resolve
 from pentads.exact_linalg import Matrix, kronecker, linear_combination, vec_neg, vec_scale
-from pentads.lie import BilinearForm, build_algebra, family, trace_form, unit_coords
+from pentads.lie import (
+    BilinearForm,
+    _invariance_witness,
+    build_algebra,
+    check_form,
+    family,
+    trace_form,
+    unit_coords,
+)
 from pentads.pentad import (
     DualModule,
     HomomorphismError,
@@ -23,7 +31,17 @@ from pentads.pentad import (
     homomorphism_failures,
 )
 
-from oracles import equivariance_failure, mirror, pair, vec_add
+from oracles import (
+    all_pairs_homomorphism_failure,
+    all_pairs_invariance_witness,
+    display_name,
+    equivariance_failure,
+    mirror,
+    pair,
+    rational_matrix_space_pentad,
+    rational_vector_pentad,
+    vec_add,
+)
 
 
 def coordinate_pentad(alg, action=None, form=None):
@@ -331,3 +349,85 @@ class TestMirror:
         q = mirror(p)
         v, phi = (1, 2, 3, 4), (5, 6, 7, 8)
         assert pair(q, phi, v) == pair(p, v, phi)
+
+
+# Every catalog entry at its default parameters, and the two rational
+# fixtures, whose pairing and form are neither identity nor trace.
+SMALL_PENTADS = [e.build() for e in catalog()] + [
+    rational_vector_pentad(), rational_matrix_space_pentad()]
+SMALL_PENTAD_IDS = [display_name(e) for e in catalog()] + [
+    "rational_vector", "rational_matrix_space"]
+bumps = st.one_of(st.integers(min_value=-3, max_value=3),
+                  st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]))
+
+
+def bumped(m, r, c, delta):
+    """m with delta added to entry (r, c)."""
+    grid = [list(row) for row in m.entries]
+    grid[r][c] += delta
+    return Matrix.from_rows(grid)
+
+
+@st.composite
+def bumped_actions(draw):
+    """A small pentad's algebra and its action with one entry of one
+    matrix changed (by zero, now and then)."""
+    p = draw(st.sampled_from(SMALL_PENTADS))
+    action = list(p.rep.action)
+    i = draw(st.integers(min_value=0, max_value=len(action) - 1))
+    r, c = (draw(st.integers(min_value=0, max_value=p.module_dim - 1)) for _ in range(2))
+    action[i] = bumped(action[i], r, c, draw(bumps))
+    return p.algebra, tuple(action)
+
+
+@st.composite
+def bumped_grams(draw):
+    """A small pentad's algebra and its form's Gram matrix with one entry,
+    or one symmetric pair of entries, changed."""
+    p = draw(st.sampled_from(SMALL_PENTADS))
+    d = p.algebra.dim
+    i, j = (draw(st.integers(min_value=0, max_value=d - 1)) for _ in range(2))
+    delta = draw(bumps)
+    gram = bumped(p.form.gram, i, j, delta)
+    if i != j and draw(st.booleans()):
+        gram = bumped(gram, j, i, delta)
+    return p.algebra, gram
+
+
+class TestGeneratingSetChecks:
+    """The homomorphism and invariance checks scan the pairs that involve
+    alg.generators and fall back to the full scan only on a failure; the
+    all-pairs scans of oracles.py are the reference."""
+
+    @given(bumped_actions())
+    @settings(max_examples=150, deadline=None)
+    def test_homomorphism_check_matches_all_pairs(self, case):
+        alg, action = case
+        expected = all_pairs_homomorphism_failure(alg, action)
+        gens = alg.generators
+        every = list(homomorphism_failures(alg, action))
+        assert (every[0] if every else None) == expected
+        on_generators = list(homomorphism_failures(alg, action, gens))
+        assert on_generators == [(i, j) for i, j in every if i in gens or j in gens]
+        assert (not on_generators) == (expected is None)
+        if expected is None:
+            Representation(alg, action)
+        else:
+            with pytest.raises(HomomorphismError) as exc:
+                Representation(alg, action)
+            assert exc.value.pair == expected
+
+    @given(bumped_grams())
+    @settings(max_examples=150, deadline=None)
+    def test_invariance_check_matches_all_pairs(self, case):
+        alg, gram = case
+        expected = all_pairs_invariance_witness(alg, gram)
+        on_generators = _invariance_witness(alg, gram, alg.generators)
+        assert (on_generators is None) == (expected is None)
+        assert check_form(alg, BilinearForm(gram)).invariance_witness == expected
+
+    @pytest.mark.parametrize("p", SMALL_PENTADS, ids=SMALL_PENTAD_IDS)
+    def test_unbumped_pentads_pass_both(self, p):
+        assert all_pairs_homomorphism_failure(p.algebra, p.rep.action) is None
+        assert all_pairs_invariance_witness(p.algebra, p.form.gram) is None
+        assert check_form(p.algebra, p.form).invariant

@@ -6,7 +6,7 @@ from functools import cache, cached_property
 
 import pytest
 
-from pentads import exact_linalg, graded, lie, pentad, preh
+from pentads import cli, exact_linalg, graded, lie, pentad, preh
 from pentads.catalog import resolve
 from pentads.exact_linalg import Matrix, is_zero_vec, kernel_basis, qof, qstr, rank
 from pentads.graded import GradingElement, grading_element
@@ -489,12 +489,13 @@ class TestEngineWorkCounts:
 class TestPipelineWorkCounts:
     def test_each_check_and_trace_gram_once(self, monkeypatch):
         # Catalog build, check_standard, decide_regularity and the certificate
-        # of matrix_space_example(3).  Four algebras are built (gl(1), sp(3),
-        # so(3) and their sum), each Representation checks the homomorphism
-        # axiom once and check_standard does not repeat it, and the 25 x 25
-        # trace Gram matrix of the sum is computed once (one sparse product),
-        # shared by the catalog's form and the certificate's "trace"
-        # descriptor.
+        # of matrix_space_example(3).  Three algebras are built from matrices
+        # (gl(1), sp(3) and so(3)); their sum shifts the factors' tables and
+        # builds nothing.  Each of the four Representations checks the
+        # homomorphism axiom once and check_standard does not repeat it, and
+        # the 25 x 25 trace Gram matrix of the sum is computed once (one
+        # sparse product), shared by the catalog's form and the
+        # certificate's "trace" descriptor.
         modules = [importlib.import_module(f"pentads.{name}") for name in
                    ("exact_linalg", "lie", "pentad", "graded", "preh", "serialize", "catalog")]
 
@@ -526,9 +527,29 @@ class TestPipelineWorkCounts:
         assert check_standard(p).ok
         v = decide_regularity(p)
         assert verdict_to_json(v, p)["form"] == "trace"
-        assert len(builds) == 4
+        assert len(builds) == 3
         assert len(hom_checks) == 4
         assert len(grams) == 1 and grams[0] is p.algebra
+
+    def test_commutation_rows_once_per_certified_run(self, monkeypatch, capsys):
+        # regularity --verify-certificate reads the rows of [z, b_j] = 0
+        # three times (the center, and the grading-element solves of the
+        # decision and of its replay); the algebra builds them once.
+        built = []
+        rows = lie.MatrixLieAlgebra.commutation_rows
+
+        def counting_rows(alg):
+            built.append(alg)
+            return rows.func(alg)
+
+        counted = cached_property(counting_rows)
+        counted.__set_name__(lie.MatrixLieAlgebra, "commutation_rows")
+        monkeypatch.setattr(lie.MatrixLieAlgebra, "commutation_rows", counted)
+        code = cli.main(["regularity", "--verify-certificate",
+                         "--example", "matrix_space_example(3)"])
+        assert code == 0
+        assert '"verified": true' in capsys.readouterr().out
+        assert len(built) == 1
 
 
 class TestSymmetryInvariance:

@@ -28,7 +28,7 @@ from pentads.serialize import (
     verdict_to_json,
 )
 
-from oracles import display_name
+from oracles import dense_matrix_from_json, dense_matrix_to_json, display_name
 
 ENTRY_NAMES = [display_name(e) for e in catalog()]
 
@@ -108,6 +108,61 @@ class TestMatrices:
     def test_rejects_non_rectangular(self, bad):
         with pytest.raises(SerializationError):
             matrix_from_json(bad)
+
+
+# Cells of a JSON matrix: zeros in every spelling, scalars the reader
+# rejects, and exact values.
+json_cells = st.one_of(
+    st.sampled_from(["0", "-0", "0/7", 0, True, False, 1.5, "1/0", "x", None, [], "", "+3"]),
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).map(str),
+    st.integers(min_value=-9, max_value=9).map(str))
+
+
+@st.composite
+def json_grids(draw):
+    """Rows of one width, with one row's length changed now and then."""
+    width = draw(st.integers(min_value=0, max_value=4))
+    rows = draw(st.lists(st.lists(json_cells, min_size=width, max_size=width),
+                         min_size=1, max_size=4))
+    if draw(st.booleans()):
+        r = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        rows[r] = draw(st.lists(json_cells, max_size=5))
+    return rows
+
+
+def read_outcome(reader, obj):
+    """repr of the Matrix a reader returns, or the text of its error."""
+    try:
+        return repr(reader(obj))
+    except SerializationError as exc:
+        return f"SerializationError: {exc}"
+
+
+class TestMatricesMatchDense:
+    """The reader builds nonzeros directly and the writer fills "0" from
+    them; the cell-by-cell reader and writer of oracles.py are the
+    reference."""
+
+    @given(json_grids())
+    def test_reader_matches_dense(self, grid):
+        assert read_outcome(matrix_from_json, grid) == read_outcome(dense_matrix_from_json, grid)
+
+    @given(json_grids())
+    def test_writer_matches_dense(self, grid):
+        try:
+            m = dense_matrix_from_json(grid)
+        except SerializationError:
+            return
+        assert matrix_to_json(m) == dense_matrix_to_json(m)
+
+    @pytest.mark.parametrize("name", ENTRY_NAMES)
+    def test_catalog_matrices_match_dense(self, name):
+        doc = reload(pentad_to_json(resolve(name).build()))
+        for obj in doc["action"] + doc["dual_action"] + [doc["pairing"], doc["form"]]:
+            m = matrix_from_json(obj)
+            assert repr(m) == repr(dense_matrix_from_json(obj))
+            assert matrix_to_json(m) == dense_matrix_to_json(m) == obj
 
 
 class TestAlgebraFiles:
