@@ -81,6 +81,13 @@ def _validated_pentad(args) -> StandardPentad:
     return p
 
 
+def _sampled_pentad(args) -> StandardPentad:
+    """The validated pentad of a command that samples generic points."""
+    if args.attempts < 0:
+        raise _InputError({"error": "--attempts must be non-negative"})
+    return _validated_pentad(args)
+
+
 def _require_length(name: str, v: Vec, n: int) -> None:
     if len(v) != n:
         raise _InputError(
@@ -121,7 +128,7 @@ def cmd_grading_element(args) -> int:
 
 
 def cmd_generic_point(args) -> int:
-    p = _validated_pentad(args)
+    p = _sampled_pentad(args)
     search = find_generic(p, attempts=args.attempts, seed=args.seed)
     _emit({
         "status": search.status,
@@ -136,7 +143,7 @@ def cmd_generic_point(args) -> int:
 
 
 def cmd_sl2(args) -> int:
-    p = _validated_pentad(args)
+    p = _sampled_pentad(args)
     h = _grading_or_fail(p)
     out = {"h0": vector_to_json(h.coords), "search": None,
            "status": None, "x": None, "y": None, "kernel": []}
@@ -165,7 +172,7 @@ def cmd_sl2(args) -> int:
 
 
 def cmd_regularity(args) -> int:
-    p = _validated_pentad(args)
+    p = _sampled_pentad(args)
     try:
         verdict = decide_regularity(p, attempts=args.attempts, seed=args.seed)
     except (ScalarCenterError, GradingElementError) as exc:

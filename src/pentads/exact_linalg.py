@@ -15,12 +15,12 @@ dense grid is derived only to print or to test.
 All elimination is one sparse echelon, :func:`sparse_row_space_basis`: a
 fraction-free pass over sparse integer rows that returns the reduced row
 echelon form (RREF) of their span, dividing only at the end, once per entry
-of the result.  rank, rref, kernel_basis, solve,
-solve_multi and inverse only read that RREF.  A solve echelons [A | b] once:
-its pivot rows give the particular solution and the kernel of A together.
-The engine's forward step, :func:`echelon_add`, also grows a span one row at
-a time where a caller must know whether each new row enlarges it (the
-generating set of a Lie algebra).
+of the result.  rref, kernel_basis, solve, solve_multi and inverse only
+read that RREF.  A solve echelons [A | b] once: its pivot rows give the
+particular solution and the kernel of A together.  The engine's forward
+step, :func:`echelon_add`, also runs alone: rank counts the rows it keeps,
+and it grows a span one row at a time where a caller must know whether
+each new row enlarges it (the generating set of a Lie algebra).
 
 Determinism matters as much as exactness here: kernel bases come from the
 reduced row echelon form, which is unique for a given row space, so every
@@ -223,6 +223,18 @@ def linear_combination_apply(coeffs: Sequence[Q], mats: Sequence[Matrix],
     return tuple(qnorm(x) for x in acc)
 
 
+def ratio(n: int, d: int) -> Q:
+    """n / d for integers, an int when d divides n."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+def cleared(v: Sequence[Q]) -> tuple[list[int], int]:
+    """(D v, D) for the least positive D that makes every entry of D v an
+    integer."""
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
 def sparse_row(acc: dict[int, Q]) -> SparseVec:
     """A row accumulator {col: x} as its normalized nonzeros, ascending."""
     return tuple((j, qnorm(x)) for j, x in sorted(acc.items()) if x)
@@ -237,8 +249,13 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
 
 
 def rank(m: Matrix) -> int:
-    """Rank: the number of rows of the canonical echelon basis."""
-    return len(sparse_row_space_basis(m.nonzeros))
+    """Rank: the number of rows the forward pass keeps.  The count does not
+    need the RREF, so neither the backward pass nor the final division
+    runs."""
+    echelon: dict[int, dict[int, int]] = {}
+    for row in m.nonzeros:
+        echelon_add(echelon, row)
+    return len(echelon)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

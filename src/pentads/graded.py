@@ -38,6 +38,7 @@ from .exact_linalg import (
     linear_combination,
     linear_combination_apply,
     qnorm,
+    ratio,
     row_space_basis,  # noqa: F401  (perfbench's tracer patches this name here)
     solve,
     solve_multi,
@@ -75,24 +76,45 @@ def grading_element(p: StandardPentad) -> GradingElementResult:
     basis element, pi(g) = 2 Id, and pi*(g) = -2 Id.  The dual rows are
     implied by the others for compatible pentads but keeping them makes the
     result meaningful on broken input too.
+
+    The commutation rows are solved once, by the algebra's center: g = K z
+    with K the canonical center basis (as columns) and z in Q^(dim z(g)),
+    so only the action rows remain, as the system A K z = (2 Id, -2 Id) in
+    z, one row per matrix cell and side; an empty cell stays as the
+    equation 0 = +-2 on the diagonal and is left out off it, where it reads
+    0 = 0.  Lifting through K gives exactly the canonical answer of the
+    full system [C; A] g = (0, 2 Id, -2 Id).  K is the identity on the
+    free columns F of C, and a kernel vector K_f is zero past its own free
+    column F_f.  So the full system's pivots are C's pivots plus F_j for
+    each pivot j of A K, its solution set is K times the small one, and a
+    solution that vanishes on the full system's free columns is K times
+    one that vanishes on the small system's: the canonical particular
+    solution and the kernel basis are K times those of the small system.
     """
     m = p.module_dim
-    rows = list(p.algebra.commutation_rows.nonzeros)
-    rhs: list[Q] = [0] * len(rows)
-    # One row per matrix cell (r, c) and side: the cell's entries over the
-    # basis, against the cell of +-2 Id.  An empty diagonal cell stays, as
-    # the equation 0 = +-2.  Row order cannot change the RREF.
+    center = p.algebra.center
+    rows: list[SparseVec] = []
+    rhs: list[Q] = []
     for action, lam in ((p.rep.action, 2), (p.dual.action, -2)):
-        stacked = Matrix.from_nonzeros((a.flat_nonzeros() for a in action), m * m)
-        rows.extend(stacked.transpose().nonzeros)
-        rhs.extend(lam if cell % (m + 1) == 0 else 0 for cell in range(m * m))
-    res = solve(Matrix.from_nonzeros(rows, p.algebra.dim), tuple(rhs))
+        images = Matrix.from_nonzeros(
+            (linear_combination(z, action).flat_nonzeros() for z in center), m * m)
+        for cell, row in enumerate(images.transpose().nonzeros):
+            diagonal = cell % (m + 1) == 0
+            if row or diagonal:
+                rows.append(row)
+                rhs.append(lam if diagonal else 0)
+    res = solve(Matrix.from_nonzeros(rows, len(center)), tuple(rhs))
     if res.status == "none":
         return GradingElementResult("absent", None, ())
+
+    def lift(z: Vec) -> Vec:
+        return tuple(qnorm(sum(zf * k[i] for zf, k in zip(z, center)))
+                     for i in range(p.algebra.dim))
+
+    element = GradingElement(lift(res.solution))
     if res.status == "affine":
-        return GradingElementResult("degenerate", GradingElement(res.solution),
-                                    tuple(res.kernel))
-    return GradingElementResult("found", GradingElement(res.solution), ())
+        return GradingElementResult("degenerate", element, tuple(map(lift, res.kernel)))
+    return GradingElementResult("found", element, ())
 
 
 class _Half:
@@ -333,7 +355,11 @@ class GradedAlgebra:
             raise DegreeError("max_degree must be at least 1")
         self.pentad = pentad
         self.max_degree = max_degree
-        units = pentad.phi.units
+        # Phi's integer table divided by its denominator, and the same
+        # table swapped and negated for the negative half
+        phi = pentad.phi
+        units = tuple(tuple((i, r, ratio(c, phi.denominator)) for i, r, c in entries)
+                      for entries in phi.units)
         swapped: list[list[tuple[int, int, Q]]] = [[] for _ in units]
         for a, entries in enumerate(units):
             for i, r, c in entries:

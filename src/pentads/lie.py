@@ -99,22 +99,24 @@ class MatrixLieAlgebra:
         return Matrix.from_nonzeros(map(sparse_row, out), self.dim)
 
     @cached_property
-    def commutation_rows(self) -> Matrix:
-        """The nonzero rows of the linear system [z, b_j] = 0 for all j,
-        computed on first use and kept (the center and every grading-element
-        solve read it).
+    def center(self) -> tuple[Vec, ...]:
+        """Canonical coordinate basis of {z : [z, g] = 0}, computed on first
+        use and kept (scalar_center_report and every grading-element solve
+        read it).
 
-        Row (j, k) is (C_0j^k, ..., C_(d-1)j^k) in the unknown coordinates z;
-        rows are ordered by (j, k), and the zero rows are left out because
-        they do not change the solution set.  The matrix is d columns wide
-        even when no row is left.
+        It is the kernel of the rows of [z, s] = 0 for s in self.generators
+        only: by Jacobi [z, [s, t]] = [[z, s], t] + [s, [z, t]] = 0 once z
+        commutes with S, and S + [S, S] spans g.  Row (s, k) is
+        (C_0s^k, ..., C_(d-1)s^k) in the unknown coordinates z.  The kernel
+        basis is canonical, so it depends only on the solution set, not on
+        which rows or in what order.
         """
         rows: dict[tuple[int, int], list[tuple[int, Q]]] = {}
         for i, row in enumerate(self.structure):
-            for j, cij in enumerate(row):
-                for k, c in cij:
-                    rows.setdefault((j, k), []).append((i, c))
-        return Matrix.from_nonzeros((tuple(rows[key]) for key in sorted(rows)), self.dim)
+            for s in self.generators:
+                for k, c in row[s]:
+                    rows.setdefault((s, k), []).append((i, c))
+        return tuple(kernel_basis(Matrix.from_nonzeros(map(tuple, rows.values()), self.dim)))
 
     @cached_property
     def trace_gram(self) -> Matrix:
@@ -200,9 +202,14 @@ def build_algebra(ambient_size: int, basis: Sequence[Matrix]) -> MatrixLieAlgebr
     rows = [b.nonzeros for b in basis]
     # a commutator row is empty where both factors' rows are
     occupied = [{r for r, row in enumerate(m) if row} for m in rows]
+    # ab = 0 when no column of a meets a row of b; a pair with ab = ba = 0
+    # commutes, so its entry stays () and its closure holds
+    columns = [{c for row in m for c, _ in row} for m in rows]
     table: list[list[SparseVec]] = [[()] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
+            if columns[i].isdisjoint(occupied[j]) and columns[j].isdisjoint(occupied[i]):
+                continue
             residual: dict[int, Q] = {}
             coords: dict[int, Q] = {}
             for r in occupied[i] | occupied[j]:
@@ -378,11 +385,6 @@ def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix,
     return None
 
 
-def center(alg: MatrixLieAlgebra) -> list[Vec]:
-    """Canonical coordinate basis of {z : [z, g] = 0}."""
-    return kernel_basis(alg.commutation_rows)
-
-
 def derived_subalgebra(alg: MatrixLieAlgebra) -> list[Vec]:
     """Canonical coordinate basis of the span of all commutators, which is
     the span of the [s, b_j] for s in alg.generators."""
@@ -412,7 +414,7 @@ def scalar_center_report(alg: MatrixLieAlgebra,
     """Check the scalar-center hypothesis against the given action matrices."""
     if len(action) != alg.dim:
         raise LieAlgebraError("one action matrix per basis element is required")
-    zs = center(alg)
+    zs = list(alg.center)
     center_dim = len(zs)
     derived = derived_subalgebra(alg)
     decomposes = (center_dim + len(derived) == alg.dim

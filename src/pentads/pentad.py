@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import Iterator, Sequence
 
 from .exact_linalg import (
@@ -32,12 +33,13 @@ from .exact_linalg import (
     Q,
     Vec,
     check_length,
+    cleared,
     inverse,
     kernel_basis,
     kronecker,
     linear_combination_apply,
-    qnorm,
     qstr,
+    ratio,
 )
 from .lie import (
     BilinearForm,
@@ -262,17 +264,20 @@ def check_standard(p: StandardPentad) -> ValidationReport:
 
 
 class PhiMap:
-    """Solver for B(a, Phi(v (x) phi)) = <pi(a)v, phi>, as one sparse table.
+    """Solver for B(a, Phi(v (x) phi)) = <pi(a)v, phi>, as one sparse
+    integer table over one common denominator.
 
     With G the form's gram matrix, Phi(v (x) phi) = G^-1 . t where
     t_i = <pi(b_i)v, phi> = t(v).W_i.phi and W_i = t(pi(b_i)).P.  The unit
-    table units[a] holds the nonzeros (i, r, c) of Phi(x_a (x) y_r),
-    ascending in (i, r): slice a of the integer tensor W with G^-1 applied,
-    once, at construction.  It is the only stored form of Phi: apply
-    contracts it, the regularity legs (preh.ad_on_dual and
-    preh.module_partner_map) contract it into matrices, and the graded
-    construction reads it directly, swapped and negated for its negative
-    half.  Every pentad owns one instance, StandardPentad.phi.
+    table units[a] holds the nonzeros (i, r, c) of D . Phi(x_a (x) y_r),
+    ascending in (i, r): slice a of the tensor W with G^-1 applied, once,
+    at construction, and scaled by the positive integer `denominator` D,
+    the lcm of the denominators of those values, so every c is an int.  It
+    is the only stored form of Phi: apply contracts it and divides by D
+    once, the regularity legs (preh.ad_on_dual and preh.module_partner_map)
+    contract it into D times their matrices, and the graded construction
+    divides it by D as it reads it.  Every pentad owns one instance,
+    StandardPentad.phi.
     """
 
     def __init__(self, p: StandardPentad):
@@ -292,21 +297,27 @@ class PhiMap:
                 for r, w in t[a]:
                     for row, g in ginv_cols[i]:
                         acc[row, r] = acc.get((row, r), 0) + g * w
-            units.append(tuple((i, r, qnorm(c)) for (i, r), c in sorted(acc.items()) if c))
-        self.units = tuple(units)
+            units.append([(i, r, c) for (i, r), c in sorted(acc.items()) if c])
+        self.denominator = d = lcm(*(c.denominator for entries in units for _, _, c in entries))
+        self.units = tuple(tuple((i, r, c.numerator * (d // c.denominator)) for i, r, c in entries)
+                           for entries in units)
 
     def apply(self, v: Sequence[Q], phi: Sequence[Q]) -> Vec:
-        """Algebra coordinates of Phi(v (x) phi), contracted from the units."""
+        """Algebra coordinates of Phi(v (x) phi): the inputs' denominators
+        are cleared once, the units contracted in integers, and the sum
+        divided once."""
         check_length(v, self.module_dim)
         check_length(phi, self.module_dim)
-        acc: list[Q] = [0] * self.dim
+        (v, dv), (phi, dphi) = cleared(v), cleared(phi)
+        acc = [0] * self.dim
         for a, va in enumerate(v):
             if va:
                 for i, r, c in self.units[a]:
                     fr = phi[r]
                     if fr:
                         acc[i] += va * c * fr
-        return tuple(qnorm(x) for x in acc)
+        denom = self.denominator * dv * dphi
+        return tuple(ratio(x, denom) for x in acc)
 
 
 def random_int_vector(rng: random.Random, n: int) -> Vec:

@@ -10,8 +10,10 @@ xi -> Phi(xi (x) y).  Every verdict carries the ranks, kernels, and
 witnesses needed to replay those claims independently.
 
 Every rank, partner solve and kernel of both legs is taken on ad_on_dual(x)
-and module_partner_map(y), the pentad's one Phi table (pentad.PhiMap)
-contracted with x and with y.
+and module_partner_map(y), the pentad's one integer Phi table
+(pentad.PhiMap) contracted with x and with y.  Both are D times the maps
+they stand for, D = p.phi.denominator: ranks and kernels do not change
+under that scaling, and the partner solves run against D h.
 
 Random search only ever certifies positives: failing to sample a generic
 point yields Inconclusive, never a negative verdict.
@@ -49,8 +51,9 @@ class GradingElementError(ValueError):
 
 
 def ad_on_dual(p: StandardPentad, x: Vec) -> Matrix:
-    """Matrix of phi -> Phi(x (x) phi), shape (dim algebra) x (dim dual);
-    column r is Phi(x (x) y_r), the unit table contracted with x."""
+    """D times the matrix of phi -> Phi(x (x) phi), D = p.phi.denominator,
+    shape (dim algebra) x (dim dual); column r is D Phi(x (x) y_r), the
+    integer unit table contracted with x, so integer x gives integer rows."""
     check_length(x, p.module_dim)
     out: list[dict[int, Q]] = [{} for _ in range(p.algebra.dim)]
     for xa, entries in zip(x, p.phi.units):
@@ -61,8 +64,9 @@ def ad_on_dual(p: StandardPentad, x: Vec) -> Matrix:
 
 
 def module_partner_map(p: StandardPentad, y: Vec) -> Matrix:
-    """Matrix of xi -> Phi(xi (x) y), shape (dim algebra) x (dim module);
-    column a is Phi(x_a (x) y), the unit table contracted with y."""
+    """D times the matrix of xi -> Phi(xi (x) y), D = p.phi.denominator,
+    shape (dim algebra) x (dim module); column a is D Phi(x_a (x) y), the
+    integer unit table contracted with y."""
     check_length(y, p.module_dim)
     out: list[dict[int, Q]] = [{} for _ in range(p.algebra.dim)]
     for a, entries in enumerate(p.phi.units):
@@ -165,11 +169,12 @@ def sl2_partner(p: StandardPentad, h: GradingElement, x: Vec) -> PartnerResult:
 
     The grading element makes the eigenvalue relations automatic for every
     x and y, so a unique solution ships as a verified Sl2Triple.  A status
-    other than "none" means a nontrivial relative invariant exists.
+    other than "none" means a nontrivial relative invariant exists.  The
+    leg is D times the map, so the system is solved against D h.
     """
     if not isinstance(h, GradingElement):
         raise TypeError("sl2_partner takes the pentad's GradingElement")
-    res = solve(ad_on_dual(p, x), h.coords)
+    res = solve(ad_on_dual(p, x), vec_scale(p.phi.denominator, h.coords))
     if res.status == "none":
         return PartnerResult("none", None, (), None)
     if res.status == "affine":
@@ -281,7 +286,8 @@ def verify_certificate(p: StandardPentad, v: RegularityVerdict) -> bool:
             if pr.status != "unique" or pr.y != tuple(v.y):
                 return False
             # x solves Phi(xi (x) y) = h0; uniqueness is the trivial kernel
-            return solve(module_partner_map(p, pr.y), h0).status == "unique"
+            return solve(module_partner_map(p, pr.y),
+                         vec_scale(p.phi.denominator, h0)).status == "unique"
         return False
     except (ValueError, KeyError, TypeError):
         return False

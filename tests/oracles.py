@@ -9,7 +9,9 @@ cell-by-cell loops that Matrix.nonzeros replaced, keeps the operations of
 the dense row grid that Matrix stored before it stored only nonzeros, with
 a check of the stored form, reads graded action tables densely at every
 pivot, keeps the all-pairs scans that the generating-set checks replaced,
-and keeps the JSON matrix reader and writer that walked every cell.
+the center and the grading-element solve over every commutation row, the
+rank read off the full echelon, and the JSON matrix reader and writer that
+walked every cell.
 """
 
 import random
@@ -20,10 +22,13 @@ from pentads.catalog import matrix_space_example, resolve
 from pentads.exact_linalg import (
     Matrix,
     dense_vec,
+    kernel_basis,
     kronecker,
     qnorm,
     qstr,
+    solve,
     solve_multi,
+    sparse_row_space_basis,
 )
 from pentads.lie import (
     BilinearForm,
@@ -331,6 +336,45 @@ def all_pairs_invariance_witness(alg, gram):
                 if lhs != rhs:
                     return (i, j, k)
     return None
+
+
+# --- Every commutation row, the reference for the center on generators and
+# --- for the grading element in center coordinates ---------------------------
+
+def all_commutation_rows(alg):
+    """The nonzero rows of [z, b_j] = 0 for every j, ordered by (j, k)."""
+    rows = {}
+    for i, row in enumerate(alg.structure):
+        for j, cij in enumerate(row):
+            for k, c in cij:
+                rows.setdefault((j, k), []).append((i, c))
+    return [tuple(rows[key]) for key in sorted(rows)]
+
+
+def all_rows_center(alg):
+    """The canonical kernel basis of all d^2 commutation rows."""
+    return kernel_basis(Matrix.from_nonzeros(all_commutation_rows(alg), alg.dim))
+
+
+def stacked_grading_element(p):
+    """(status, element coordinates, solution space) from one solve of every
+    commutation row stacked on one row per matrix cell and side, empty cells
+    included, against (0, 2 Id, -2 Id)."""
+    m = p.module_dim
+    rows = all_commutation_rows(p.algebra)
+    rhs = [0] * len(rows)
+    for action, lam in ((p.rep.action, 2), (p.dual.action, -2)):
+        stacked = Matrix.from_nonzeros((a.flat_nonzeros() for a in action), m * m)
+        rows.extend(stacked.transpose().nonzeros)
+        rhs.extend(lam if cell % (m + 1) == 0 else 0 for cell in range(m * m))
+    res = solve(Matrix.from_nonzeros(rows, p.algebra.dim), tuple(rhs))
+    status = {"none": "absent", "affine": "degenerate", "unique": "found"}[res.status]
+    return status, res.solution, tuple(res.kernel)
+
+
+def echelon_rank(m):
+    """The number of rows of the canonical echelon basis."""
+    return len(sparse_row_space_basis(m.nonzeros))
 
 
 # --- JSON matrices cell by cell, the reference for the nonzero reader/writer --

@@ -164,6 +164,21 @@ class TestInvalidInput:
         assert code == 1
         assert "max-degree" in doc["error"]
 
+    @pytest.mark.parametrize("command", ["generic-point", "sl2", "regularity"])
+    def test_negative_attempts(self, capsys, command):
+        # a negative sample budget is rejected before any pentad is loaded
+        # (an unknown entry is not reached), with or without an explicit --x
+        # or a certificate to verify
+        extra = {"sl2": ["--x", "1"], "regularity": ["--verify-certificate"]}
+        for example in ("gl1_scalar", "no_such_entry"):
+            for flags in ([], extra.get(command, [])):
+                code, out = run_raw(capsys, command, "--example", example,
+                                    "--attempts", "-1", *flags)
+                assert code == 1
+                assert out == dumps({"error": "--attempts must be non-negative"}) + "\n"
+        code, _ = run(capsys, command, "--example", "gl1_scalar", "--attempts", "0")
+        assert code == 0
+
 
 def _set(path, value):
     """A mutation that puts value at the nested index path of the file."""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pentads import exact_linalg
 from pentads.exact_linalg import (
     Matrix,
     inverse,
@@ -34,6 +35,7 @@ from oracles import (
     dense_matmul,
     dense_nonzeros,
     dense_trace_product,
+    echelon_rank,
     grid_add,
     grid_flat,
     grid_identity,
@@ -347,6 +349,15 @@ class TestRank:
             scrambled = random_elementary_ops(rng, base, steps=12)
             assert rank(scrambled) == r, f"trial {trial}"
 
+    def test_forward_pass_only(self, monkeypatch):
+        # rank counts the rows echelon_add keeps and never forms the RREF
+        def no_rref(rows):
+            raise AssertionError("rank ran the backward pass")
+
+        monkeypatch.setattr(exact_linalg, "sparse_row_space_basis", no_rref)
+        m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], ["1/2", 0, 1], [0, 0, 0]])
+        assert rank(m) == 2
+
 
 class TestRref:
     def test_idempotent(self):
@@ -590,6 +601,12 @@ class TestEngineMatchesDenseOracle:
     @given(adversarial())
     def test_rank(self, m):
         assert rank(m) == oracle_rank(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(adversarial())
+    def test_rank_is_the_echelon_row_count(self, m):
+        # the forward pass keeps exactly as many rows as the RREF has
+        assert rank(m) == echelon_rank(m)
 
     @settings(max_examples=150, deadline=None)
     @given(adversarial())

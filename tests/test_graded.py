@@ -1,8 +1,11 @@
 """Graded construction: dimensions, brackets, grading and minimality checks."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentads.catalog import catalog, matrix_space_example, resolve
 from pentads.exact_linalg import (
@@ -27,6 +30,7 @@ from pentads.graded import (
 )
 from pentads.lie import direct_sum, family, trace_form, unit_coords
 from pentads.pentad import (
+    DualModule,
     PhiMap,
     Representation,
     StandardPentad,
@@ -35,7 +39,8 @@ from pentads.pentad import (
 )
 
 from oracles import (dense_pivot_action, display_name, mirror, pivot_columns,
-                     rational_matrix_space_pentad, rational_vector_pentad, vec_add)
+                     rational_matrix_space_pentad, rational_vector_pentad,
+                     stacked_grading_element, vec_add)
 
 
 def build(spec, degree):
@@ -98,6 +103,89 @@ class TestGradingElement:
         assert res.status == "degenerate"
         assert res.element.coords == (2, 0)
         assert res.solution_space == ((0, 1),)
+
+
+def grading_triple(p):
+    res = grading_element(p)
+    return res.status, None if res.element is None else res.element.coords, res.solution_space
+
+
+def typed(v):
+    """Values with their types, so an int and an equal Fraction differ."""
+    if isinstance(v, (tuple, list)):
+        return [typed(x) for x in v]
+    return (type(v).__name__, v)
+
+
+@st.composite
+def abelian_pentads(draw):
+    """gl(1)^k, plus gl(2) on a two-dimensional block when drawn, acting by
+    diagonal matrices (scalars on the gl(2) block), with the contragredient
+    dual or that dual with bumped entries.  The grading element of such a
+    pentad can be found, absent or degenerate."""
+    k = draw(st.integers(1, 3))
+    with_gl2 = draw(st.booleans())
+    n = draw(st.integers(0, 2) if with_gl2 else st.integers(1, 3))
+    size = n + 2 * with_gl2
+    entries = st.sampled_from([-1, 0, 1, 1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    action = []
+    for _ in range(k):
+        diag = [draw(entries)] * 2 if with_gl2 else []
+        diag += [draw(entries) for _ in range(n)]
+        action.append(Matrix([[x if r == c else 0 for c in range(size)]
+                              for r, x in enumerate(diag)]))
+    algebras = [family("gl", 1)] * k
+    if with_gl2:
+        algebras.append(family("gl", 2))
+        action += [Matrix.from_nonzeros(b.nonzeros + ((),) * n, size)
+                   for b in algebras[-1].basis]
+    alg = direct_sum(algebras)
+    rep = Representation(alg, tuple(action))
+    dual = dual_representation(rep)
+    bumps = draw(st.lists(st.tuples(st.integers(0, alg.dim - 1), st.integers(0, size - 1),
+                                    st.integers(0, size - 1),
+                                    st.sampled_from([-1, 1, Fraction(1, 2)])), max_size=2))
+    if bumps:
+        grids = [[list(row) for row in a.entries] for a in dual.action]
+        for i, r, c, x in bumps:
+            grids[i][r][c] = qnorm(grids[i][r][c] + x)
+        dual = DualModule(tuple(Matrix(g) for g in grids), dual.pairing)
+    return StandardPentad(alg, rep, dual, trace_form(alg))
+
+
+def bumped_dual(p):
+    """p with 1 added to the first cell of its first dual action matrix."""
+    grids = [[list(row) for row in a.entries] for a in p.dual.action]
+    grids[0][0][0] = qnorm(grids[0][0][0] + 1)
+    return StandardPentad(p.algebra, p.rep,
+                          DualModule(tuple(Matrix(g) for g in grids), p.dual.pairing), p.form)
+
+
+class TestGradingElementMatchesStackedSolve:
+    """The solve in center coordinates, lifted through the center basis,
+    against one solve of every commutation row stacked on every cell row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(abelian_pentads())
+    def test_drawn_pentads(self, p):
+        got, want = grading_triple(p), stacked_grading_element(p)
+        assert got == want
+        assert typed(got) == typed(want)
+
+    def test_every_status(self):
+        pentads = [e.build() for e in catalog()]
+        pentads += [rational_vector_pentad(), rational_matrix_space_pentad()]
+        pentads += [bumped_dual(p) for p in pentads]
+        alg = direct_sum([family("gl", 1), family("gl", 1)])
+        rep = Representation(alg, (Matrix.from_rows([[1]]), Matrix.from_rows([[0]])))
+        pentads.append(StandardPentad(alg, rep, dual_representation(rep), trace_form(alg)))
+        seen = set()
+        for p in pentads:
+            got, want = grading_triple(p), stacked_grading_element(p)
+            assert got == want
+            assert typed(got) == typed(want)
+            seen.add(got[0])
+        assert seen == {"found", "absent", "degenerate"}
 
 
 DIM_PINS = [
@@ -804,11 +892,16 @@ class TestSinglePaths:
 
     @pytest.mark.parametrize("spec", CATALOG_SPECS + sorted(RATIONAL_PENTADS))
     def test_negative_units_are_the_mirror_phi(self, spec):
+        # Each half reads a Phi table's integers divided by its denominator:
+        # the positive half the pentad's own, the negative half the mirror's.
         p = RATIONAL_PENTADS[spec]() if spec in RATIONAL_PENTADS else resolve(spec).build()
-        got, want = extend(p, 1).negative.units, PhiMap(mirror(p)).units
-        assert got == want
-        assert ([[type(c) for _, _, c in row] for row in got]
-                == [[type(c) for _, _, c in row] for row in want])
+        g = extend(p, 1)
+        for got, phi in ((g.positive.units, p.phi), (g.negative.units, PhiMap(mirror(p)))):
+            want = tuple(tuple((i, r, qnorm(Fraction(c, phi.denominator))) for i, r, c in row)
+                         for row in phi.units)
+            assert got == want
+            assert ([[type(c) for _, _, c in row] for row in got]
+                    == [[type(c) for _, _, c in row] for row in want])
 
     def test_no_second_pentad(self, monkeypatch):
         p = matrix_space_example(2)

@@ -16,7 +16,6 @@ from pentads.lie import (
     NotClosedError,
     NotIndependentError,
     build_algebra,
-    center,
     check_form,
     derived_subalgebra,
     direct_sum,
@@ -27,7 +26,10 @@ from pentads.lie import (
     unit_coords,
 )
 
-from oracles import coords_of, dense_trace_product, display_name, matrix_of, vec_add
+from pentads import lie
+
+from oracles import (all_commutation_rows, all_rows_center, coords_of, dense_trace_product,
+                     display_name, matrix_of, vec_add)
 
 
 def commutator(a, b):
@@ -223,7 +225,7 @@ class TestDirectSum:
 
     def test_center_of_sum(self):
         alg = direct_sum([family("gl", 1), family("so", 3)])
-        assert center(alg) == [(1, 0, 0, 0)]
+        assert alg.center == ((1, 0, 0, 0),)
 
     @pytest.mark.parametrize("parts", [
         [("gl", 1), ("so", 2)], [("gl", 1), ("so", 3)], [("gl", 1), ("so", 5)],
@@ -240,16 +242,16 @@ class TestDirectSum:
 
 class TestCenterAndDerived:
     def test_center_of_gl2_is_scalars(self):
-        assert center(family("gl", 2)) == [(1, 0, 0, 1)]
+        assert family("gl", 2).center == ((1, 0, 0, 1),)
 
     def test_center_of_sl2_is_trivial(self):
-        assert center(family("sl", 2)) == []
+        assert family("sl", 2).center == ()
 
     def test_center_of_abelian_is_everything(self):
         gl1 = family("gl", 1)
-        assert center(gl1) == [(1,)]
-        both = center(direct_sum([gl1, gl1]))
-        assert both == [(1, 0), (0, 1)]
+        assert gl1.center == ((1,),)
+        both = direct_sum([gl1, gl1]).center
+        assert both == ((1, 0), (0, 1))
         assert all(type(x) is int for v in both for x in v)
 
     def test_derived_of_gl2_is_sl2(self):
@@ -479,6 +481,36 @@ class TestGeneratingSet:
         assert family("gl", 1).generators == (0,)
 
 
+SUM_ALGEBRAS = [(f"gl1^{k}" + ("+gl2" if with_gl2 else ""),
+                 direct_sum([family("gl", 1)] * k + ([family("gl", 2)] if with_gl2 else [])))
+                for k in (1, 2, 3) for with_gl2 in (False, True)]
+
+
+class TestCenterOnGenerators:
+    @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS + SUM_ALGEBRAS],
+                             ids=ALGEBRA_IDS + [name for name, _ in SUM_ALGEBRAS])
+    def test_matches_kernel_of_all_commutation_rows(self, alg):
+        want = all_rows_center(alg)
+        assert list(alg.center) == want
+        assert [list(map(type, v)) for v in alg.center] == [list(map(type, v)) for v in want]
+
+    def test_solves_only_the_generators_rows(self, monkeypatch):
+        # gl(1) + so(12) has 12 generators of 67: the center is the kernel
+        # of the 220 rows of [z, s] = 0, not of all 1320 rows of [z, b_j] = 0
+        alg = resolve("gl1_so_vector(12)").build().algebra
+        assert len(alg.generators) == 12
+        shapes, real = [], lie.kernel_basis
+
+        def spy(m):
+            shapes.append(m.shape())
+            return real(m)
+
+        monkeypatch.setattr(lie, "kernel_basis", spy)
+        assert alg.center == ((1,) + (0,) * 66,)
+        assert shapes == [(220, 67)]
+        assert len(all_commutation_rows(alg)) == 1320
+
+
 class TestSparseStructureMatchesDense:
     @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
     def test_structure_constants(self, alg):
@@ -492,7 +524,7 @@ class TestSparseStructureMatchesDense:
     @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
     def test_center_and_derived(self, alg):
         table = dense_structure(alg.ambient_size, alg.basis)
-        assert center(alg) == dense_center(table)
+        assert list(alg.center) == dense_center(table)
         assert derived_subalgebra(alg) == dense_derived(table)
 
     @pytest.mark.parametrize("name", CATALOG_PENTADS)
@@ -506,6 +538,30 @@ class TestSparseStructureMatchesDense:
     def test_trace_gram(self, alg):
         assert alg.trace_gram == Matrix(tuple(
             tuple(dense_trace_product(a, b) for b in alg.basis) for a in alg.basis))
+
+    @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
+    def test_build_skips_only_commuting_pairs(self, alg):
+        # build_algebra skips the pairs whose matrices cannot multiply; its
+        # table from the same basis is still the all-pairs one, for the
+        # direct sums (most of whose pairs are skipped) too
+        built = build_algebra(alg.ambient_size, alg.basis)
+        assert dense_table(built) == dense_structure(alg.ambient_size, alg.basis)
+        assert repr(built.structure) == repr(alg.structure)
+
+    def test_build_forms_fewer_commutator_rows(self, monkeypatch):
+        # so(6): 15 basis matrices E_ab - E_ba.  The 60 pairs that share an
+        # index form 3 rows each; the 45 disjoint pairs cannot multiply and
+        # form none (all pairs: 45 * 4 + 60 * 3 = 360 rows).
+        rows, real = [], lie.commutator_row
+
+        def counting(a, b, r):
+            rows.append(r)
+            return real(a, b, r)
+
+        monkeypatch.setattr(lie, "commutator_row", counting)
+        alg = family("so", 6)
+        assert alg.dim == 15
+        assert len(rows) == 180
 
     @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
     def test_ad_matrix_columns_are_brackets(self, alg):

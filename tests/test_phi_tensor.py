@@ -9,6 +9,7 @@ at a time.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from pentads import preh
 from pentads.catalog import catalog, matrix_space_example, resolve
-from pentads.exact_linalg import Matrix, dense_vec, inverse, kernel_basis, solve
+from pentads.exact_linalg import Matrix, dense_vec, inverse, kernel_basis, qnorm, solve
 from pentads.graded import grading_element
 from pentads.lie import trace_form, unit_coords
 from pentads.pentad import PhiMap, check_standard
@@ -52,10 +53,14 @@ ORACLES = {name: DenseOracle(p) for name, p in PENTADS.items()}
 
 
 def assert_agrees(name, x, y):
+    # the legs are D times the oracle's maps, D the table's denominator;
+    # apply divides it out
     p, oracle = PENTADS[name], ORACLES[name]
-    assert ad_on_dual(p, x) == oracle.ad_on_dual(x)
-    assert module_partner_map(p, y) == oracle.module_partner_map(y)
+    d = p.phi.denominator
+    assert ad_on_dual(p, x) == oracle.ad_on_dual(x).scale(d)
+    assert module_partner_map(p, y) == oracle.module_partner_map(y).scale(d)
     assert p.phi.apply(x, y) == oracle.apply(x, y)
+    assert list(map(type, p.phi.apply(x, y))) == list(map(type, oracle.apply(x, y)))
 
 
 class TestFixtures:
@@ -99,22 +104,52 @@ class TestContractionMatchesOracle:
             p.phi.apply((1, 0, 0), (1, 0, 0, 0))
 
 
+def oracle_column(oracle, a, r):
+    """Phi(x_a (x) y_r) = G^-1 . (W_i[a][r])_i."""
+    return oracle.gram_inv.apply(tuple(w.entries[a][r] for w in oracle.tables))
+
+
 class TestUnitTable:
     @pytest.mark.parametrize("name", sorted(PENTADS))
     def test_units_are_the_oracle_columns(self, name):
-        # units[a] holds Phi(x_a (x) y_r) = G^-1 . (W_i[a][r])_i for every r,
-        # by its nonzeros ascending in (i, r)
+        # units[a] holds D . Phi(x_a (x) y_r) for every r, by its nonzeros
+        # ascending in (i, r)
         p, oracle = PENTADS[name], ORACLES[name]
-        d = p.algebra.dim
+        d, denom = p.algebra.dim, p.phi.denominator
         assert len(p.phi.units) == p.module_dim
         for a, entries in enumerate(p.phi.units):
             assert [(i, r) for i, r, _ in entries] == sorted((i, r) for i, r, _ in entries)
             assert all(c for _, _, c in entries)
             for r in range(p.module_dim):
-                want = oracle.gram_inv.apply(tuple(w.entries[a][r] for w in oracle.tables))
-                got = dense_vec(((i, c) for i, rr, c in entries if rr == r), d)
+                want = oracle_column(oracle, a, r)
+                got = dense_vec(((i, qnorm(Fraction(c, denom))) for i, rr, c in entries
+                                 if rr == r), d)
                 assert got == want
                 assert list(map(type, got)) == list(map(type, want))
+
+    @pytest.mark.parametrize("name", sorted(PENTADS))
+    def test_one_integer_table_over_the_least_denominator(self, name):
+        p, oracle = PENTADS[name], ORACLES[name]
+        denom = p.phi.denominator
+        assert type(denom) is int and denom > 0
+        assert all(type(c) is int for entries in p.phi.units for _, _, c in entries)
+        m = p.module_dim
+        assert denom == lcm(*(x.denominator for a in range(m) for r in range(m)
+                              for x in oracle_column(oracle, a, r)))
+
+    @pytest.mark.parametrize("name", sorted(PENTADS))
+    def test_legs_have_integer_rows(self, name):
+        # integer vectors (every generic-point candidate is one) contract
+        # the integer table into integer rows, which the engine takes as
+        # they are
+        p = PENTADS[name]
+        m = p.module_dim
+        rng = random.Random(1)
+        vectors = [unit_coords(m, k) for k in range(m)]
+        vectors += [tuple(rng.randint(-9, 9) for _ in range(m)) for _ in range(3)]
+        for v in vectors:
+            for leg in (ad_on_dual(p, v), module_partner_map(p, v)):
+                assert all(type(x) is int for row in leg.nonzeros for _, x in row)
 
 
 class TestPipelineMatchesOracle:

@@ -531,20 +531,20 @@ class TestPipelineWorkCounts:
         assert len(hom_checks) == 4
         assert len(grams) == 1 and grams[0] is p.algebra
 
-    def test_commutation_rows_once_per_certified_run(self, monkeypatch, capsys):
-        # regularity --verify-certificate reads the rows of [z, b_j] = 0
-        # three times (the center, and the grading-element solves of the
-        # decision and of its replay); the algebra builds them once.
+    def test_center_once_per_certified_run(self, monkeypatch, capsys):
+        # regularity --verify-certificate reads the center three times (the
+        # scalar-center check, and the grading-element solves of the decision
+        # and of its replay); the algebra computes it once.
         built = []
-        rows = lie.MatrixLieAlgebra.commutation_rows
+        center = lie.MatrixLieAlgebra.center
 
-        def counting_rows(alg):
+        def counting_center(alg):
             built.append(alg)
-            return rows.func(alg)
+            return center.func(alg)
 
-        counted = cached_property(counting_rows)
-        counted.__set_name__(lie.MatrixLieAlgebra, "commutation_rows")
-        monkeypatch.setattr(lie.MatrixLieAlgebra, "commutation_rows", counted)
+        counted = cached_property(counting_center)
+        counted.__set_name__(lie.MatrixLieAlgebra, "center")
+        monkeypatch.setattr(lie.MatrixLieAlgebra, "center", counted)
         code = cli.main(["regularity", "--verify-certificate",
                          "--example", "matrix_space_example(3)"])
         assert code == 0
