@@ -30,6 +30,7 @@ on dict ordering or pivot luck.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -41,20 +42,25 @@ Vec = tuple[Q, ...]
 # The nonzero coordinates (k, c) of a vector, ascending in k.
 SparseVec = tuple[tuple[int, Q], ...]
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)/([0-9]+)")
+
 
 def qof(x: Q | str) -> Q:
     """Coerce an int, Fraction, or string like '-3/7' to a scalar; the
-    dispatch is on the exact type, so a bool is not a scalar."""
+    dispatch is on the exact type, so a bool is not a scalar, and a string
+    must read [+-]?[0-9]+(/[0-9]+)? in ASCII, or it raises ValueError."""
     t = type(x)
     if t is int:
         return x
     if t is str:
-        # Plain ASCII integer literals, the bulk of every pentad file, skip
-        # Fraction's regex; int() gives them the same value.
-        digits = x[1:] if x[:1] == "-" else x
+        # Plain integer literals, the bulk of every pentad file, skip the regex
+        digits = x[1:] if x[:1] in ("+", "-") else x
         if digits.isascii() and digits.isdigit():
             return int(x)
-        return qnorm(Fraction(x))
+        parts = _RATIONAL.fullmatch(x)
+        if parts is None:
+            raise ValueError(f"malformed rational literal: {x!r}")
+        return qnorm(Fraction(int(parts[1]), int(parts[2])))
     if t is Fraction:
         return qnorm(x)
     raise TypeError(f"not a rational scalar: {x!r}")
@@ -365,7 +371,7 @@ def inverse(m: Matrix) -> Matrix:
     cols = solve_multi(m, Matrix.identity(m.rows))
     if any(c is None for c in cols):
         raise ValueError("matrix is singular")
-    return Matrix(cols).transpose()
+    return Matrix.from_nonzeros((sparse_row(dict(enumerate(c))) for c in cols), m.rows).transpose()
 
 
 def _sparse_int_row(row: Iterable[tuple[int, Q]]) -> dict[int, int]:

@@ -1,22 +1,26 @@
 """Degree-by-degree construction of the graded Lie algebra of a pentad.
 
-Starting from the local part  U_{-1} + g + U_1  the positive components are
-built inside Hom(U_{-1}, U_k): for x in U_1 and u in U_k the bracket [x, u]
-is the map y -> [[x, y], u] + [x, [u, y]], and U_{k+1} is the span of these
-candidates.  The negative side runs the same machinery with the module and
-its dual swapped and Phi's unit table swapped and negated.  Realizing each
-component as maps makes evaluation against U_{-1} literally the bracket, so
-minimality (no nonzero vector bracketing to zero with the opposite
-generator line) is a rank statement about the stored maps.
+Starting from the local part  U_{-1} + g + U_1  every positive component
+U_k, k >= 1, is realized inside Hom(U_{-1}, U_{k-1}) as u -> (y -> [u, y]):
+U_1 through Phi, which is the bracket U_1 x U_{-1} -> g, and U_{k+1} as the
+span of the candidates [x, u] for x in U_1 and u in U_k, the maps
+y -> [[x, y], u] + [x, [u, y]].  The negative side runs the same machinery
+with the module and its dual swapped and Phi's unit table swapped and
+negated.  Realizing each component as maps makes evaluation against U_{-1}
+literally the bracket, so minimality (no nonzero vector bracketing to zero
+with the opposite generator line) is a rank statement about the stored
+maps.
 
-Every component is stored by its nonzeros only (see _Half): basis maps and
-action matrices as sparse Matrix objects, bracket-table and memo entries as
+Every component is stored by its nonzeros only (see _Half): a basis map as
+one flat row, keyed by the pair of its U_{-1} and U_{k-1} indices, which
+above degree 1 is exactly a row of the candidate stack's echelon form;
+action matrices as sparse Matrix objects; bracket-table and memo entries as
 (index, value) pairs.  The components are almost all zeros (the 572
 degree-3 maps of matrix_space_example(2) fill 0.22% of their cells), so
 construction, the checks and every bracket walk nonzeros only,
 accumulating in place into one list per result that is normalized once at
-the end.  action_matrices returns the stored matrices, component_maps the
-stored maps transposed.
+the end.  action_matrices returns the stored matrices; component_maps
+builds the maps as matrices on request.
 
 Components can keep growing forever for general input; construction always
 truncates at a caller-supplied degree bound.  A zero component shuts down
@@ -123,15 +127,18 @@ class _Half:
     The side is given by the algebra's action on its degree-one line U_1
     and on the opposite line U_{-1}, and by the bracket U_1 x U_{-1} -> g
     as a unit table: units[a] holds the nonzeros (i, r, c) of [x_a, y_r],
-    ascending in (i, r), for the bases x of U_1 and y of U_{-1}.  Per
-    degree k:
+    ascending in (i, r), for the bases x of U_1 and y of U_{-1}.  Every
+    degree k >= 1, degree 1 included, is held in the same tables, with
+    U_0 = g:
 
-      maps[k][s]     (k >= 2) basis vector s of U_k as the m x dim U_{k-1}
-                     Matrix whose row r is [u_s, y_r]: the transpose of the
-                     map U_{-1} -> U_{k-1}, so m rows however large U_{k-1};
+      maps[k][s]     basis vector s of U_k as the map y_r -> [u_s, y_r]
+                     into U_{k-1}, by its nonzeros keyed t * m + r for
+                     coordinate t of U_{k-1}: the RREF rows of the candidate
+                     stack themselves, and at degree 1 the unit table;
       actions[k][i]  the Matrix of algebra basis element i acting on U_k,
                      built on first use above degree 1;
-      up[k][a][s]    [x_a, u_s] in U_{k+1}, as (index, value) pairs;
+      up[k][a][s]    [x_a, u_s] in U_{k+1}, as (index, value) pairs; up[0]
+                     is [x_a, b_i] = -pi(b_i) x_a;
       dual[i]        the matrix of basis element i acting on U_{-1}.
 
     Every reader (evaluation, the actions, the table, the next candidates,
@@ -145,12 +152,14 @@ class _Half:
     def __init__(self, action: Sequence[Matrix], dual: Sequence[Matrix],
                  units: Sequence[tuple[tuple[int, int, Q], ...]], max_degree: int):
         self.m = m = len(units)
-        self.units = units
-        self.dims: dict[int, int] = {1: m}
-        self.maps: dict[int, tuple[Matrix, ...]] = {}
+        self.dims: dict[int, int] = {0: len(action), 1: m}
+        self.maps: dict[int, tuple[SparseVec, ...]] = {
+            1: tuple(tuple((i * m + r, c) for i, r, c in row) for row in units)}
         self.actions: dict[int, list[Matrix]] = {1: list(action)}
         self.dual = dual
-        self.up: dict[int, list[list[SparseVec]]] = {}
+        columns = [a.transpose().nonzeros for a in action]
+        self.up: dict[int, list[list[SparseVec]]] = {
+            0: [[tuple((t, -x) for t, x in cols[a]) for cols in columns] for a in range(m)]}
         self._expansions: dict[int, list[tuple[tuple[Q, int, int], ...]]] = {}
         for k in range(1, max_degree):
             if self.dims.get(k, 0) == 0:
@@ -159,45 +168,36 @@ class _Half:
             self._build_next(k)
 
     def _build_next(self, k: int) -> None:
-        m, units = self.m, self.units
+        m = self.m
         nk = self.dims[k]
         cands: list[dict[int, Q]] = [{} for _ in range(m * nk)]
         act = self.action_rows(k)
         # [[x_a, y_r], u_s] = pi([x_a, y_r]) u_s, for every s at once
-        for a in range(m):
-            for i, r, g in units[a]:
+        for a, unit in enumerate(self.maps[1]):
+            for ir, g in unit:
+                i, r = divmod(ir, m)
                 for t, row in enumerate(act[i].nonzeros):
                     j = t * m + r
                     for s, x in row:
                         cand = cands[a * nk + s]
                         cand[j] = cand.get(j, 0) + g * x
-        if k == 1:
-            # [x_a, [u_s, y_r]] = -pi([u_s, y_r]) x_a
-            for s in range(m):
-                for i, r, h in units[s]:
-                    for t, row in enumerate(act[i].nonzeros):
-                        j = t * m + r
-                        for a, x in row:
-                            cand = cands[a * nk + s]
-                            cand[j] = cand.get(j, 0) - h * x
-        else:
-            # [x_a, [u_s, y_r]], with [u_s, y_r] read off the stored map
-            up_prev = self.up[k - 1]
-            for s, f in enumerate(self.maps[k]):
-                for r, row in enumerate(f.nonzeros):
-                    for t, w in row:
-                        for a in range(m):
-                            cand = cands[a * nk + s]
-                            for t2, uv in up_prev[a][t]:
-                                j = t2 * m + r
-                                cand[j] = cand.get(j, 0) + w * uv
+        # [x_a, [u_s, y_r]], with [u_s, y_r] read off the stored map
+        up_prev = self.up[k - 1]
+        for s, f in enumerate(self.maps[k]):
+            for tr, w in f:
+                t, r = divmod(tr, m)
+                for a in range(m):
+                    cand = cands[a * nk + s]
+                    for t2, uv in up_prev[a][t]:
+                        j = t2 * m + r
+                        cand[j] = cand.get(j, 0) + w * uv
         candidates = [{j: qnorm(x) for j, x in cand.items() if x} for cand in cands]
         basis = sparse_row_space_basis(cand.items() for cand in candidates)
         self.dims[k + 1] = len(basis)
         if not basis:
             self.up[k] = [[() for _ in range(nk)] for _ in range(m)]
             return
-        self.maps[k + 1] = tuple(_unflatten(row, nk, m) for row in basis)
+        self.maps[k + 1] = tuple(basis)
         # The basis is the RREF of the candidate stack, so each candidate's
         # coordinates are plain reads at the pivot columns.
         pivot_of = {row[0][0]: p for p, row in enumerate(basis)}
@@ -209,8 +209,7 @@ class _Half:
         """(a.f)(y) = [a, f(y)] - f([a, y]) on the stored basis maps."""
         m = self.m
         maps = self.maps[degree]
-        flats = [_flat(f, m) for f in maps]
-        index_of = {v[0][0]: s for s, v in enumerate(flats)}
+        index_of = {f[0][0]: s for s, f in enumerate(maps)}
         out: list[Matrix] = []
         for amat, dmat in zip(self.action_rows(degree - 1), self.dual):
             a_cols, d_rows = amat.transpose().nonzeros, dmat.nonzeros
@@ -223,7 +222,7 @@ class _Half:
                 # Stability of the component under the algebra is what makes
                 # pivot reads valid here, so rebuild and compare to be sure.
                 for s, c in coords:
-                    for j, x in flats[s]:
+                    for j, x in maps[s]:
                         g[j] = g.get(j, 0) - c * x
                 if any(g.values()):
                     raise ArithmeticError("action left the component span")
@@ -232,7 +231,7 @@ class _Half:
         self.actions[degree] = out
 
     def action_rows(self, k: int) -> list[Matrix]:
-        """The algebra basis acting on U_k, built on first use."""
+        """The algebra basis acting on U_k (k >= 1), built on first use."""
         if k not in self.actions and self.dims.get(k, 0):
             self._build_action(k)
         return self.actions.get(k, [])
@@ -257,16 +256,17 @@ class _Half:
         return result
 
     def evaluate(self, degree: int, f_coords: Vec, y: Vec) -> Vec:
-        """[f, y] for f in U_degree (degree >= 2), y in U_{-1}: evaluation,
-        the sum over s and r of f_s y_r times row r of map s."""
+        """[f, y] for f in U_degree (degree >= 1), y in U_{-1}: evaluation,
+        the sum over s and r of f_s y_r times [u_s, y_r]."""
+        m = self.m
         acc: list[Q] = [0] * self.dims[degree - 1]
         for c, f in zip(f_coords, self.maps[degree]):
             if c:
-                for yr, row in zip(y, f.nonzeros):
+                for tr, x in f:
+                    t, r = divmod(tr, m)
+                    yr = y[r]
                     if yr:
-                        w = c * yr
-                        for t, x in row:
-                            acc[t] += w * x
+                        acc[t] += c * yr * x
         return _normalized(acc)
 
     def up_bracket(self, k: int, x: Vec, u: Vec) -> Vec:
@@ -290,41 +290,25 @@ class _Half:
         return linear_combination_apply(g, self.action_rows(k), v)
 
 
-def _unflatten(v: SparseVec, n: int, m: int) -> Matrix:
-    """The stored m x n map with flat nonzeros v; candidate maps and the
-    echelon key the pair (t, r) of U_{k-1} and U_{-1} by t * m + r."""
-    out: list[list[tuple[int, Q]]] = [[] for _ in range(m)]
-    for j, x in v:
-        t, r = divmod(j, m)
-        out[r].append((t, x))
-    return Matrix.from_nonzeros(map(tuple, out), n)
-
-
-def _flat(f: Matrix, m: int) -> SparseVec:
-    """The nonzeros of a stored map by flat index t * m + r, ascending."""
-    return tuple(sorted((t * m + r, x) for r, row in enumerate(f.nonzeros) for t, x in row))
-
-
-def _twist(a_cols: Sequence[SparseVec], f: Matrix, d_rows: Sequence[SparseVec],
+def _twist(a_cols: Sequence[SparseVec], f: SparseVec, d_rows: Sequence[SparseVec],
            m: int) -> dict[int, Q]:
-    """a.F - F.d for the map F: U_{-1} -> U_k whose transpose is the stored
-    map f, keyed by flat index t * m + r.
+    """a.F - F.d for the stored map F: U_{-1} -> U_k with flat nonzeros f,
+    keyed by t * m + r like f.
 
     a acts on U_k and is given by the nonzeros of its columns, d acts on
     U_{-1} and is given by those of its rows; cancelled entries stay in the
     result as zeros.
     """
     out: dict[int, Q] = {}
-    for r, row in enumerate(f.nonzeros):
-        d_row = d_rows[r]
-        for t, c in row:
-            for t2, x in a_cols[t]:
-                j = t2 * m + r
-                out[j] = out.get(j, 0) + x * c
-            base = t * m
-            for r2, y in d_row:
-                j = base + r2
-                out[j] = out.get(j, 0) - c * y
+    for j, c in f:
+        t, r = divmod(j, m)
+        for t2, x in a_cols[t]:
+            j2 = t2 * m + r
+            out[j2] = out.get(j2, 0) + x * c
+        base = t * m
+        for r2, y in d_rows[r]:
+            j2 = base + r2
+            out[j2] = out.get(j2, 0) - c * y
     return out
 
 
@@ -388,10 +372,18 @@ class GradedAlgebra:
 
     def component_maps(self, degree: int) -> tuple[Matrix, ...]:
         """Basis of U_degree, |degree| >= 2, as maps from the opposite
-        degree-one component: the stored maps, transposed back."""
+        degree-one component: row t of a map is coordinate t of its values
+        on that component's basis."""
         if abs(degree) < 2:
             raise DegreeError("components below degree 2 are not stored as maps")
-        return tuple(f.transpose() for f in self._half(degree).maps.get(abs(degree), ()))
+        half, k = self._half(degree), abs(degree)
+        out = []
+        for f in half.maps.get(k, ()):
+            rows: list[list[tuple[int, Q]]] = [[] for _ in range(half.dims[k - 1])]
+            for j, x in f:
+                rows[j // half.m].append((j % half.m, x))
+            out.append(Matrix.from_nonzeros(map(tuple, rows), half.m))
+        return tuple(out)
 
     def action_matrices(self, degree: int) -> list[Matrix]:
         """Matrices of the algebra basis acting on U_degree."""
@@ -410,7 +402,8 @@ class GradedAlgebra:
         return GradedVector(j + k, self._bracket(j, a.coords, k, b.coords))
 
     def _bracket(self, j: int, a: Vec, k: int, b: Vec) -> Vec:
-        """Each case runs on the side of its sign; [phi, v] = -Phi(v (x) phi)."""
+        """Each case runs on the side of its sign; U_{+-1} x U_{-+1} is the
+        evaluation of degree +-1, whose maps are the unit table."""
         target = self._dims[j + k]
         if target == 0 or is_zero_vec(a) or is_zero_vec(b):
             return zero_vec(target)
@@ -421,15 +414,12 @@ class GradedAlgebra:
         if k == 0:
             return vec_neg(self._bracket(0, b, j, a))
         one = 1 if j > 0 else -1
+        if k == -one:
+            return self._half(j).evaluate(abs(j), a, b)
         if abs(j) == 1:
-            if k == -j:
-                phi = self.pentad.phi
-                return phi.apply(a, b) if j > 0 else vec_neg(phi.apply(b, a))
             if j * k > 0:
                 return self._half(j).up_bracket(abs(k), a, b)
             return vec_neg(self._half(k).evaluate(abs(k), b, a))
-        if k == -one:
-            return self._half(j).evaluate(abs(j), a, b)
         # First argument in degree >= 2: expand each basis vector into
         # generator pairs, [[x, u], b] = [x, [u, b]] - [u, [x, b]], and group
         # the terms by generator a, so that the call brackets b with each
@@ -520,17 +510,16 @@ def check_minimality(g: GradedAlgebra) -> bool:
     anything else falls back to an actual rank computation.
     """
     for half in (g.positive, g.negative):
-        m = half.m
         for k in range(2, g.max_degree + 1):
             n = half.dims.get(k, 0)
             if n == 0:
                 continue
-            flats = [_flat(f, m) for f in half.maps[k]]
+            maps = half.maps[k]
             last = -1
-            for v in flats:
+            for v in maps:
                 lead = v[0][0] if v else None
                 if lead is None or lead <= last:
-                    if len(sparse_row_space_basis(flats)) != n:
+                    if len(sparse_row_space_basis(maps)) != n:
                         return False
                     break
                 last = lead
@@ -559,7 +548,6 @@ def check_grading(g: GradedAlgebra, h: GradingElement) -> bool:
             mh_cols = linear_combination(h.coords, half.action_rows(n - 1)).transpose().nonzeros
             for f in half.maps[n]:
                 twisted = {j: x for j, x in _twist(mh_cols, f, d_rows, m).items() if x}
-                if twisted != {t * m + r: 2 * sign * n * c
-                               for r, row in enumerate(f.nonzeros) for t, c in row}:
+                if twisted != {j: 2 * sign * n * c for j, c in f}:
                     return False
     return True

@@ -27,10 +27,8 @@ from .exact_linalg import (
     check_length,
     echelon_add,
     kernel_basis,
-    dense_vec,
     linear_combination,
     qnorm,
-    rank,
     sparse_row,
     sparse_row_space_basis,
 )
@@ -247,7 +245,8 @@ def _solution_basis(n: int, defining: Callable[[Matrix], Matrix]) -> list[Matrix
     images = Matrix.from_nonzeros(
         (defining(_unit_matrix(n, p, q)).flat_nonzeros() for p in range(n) for q in range(n)),
         n * n)
-    return [Matrix(v[i * n:(i + 1) * n] for i in range(n))
+    return [Matrix.from_nonzeros((tuple((c, x) for c, x in enumerate(v[i * n:(i + 1) * n]) if x)
+                                  for i in range(n)), n)
             for v in kernel_basis(images.transpose())]
 
 
@@ -385,14 +384,6 @@ def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix,
     return None
 
 
-def derived_subalgebra(alg: MatrixLieAlgebra) -> list[Vec]:
-    """Canonical coordinate basis of the span of all commutators, which is
-    the span of the [s, b_j] for s in alg.generators."""
-    basis = sparse_row_space_basis(alg.structure[s][j]
-                                   for s in alg.generators for j in range(alg.dim))
-    return [dense_vec(row, alg.dim) for row in basis]
-
-
 @dataclass(frozen=True)
 class ScalarCenterReport:
     """Does the algebra split as a one-dimensional center acting by a nonzero
@@ -414,11 +405,18 @@ def scalar_center_report(alg: MatrixLieAlgebra,
     """Check the scalar-center hypothesis against the given action matrices."""
     if len(action) != alg.dim:
         raise LieAlgebraError("one action matrix per basis element is required")
-    zs = list(alg.center)
+    zs = alg.center
     center_dim = len(zs)
-    derived = derived_subalgebra(alg)
-    decomposes = (center_dim + len(derived) == alg.dim
-                  and rank(Matrix(tuple(zs + derived))) == alg.dim) if zs or derived else alg.dim == 0
+    # g = z(g) + [g, g], a direct sum, when the dimensions add up and the two
+    # span; [g, g] is the span of the [s, b_j], s in alg.generators
+    echelon: dict[int, dict[int, int]] = {}
+    for s in alg.generators:
+        for row in alg.structure[s]:
+            echelon_add(echelon, row)
+    derived_dim = len(echelon)
+    for z in zs:
+        echelon_add(echelon, enumerate(z))
+    decomposes = center_dim + derived_dim == alg.dim and len(echelon) == alg.dim
     if center_dim != 1:
         return ScalarCenterReport(False, center_dim, None, decomposes,
                                   f"center dimension is {center_dim}, not 1")

@@ -1,11 +1,11 @@
 """Exact JSON encoding for pentads, search results, and certificates.
 
 Scalars travel as strings "p/q" (or "p" when the denominator is 1) so that
-nothing ever rounds; plain JSON integers are accepted on input, floats are
-not.  Matrices are row-major nested arrays of such scalars.  A pentad file
-carries {algebra, action, dual_action?, pairing?, form?} with the omitted
-parts defaulting to the contragredient action, the identity pairing, and
-the trace form.
+nothing ever rounds; an input string must read [+-]?[0-9]+(/[0-9]+)?, plain
+JSON integers are accepted on input, floats are not.  Matrices are
+row-major nested arrays of such scalars.  A pentad file carries {algebra,
+action, dual_action?, pairing?, form?} with the omitted parts defaulting to
+the contragredient action, the identity pairing, and the trace form.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from pentads.exact_linalg import (
     kronecker,
     qnorm,
     qstr,
+    row_space_basis,
     solve,
     solve_multi,
     sparse_row_space_basis,
@@ -37,7 +38,6 @@ from pentads.lie import (
     trace_form,
     unit_coords,
 )
-from pentads.graded import _flat, _twist
 from pentads.serialize import SerializationError, scalar_from_json
 from pentads.pentad import (
     DualModule,
@@ -280,19 +280,25 @@ def grid_flat(a):
 def dense_pivot_action(half, degree):
     """The algebra basis acting on U_degree of a graded half, each column
     read from the twisted map at every pivot of the stored basis in turn:
-    the dense reference for _Half._build_action."""
-    m = half.m
+    the dense reference for _Half._build_action.
+
+    A stored map is the n x m matrix F with F[t][r] = [u_s, y_r]_t,
+    flattened row-major (t * m + r).  A basis element twists it to
+    A F - F D, with A its action one degree down and D its action on
+    U_{-1}; on the flattened F that is the matrix A (x) I_m - I_n (x) D^T."""
+    m, n = half.m, half.dims[degree - 1]
     maps = half.maps[degree]
-    flats = [_flat(f, m) for f in maps]
-    pivots = [v[0][0] for v in flats]
+    pivots = [f[0][0] for f in maps]
+    flats = Matrix.from_nonzeros(maps, n * m)
     out = []
     for amat, dmat in zip(half.action_rows(degree - 1), half.dual):
-        a_cols, d_rows = amat.transpose().nonzeros, dmat.nonzeros
+        twist = (kronecker(amat, Matrix.identity(m))
+                 - kronecker(Matrix.identity(n), dmat.transpose()))
         columns = []
-        for f in maps:
-            g = _twist(a_cols, f, d_rows, m)
+        for row in (flats @ twist.transpose()).nonzeros:
+            g = dict(row)
             coords = [g.get(p, 0) for p in pivots]
-            for c, v in zip(coords, flats):
+            for c, v in zip(coords, maps):
                 if c:
                     for j, x in v:
                         g[j] = g.get(j, 0) - c * x
@@ -336,6 +342,25 @@ def all_pairs_invariance_witness(alg, gram):
                 if lhs != rhs:
                     return (i, j, k)
     return None
+
+
+# --- Dense center and derived subalgebra of a dense structure table, the
+# --- reference for the center and for scalar_center_report's decomposition --
+
+def dense_center(table):
+    """Canonical kernel basis of every row of [z, b_j] = 0."""
+    d = len(table)
+    if d == 0:
+        return []
+    rows = [tuple(table[i][j][k] for i in range(d)) for j in range(d) for k in range(d)]
+    return kernel_basis(Matrix(tuple(rows)))
+
+
+def dense_derived(table):
+    """Canonical basis of the span of every commutator [b_i, b_j]."""
+    d = len(table)
+    return row_space_basis(table[i][j] for i in range(d) for j in range(i + 1, d)
+                           if any(table[i][j]))
 
 
 # --- Every commutation row, the reference for the center on generators and

@@ -119,8 +119,11 @@ def test_every_stored_matrix_is_canonical(name):
         half = g.positive if sign > 0 else g.negative
         for k in range(1, 4):
             mats += half.action_rows(k)
-            mats += half.maps.get(k, ())
             mats += g.action_matrices(sign * k)
+            # a stored map is one flat row, in the same canonical form
+            for f in half.maps.get(k, ()):
+                keys = [j for j, _ in f]
+                assert keys == sorted(set(keys)) and all(x for _, x in f)
             if k >= 2:
                 mats += g.component_maps(sign * k)
     for m in mats:

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,18 @@ class TestInvalidInput:
         code, doc = run(capsys, "check", "--pentad", write_json(tmp_path, obj))
         assert code == 1
         assert doc == AMBIENT_SIZE_ERROR
+
+    def test_exponent_literal_is_rejected_at_once(self, capsys, tmp_path):
+        # Fraction would read "1e10000000" as 10**10000000, seconds of work
+        # for one 10-byte cell; the scalar grammar has no exponent
+        obj = pentad_to_json(resolve("gl1_scalar").build())
+        obj["action"][0][0][0] = "1e10000000"
+        path = write_json(tmp_path, obj)
+        start = time.perf_counter()
+        code, doc = run(capsys, "check", "--pentad", path)
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        assert doc == {"error": "malformed rational literal: '1e10000000'"}
 
     def test_max_degree_bound(self, capsys):
         code, doc = run(capsys, "graded-dims", "--example", "gl1_scalar",

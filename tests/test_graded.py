@@ -416,7 +416,7 @@ class TestChecks:
     def test_zero_row_breaks_minimality(self):
         g = build("gl2_trace", 2)
         half = g.positive
-        half.maps[2] = half.maps[2] + (Matrix.zeros(2, half.dims[1]),)  # the zero map
+        half.maps[2] = half.maps[2] + ((),)  # the zero map
         half.dims[2] += 1
         assert check_minimality(g) is False
 
@@ -742,8 +742,11 @@ class TestSparseMatchesDense:
                                   (g.negative, dense.negative, -1)):
             for k in range(2, g.max_degree + 1):
                 assert g.component_maps(sign * k) == dhalf.maps.get(k, ())
-            assert half.up.keys() == dhalf.up.keys()
+            # up[0], the action of g on U_1, has no dense counterpart
+            assert half.up.keys() - {0} == dhalf.up.keys()
             for k, table in half.up.items():
+                if k == 0:
+                    continue
                 n = half.dims[k + 1]
                 assert ([[dense_vec(v, n) for v in row] for row in table]
                         == [[v or (0,) * n for v in row] for row in dhalf.up[k]])
@@ -845,17 +848,18 @@ class TestWorkCounts:
     def spied(self, monkeypatch):
         calls = {"apply": 0, "matmul": 0, "evaluate": 0}
 
-        def spy(cls, name, key):
+        def spy(cls, name, key, counts=lambda *args: True):
             original = getattr(cls, name)
 
             def wrapper(*args, **kwargs):
-                calls[key] += 1
+                calls[key] += counts(*args)
                 return original(*args, **kwargs)
             monkeypatch.setattr(cls, name, wrapper)
 
         spy(Matrix, "apply", "apply")
         spy(Matrix, "__matmul__", "matmul")
-        spy(_Half, "evaluate", "evaluate")
+        # degree 1 evaluates Phi, which every generator pair ends in
+        spy(_Half, "evaluate", "evaluate", lambda half, degree, *rest: degree >= 2)
         return calls
 
     def test_no_dense_products(self, spied):
@@ -892,16 +896,35 @@ class TestSinglePaths:
 
     @pytest.mark.parametrize("spec", CATALOG_SPECS + sorted(RATIONAL_PENTADS))
     def test_negative_units_are_the_mirror_phi(self, spec):
-        # Each half reads a Phi table's integers divided by its denominator:
-        # the positive half the pentad's own, the negative half the mirror's.
+        # Each half's degree-one maps are a Phi table's integers divided by
+        # its denominator, keyed i * m + r: the positive half the pentad's
+        # own, the negative half the mirror's.
         p = RATIONAL_PENTADS[spec]() if spec in RATIONAL_PENTADS else resolve(spec).build()
         g = extend(p, 1)
-        for got, phi in ((g.positive.units, p.phi), (g.negative.units, PhiMap(mirror(p)))):
-            want = tuple(tuple((i, r, qnorm(Fraction(c, phi.denominator))) for i, r, c in row)
-                         for row in phi.units)
+        m = p.module_dim
+        for got, phi in ((g.positive.maps[1], p.phi), (g.negative.maps[1], PhiMap(mirror(p)))):
+            want = tuple(tuple((i * m + r, qnorm(Fraction(c, phi.denominator)))
+                               for i, r, c in row) for row in phi.units)
             assert got == want
-            assert ([[type(c) for _, _, c in row] for row in got]
-                    == [[type(c) for _, _, c in row] for row in want])
+            assert ([[type(c) for _, c in row] for row in got]
+                    == [[type(c) for _, c in row] for row in want])
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS + sorted(RATIONAL_PENTADS))
+    def test_unit_pairs_of_degree_one_are_phi(self, spec):
+        # [x_a, y_r] = Phi(x_a (x) y_r) and [y_r, x_a] = -Phi(x_a (x) y_r),
+        # read through the degree-one maps
+        p = RATIONAL_PENTADS[spec]() if spec in RATIONAL_PENTADS else resolve(spec).build()
+        g = extend(p, 1)
+        m = p.module_dim
+        for a in range(m):
+            for r in range(m):
+                x, y = unit_coords(m, a), unit_coords(m, r)
+                want = p.phi.apply(x, y)
+                for got, expected in ((g.bracket(GradedVector(1, x), GradedVector(-1, y)), want),
+                                      (g.bracket(GradedVector(-1, y), GradedVector(1, x)),
+                                       tuple(-c for c in want))):
+                    assert got == GradedVector(0, expected)
+                    assert list(map(type, got.coords)) == list(map(type, expected))
 
     def test_no_second_pentad(self, monkeypatch):
         p = matrix_space_example(2)

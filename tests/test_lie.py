@@ -17,7 +17,6 @@ from pentads.lie import (
     NotIndependentError,
     build_algebra,
     check_form,
-    derived_subalgebra,
     direct_sum,
     family,
     scalar_center_report,
@@ -28,8 +27,8 @@ from pentads.lie import (
 
 from pentads import lie
 
-from oracles import (all_commutation_rows, all_rows_center, coords_of, dense_trace_product,
-                     display_name, matrix_of, vec_add)
+from oracles import (all_commutation_rows, all_rows_center, coords_of, dense_center,
+                     dense_derived, dense_trace_product, display_name, matrix_of, vec_add)
 
 
 def commutator(a, b):
@@ -240,6 +239,10 @@ class TestDirectSum:
         assert repr(alg.structure) == repr(built.structure)
 
 
+OSCILLATOR = build_algebra(3, [e(3, 0, 1), e(3, 1, 2), e(3, 0, 2),
+                               Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 1]])])
+
+
 class TestCenterAndDerived:
     def test_center_of_gl2_is_scalars(self):
         assert family("gl", 2).center == ((1, 0, 0, 1),)
@@ -254,20 +257,14 @@ class TestCenterAndDerived:
         assert both == ((1, 0), (0, 1))
         assert all(type(x) is int for v in both for x in v)
 
-    def test_derived_of_gl2_is_sl2(self):
-        alg = family("gl", 2)
-        der = derived_subalgebra(alg)
-        assert len(der) == 3
-        for c in der:
-            assert matrix_of(alg, c).trace() == 0
-
-    def test_derived_of_abelian_is_trivial(self):
-        alg = build_algebra(2, [e(2, 0, 0), e(2, 1, 1)])
-        assert derived_subalgebra(alg) == []
-
-    def test_derived_is_canonical(self):
-        alg = family("sp", 2)
-        assert derived_subalgebra(alg) == derived_subalgebra(alg)
+    def test_center_inside_derived_does_not_split(self):
+        # [x, y] = z, [t, x] = x, [t, y] = -y: the center z lies in
+        # [g, g] = <x, y, z>, so dimensions 1 + 3 add up to 4 but the two
+        # do not span
+        alg = OSCILLATOR
+        report = scalar_center_report(alg, list(alg.basis))
+        assert (report.center_dim, report.decomposes) == (1, False)
+        assert report.reason == "center and derived subalgebra do not span"
 
 
 class TestForms:
@@ -416,20 +413,6 @@ def dense_check_form(table, g):
                       sym_wit, ker[0] if ker else None, inv_wit)
 
 
-def dense_center(table):
-    d = len(table)
-    if d == 0:
-        return []
-    rows = [tuple(table[i][j][k] for i in range(d)) for j in range(d) for k in range(d)]
-    return kernel_basis(Matrix(tuple(rows)))
-
-
-def dense_derived(table):
-    d = len(table)
-    return row_space_basis(table[i][j] for i in range(d) for j in range(i + 1, d)
-                           if not is_zero_vec(table[i][j]))
-
-
 def dense_table(alg):
     return [[dense_vec(alg.structure[i][j], alg.dim) for j in range(alg.dim)]
             for i in range(alg.dim)]
@@ -450,6 +433,12 @@ def catalog_algebras():
 
 CATALOG_ALGEBRAS = catalog_algebras()
 ALGEBRA_IDS = [name for name, _ in CATALOG_ALGEBRAS]
+# Algebras that are not their center plus [g, g]: the nonabelian plane
+# [x, y] = y and the Heisenberg algebra fall short in dimension, and
+# OSCILLATOR has its center inside [g, g].
+UNSPLIT_ALGEBRAS = [("aff(1)", build_algebra(2, [e(2, 0, 0), e(2, 0, 1)])),
+                    ("heisenberg", build_algebra(3, [e(3, 0, 1), e(3, 1, 2), e(3, 0, 2)])),
+                    ("oscillator", OSCILLATOR)]
 
 
 def span_rank(alg, gens):
@@ -521,11 +510,15 @@ class TestSparseStructureMatchesDense:
                 assert ks == sorted(set(ks))
                 assert all(c for _, c in cij)
 
-    @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
+    @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS + UNSPLIT_ALGEBRAS],
+                             ids=ALGEBRA_IDS + [name for name, _ in UNSPLIT_ALGEBRAS])
     def test_center_and_derived(self, alg):
         table = dense_structure(alg.ambient_size, alg.basis)
-        assert list(alg.center) == dense_center(table)
-        assert derived_subalgebra(alg) == dense_derived(table)
+        center, derived = dense_center(table), dense_derived(table)
+        assert list(alg.center) == center
+        splits = (len(center) + len(derived) == alg.dim
+                  and rank(Matrix(tuple(center + derived))) == alg.dim)
+        assert scalar_center_report(alg, list(alg.basis)).decomposes is splits
 
     @pytest.mark.parametrize("name", CATALOG_PENTADS)
     def test_form_report_on_catalog_pentads(self, name):

@@ -51,6 +51,14 @@ MISTYPED_CERTIFICATE_FIELDS = {
 }
 
 
+def in_scalar_grammar(text):
+    """text is an optional sign, ASCII digits, and optionally a slash and
+    more ASCII digits."""
+    body = text[1:] if text[:1] in ("+", "-") else text
+    parts = body.split("/")
+    return len(parts) <= 2 and all(p and all(c in "0123456789" for c in p) for p in parts)
+
+
 def reload(obj):
     """Push a JSON-ready dict through actual text and back."""
     return json.loads(dumps(obj))
@@ -74,11 +82,27 @@ class TestScalars:
     @example("")
     @example("-0")
     @example("007")
+    @example("+3")
+    @example("+1/2")
+    @example("1/0")
     @example("1" * 5000)
     @example("-" + "1" * 4300)
+    @example("1e10000000")
+    @example("1_0")
+    @example("3 / 4")
+    @example(" 3")
+    @example("\u0663")
     def test_parsing_matches_fraction(self, text):
-        # The int fast path for plain ASCII integers must accept exactly the
-        # strings Fraction accepts, with the same value and type.
+        # Inside the ASCII grammar [+-]?[0-9]+(/[0-9]+)? a string reads as
+        # Fraction reads it, with the same value and type, or fails as it
+        # fails (a zero denominator, more digits than int() converts);
+        # outside it is malformed, whatever Fraction would make of it.
+        if not in_scalar_grammar(text):
+            with pytest.raises(ValueError, match="malformed rational literal"):
+                qof(text)
+            with pytest.raises(SerializationError, match="malformed rational literal"):
+                scalar_from_json(text)
+            return
         try:
             old = qnorm(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
