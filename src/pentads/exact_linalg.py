@@ -15,12 +15,12 @@ dense grid is derived only to print or to test.
 All elimination is one sparse echelon, :func:`sparse_row_space_basis`: a
 fraction-free pass over sparse integer rows that returns the reduced row
 echelon form (RREF) of their span, dividing only at the end, once per entry
-of the result.  rref, kernel_basis, solve, solve_multi and inverse only
-read that RREF.  A solve echelons [A | b] once: its pivot rows give the
-particular solution and the kernel of A together.  The engine's forward
-step, :func:`echelon_add`, also runs alone: rank counts the rows it keeps,
-and it grows a span one row at a time where a caller must know whether
-each new row enlarges it (the generating set of a Lie algebra).
+of the result.  rref, kernel_basis (sparse_kernel_basis by nonzeros), solve,
+solve_multi and inverse only read that RREF.  A solve echelons [A | b] once:
+its pivot rows give the particular solution and the kernel of A together.
+The engine's forward step, :func:`echelon_add`, also runs alone: rank counts
+the rows it keeps, and it grows a span one row at a time where a caller must
+know whether each new row enlarges it (the generating set of a Lie algebra).
 
 Determinism matters as much as exactness here: kernel bases come from the
 reduced row echelon form, which is unique for a given row space, so every
@@ -106,6 +106,15 @@ class Matrix:
         object.__setattr__(m, "nonzeros", tuple(nonzeros))
         object.__setattr__(m, "cols", cols)
         return m
+
+    @staticmethod
+    def from_flat_nonzeros(v: SparseVec, rows: int, cols: int) -> "Matrix":
+        """The rows x cols matrix whose row-major flattening has the
+        nonzeros v: the inverse of flat_nonzeros."""
+        out: list[list[tuple[int, Q]]] = [[] for _ in range(rows)]
+        for j, x in v:
+            out[j // cols].append((j % cols, x))
+        return Matrix.from_nonzeros(map(tuple, out), cols)
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Q | str]]) -> "Matrix":
@@ -229,8 +238,8 @@ def linear_combination_apply(coeffs: Sequence[Q], mats: Sequence[Matrix],
     return tuple(qnorm(x) for x in acc)
 
 
-def ratio(n: int, d: int) -> Q:
-    """n / d for integers, an int when d divides n."""
+def ratio(n: Q, d: int) -> Q:
+    """n / d for a scalar n and a nonzero integer d, an int when it is one."""
     return n // d if n % d == 0 else Fraction(n, d)
 
 
@@ -275,21 +284,25 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return padded, tuple(r[0][0] for r in basis)
 
 
-def _kernel_of_rref(basis: Sequence[SparseVec], ncols: int) -> list[Vec]:
+def _kernel_of_rref(basis: Sequence[SparseVec], ncols: int) -> list[SparseVec]:
     """Canonical kernel basis of the first ncols columns of RREF rows whose
-    pivots all lie in those columns: one vector per free column f, with 1 at
-    f and minus column f of the pivot rows at their pivots."""
-    vecs = {f: [0] * ncols for f in range(ncols)}
+    pivots all lie in those columns, by nonzeros: one vector per free column
+    f, with minus column f of the pivot rows at their pivots, which all lie
+    left of f, and 1 at f."""
+    vecs: dict[int, list[tuple[int, Q]]] = {f: [] for f in range(ncols)}
     for row in basis:
         del vecs[row[0][0]]
-    for f, v in vecs.items():
-        v[f] = 1
     for row in basis:
         lead = row[0][0]
         for j, x in row[1:]:
             if j < ncols:
-                vecs[j][lead] = -x
-    return [tuple(v) for v in vecs.values()]
+                vecs[j].append((lead, -x))
+    return [tuple(v) + ((f, 1),) for f, v in vecs.items()]
+
+
+def sparse_kernel_basis(m: Matrix) -> list[SparseVec]:
+    """kernel_basis by nonzeros, ascending in column."""
+    return _kernel_of_rref(sparse_row_space_basis(m.nonzeros), m.cols)
 
 
 def kernel_basis(m: Matrix) -> list[Vec]:
@@ -299,7 +312,7 @@ def kernel_basis(m: Matrix) -> list[Vec]:
     columns the result is in reduced column echelon form, so equal inputs
     give byte-equal bases.
     """
-    return _kernel_of_rref(sparse_row_space_basis(m.nonzeros), m.cols)
+    return [dense_vec(v, m.cols) for v in sparse_kernel_basis(m)]
 
 
 @dataclass(frozen=True)
@@ -335,7 +348,7 @@ def solve(a: Matrix, b: Sequence[Q]) -> SolveResult:
         j, c = row[-1]
         if j == ncols:
             x[row[0][0]] = c
-    ker = _kernel_of_rref(basis, ncols)
+    ker = [dense_vec(v, ncols) for v in _kernel_of_rref(basis, ncols)]
     return SolveResult("affine" if ker else "unique", tuple(x), ker)
 
 

@@ -20,7 +20,9 @@ degree-3 maps of matrix_space_example(2) fill 0.22% of their cells), so
 construction, the checks and every bracket walk nonzeros only,
 accumulating in place into one list per result that is normalized once at
 the end.  action_matrices returns the stored matrices; component_maps
-builds the maps as matrices on request.
+builds the maps as matrices on request.  Phi enters undivided, as the
+pentad's integers over its denominator D: the degree-one maps and the tables
+of brackets with U_1 carry D, which leaves once per output coordinate.
 
 Components can keep growing forever for general input; construction always
 truncates at a caller-supplied degree bound.  A zero component shuts down
@@ -134,24 +136,28 @@ class _Half:
       maps[k][s]     basis vector s of U_k as the map y_r -> [u_s, y_r]
                      into U_{k-1}, by its nonzeros keyed t * m + r for
                      coordinate t of U_{k-1}: the RREF rows of the candidate
-                     stack themselves, and at degree 1 the unit table;
+                     stack themselves, and at degree 1 the unit table, which
+                     holds the integers D [x_a, y_r] over Phi's denominator D;
       actions[k][i]  the Matrix of algebra basis element i acting on U_k,
                      built on first use above degree 1;
-      up[k][a][s]    [x_a, u_s] in U_{k+1}, as (index, value) pairs; up[0]
-                     is [x_a, b_i] = -pi(b_i) x_a;
+      up[k][a][s]    [x_a, u_s] in U_{k+1}, as (index, value) pairs, times D
+                     for k >= 1; up[0] is [x_a, b_i] = -pi(b_i) x_a itself;
       dual[i]        the matrix of basis element i acting on U_{-1}.
 
-    Every reader (evaluation, the actions, the table, the next candidates,
-    the checks) is one contraction over these nonzeros into a single list
-    or dict accumulator, normalized once at the end.  Bracket expansions
-    back into generator pairs are solved lazily from the up table; they are
-    only needed for general brackets whose first argument sits in degree
-    >= 2.
+    Each candidate product carries one D, so the candidate stack is D times
+    the candidates, with the same RREF.  Every reader (evaluation, the
+    actions, the table, the next candidates, the checks) is one contraction
+    over these nonzeros into a single list or dict accumulator, divided by
+    D where the tables carry it and normalized once at the end.  Bracket
+    expansions back into generator pairs are solved lazily from the up
+    table; they are only needed for general brackets whose first argument
+    sits in degree >= 2.
     """
 
     def __init__(self, action: Sequence[Matrix], dual: Sequence[Matrix],
-                 units: Sequence[tuple[tuple[int, int, Q], ...]], max_degree: int):
+                 units: Sequence[tuple[tuple[int, int, int], ...]], d: int, max_degree: int):
         self.m = m = len(units)
+        self.d = d
         self.dims: dict[int, int] = {0: len(action), 1: m}
         self.maps: dict[int, tuple[SparseVec, ...]] = {
             1: tuple(tuple((i * m + r, c) for i, r, c in row) for row in units)}
@@ -191,7 +197,7 @@ class _Half:
                     for t2, uv in up_prev[a][t]:
                         j = t2 * m + r
                         cand[j] = cand.get(j, 0) + w * uv
-        candidates = [{j: qnorm(x) for j, x in cand.items() if x} for cand in cands]
+        candidates = [{j: x for j, x in cand.items() if x} for cand in cands]
         basis = sparse_row_space_basis(cand.items() for cand in candidates)
         self.dims[k + 1] = len(basis)
         if not basis:
@@ -240,16 +246,16 @@ class _Half:
         """Each basis vector of U_degree as a combination of [x_a, u_s].
 
         Solved once per degree on first use, in U_degree coordinates: column
-        a * dim U_{degree-1} + s of the system is the table entry [x_a, u_s],
-        and the right-hand sides are the unit vectors.  Index pairs refer to
-        the degree-one basis and the U_{degree-1} basis.
+        a * dim U_{degree-1} + s of the system is the table entry D [x_a, u_s],
+        and the right-hand sides are the unit vectors times D.  Index pairs
+        refer to the degree-one basis and the U_{degree-1} basis.
         """
         if degree in self._expansions:
             return self._expansions[degree]
         n, nk = self.dims[degree], self.dims[degree - 1]
         table = Matrix.from_nonzeros((v for row in self.up[degree - 1] for v in row), n)
         result = []
-        for sol in solve_multi(table.transpose(), Matrix.identity(n)):
+        for sol in solve_multi(table.transpose(), Matrix.identity(n).scale(self.d)):
             assert sol is not None, "basis vector outside candidate span"
             result.append(tuple((c, *divmod(pos, nk)) for pos, c in enumerate(sol) if c))
         self._expansions[degree] = result
@@ -257,7 +263,7 @@ class _Half:
 
     def evaluate(self, degree: int, f_coords: Vec, y: Vec) -> Vec:
         """[f, y] for f in U_degree (degree >= 1), y in U_{-1}: evaluation,
-        the sum over s and r of f_s y_r times [u_s, y_r]."""
+        the sum over s and r of f_s y_r times [u_s, y_r] (times D at degree 1)."""
         m = self.m
         acc: list[Q] = [0] * self.dims[degree - 1]
         for c, f in zip(f_coords, self.maps[degree]):
@@ -267,10 +273,10 @@ class _Half:
                     yr = y[r]
                     if yr:
                         acc[t] += c * yr * x
-        return _normalized(acc)
+        return _divided(acc, self.d if degree == 1 else 1)
 
     def up_bracket(self, k: int, x: Vec, u: Vec) -> Vec:
-        """[x, u] for x in the degree-one line and u in U_k, via the table."""
+        """[x, u] for x in U_1 and u in U_k, k >= 1, via the table (times D)."""
         acc: list[Q] = [0] * self.dims.get(k + 1, 0)
         table = self.up.get(k)
         if table is None:
@@ -283,7 +289,7 @@ class _Half:
                         f = xa * us
                         for p, c in row[s]:
                             acc[p] += f * c
-        return _normalized(acc)
+        return _divided(acc, self.d)
 
     def action(self, k: int, g: Vec, v: Vec) -> Vec:
         """[g, v] for v in U_k, k >= 1."""
@@ -312,8 +318,11 @@ def _twist(a_cols: Sequence[SparseVec], f: SparseVec, d_rows: Sequence[SparseVec
     return out
 
 
-def _normalized(acc: list[Q]) -> Vec:
-    return tuple(qnorm(x) for x in acc)
+def _divided(acc: list[Q], d: int = 1) -> Vec:
+    """acc / d, an int in every coordinate that is one."""
+    if d == 1:
+        return tuple(map(qnorm, acc))
+    return tuple(ratio(x, d) for x in acc)
 
 
 @dataclass(frozen=True)
@@ -339,18 +348,18 @@ class GradedAlgebra:
             raise DegreeError("max_degree must be at least 1")
         self.pentad = pentad
         self.max_degree = max_degree
-        # Phi's integer table divided by its denominator, and the same
+        # Phi's integer table over its denominator, undivided, and the same
         # table swapped and negated for the negative half
         phi = pentad.phi
-        units = tuple(tuple((i, r, ratio(c, phi.denominator)) for i, r, c in entries)
-                      for entries in phi.units)
-        swapped: list[list[tuple[int, int, Q]]] = [[] for _ in units]
-        for a, entries in enumerate(units):
+        swapped: list[list[tuple[int, int, int]]] = [[] for _ in phi.units]
+        for a, entries in enumerate(phi.units):
             for i, r, c in entries:
                 swapped[r].append((i, a, -c))
-        self.positive = _Half(pentad.rep.action, pentad.dual.action, units, max_degree)
+        self.positive = _Half(pentad.rep.action, pentad.dual.action, phi.units,
+                              phi.denominator, max_degree)
         self.negative = _Half(pentad.dual.action, pentad.rep.action,
-                              tuple(tuple(sorted(e)) for e in swapped), max_degree)
+                              tuple(tuple(sorted(e)) for e in swapped), phi.denominator,
+                              max_degree)
         self._memo: dict[tuple[int, int, int, int], SparseVec] = {}
         self._dims = {0: pentad.algebra.dim}
         for k in range(1, max_degree + 1):
@@ -377,13 +386,8 @@ class GradedAlgebra:
         if abs(degree) < 2:
             raise DegreeError("components below degree 2 are not stored as maps")
         half, k = self._half(degree), abs(degree)
-        out = []
-        for f in half.maps.get(k, ()):
-            rows: list[list[tuple[int, Q]]] = [[] for _ in range(half.dims[k - 1])]
-            for j, x in f:
-                rows[j // half.m].append((j % half.m, x))
-            out.append(Matrix.from_nonzeros(map(tuple, rows), half.m))
-        return tuple(out)
+        return tuple(Matrix.from_flat_nonzeros(f, half.dims[k - 1], half.m)
+                     for f in half.maps.get(k, ()))
 
     def action_matrices(self, degree: int) -> list[Matrix]:
         """Matrices of the algebra basis acting on U_degree."""
@@ -449,7 +453,7 @@ class GradedAlgebra:
                 inner[a_idx][u_idx] = inner[a_idx].get(u_idx, 0) + f
         acc = [0] * target
         for a_idx, ub_sum in outer.items():
-            first = self._bracket(one, unit_coords(m, a_idx), prev + k, _normalized(ub_sum))
+            first = self._bracket(one, unit_coords(m, a_idx), prev + k, _divided(ub_sum))
             for t, y in enumerate(first):
                 if y:
                     acc[t] += y
@@ -457,7 +461,7 @@ class GradedAlgebra:
             for u_idx, w in inner[a_idx].items():
                 if w:
                     self._memo_add(acc, -w, prev, u_idx, one + k, xb)
-        return _normalized(acc)
+        return _divided(acc)
 
     def _bracket_unit(self, j: int, s: int, k: int, b: Vec,
                       seen: dict[tuple[int, int], Vec]) -> Vec:
@@ -473,7 +477,7 @@ class GradedAlgebra:
             else:
                 acc: list[Q] = [0] * self._dims[j + k]
                 self._memo_add(acc, 1, j, s, k, b)
-                got = _normalized(acc)
+                got = _divided(acc)
             seen[j, s] = got
         return got
 

@@ -29,6 +29,7 @@ from .exact_linalg import (
     kernel_basis,
     linear_combination,
     qnorm,
+    sparse_kernel_basis,
     sparse_row,
     sparse_row_space_basis,
 )
@@ -245,9 +246,7 @@ def _solution_basis(n: int, defining: Callable[[Matrix], Matrix]) -> list[Matrix
     images = Matrix.from_nonzeros(
         (defining(_unit_matrix(n, p, q)).flat_nonzeros() for p in range(n) for q in range(n)),
         n * n)
-    return [Matrix.from_nonzeros((tuple((c, x) for c, x in enumerate(v[i * n:(i + 1) * n]) if x)
-                                  for i in range(n)), n)
-            for v in kernel_basis(images.transpose())]
+    return [Matrix.from_flat_nonzeros(v, n, n) for v in sparse_kernel_basis(images.transpose())]
 
 
 def family(kind: str, n: int) -> MatrixLieAlgebra:

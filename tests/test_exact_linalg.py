@@ -24,6 +24,7 @@ from pentads.exact_linalg import (
     rref,
     solve,
     solve_multi,
+    sparse_kernel_basis,
     vec_scale,
 )
 
@@ -410,6 +411,21 @@ class TestKernel:
     def test_kernel_vectors_annihilate(self, m):
         for v in kernel_basis(m):
             assert all(x == 0 for x in m.apply(v))
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(max_rows=5, max_cols=6))
+    def test_sparse_kernel_is_the_kernel_by_nonzeros(self, m):
+        # the RREF names each vector's nonzeros, ascending, with the 1 at
+        # its free column last
+        sparse = sparse_kernel_basis(m)
+        assert sparse == [tuple((j, x) for j, x in enumerate(v) if x) for v in kernel_basis(m)]
+        assert all(v[-1][1] == 1 and [j for j, _ in v] == sorted({j for j, _ in v})
+                   for v in sparse)
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrices())
+    def test_flat_nonzeros_round_trip(self, m):
+        assert Matrix.from_flat_nonzeros(m.flat_nonzeros(), m.rows, m.cols) == m
 
     @settings(max_examples=40, deadline=None)
     @given(matrices())

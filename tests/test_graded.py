@@ -18,6 +18,7 @@ from pentads.exact_linalg import (
     solve_multi,
     vec_scale,
 )
+from pentads import graded
 from pentads.graded import (
     DegreeError,
     GradedVector,
@@ -328,8 +329,10 @@ class TestBracket:
 
     @pytest.mark.parametrize("spec", ["gl2_trace", "gl1_so_vector(3)"])
     def test_expansions_reconstruct_basis(self, spec):
-        # every degree-two basis vector is reachable from degree-one pairs
+        # every degree-two basis vector is reachable from degree-one pairs;
+        # the table holds the brackets times Phi's denominator D
         g = build(spec, 2)
+        d = g.pentad.phi.denominator
         for half in (g.positive, g.negative):
             n = half.dims[2]
             for s0, terms in enumerate(half.expansions(2)):
@@ -337,7 +340,7 @@ class TestBracket:
                 for coeff, a_idx, s_idx in terms:
                     up = dense_vec(half.up[1][a_idx][s_idx], n)
                     acc = vec_add(acc, vec_scale(coeff, up))
-                assert acc == unit_coords(n, s0)
+                assert acc == vec_scale(d, unit_coords(n, s0))
 
 
 class TestComponentsAndActions:
@@ -742,14 +745,17 @@ class TestSparseMatchesDense:
                                   (g.negative, dense.negative, -1)):
             for k in range(2, g.max_degree + 1):
                 assert g.component_maps(sign * k) == dhalf.maps.get(k, ())
-            # up[0], the action of g on U_1, has no dense counterpart
+            # up[0], the action of g on U_1, has no dense counterpart; the
+            # other tables hold the brackets times Phi's denominator D
             assert half.up.keys() - {0} == dhalf.up.keys()
+            d = g.pentad.phi.denominator
             for k, table in half.up.items():
                 if k == 0:
                     continue
                 n = half.dims[k + 1]
                 assert ([[dense_vec(v, n) for v in row] for row in table]
-                        == [[v or (0,) * n for v in row] for row in dhalf.up[k]])
+                        == [[vec_scale(d, v) if v else (0,) * n for v in row]
+                            for row in dhalf.up[k]])
 
     def test_action_matrices(self, sparse_and_dense):
         g, dense = sparse_and_dense
@@ -804,7 +810,10 @@ def test_unit_pair_brackets_match_dense(spec, degree):
     p = RATIONAL_PENTADS[spec]() if spec in RATIONAL_PENTADS else resolve(spec).build()
     g, dense = extend(p, degree), _DenseAlgebra(p, degree)
     for a, b in unit_pairs(g):
-        assert g.bracket(a, b).coords == dense.bracket(a.degree, a.coords, b.degree, b.coords)
+        got = g.bracket(a, b).coords
+        want = dense.bracket(a.degree, a.coords, b.degree, b.coords)
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
 
 
 def test_tampered_action_fails_both_grading_checks():
@@ -896,18 +905,17 @@ class TestSinglePaths:
 
     @pytest.mark.parametrize("spec", CATALOG_SPECS + sorted(RATIONAL_PENTADS))
     def test_negative_units_are_the_mirror_phi(self, spec):
-        # Each half's degree-one maps are a Phi table's integers divided by
-        # its denominator, keyed i * m + r: the positive half the pentad's
-        # own, the negative half the mirror's.
+        # Each half's degree-one maps are integers over the pentad's Phi
+        # denominator D, keyed i * m + r: divided by D, the positive half's
+        # are the pentad's own Phi table, the negative half's the mirror's.
         p = RATIONAL_PENTADS[spec]() if spec in RATIONAL_PENTADS else resolve(spec).build()
         g = extend(p, 1)
-        m = p.module_dim
+        m, d = p.module_dim, p.phi.denominator
         for got, phi in ((g.positive.maps[1], p.phi), (g.negative.maps[1], PhiMap(mirror(p)))):
             want = tuple(tuple((i * m + r, qnorm(Fraction(c, phi.denominator)))
                                for i, r, c in row) for row in phi.units)
-            assert got == want
-            assert ([[type(c) for _, c in row] for row in got]
-                    == [[type(c) for _, c in row] for row in want])
+            assert tuple(tuple((j, qnorm(Fraction(x, d))) for j, x in row) for row in got) == want
+            assert [[type(c) for _, c in row] for row in got] == [[int] * len(row) for row in want]
 
     @pytest.mark.parametrize("spec", CATALOG_SPECS + sorted(RATIONAL_PENTADS))
     def test_unit_pairs_of_degree_one_are_phi(self, spec):
@@ -943,6 +951,28 @@ class TestSinglePaths:
         spy(PhiMap, "__init__", "PhiMap")
         extend(p, 3)
         assert calls == {"Representation": 0, "PhiMap": 0}
+
+    @pytest.mark.parametrize("spec,degree", [(s, 3) for s in CATALOG_SPECS]
+                             + [("gl1_so_vector(4)", 4)])
+    def test_integer_tables_and_candidates(self, spec, degree, monkeypatch):
+        # Phi's table enters undivided, so every candidate row the echelon
+        # sees, the degree-one maps and the bracket tables with U_1 are ints
+        rows_seen, real = [], graded.sparse_row_space_basis
+
+        def spy(rows):
+            rows = [tuple(row) for row in rows]
+            rows_seen.extend(rows)
+            return real(rows)
+
+        monkeypatch.setattr(graded, "sparse_row_space_basis", spy)
+        g = build(spec, degree)
+        assert rows_seen
+        assert all(type(x) is int for row in rows_seen for _, x in row)
+        for half in (g.positive, g.negative):
+            assert all(type(x) is int for f in half.maps[1] for _, x in f)
+            for k, table in half.up.items():
+                if k:
+                    assert all(type(x) is int for row in table for v in row for _, x in v)
 
     @pytest.mark.parametrize("spec,degree", [(s, 3) for s in CATALOG_SPECS]
                              + [("gl1_so_vector(4)", 4)])

@@ -168,6 +168,24 @@ class TestFamilies:
         assert rank(Matrix(tuple(gen_stack))) == 10
         assert rank(Matrix(tuple(fam_stack + gen_stack))) == 10
 
+    @pytest.mark.parametrize("kind,n", [("sl", 2), ("sl", 4), ("so", 3), ("so", 6),
+                                        ("sp", 1), ("sp", 3)])
+    def test_basis_is_the_dense_kernel_read(self, kind, n, monkeypatch):
+        # The defining equations' kernel, read cell by cell from the dense
+        # kernel vectors, reshaped row-major; the family reads the sparse
+        # kernel's nonzeros and never asks for the dense one.
+        size = 2 * n if kind == "sp" else n
+        j = standard_symplectic_form(n)
+        defining = {"sl": lambda a: Matrix.identity(n).scale(a.trace()),
+                    "so": lambda a: a + a.transpose(),
+                    "sp": lambda a: a @ j + j @ a.transpose()}[kind]
+        images = Matrix(tuple(defining(e(size, p, q)).flat()
+                              for p in range(size) for q in range(size)))
+        want = tuple(Matrix(tuple(v[i * size:(i + 1) * size] for i in range(size)))
+                     for v in kernel_basis(images.transpose()))
+        monkeypatch.setattr(lie, "kernel_basis", None)
+        assert family(kind, n).basis == want
+
     def test_family_is_deterministic(self):
         assert family("sp", 2).basis == family("sp", 2).basis
         assert family("so", 4).structure == family("so", 4).structure
