@@ -117,10 +117,6 @@ class Matrix:
         return Matrix.from_nonzeros(map(tuple, out), cols)
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable[Q | str]]) -> "Matrix":
-        return Matrix(tuple(tuple(qof(x) for x in row) for row in rows))
-
-    @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix.from_nonzeros(((),) * rows, cols)
 
@@ -511,13 +507,6 @@ def vec_scale(c: Q, v: Sequence[Q]) -> Vec:
     return tuple(qnorm(c * x) for x in v)
 
 
-def vec_neg(v: Sequence[Q]) -> Vec:
-    return tuple(-x for x in v)
-
-
 def is_zero_vec(v: Sequence[Q]) -> bool:
     return all(not x for x in v)
 
-
-def zero_vec(n: int) -> Vec:
-    return (0,) * n

@@ -17,12 +17,12 @@ above degree 1 is exactly a row of the candidate stack's echelon form;
 action matrices as sparse Matrix objects; bracket-table and memo entries as
 (index, value) pairs.  The components are almost all zeros (the 572
 degree-3 maps of matrix_space_example(2) fill 0.22% of their cells), so
-construction, the checks and every bracket walk nonzeros only,
-accumulating in place into one list per result that is normalized once at
-the end.  action_matrices returns the stored matrices; component_maps
-builds the maps as matrices on request.  Phi enters undivided, as the
-pentad's integers over its denominator D: the degree-one maps and the tables
-of brackets with U_1 carry D, which leaves once per output coordinate.
+construction, the checks and every bracket walk nonzeros only.
+action_matrices returns the stored matrices; component_maps builds the maps
+as matrices on request.  Phi enters undivided, as the pentad's integers over
+its denominator D, which the degree-one maps and the tables of brackets
+with U_1 carry.  Brackets recurse on integer nonzeros over one denominator,
+which is divided once, at GradedAlgebra.bracket.
 
 Components can keep growing forever for general input; construction always
 truncates at a caller-supplied degree bound.  A zero component shuts down
@@ -33,6 +33,7 @@ the degree-one line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Sequence
 
 from .exact_linalg import (
@@ -40,17 +41,14 @@ from .exact_linalg import (
     Q,
     SparseVec,
     Vec,
-    is_zero_vec,
+    cleared,
     linear_combination,
-    linear_combination_apply,
     qnorm,
     ratio,
     row_space_basis,  # noqa: F401  (perfbench's tracer patches this name here)
     solve,
     solve_multi,
     sparse_row_space_basis,
-    vec_neg,
-    zero_vec,
 )
 from .lie import unit_coords
 from .pentad import StandardPentad
@@ -147,11 +145,11 @@ class _Half:
     Each candidate product carries one D, so the candidate stack is D times
     the candidates, with the same RREF.  Every reader (evaluation, the
     actions, the table, the next candidates, the checks) is one contraction
-    over these nonzeros into a single list or dict accumulator, divided by
-    D where the tables carry it and normalized once at the end.  Bracket
-    expansions back into generator pairs are solved lazily from the up
-    table; they are only needed for general brackets whose first argument
-    sits in degree >= 2.
+    over these nonzeros into a single accumulator; the bracket readers
+    (evaluate, up_bracket, columns) keep integers, over D where the tables
+    carry it.  Bracket expansions back into generator pairs are solved
+    lazily from the up table; they are only needed for general brackets
+    whose first argument sits in degree >= 2.
     """
 
     def __init__(self, action: Sequence[Matrix], dual: Sequence[Matrix],
@@ -163,10 +161,12 @@ class _Half:
             1: tuple(tuple((i * m + r, c) for i, r, c in row) for row in units)}
         self.actions: dict[int, list[Matrix]] = {1: list(action)}
         self.dual = dual
-        columns = [a.transpose().nonzeros for a in action]
+        self._lines: dict[int, list[tuple[SparseVec, ...]]] = {}
+        self._columns: dict[int, list[tuple[SparseVec, ...]]] = {}
         self.up: dict[int, list[list[SparseVec]]] = {
-            0: [[tuple((t, -x) for t, x in cols[a]) for cols in columns] for a in range(m)]}
-        self._expansions: dict[int, list[tuple[tuple[Q, int, int], ...]]] = {}
+            0: [[tuple((t, -x) for t, x in cols[a]) for cols in self.columns(1)]
+                for a in range(m)]}
+        self._expansions: dict[int, tuple[list[tuple[tuple[int, int, int], ...]], int]] = {}
         for k in range(1, max_degree):
             if self.dims.get(k, 0) == 0:
                 self.dims[k + 1] = 0
@@ -217,8 +217,8 @@ class _Half:
         maps = self.maps[degree]
         index_of = {f[0][0]: s for s, f in enumerate(maps)}
         out: list[Matrix] = []
-        for amat, dmat in zip(self.action_rows(degree - 1), self.dual):
-            a_cols, d_rows = amat.transpose().nonzeros, dmat.nonzeros
+        for a_cols, dmat in zip(self.columns(degree - 1), self.dual):
+            d_rows = dmat.nonzeros
             columns = []
             for f in maps:
                 g = _twist(a_cols, f, d_rows, m)
@@ -242,58 +242,48 @@ class _Half:
             self._build_action(k)
         return self.actions.get(k, [])
 
-    def expansions(self, degree: int) -> list[tuple[tuple[Q, int, int], ...]]:
-        """Each basis vector of U_degree as a combination of [x_a, u_s].
+    def columns(self, k: int) -> list[tuple[SparseVec, ...]]:
+        """The algebra basis acting on U_k (k >= 1), by each column's nonzeros."""
+        if k not in self._columns:
+            self._columns[k] = [a.transpose().nonzeros for a in self.action_rows(k)]
+        return self._columns[k]
+
+    def expansions(self, degree: int) -> tuple[list[tuple[tuple[int, int, int], ...]], int]:
+        """Each basis vector of U_degree as an integer combination of the
+        [x_a, u_s], over one denominator delta for the whole degree: the
+        terms (c, a, s) of delta u = sum c [x_a, u_s], and delta.
 
         Solved once per degree on first use, in U_degree coordinates: column
         a * dim U_{degree-1} + s of the system is the table entry D [x_a, u_s],
         and the right-hand sides are the unit vectors times D.  Index pairs
         refer to the degree-one basis and the U_{degree-1} basis.
         """
-        if degree in self._expansions:
-            return self._expansions[degree]
-        n, nk = self.dims[degree], self.dims[degree - 1]
-        table = Matrix.from_nonzeros((v for row in self.up[degree - 1] for v in row), n)
-        result = []
-        for sol in solve_multi(table.transpose(), Matrix.identity(n).scale(self.d)):
-            assert sol is not None, "basis vector outside candidate span"
-            result.append(tuple((c, *divmod(pos, nk)) for pos, c in enumerate(sol) if c))
-        self._expansions[degree] = result
-        return result
+        if degree not in self._expansions:
+            n, nk = self.dims[degree], self.dims[degree - 1]
+            table = Matrix.from_nonzeros((v for row in self.up[degree - 1] for v in row), n)
+            sols = solve_multi(table.transpose(), Matrix.identity(n).scale(self.d))
+            assert None not in sols, "basis vector outside candidate span"
+            delta = lcm(*(c.denominator for sol in sols for c in sol))
+            self._expansions[degree] = ([tuple((c.numerator * (delta // c.denominator),
+                                                *divmod(pos, nk))
+                                               for pos, c in enumerate(sol) if c)
+                                         for sol in sols], delta)
+        return self._expansions[degree]
 
-    def evaluate(self, degree: int, f_coords: Vec, y: Vec) -> Vec:
-        """[f, y] for f in U_degree (degree >= 1), y in U_{-1}: evaluation,
-        the sum over s and r of f_s y_r times [u_s, y_r] (times D at degree 1)."""
-        m = self.m
-        acc: list[Q] = [0] * self.dims[degree - 1]
-        for c, f in zip(f_coords, self.maps[degree]):
-            if c:
-                for tr, x in f:
-                    t, r = divmod(tr, m)
-                    yr = y[r]
-                    if yr:
-                        acc[t] += c * yr * x
-        return _divided(acc, self.d if degree == 1 else 1)
+    def evaluate(self, degree: int, f: SparseVec, y: SparseVec) -> Frac:
+        """[f, y] for f in U_degree (degree >= 1) and y in U_{-1}, both by
+        integer nonzeros: the sum of f_s y_r [u_s, y_r] over D at degree 1,
+        through the maps regrouped by r on first use."""
+        if degree not in self._lines:
+            self._lines[degree] = [
+                Matrix.from_flat_nonzeros(f, self.dims[degree - 1], self.m).transpose().nonzeros
+                for f in self.maps[degree]]
+        return _contract(self._lines[degree], f, y, self.d if degree == 1 else 1)
 
-    def up_bracket(self, k: int, x: Vec, u: Vec) -> Vec:
-        """[x, u] for x in U_1 and u in U_k, k >= 1, via the table (times D)."""
-        acc: list[Q] = [0] * self.dims.get(k + 1, 0)
-        table = self.up.get(k)
-        if table is None:
-            return tuple(acc)
-        for a, xa in enumerate(x):
-            if xa:
-                row = table[a]
-                for s, us in enumerate(u):
-                    if us:
-                        f = xa * us
-                        for p, c in row[s]:
-                            acc[p] += f * c
-        return _divided(acc, self.d)
-
-    def action(self, k: int, g: Vec, v: Vec) -> Vec:
-        """[g, v] for v in U_k, k >= 1."""
-        return linear_combination_apply(g, self.action_rows(k), v)
+    def up_bracket(self, k: int, x: SparseVec, u: SparseVec) -> Frac:
+        """[x, u] for x in U_1 and u in U_k, k >= 1, both by integer
+        nonzeros, read off the table over D."""
+        return _contract(self.up[k], x, u, self.d)
 
 
 def _twist(a_cols: Sequence[SparseVec], f: SparseVec, d_rows: Sequence[SparseVec],
@@ -318,11 +308,55 @@ def _twist(a_cols: Sequence[SparseVec], f: SparseVec, d_rows: Sequence[SparseVec
     return out
 
 
-def _divided(acc: list[Q], d: int = 1) -> Vec:
-    """acc / d, an int in every coordinate that is one."""
-    if d == 1:
-        return tuple(map(qnorm, acc))
-    return tuple(ratio(x, d) for x in acc)
+# Integer nonzeros over one positive denominator: the value v / d.
+Frac = tuple[SparseVec, int]
+
+
+def _contract(table: Sequence[Sequence[SparseVec]], a: SparseVec, b: SparseVec,
+              d: int) -> Frac:
+    """The sum of a_i b_j table[i][j] over the nonzeros of a and b, over d,
+    where table[i][j] is a vector by its nonzeros.  Only a rational table
+    leaves a Fraction in the sum; it is cleared into the denominator."""
+    acc: dict[int, Q] = {}
+    for i, x in a:
+        row = table[i]
+        for j, y in b:
+            f = x * y
+            for p, c in row[j]:
+                acc[p] = acc.get(p, 0) + f * c
+    items = [(i, x) for i, x in acc.items() if x]
+    if all(type(x) is int for _, x in items):
+        return tuple(items), d
+    nums, e = cleared([x for _, x in items])
+    return tuple(zip([i for i, _ in items], nums)), d * e
+
+
+def _negated(v: Frac) -> Frac:
+    return tuple((i, -x) for i, x in v[0]), v[1]
+
+
+class _Sum:
+    """A sum of terms f v / d, kept as integer nonzeros over one running
+    denominator that is rescaled only when a term's d does not divide it."""
+
+    __slots__ = ("acc", "d")
+
+    def __init__(self) -> None:
+        self.acc: dict[int, int] = {}
+        self.d = 1
+
+    def add(self, f: int, v: SparseVec, d: int) -> None:
+        if self.d % d:
+            r = d // gcd(self.d, d)
+            self.acc = {i: x * r for i, x in self.acc.items()}
+            self.d *= r
+        f *= self.d // d
+        acc = self.acc
+        for i, x in v:
+            acc[i] = acc.get(i, 0) + f * x
+
+    def result(self) -> Frac:
+        return tuple((i, x) for i, x in self.acc.items() if x), self.d
 
 
 @dataclass(frozen=True)
@@ -339,8 +373,8 @@ class GradedAlgebra:
     candidate spans.  The negative half swaps the module and the dual:
     [phi_r, v_a] = -Phi(v_a (x) phi_r), so its unit table is the pentad's
     with the two indices swapped and every value negated.  All brackets are
-    exact; general ones recurse through stored expansions and are memoized
-    per basis pair.
+    exact, in integers over one denominator until the end; general ones
+    recurse through the integer expansions, memoized per basis pair.
     """
 
     def __init__(self, pentad: StandardPentad, max_degree: int):
@@ -360,7 +394,7 @@ class GradedAlgebra:
         self.negative = _Half(pentad.dual.action, pentad.rep.action,
                               tuple(tuple(sorted(e)) for e in swapped), phi.denominator,
                               max_degree)
-        self._memo: dict[tuple[int, int, int, int], SparseVec] = {}
+        self._memo: dict[tuple[int, int, int, int], Frac] = {}
         self._dims = {0: pentad.algebra.dim}
         for k in range(1, max_degree + 1):
             self._dims[k] = self.positive.dims.get(k, 0)
@@ -397,106 +431,96 @@ class GradedAlgebra:
         return list(self._half(degree).action_rows(abs(degree)))
 
     def bracket(self, a: GradedVector, b: GradedVector) -> GradedVector:
+        """[a, b]: each argument is cleared to integers over its own
+        denominator, and the integer result is divided once per coordinate."""
         j, k = a.degree, b.degree
         for deg in (j, k, j + k):
             if abs(deg) > self.max_degree:
                 raise DegreeError(f"degree {deg} exceeds the bound {self.max_degree}")
         if len(a.coords) != self._dims[j] or len(b.coords) != self._dims[k]:
             raise DegreeError("coordinate length does not match the component")
-        return GradedVector(j + k, self._bracket(j, a.coords, k, b.coords))
+        (an, ad), (bn, bd) = cleared(a.coords), cleared(b.coords)
+        v, d = self._sparse_bracket(j, tuple((i, x) for i, x in enumerate(an) if x),
+                                    k, tuple((i, x) for i, x in enumerate(bn) if x))
+        d *= ad * bd
+        out: list[Q] = [0] * self._dims[j + k]
+        for i, x in v:
+            out[i] = ratio(x, d)
+        return GradedVector(j + k, tuple(out))
 
-    def _bracket(self, j: int, a: Vec, k: int, b: Vec) -> Vec:
-        """Each case runs on the side of its sign; U_{+-1} x U_{-+1} is the
-        evaluation of degree +-1, whose maps are the unit table."""
-        target = self._dims[j + k]
-        if target == 0 or is_zero_vec(a) or is_zero_vec(b):
-            return zero_vec(target)
+    def _sparse_bracket(self, j: int, a: SparseVec, k: int, b: SparseVec) -> Frac:
+        """[a, b] for integer nonzeros a in U_j and b in U_k, over a
+        denominator.  Each case runs on the side of its sign; U_{+-1} x
+        U_{-+1} is the evaluation of degree +-1, whose maps are the unit table."""
+        if not (a and b and self._dims[j + k]):
+            return (), 1
         if j == 0:
-            if k == 0:
-                return self.pentad.algebra.bracket_coords(a, b)
-            return self._half(k).action(abs(k), a, b)
+            table = self._half(k).columns(abs(k)) if k else self.pentad.algebra.structure
+            return _contract(table, a, b, 1)
         if k == 0:
-            return vec_neg(self._bracket(0, b, j, a))
+            return _negated(self._sparse_bracket(0, b, j, a))
         one = 1 if j > 0 else -1
         if k == -one:
             return self._half(j).evaluate(abs(j), a, b)
         if abs(j) == 1:
             if j * k > 0:
                 return self._half(j).up_bracket(abs(k), a, b)
-            return vec_neg(self._half(k).evaluate(abs(k), b, a))
+            return _negated(self._half(k).evaluate(abs(k), b, a))
         # First argument in degree >= 2: expand each basis vector into
-        # generator pairs, [[x, u], b] = [x, [u, b]] - [u, [x, b]], and group
-        # the terms by generator a, so that the call brackets b with each
-        # x_a and each u once:
-        #   sum over a of [x_a, sum f [u, b]] - sum f [u, [x_a, b]],
-        # the last through the memoized unit-pair brackets.
+        # generator pairs, delta u = sum c [x, u'], and group the terms of
+        # [[x, u'], b] = [x, [u', b]] - [u', [x, b]] by generator x, so that
+        # the call brackets b with each x and each u' once:
+        #   sum over x of [x, sum f [u', b]] - sum f [u', [x, b]].
         half = self._half(j)
         prev = j - one
-        m = self.pentad.module_dim
-        seen: dict[tuple[int, int], Vec] = {}
-        outer: dict[int, list[Q]] = {}  # a -> sum f [u, b], in U_{prev+k}
-        inner: dict[int, dict[int, Q]] = {}  # a -> sum f u, in U_prev
-        expansions = half.expansions(abs(j))
-        for s, cs in enumerate(a):
-            if not cs:
-                continue
-            for c, a_idx, u_idx in expansions[s]:
+        expansions, delta = half.expansions(abs(j))
+        seen: dict[tuple[int, int], Frac] = {}
+        outer: dict[int, _Sum] = {}  # x -> sum f [u', b], in U_{prev+k}
+        inner: dict[int, dict[int, int]] = {}  # x -> sum f u', in U_prev
+        for s, cs in a:
+            for c, x, u in expansions[s]:
                 f = cs * c
-                ub = self._bracket_unit(prev, u_idx, k, b, seen)
-                if a_idx not in outer:
-                    outer[a_idx] = [0] * len(ub)
-                    inner[a_idx] = {}
-                acc = outer[a_idx]
-                for t, x in enumerate(ub):
-                    if x:
-                        acc[t] += f * x
-                inner[a_idx][u_idx] = inner[a_idx].get(u_idx, 0) + f
-        acc = [0] * target
-        for a_idx, ub_sum in outer.items():
-            first = self._bracket(one, unit_coords(m, a_idx), prev + k, _divided(ub_sum))
-            for t, y in enumerate(first):
-                if y:
-                    acc[t] += y
-            xb = self._bracket_unit(one, a_idx, k, b, seen)
-            for u_idx, w in inner[a_idx].items():
-                if w:
-                    self._memo_add(acc, -w, prev, u_idx, one + k, xb)
-        return _divided(acc)
+                if x not in outer:
+                    outer[x], inner[x] = _Sum(), {}
+                outer[x].add(f, *self._unit_bracket(prev, u, k, b, seen))
+                inner[x][u] = inner[x].get(u, 0) + f
+        total = _Sum()
+        for x, ub_sum in outer.items():
+            v, d = ub_sum.result()
+            first, e = self._sparse_bracket(one, ((x, 1),), prev + k, v)
+            total.add(1, first, d * e)
+            xb = self._unit_bracket(one, x, k, b, seen)
+            for u, f in inner[x].items():
+                if f:
+                    self._add_unit_pairs(total, -f, prev, u, one + k, xb)
+        v, d = total.result()
+        return v, d * delta
 
-    def _bracket_unit(self, j: int, s: int, k: int, b: Vec,
-                      seen: dict[tuple[int, int], Vec]) -> Vec:
-        """[e_s of U_j, b], once per (j, s) for the calls sharing `seen`.
-
-        A degree-one e_s is bracketed directly; a higher one goes through
-        the memoized unit-pair brackets.
-        """
+    def _unit_bracket(self, j: int, s: int, k: int, b: SparseVec,
+                      seen: dict[tuple[int, int], Frac]) -> Frac:
+        """[e_s of U_j, b], once per (j, s) for the calls sharing `seen`: a
+        degree-one e_s directly, a higher one from the unit-pair memo."""
         got = seen.get((j, s))
         if got is None:
             if abs(j) == 1:
-                got = self._bracket(j, unit_coords(self._dims[j], s), k, b)
+                got = self._sparse_bracket(j, ((s, 1),), k, b)
             else:
-                acc: list[Q] = [0] * self._dims[j + k]
-                self._memo_add(acc, 1, j, s, k, b)
-                got = _divided(acc)
+                acc = _Sum()
+                self._add_unit_pairs(acc, 1, j, s, k, (b, 1))
+                got = acc.result()
             seen[j, s] = got
         return got
 
-    def _memo_add(self, acc: list[Q], f: Q, j: int, s: int, k: int, b: Vec) -> None:
-        """acc += f [e_s of U_j, b], summed over the nonzero coordinates of b
-        from the memoized unit-pair brackets, which are kept by their
-        nonzeros."""
-        for t, bt in enumerate(b):
-            if not bt:
-                continue
+    def _add_unit_pairs(self, acc: _Sum, f: int, j: int, s: int, k: int, b: Frac) -> None:
+        """acc += f [e_s of U_j, b], summed over the nonzeros of b from the
+        memoized unit-pair brackets, each kept as (nonzeros, denominator)."""
+        bv, bd = b
+        for t, bt in bv:
             key = (j, s, k, t)
             got = self._memo.get(key)
             if got is None:
-                v = self._bracket(j, unit_coords(self._dims[j], s),
-                                  k, unit_coords(self._dims[k], t))
-                got = self._memo[key] = tuple((i, x) for i, x in enumerate(v) if x)
-            fb = f * bt
-            for i, x in got:
-                acc[i] += fb * x
+                got = self._memo[key] = self._sparse_bracket(j, ((s, 1),), k, ((t, 1),))
+            acc.add(f * bt, got[0], got[1] * bd)
 
 
 def extend(p: StandardPentad, max_degree: int) -> GradedAlgebra:

@@ -10,8 +10,8 @@ the dense row grid that Matrix stored before it stored only nonzeros, with
 a check of the stored form, reads graded action tables densely at every
 pivot, keeps the all-pairs scans that the generating-set checks replaced,
 the center and the grading-element solve over every commutation row, the
-rank read off the full echelon, and the JSON matrix reader and writer that
-walked every cell.
+rank read off the full echelon, the JSON matrix reader and writer that
+walked every cell, and Witt's dimension formula for free Lie algebras.
 """
 
 import random
@@ -133,7 +133,7 @@ def _blockwise_form(p, scales):
 def rational_vector_pentad():
     """gl(1) + so(3) on C^3 with a rational pairing and a non-trace form."""
     base = resolve("gl1_so_vector(3)").build()
-    pairing = Matrix.from_rows([["2", "1/3", "0"], ["0", "1", "-1"], ["1", "0", "1/2"]])
+    pairing = Matrix([[2, Fraction(1, 3), 0], [0, 1, -1], [1, 0, Fraction(1, 2)]])
     form = _blockwise_form(base, [3] + [Fraction(1, 2)] * 3)
     return StandardPentad(base.algebra, base.rep,
                           dual_representation(base.rep, pairing), form)
@@ -143,7 +143,7 @@ def rational_matrix_space_pentad():
     """matrix_space_example(2) with the pairing kron(J, diag(1, 2, 1/3)) and
     the trace form scaled by 2 on gl(1), 1/2 on sp(2) and 3 on so(3)."""
     base = matrix_space_example(2)
-    diag = Matrix.from_rows([["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1/3"]])
+    diag = Matrix([[1, 0, 0], [0, 2, 0], [0, 0, Fraction(1, 3)]])
     pairing = kronecker(standard_symplectic_form(2), diag)
     scales = [2] + [Fraction(1, 2)] * 10 + [3] * 3
     return StandardPentad(base.algebra, base.rep,
@@ -416,3 +416,23 @@ def dense_matrix_from_json(obj):
 
 def dense_matrix_to_json(m):
     return [[qstr(x) for x in row] for row in m.entries]
+
+
+def mobius(n):
+    """The Moebius function: 0 when a square divides n, else (-1)^(number of
+    prime factors)."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def witt_dimension(m, k):
+    """W(m, k) = (1/k) sum over d | k of mobius(d) m^(k/d): the dimension of
+    the degree-k part of the free Lie algebra on m generators (Witt 1937)."""
+    return sum(mobius(d) * m ** (k // d) for d in range(1, k + 1) if k % d == 0) // k

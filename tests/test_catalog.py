@@ -87,7 +87,7 @@ class TestEntries:
 
     def test_gl2_standard_gram_is_pinned(self):
         third = Fraction(1, 3)
-        assert gl2_standard().form.gram == Matrix.from_rows([
+        assert gl2_standard().form.gram == Matrix([
             [Fraction(2, 3), 0, 0, -third],
             [0, 0, 1, 0],
             [0, 1, 0, 0],
@@ -95,7 +95,7 @@ class TestEntries:
         ])
 
     def test_gl2_trace_gram_is_plain(self):
-        assert gl2_trace().form.gram == Matrix.from_rows([
+        assert gl2_trace().form.gram == Matrix([
             [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
     def test_parameter_floors(self):

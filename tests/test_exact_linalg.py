@@ -61,7 +61,7 @@ def matrices(max_rows=4, max_cols=4):
         lambda r: st.integers(min_value=1, max_value=max_cols).flatmap(
             lambda c: st.lists(
                 st.lists(scalars, min_size=c, max_size=c), min_size=r, max_size=r
-            ).map(Matrix.from_rows)
+            ).map(lambda rows: Matrix(normalized(rows)))
         )
     )
 
@@ -87,7 +87,7 @@ def random_elementary_ops(rng: random.Random, base: Matrix, steps: int) -> Matri
             i = rng.randrange(len(rows))
             c = rng.choice([-2, -1, 1, 2, 3])
             rows[i] = [x * c for x in rows[i]]
-    return Matrix.from_rows(rows)
+    return Matrix(rows)
 
 
 # --- The dense oracle -------------------------------------------------------
@@ -235,38 +235,38 @@ class TestScalars:
 
 class TestMatrixOps:
     def test_matmul_identity(self):
-        m = Matrix.from_rows([[1, 2], [3, 4]])
+        m = Matrix([[1, 2], [3, 4]])
         assert m @ Matrix.identity(2) == m
         assert Matrix.identity(2) @ m == m
 
     def test_matmul_known_product(self):
-        a = Matrix.from_rows([[1, 2], [3, 4]])
-        b = Matrix.from_rows([[0, 1], [1, 0]])
-        assert a @ b == Matrix.from_rows([[2, 1], [4, 3]])
+        a = Matrix([[1, 2], [3, 4]])
+        b = Matrix([[0, 1], [1, 0]])
+        assert a @ b == Matrix([[2, 1], [4, 3]])
 
     def test_transpose_involution(self):
-        m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        m = Matrix([[1, 2, 3], [4, 5, 6]])
         assert m.transpose().transpose() == m
         assert m.transpose().shape() == (3, 2)
 
     def test_trace(self):
-        assert Matrix.from_rows([[1, 9], [7, Fraction(1, 2)]]).trace() == Fraction(3, 2)
+        assert Matrix([[1, 9], [7, Fraction(1, 2)]]).trace() == Fraction(3, 2)
         with pytest.raises(ValueError):
-            Matrix.from_rows([[1, 2, 3]]).trace()
+            Matrix([[1, 2, 3]]).trace()
 
     def test_apply(self):
-        m = Matrix.from_rows([[1, 2], [0, -1]])
+        m = Matrix([[1, 2], [0, -1]])
         assert m.apply((3, 4)) == (11, -4)
 
     def test_shape_mismatch_raises(self):
-        a = Matrix.from_rows([[1, 2]])
+        a = Matrix([[1, 2]])
         with pytest.raises(ValueError):
             a @ a
         with pytest.raises(ValueError):
             a + Matrix.identity(2)
 
     def test_flat_is_row_major(self):
-        m = Matrix.from_rows([[1, 2], [3, 4]])
+        m = Matrix([[1, 2], [3, 4]])
         assert m.flat() == (1, 2, 3, 4)
 
 
@@ -276,7 +276,8 @@ def combinations(draw):
     are all integers, mixed integers and Fractions, or all zero."""
     r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     grid = st.lists(st.lists(scalars, min_size=c, max_size=c), min_size=r, max_size=r)
-    mats = draw(st.lists(grid.map(Matrix.from_rows), min_size=1, max_size=5))
+    mats = draw(st.lists(grid.map(lambda rows: Matrix(normalized(rows))), min_size=1,
+                         max_size=5))
     coeff = draw(st.sampled_from((st.integers(-6, 6), scalars, st.just(0))))
     return draw(st.lists(coeff, min_size=len(mats), max_size=len(mats))), mats
 
@@ -295,7 +296,7 @@ class TestLinearCombination:
         assert typed(got.flat()) == typed(tuple(qnorm(x) for x in fold.flat()))
 
     def test_zero_coefficients_give_zero_matrix_of_input_shape(self):
-        mats = [Matrix.from_rows([[1, 2, 3], [4, 5, 6]]), Matrix.from_rows([[0, 0, 1], [1, 0, 0]])]
+        mats = [Matrix([[1, 2, 3], [4, 5, 6]]), Matrix([[0, 0, 1], [1, 0, 0]])]
         assert linear_combination((0, Fraction(0)), mats) == Matrix.zeros(2, 3)
 
     def test_shape_mismatch_raises(self):
@@ -304,7 +305,7 @@ class TestLinearCombination:
 
     def test_coefficient_count_must_match(self):
         # one coefficient per matrix: neither truncated nor padded
-        mats = [Matrix.identity(3), Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])]
+        mats = [Matrix.identity(3), Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])]
         for coeffs in ((1,), (1, 0, 0)):
             with pytest.raises(ValueError):
                 linear_combination(coeffs, mats)
@@ -329,14 +330,14 @@ class TestRank:
 
     def test_known_rank_two_rectangle(self):
         # 4x3 with two independent rows; turns up again as a regularity witness.
-        m = Matrix.from_rows([[0, 0, -1], [0, 0, 0], [1, 0, 0], [0, 0, 0]])
+        m = Matrix([[0, 0, -1], [0, 0, 0], [1, 0, 0], [0, 0, 0]])
         assert rank(m) == 2
 
     def test_fractional_entries(self):
-        assert rank(Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
+        assert rank(Matrix([[Fraction(1, 2), Fraction(1, 3)],
                                       [Fraction(1, 4), 1]])) == 2
         # proportional rows after clearing denominators
-        assert rank(Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
+        assert rank(Matrix([[Fraction(1, 2), Fraction(1, 3)],
                                       [Fraction(3, 2), 1]])) == 1
 
     def test_rank_preserved_by_elementary_ops(self):
@@ -344,7 +345,7 @@ class TestRank:
         for trial in range(25):
             r = rng.randrange(0, 4)
             rows, cols = rng.randint(max(r, 1), 5), rng.randint(max(r, 1), 5)
-            base = Matrix.from_rows(
+            base = Matrix(
                 [[1 if (i == j and i < r) else 0 for j in range(cols)] for i in range(rows)]
             )
             scrambled = random_elementary_ops(rng, base, steps=12)
@@ -356,20 +357,20 @@ class TestRank:
             raise AssertionError("rank ran the backward pass")
 
         monkeypatch.setattr(exact_linalg, "sparse_row_space_basis", no_rref)
-        m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], ["1/2", 0, 1], [0, 0, 0]])
+        m = Matrix([[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 0, 1], [0, 0, 0]])
         assert rank(m) == 2
 
 
 class TestRref:
     def test_idempotent(self):
-        m = Matrix.from_rows([[2, 4, 1], [1, 2, 0], [0, 0, 3]])
+        m = Matrix([[2, 4, 1], [1, 2, 0], [0, 0, 3]])
         reduced, pivots = rref(m)
         again, pivots2 = rref(reduced)
         assert again == reduced
         assert pivots == pivots2
 
     def test_pivot_columns_carry_identity(self):
-        m = Matrix.from_rows([[1, 2, 1], [2, 4, 3]])
+        m = Matrix([[1, 2, 1], [2, 4, 3]])
         reduced, pivots = rref(m)
         assert pivots == (0, 2)
         for i, c in enumerate(pivots):
@@ -392,13 +393,13 @@ class TestKernel:
         assert basis == [(1, 0), (0, 1)]
 
     def test_sum_functional(self):
-        basis = kernel_basis(Matrix.from_rows([[1, 1]]))
+        basis = kernel_basis(Matrix([[1, 1]]))
         assert len(basis) == 1
         v = basis[0]
         assert vec_scale(-1, (v[1],)) == (v[0],)  # proportional to (1, -1)
 
     def test_deterministic(self):
-        m = Matrix.from_rows([[1, 2, 3], [2, 4, 6]])
+        m = Matrix([[1, 2, 3], [2, 4, 6]])
         assert kernel_basis(m) == kernel_basis(m)
 
     @settings(max_examples=60, deadline=None)
@@ -432,7 +433,7 @@ class TestKernel:
     def test_kernel_vectors_independent(self, m):
         basis = kernel_basis(m)
         if basis:
-            assert rank(Matrix.from_rows(basis)) == len(basis)
+            assert rank(Matrix(basis)) == len(basis)
 
 
 class TestSolve:
@@ -443,13 +444,13 @@ class TestSolve:
         assert res.kernel == []
 
     def test_affine(self):
-        res = solve(Matrix.from_rows([[1, 1]]), (2,))
+        res = solve(Matrix([[1, 1]]), (2,))
         assert res.status == "affine"
         assert res.solution == (2, 0)
         assert len(res.kernel) == 1
 
     def test_none(self):
-        res = solve(Matrix.from_rows([[1], [1]]), (1, 2))
+        res = solve(Matrix([[1], [1]]), (1, 2))
         assert res.status == "none"
         assert res.solution is None
 
@@ -468,29 +469,29 @@ class TestSolve:
         assert (res.status == "unique") == (len(kernel_basis(m)) == 0)
 
     def test_solve_multi_matches_solve(self):
-        a = Matrix.from_rows([[1, 2], [3, 4], [4, 6]])
-        rhs = Matrix.from_rows([[3, 1], [7, 1], [10, 9]])
+        a = Matrix([[1, 2], [3, 4], [4, 6]])
+        rhs = Matrix([[3, 1], [7, 1], [10, 9]])
         cols = solve_multi(a, rhs)
         assert cols[0] == solve(a, (3, 7, 10)).solution
         assert cols[1] is None  # second column is inconsistent
 
     def test_inverse_round_trip(self):
-        m = Matrix.from_rows([[2, 1, 0], [1, 1, 1], [0, 3, 1]])
+        m = Matrix([[2, 1, 0], [1, 1, 1], [0, 3, 1]])
         assert m @ inverse(m) == Matrix.identity(3)
         assert inverse(m) @ m == Matrix.identity(3)
 
     def test_inverse_fractional(self):
-        m = Matrix.from_rows([[2, 0], [0, 3]])
-        assert inverse(m) == Matrix.from_rows(
+        m = Matrix([[2, 0], [0, 3]])
+        assert inverse(m) == Matrix(
             [[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
 
     def test_inverse_rejects_singular(self):
         with pytest.raises(ValueError):
-            inverse(Matrix.from_rows([[1, 2], [2, 4]]))
+            inverse(Matrix([[1, 2], [2, 4]]))
 
     def test_inverse_rejects_rectangular(self):
         with pytest.raises(ValueError):
-            inverse(Matrix.from_rows([[1, 2]]))
+            inverse(Matrix([[1, 2]]))
 
 
 class TestKronecker:
@@ -498,8 +499,8 @@ class TestKronecker:
         assert kronecker(Matrix.identity(2), Matrix.identity(3)) == Matrix.identity(6)
 
     def test_block_structure(self):
-        a = Matrix.from_rows([[0, 1], [2, 0]])
-        b = Matrix.from_rows([[1, 1], [0, 1]])
+        a = Matrix([[0, 1], [2, 0]])
+        b = Matrix([[1, 1], [0, 1]])
         k = kronecker(a, b)
         assert k.shape() == (4, 4)
         assert k.entries[0] == (0, 0, 1, 1)
@@ -507,7 +508,7 @@ class TestKronecker:
 
     def test_mixed_product_rule(self):
         rng = random.Random(7)
-        mk = lambda: Matrix.from_rows([[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)])
+        mk = lambda: Matrix([[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)])
         a, b, c, d = mk(), mk(), mk(), mk()
         assert kronecker(a, b) @ kronecker(c, d) == kronecker(a @ c, b @ d)
 
@@ -515,10 +516,10 @@ class TestKronecker:
         rng = random.Random(11)
         for _ in range(10):
             ra, rb = rng.randrange(0, 3), rng.randrange(0, 3)
-            base_a = Matrix.from_rows(
+            base_a = Matrix(
                 [[1 if (i == j and i < ra) else 0 for j in range(3)] for i in range(3)]
             )
-            base_b = Matrix.from_rows(
+            base_b = Matrix(
                 [[1 if (i == j and i < rb) else 0 for j in range(3)] for i in range(3)]
             )
             a = random_elementary_ops(rng, base_a, 8)
@@ -528,7 +529,7 @@ class TestKronecker:
 
 class TestRowSpace:
     def test_matches_rref(self):
-        m = Matrix.from_rows([[2, 4, 0], [1, 2, 1], [3, 6, 1]])
+        m = Matrix([[2, 4, 0], [1, 2, 1], [3, 6, 1]])
         basis = row_space_basis(m.entries)
         reduced, pivots = rref(m)
         assert basis == list(reduced.entries[:len(pivots)])
@@ -586,8 +587,8 @@ def adversarial(draw, square=False):
         if k == 0:
             rows = [[0] * c for _ in range(r)]
         else:
-            rows = (Matrix.from_rows(grid(r, k)) @ Matrix.from_rows(grid(k, c))).entries
-    return Matrix.from_rows(rows)
+            rows = (Matrix(grid(r, k)) @ Matrix(grid(k, c))).entries
+    return Matrix(normalized(rows))
 
 
 @st.composite
@@ -652,7 +653,7 @@ class TestEngineMatchesDenseOracle:
     @given(systems(nrhs=3))
     def test_solve_multi(self, system):
         a, cols = system
-        rhs = Matrix.from_rows(zip(*cols))
+        rhs = Matrix(zip(*cols))
         got = solve_multi(a, rhs)
         want = oracle_solve_multi(a, rhs)
         assert [x is None for x in got] == [x is None for x in want]
@@ -697,7 +698,7 @@ def sparse_matrices(draw, rows=None, cols=None):
     for j in draw(st.sets(st.integers(0, c - 1))):
         for row in grid:
             row[j] = 0
-    return Matrix.from_rows(grid)
+    return Matrix(grid)
 
 
 @st.composite

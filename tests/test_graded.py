@@ -1,6 +1,7 @@
 """Graded construction: dimensions, brackets, grading and minimality checks."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from pentads.exact_linalg import (
     inverse,
     qnorm,
     rank,
+    ratio,
     row_space_basis,
     solve_multi,
     vec_scale,
@@ -39,9 +41,9 @@ from pentads.pentad import (
     dual_representation,
 )
 
-from oracles import (dense_pivot_action, display_name, mirror, pivot_columns,
+from oracles import (dense_pivot_action, display_name, mirror, mobius, pivot_columns,
                      rational_matrix_space_pentad, rational_vector_pentad,
-                     stacked_grading_element, vec_add)
+                     stacked_grading_element, vec_add, witt_dimension)
 
 
 def build(spec, degree):
@@ -98,7 +100,7 @@ class TestGradingElement:
     def test_unconstrained_center_is_degenerate(self):
         # second summand acts by zero, so its coefficient is free
         alg = direct_sum([family("gl", 1), family("gl", 1)])
-        rep = Representation(alg, (Matrix.from_rows([[1]]), Matrix.from_rows([[0]])))
+        rep = Representation(alg, (Matrix([[1]]), Matrix([[0]])))
         p = StandardPentad(alg, rep, dual_representation(rep), trace_form(alg))
         res = grading_element(p)
         assert res.status == "degenerate"
@@ -178,7 +180,7 @@ class TestGradingElementMatchesStackedSolve:
         pentads += [rational_vector_pentad(), rational_matrix_space_pentad()]
         pentads += [bumped_dual(p) for p in pentads]
         alg = direct_sum([family("gl", 1), family("gl", 1)])
-        rep = Representation(alg, (Matrix.from_rows([[1]]), Matrix.from_rows([[0]])))
+        rep = Representation(alg, (Matrix([[1]]), Matrix([[0]])))
         pentads.append(StandardPentad(alg, rep, dual_representation(rep), trace_form(alg)))
         seen = set()
         for p in pentads:
@@ -330,17 +332,19 @@ class TestBracket:
     @pytest.mark.parametrize("spec", ["gl2_trace", "gl1_so_vector(3)"])
     def test_expansions_reconstruct_basis(self, spec):
         # every degree-two basis vector is reachable from degree-one pairs;
-        # the table holds the brackets times Phi's denominator D
+        # the table holds the brackets times Phi's denominator D, and the
+        # integer coefficients are the expansion times its denominator delta
         g = build(spec, 2)
         d = g.pentad.phi.denominator
         for half in (g.positive, g.negative):
             n = half.dims[2]
-            for s0, terms in enumerate(half.expansions(2)):
+            expansions, delta = half.expansions(2)
+            for s0, terms in enumerate(expansions):
                 acc = (0,) * n
                 for coeff, a_idx, s_idx in terms:
                     up = dense_vec(half.up[1][a_idx][s_idx], n)
                     acc = vec_add(acc, vec_scale(coeff, up))
-                assert acc == vec_scale(d, unit_coords(n, s0))
+                assert acc == vec_scale(delta * d, unit_coords(n, s0))
 
 
 class TestComponentsAndActions:
@@ -370,7 +374,7 @@ class TestComponentsAndActions:
         for hi, mat in zip(h, mats):
             if hi:
                 acc = acc + mat.scale(hi)
-        assert acc == Matrix.from_rows([[4]])
+        assert acc == Matrix([[4]])
 
     def test_construction_is_deterministic(self):
         g1 = build("gl1_so_vector(3)", 3)
@@ -410,7 +414,7 @@ class TestChecks:
         # 0 = 2 is what makes the system inconsistent: a row builder that
         # dropped empty cell rows would find h = 2.
         alg = family("gl", 1)
-        rep = Representation(alg, (Matrix.from_rows([[1, 0], [0, 0]]),))
+        rep = Representation(alg, (Matrix([[1, 0], [0, 0]]),))
         p = StandardPentad(alg, rep, dual_representation(rep), trace_form(alg))
         assert check_standard(p).ok
         res = grading_element(p)
@@ -767,12 +771,15 @@ class TestSparseMatchesDense:
     def test_expansions(self, sparse_and_dense):
         # The sparse half solves in U_k coordinates against its bracket
         # table, the dense one in map space against the candidate maps; both
-        # systems share one row space, so the solutions agree exactly.
+        # systems share one row space, so the solutions agree exactly: the
+        # sparse integer coefficients c over delta are the dense ones.
         g, dense = sparse_and_dense
         for half, dhalf in ((g.positive, dense.positive), (g.negative, dense.negative)):
             for k in range(2, g.max_degree + 1):
                 if half.dims.get(k, 0):
-                    got, want = half.expansions(k), dhalf.expansions(k)
+                    (stored, delta), want = half.expansions(k), dhalf.expansions(k)
+                    got = [tuple((ratio(c, delta), a, s) for c, a, s in terms)
+                           for terms in stored]
                     assert got == want
                     assert ([[type(c) for c, _, _ in terms] for terms in got]
                             == [[type(c) for c, _, _ in terms] for terms in want])
@@ -975,6 +982,51 @@ class TestSinglePaths:
                     assert all(type(x) is int for row in table for v in row for _, x in v)
 
     @pytest.mark.parametrize("spec,degree", [(s, 3) for s in CATALOG_SPECS]
+                             + [("gl1_so_vector(4)", 4)]
+                             + [(s, 2) for s in sorted(RATIONAL_PENTADS)])
+    def test_bracket_recursion_stays_in_integers(self, spec, degree, monkeypatch):
+        # Every contraction of a table, every intermediate bracket, every term
+        # added to a common-denominator sum and the sum itself, every memo
+        # entry and every expansion term is integers over a positive int
+        # denominator.  The catalog's tables leave no Fraction to clear; the
+        # rational fixtures' do, and the contraction clears it at once.
+        rational = spec in RATIONAL_PENTADS
+        calls, failures = [0], []
+
+        def integral(v, d):
+            return type(d) is int and d > 0 and all(type(x) is int for _, x in v)
+
+        def spy(owner, name, check):
+            real = getattr(owner, name)
+
+            def wrapper(*args):
+                out = real(*args)
+                calls[0] += 1
+                if not check(out, *args):
+                    failures.append((name, args, out))
+                return out
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(graded, "_contract",
+            lambda out, table, a, b, d: integral(*out) and (rational or out[1] == d))
+        spy(graded.GradedAlgebra, "_sparse_bracket", lambda out, *args: integral(*out))
+        spy(graded._Sum, "add", lambda out, acc, f, v, d: type(f) is int and integral(v, d))
+        spy(graded._Sum, "result", lambda out, acc: integral(*out))
+        g = extend(RATIONAL_PENTADS[spec]() if rational else resolve(spec).build(), degree)
+        rng = random.Random(16)
+        dims = {k: n for k, n in g.dims.items() if n}
+        for j, nj in dims.items():
+            for k, nk in dims.items():
+                if abs(j + k) <= degree:
+                    g.bracket(GradedVector(j, tuple(rng.randint(-9, 9) for _ in range(nj))),
+                              GradedVector(k, tuple(rng.randint(-9, 9) for _ in range(nk))))
+        assert calls[0] and not failures
+        assert all(integral(*v) for v in g._memo.values())
+        for half in (g.positive, g.negative):
+            for terms, delta in half._expansions.values():
+                assert integral(((a, c) for t in terms for c, a, _ in t), delta)
+
+    @pytest.mark.parametrize("spec,degree", [(s, 3) for s in CATALOG_SPECS]
                              + [("gl1_so_vector(4)", 4)])
     def test_action_tables_match_dense_pivot_read(self, spec, degree):
         g = build(spec, degree)
@@ -982,3 +1034,77 @@ class TestSinglePaths:
             for k in range(2, degree + 1):
                 if half.dims.get(k, 0):
                     assert half.action_rows(k) == dense_pivot_action(half, k)
+
+
+# bracket(a / alpha, b / beta) = bracket(a, b) / (alpha beta): the arguments'
+# denominators leave through the one division at the end.  On the rational
+# fixtures the brackets are also compared with the dense recursion.
+SCALING_CASES = [("gl2_trace", 3), ("matrix_space_example(2)", 2),
+                 ("rational_vector", 2), ("rational_matrix_space", 2)]
+_SCALING_ALGEBRAS = {}
+
+
+def scaling_algebras(spec, degree):
+    if (spec, degree) not in _SCALING_ALGEBRAS:
+        rational = spec in RATIONAL_PENTADS
+        p = RATIONAL_PENTADS[spec]() if rational else resolve(spec).build()
+        _SCALING_ALGEBRAS[spec, degree] = (extend(p, degree),
+                                           _DenseAlgebra(p, degree) if rational else None)
+    return _SCALING_ALGEBRAS[spec, degree]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SCALING_CASES), st.data())
+def test_bracket_scales_with_argument_denominators(case, data):
+    g, dense = scaling_algebras(*case)
+    degrees = [k for k, n in g.dims.items() if n]
+    j = data.draw(st.sampled_from(degrees))
+    k = data.draw(st.sampled_from([k for k in degrees if abs(j + k) <= g.max_degree]))
+    a, b = (tuple(data.draw(st.lists(st.integers(-9, 9), min_size=g.dim(d), max_size=g.dim(d))))
+            for d in (j, k))
+    alpha, beta = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 30))
+    a_q = tuple(qnorm(Fraction(x, alpha)) for x in a)
+    b_q = tuple(qnorm(Fraction(x, beta)) for x in b)
+    got = g.bracket(GradedVector(j, a_q), GradedVector(k, b_q)).coords
+    want = tuple(qnorm(Fraction(x) / (alpha * beta))
+                 for x in g.bracket(GradedVector(j, a), GradedVector(k, b)).coords)
+    assert got == want
+    assert list(map(type, got)) == list(map(type, want))
+    if dense is not None:
+        dense_got = dense.bracket(j, a_q, k, b_q)
+        assert got == dense_got
+        assert list(map(type, got)) == list(map(type, dense_got))
+
+
+class TestWittBound:
+    """U_1 generates the positive part, so dim U_k is at most the dimension
+    W(m, k) of degree k in the free Lie algebra on m = dim U_1 generators;
+    the same holds on the negative side."""
+
+    def test_witt_dimension_oracle(self):
+        # Moebius values, and the necklace counts W(2, k) and W(3, k)
+        assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+        assert [witt_dimension(2, k) for k in range(1, 9)] == [2, 1, 2, 3, 6, 9, 18, 30]
+        assert [witt_dimension(3, k) for k in range(1, 6)] == [3, 3, 8, 18, 48]
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS + sorted(RATIONAL_PENTADS))
+    def test_dims_within_witt_bound(self, spec):
+        p = RATIONAL_PENTADS[spec]() if spec in RATIONAL_PENTADS else resolve(spec).build()
+        g = extend(p, 3)
+        m = p.module_dim
+        for k in range(1, 4):
+            assert g.dim(k) <= witt_dimension(m, k)
+            assert g.dim(-k) <= witt_dimension(m, k)
+
+    @pytest.mark.parametrize("spec,dims", [
+        ("gl1_so_vector(3)", (3, 3, 8)),
+        ("gl1_so_vector(4)", (4, 6, 20, 60)),
+        ("gl1_so_vector(5)", (5, 10, 40)),
+        ("matrix_space_example(2)", (12, 66, 572)),
+    ])
+    def test_free_families_meet_the_bound(self, spec, dims):
+        g = build(spec, len(dims))
+        m = g.dim(1)
+        assert dims == tuple(witt_dimension(m, k) for k in range(1, len(dims) + 1))
+        for sign in (1, -1):
+            assert tuple(g.dim(sign * k) for k in range(1, len(dims) + 1)) == dims

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from pentads.catalog import catalog, resolve
 from pentads.exact_linalg import (Matrix, dense_vec, is_zero_vec, kernel_basis, qof, rank,
                                   row_space_basis, solve_multi, sparse_row_space_basis,
-                                  vec_scale, zero_vec)
+                                  vec_scale)
 from pentads.lie import (
     BilinearForm,
     FormReport,
@@ -47,13 +47,13 @@ class TestCommutator:
         assert commutator(e(2, 0, 1), e(2, 1, 0)) == e(2, 0, 0) - e(2, 1, 1)
 
     def test_antisymmetry(self):
-        a = Matrix.from_rows([[1, 2], [3, 4]])
-        b = Matrix.from_rows([[0, 1], [1, 1]])
+        a = Matrix([[1, 2], [3, 4]])
+        b = Matrix([[0, 1], [1, 1]])
         assert commutator(a, b) == -commutator(b, a)
 
     def test_trace_product_matches_full_product(self):
-        a = Matrix.from_rows([[1, Fraction(1, 2)], [0, 3]])
-        b = Matrix.from_rows([[2, 1], [5, -1]])
+        a = Matrix([[1, Fraction(1, 2)], [0, 3]])
+        b = Matrix([[2, 1], [5, -1]])
         assert dense_trace_product(a, b) == (a @ b).trace()
 
 
@@ -111,7 +111,7 @@ class TestBuildAlgebra:
         # ad(E_00) acts on gl(2) with eigenvalues 0, 1, -1, 0 on the E_ij basis.
         alg = family("gl", 2)
         ad = alg.ad_matrix(unit_coords(4, 0))
-        assert ad == Matrix.from_rows([
+        assert ad == Matrix([
             [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]])
 
 
@@ -230,7 +230,7 @@ class TestDirectSum:
         alg = direct_sum([family("gl", 1), family("so", 3)])
         assert alg.ambient_size == 4
         assert alg.dim == 4
-        assert alg.basis[0] == Matrix.from_rows([
+        assert alg.basis[0] == Matrix([
             [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
         # so(3) block sits in the lower-right corner
         assert alg.basis[1].entries[2][1] == 1
@@ -258,7 +258,7 @@ class TestDirectSum:
 
 
 OSCILLATOR = build_algebra(3, [e(3, 0, 1), e(3, 1, 2), e(3, 0, 2),
-                               Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 1]])])
+                               Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]])])
 
 
 class TestCenterAndDerived:
@@ -308,14 +308,14 @@ class TestForms:
         assert report.invariance_witness == (0, 1, 1)
 
     def test_asymmetric_form_reports_pair(self):
-        gram = Matrix.from_rows([[0, 1], [0, 0]])
+        gram = Matrix([[0, 1], [0, 0]])
         alg = build_algebra(2, [e(2, 0, 0), e(2, 1, 1)])
         report = check_form(alg, BilinearForm(gram))
         assert not report.symmetric
         assert report.symmetry_witness == (0, 1)
 
     def test_evaluate_uses_gram(self):
-        form = BilinearForm(Matrix.from_rows([[2, 0], [0, 3]]))
+        form = BilinearForm(Matrix([[2, 0], [0, 3]]))
         assert form.evaluate((1, 1), (1, -1)) == -1
 
 
@@ -351,7 +351,7 @@ class TestScalarCenter:
 
     def test_nonscalar_action_fails(self):
         report = scalar_center_report(
-            family("gl", 1), [Matrix.from_rows([[1, 0], [0, 2]])])
+            family("gl", 1), [Matrix([[1, 0], [0, 2]])])
         assert not report.holds
         assert report.scalar is None
 
@@ -384,7 +384,7 @@ def dense_structure(ambient_size, basis):
             commutator(basis[i], basis[j]).flat() for i, j in pairs
         )).transpose()
         coords = solve_multi(flat_stack.transpose(), rhs)
-    table = [[zero_vec(d)] * d for _ in range(d)]
+    table = [[(0,) * d] * d for _ in range(d)]
     for (i, j), c in zip(pairs, coords):
         if c is None:
             raise NotClosedError(i, j)
@@ -655,7 +655,7 @@ small_entries = st.one_of(st.integers(min_value=-2, max_value=2),
 small_matrices = st.integers(min_value=2, max_value=3).flatmap(
     lambda n: st.lists(
         st.lists(st.lists(small_entries, min_size=n, max_size=n),
-                 min_size=n, max_size=n).map(Matrix.from_rows),
+                 min_size=n, max_size=n).map(Matrix),
         min_size=1, max_size=4))
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentads.catalog import catalog, resolve
-from pentads.exact_linalg import Matrix, kronecker, linear_combination, vec_neg, vec_scale
+from pentads.exact_linalg import Matrix, kronecker, linear_combination, qnorm, vec_scale
 from pentads.lie import (
     BilinearForm,
     _invariance_witness,
@@ -74,7 +74,7 @@ class TestRepresentation:
         # z -> 1: row 0 of pi(x) and of pi(y) is empty, and only row 0 of
         # pi([x, y]) = pi(z) breaks the axiom, for the pair (0, 1) alone.
         def unit(p, q):
-            return Matrix.from_rows([[1 if (i, j) == (p, q) else 0 for j in range(3)]
+            return Matrix([[1 if (i, j) == (p, q) else 0 for j in range(3)]
                                      for i in range(3)])
 
         alg = build_algebra(3, [unit(0, 1), unit(1, 2), unit(0, 2)])
@@ -115,9 +115,9 @@ class TestRepresentation:
 
 class TestDualRepresentation:
     def test_gl1_scalar_dualizes_to_negation(self):
-        rep = Representation(family("gl", 1), (Matrix.from_rows([[1]]),))
+        rep = Representation(family("gl", 1), (Matrix([[1]]),))
         dual = dual_representation(rep)
-        assert dual.action == (Matrix.from_rows([[-1]]),)
+        assert dual.action == (Matrix([[-1]]),)
         assert dual.pairing == Matrix.identity(1)
 
     def test_coordinate_dual_is_negated_transpose(self):
@@ -128,7 +128,7 @@ class TestDualRepresentation:
 
     @pytest.mark.parametrize("pairing", [
         None,
-        Matrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]),
+        Matrix([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]),
     ], ids=["identity", "symplectic"])
     def test_compatibility_holds_by_construction(self, pairing):
         rep = Representation(family("sp", 2), family("sp", 2).basis)
@@ -167,14 +167,14 @@ class TestCheckStandard:
     def test_asymmetric_form_reported(self):
         alg = family("gl", 1)
         rep = Representation(alg, (Matrix.identity(1),))
-        gram = Matrix.from_rows([[1]])
+        gram = Matrix([[1]])
         p = StandardPentad(alg, rep, dual_representation(rep), BilinearForm(gram))
         assert check_standard(p).ok  # 1x1 cannot be asymmetric; sanity anchor
 
         alg2 = family("gl", 2)
         rep2 = Representation(alg2, alg2.basis)
         p2 = StandardPentad(alg2, rep2, dual_representation(rep2),
-                            BilinearForm(Matrix.from_rows(
+                            BilinearForm(Matrix(
                                 [[1, 1, 0, 0], [0, 1, 0, 0],
                                  [0, 0, 1, 0], [0, 0, 0, 1]])))
         axioms = {f.axiom for f in check_standard(p2).failures}
@@ -275,7 +275,7 @@ class TestEquivariance:
 
 class TestBoxTensor:
     def test_gl1_with_trivial_factor_is_scalar(self):
-        scalar = Representation(family("gl", 1), (Matrix.from_rows([[1]]),))
+        scalar = Representation(family("gl", 1), (Matrix([[1]]),))
         trivial = Representation(family("gl", 1), (Matrix.zeros(2, 2),))
         rep = box_tensor([scalar, trivial])
         assert rep.algebra.dim == 2
@@ -286,7 +286,7 @@ class TestBoxTensor:
     def test_matrix_module_action_formula(self):
         # module is 4x3 matrices flattened row-major; the combined action of
         # (a, A, B) must be a.M + A.M - M.B on random integer M
-        gl1 = Representation(family("gl", 1), (Matrix.from_rows([[1]]),))
+        gl1 = Representation(family("gl", 1), (Matrix([[1]]),))
         sp2 = Representation(family("sp", 2), family("sp", 2).basis)
         so3 = Representation(family("so", 3), family("so", 3).basis)
         rep = box_tensor([gl1, sp2, so3])
@@ -294,7 +294,7 @@ class TestBoxTensor:
         assert rep.algebra.dim == 14
 
         rng = random.Random(5)
-        m = Matrix.from_rows([[rng.randint(-9, 9) for _ in range(3)] for _ in range(4)])
+        m = Matrix([[rng.randint(-9, 9) for _ in range(3)] for _ in range(4)])
         flat = m.flat()
 
         def unflatten(v):
@@ -330,7 +330,7 @@ class TestMirror:
         for _ in range(10):
             v = tuple(rng.randint(-9, 9) for _ in range(4))
             phi = tuple(rng.randint(-9, 9) for _ in range(4))
-            assert mirror_solver.apply(phi, v) == vec_neg(solver.apply(v, phi))
+            assert mirror_solver.apply(phi, v) == vec_scale(-1, solver.apply(v, phi))
 
     def test_mirror_involution(self):
         p = coordinate_pentad(family("gl", 2))
@@ -340,7 +340,7 @@ class TestMirror:
         assert q.dual.pairing == p.dual.pairing
 
     def test_mirror_pairing_transposes(self):
-        pairing = Matrix.from_rows(
+        pairing = Matrix(
             [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
         alg = family("sp", 2)
         rep = Representation(alg, alg.basis)
@@ -365,7 +365,7 @@ def bumped(m, r, c, delta):
     """m with delta added to entry (r, c)."""
     grid = [list(row) for row in m.entries]
     grid[r][c] += delta
-    return Matrix.from_rows(grid)
+    return Matrix(tuple(tuple(qnorm(x) for x in row) for row in grid))
 
 
 @st.composite

@@ -53,7 +53,7 @@ def h0_of(p):
 class TestAdOnDual:
     def test_scalar_pentad(self):
         p = resolve("gl1_scalar").build()
-        assert ad_on_dual(p, (1,)) == Matrix.from_rows([[1]])
+        assert ad_on_dual(p, (1,)) == Matrix([[1]])
         assert ad_on_dual(p, (0,)) == Matrix.zeros(1, 1)
 
     def test_shape(self):
@@ -277,7 +277,7 @@ class TestDecideRegularity:
 
     def test_broken_dual_has_no_grading_element(self):
         p = resolve("gl1_scalar").build()
-        broken = replace(p, dual=DualModule((Matrix.from_rows([[5]]),),
+        broken = replace(p, dual=DualModule((Matrix([[5]]),),
                                             p.dual.pairing))
         with pytest.raises(GradingElementError, match="absent"):
             decide_regularity(broken)
@@ -558,12 +558,12 @@ class TestSymmetryInvariance:
         # side; both fix genericity and the partner classification
         p = resolve("matrix_space_example(2)").build()
         h = h0_of(p)
-        j = Matrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1],
+        j = Matrix([[0, 0, 1, 0], [0, 0, 0, 1],
                               [-1, 0, 0, 0], [0, -1, 0, 0]])
-        t = Matrix.from_rows([[1, 0, -1, 0], [0, 1, 0, 0],
+        t = Matrix([[1, 0, -1, 0], [0, 1, 0, 0],
                               [0, 0, 1, 0], [0, 0, 0, 1]])
         assert t.transpose() @ j @ t == j
-        r = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        r = Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         assert r.transpose() @ r == Matrix.identity(3)
 
         def transform(flat):

@@ -125,7 +125,7 @@ class TestScalars:
 
 class TestMatrices:
     def test_round_trip(self):
-        m = Matrix.from_rows([[1, Fraction(-1, 2)], [0, 3]])
+        m = Matrix([[1, Fraction(-1, 2)], [0, 3]])
         assert matrix_from_json(reload(matrix_to_json(m))) == m
 
     @pytest.mark.parametrize("bad", [[], [[1], [2, 3]], [["1"], "x"], "nope"])
