@@ -61,10 +61,7 @@ def gl2_standard() -> StandardPentad:
     """
     alg = family("gl", 2)
     tr = tuple(b.trace() for b in alg.basis)
-    gram = trace_form(alg).gram
-    adjusted = Matrix(tuple(
-        tuple(gram.entry(i, j) - Fraction(tr[i] * tr[j], 3) for j in range(4))
-        for i in range(4)))
+    adjusted = trace_form(alg).gram - Matrix([[Fraction(a * b, 3) for b in tr] for a in tr])
     return _gl2_pentad(alg, BilinearForm(adjusted))
 
 

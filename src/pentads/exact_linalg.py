@@ -161,7 +161,7 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c: Q) -> "Matrix":
-        return Matrix.from_nonzeros((tuple((j, c * x) for j, x in row) if c else ()
+        return Matrix.from_nonzeros((tuple((j, qnorm(c * x)) for j, x in row) if c else ()
                                      for row in self.nonzeros), self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -174,7 +174,7 @@ class Matrix:
             for k, a in arow:
                 for j, b in brows[k]:
                     acc[j] = acc.get(j, 0) + a * b
-            out.append(tuple((j, x) for j, x in sorted(acc.items()) if x))
+            out.append(sparse_row(acc))
         return Matrix.from_nonzeros(out, other.cols)
 
     def transpose(self) -> "Matrix":
@@ -255,7 +255,7 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; row-major, so kron(A, I) acts blockwise on the left."""
     n = b.cols
     return Matrix.from_nonzeros(
-        (tuple((i * n + j, x * y) for i, x in arow for j, y in brow)
+        (tuple((i * n + j, qnorm(x * y)) for i, x in arow for j, y in brow)
          for arow in a.nonzeros for brow in b.nonzeros), a.cols * n)
 
 

@@ -5,7 +5,7 @@ U_k, k >= 1, is realized inside Hom(U_{-1}, U_{k-1}) as u -> (y -> [u, y]):
 U_1 through Phi, which is the bracket U_1 x U_{-1} -> g, and U_{k+1} as the
 span of the candidates [x, u] for x in U_1 and u in U_k, the maps
 y -> [[x, y], u] + [x, [u, y]].  The negative side runs the same machinery
-with the module and its dual swapped and Phi's unit table swapped and
+with the module and its dual swapped, on Phi's slices by dual index,
 negated.  Realizing each component as maps makes evaluation against U_{-1}
 literally the bracket, so minimality (no nonzero vector bracketing to zero
 with the opposite generator line) is a rank statement about the stored
@@ -13,21 +13,23 @@ maps.
 
 Every component is stored by its nonzeros only (see _Half): a basis map as
 one flat row, keyed by the pair of its U_{-1} and U_{k-1} indices, which
-above degree 1 is exactly a row of the candidate stack's echelon form;
-action matrices as sparse Matrix objects; bracket-table and memo entries as
-(index, value) pairs.  The components are almost all zeros (the 572
-degree-3 maps of matrix_space_example(2) fill 0.22% of their cells), so
-construction, the checks and every bracket walk nonzeros only.
-action_matrices returns the stored matrices; component_maps builds the maps
-as matrices on request.  Phi enters undivided, as the pentad's integers over
-its denominator D, which the degree-one maps and the tables of brackets
-with U_1 carry.  Brackets recurse on integer nonzeros over one denominator,
-which is divided once, at GradedAlgebra.bracket.
+above degree 1 is exactly a row of the candidate stack's echelon form and
+at degree 1 the flat nonzeros of one Phi slice; each action once, by the
+nonzeros of its columns; bracket-table and memo entries as (index, value)
+pairs.  The components are almost all zeros (the 572 degree-3 maps of
+matrix_space_example(2) fill 0.22% of their cells), so construction, the
+checks and every bracket walk nonzeros only.  action_matrices and
+component_maps build Matrix objects on request.  Phi enters undivided, as
+the pentad's integers over its denominator D, which the degree-one maps and
+the tables of brackets with U_1 carry.  Brackets recurse on integer
+nonzeros over one denominator, which is divided once, at
+GradedAlgebra.bracket.
 
 Components can keep growing forever for general input; construction always
 truncates at a caller-supplied degree bound.  A zero component shuts down
 its side for good, because higher degrees are generated by bracketing with
-the degree-one line.
+the degree-one line, so construction stops there and only the nonzero
+components are stored.
 """
 
 from __future__ import annotations
@@ -125,22 +127,22 @@ class _Half:
     """Positive-degree components of one side of the graded algebra.
 
     The side is given by the algebra's action on its degree-one line U_1
-    and on the opposite line U_{-1}, and by the bracket U_1 x U_{-1} -> g
-    as a unit table: units[a] holds the nonzeros (i, r, c) of [x_a, y_r],
-    ascending in (i, r), for the bases x of U_1 and y of U_{-1}.  Every
-    degree k >= 1, degree 1 included, is held in the same tables, with
-    U_0 = g:
+    and on the opposite line U_{-1}, and by its degree-one maps: maps1[a]
+    holds the nonzeros of D [x_a, y_r] at coordinate i, keyed i * m + r,
+    for the bases x of U_1 and y of U_{-1} and Phi's denominator D (the
+    flat nonzeros of one Phi slice).  Every degree k >= 1, degree 1
+    included, is held in the same tables, with U_0 = g:
 
-      maps[k][s]     basis vector s of U_k as the map y_r -> [u_s, y_r]
-                     into U_{k-1}, by its nonzeros keyed t * m + r for
-                     coordinate t of U_{k-1}: the RREF rows of the candidate
-                     stack themselves, and at degree 1 the unit table, which
-                     holds the integers D [x_a, y_r] over Phi's denominator D;
-      actions[k][i]  the Matrix of algebra basis element i acting on U_k,
-                     built on first use above degree 1;
-      up[k][a][s]    [x_a, u_s] in U_{k+1}, as (index, value) pairs, times D
-                     for k >= 1; up[0] is [x_a, b_i] = -pi(b_i) x_a itself;
-      dual[i]        the matrix of basis element i acting on U_{-1}.
+      maps[k][s]      basis vector s of U_k as the map y_r -> [u_s, y_r]
+                      into U_{k-1}, by its nonzeros keyed t * m + r for
+                      coordinate t of U_{k-1}: the RREF rows of the
+                      candidate stack themselves, and at degree 1 maps1;
+      columns(k)[i]   algebra basis element i acting on U_k, by the
+                      nonzeros of each column, built on first use above
+                      degree 1, and the only store of the action tables;
+      up[k][a][s]     [x_a, u_s] in U_{k+1}, as (index, value) pairs, times D
+                      for k >= 1; up[0] is [x_a, b_i] = -pi(b_i) x_a itself;
+      dual[i]         the matrix of basis element i acting on U_{-1}.
 
     Each candidate product carries one D, so the candidate stack is D times
     the candidates, with the same RREF.  Every reader (evaluation, the
@@ -149,43 +151,42 @@ class _Half:
     (evaluate, up_bracket, columns) keep integers, over D where the tables
     carry it.  Bracket expansions back into generator pairs are solved
     lazily from the up table; they are only needed for general brackets
-    whose first argument sits in degree >= 2.
+    whose first argument sits in degree >= 2.  Construction stops at the
+    first zero component, which shuts the side down for good.
     """
 
     def __init__(self, action: Sequence[Matrix], dual: Sequence[Matrix],
-                 units: Sequence[tuple[tuple[int, int, int], ...]], d: int, max_degree: int):
-        self.m = m = len(units)
+                 maps1: Sequence[SparseVec], d: int, max_degree: int):
+        self.m = m = len(maps1)
         self.d = d
         self.dims: dict[int, int] = {0: len(action), 1: m}
-        self.maps: dict[int, tuple[SparseVec, ...]] = {
-            1: tuple(tuple((i * m + r, c) for i, r, c in row) for row in units)}
-        self.actions: dict[int, list[Matrix]] = {1: list(action)}
+        self.maps: dict[int, tuple[SparseVec, ...]] = {1: tuple(maps1)}
         self.dual = dual
         self._lines: dict[int, list[tuple[SparseVec, ...]]] = {}
-        self._columns: dict[int, list[tuple[SparseVec, ...]]] = {}
+        self._columns: dict[int, list[tuple[SparseVec, ...]]] = {
+            1: [a.transpose().nonzeros for a in action]}
         self.up: dict[int, list[list[SparseVec]]] = {
-            0: [[tuple((t, -x) for t, x in cols[a]) for cols in self.columns(1)]
+            0: [[tuple((t, -x) for t, x in cols[a]) for cols in self._columns[1]]
                 for a in range(m)]}
         self._expansions: dict[int, tuple[list[tuple[tuple[int, int, int], ...]], int]] = {}
         for k in range(1, max_degree):
-            if self.dims.get(k, 0) == 0:
-                self.dims[k + 1] = 0
-                continue
+            if not self.dims[k]:
+                break
             self._build_next(k)
 
     def _build_next(self, k: int) -> None:
         m = self.m
         nk = self.dims[k]
         cands: list[dict[int, Q]] = [{} for _ in range(m * nk)]
-        act = self.action_rows(k)
+        act = self.columns(k)
         # [[x_a, y_r], u_s] = pi([x_a, y_r]) u_s, for every s at once
         for a, unit in enumerate(self.maps[1]):
             for ir, g in unit:
                 i, r = divmod(ir, m)
-                for t, row in enumerate(act[i].nonzeros):
-                    j = t * m + r
-                    for s, x in row:
-                        cand = cands[a * nk + s]
+                for s, col in enumerate(act[i]):
+                    cand = cands[a * nk + s]
+                    for t, x in col:
+                        j = t * m + r
                         cand[j] = cand.get(j, 0) + g * x
         # [x_a, [u_s, y_r]], with [u_s, y_r] read off the stored map
         up_prev = self.up[k - 1]
@@ -212,11 +213,12 @@ class _Half:
         self.up[k] = [table[a * nk:(a + 1) * nk] for a in range(m)]
 
     def _build_action(self, degree: int) -> None:
-        """(a.f)(y) = [a, f(y)] - f([a, y]) on the stored basis maps."""
+        """(a.f)(y) = [a, f(y)] - f([a, y]) on the stored basis maps, each
+        image read in basis coordinates as one column of the action."""
         m = self.m
         maps = self.maps[degree]
         index_of = {f[0][0]: s for s, f in enumerate(maps)}
-        out: list[Matrix] = []
+        out: list[tuple[SparseVec, ...]] = []
         for a_cols, dmat in zip(self.columns(degree - 1), self.dual):
             d_rows = dmat.nonzeros
             columns = []
@@ -233,20 +235,20 @@ class _Half:
                 if any(g.values()):
                     raise ArithmeticError("action left the component span")
                 columns.append(tuple((s, qnorm(c)) for s, c in coords))
-            out.append(Matrix.from_nonzeros(columns, len(maps)).transpose())
-        self.actions[degree] = out
-
-    def action_rows(self, k: int) -> list[Matrix]:
-        """The algebra basis acting on U_k (k >= 1), built on first use."""
-        if k not in self.actions and self.dims.get(k, 0):
-            self._build_action(k)
-        return self.actions.get(k, [])
+            out.append(tuple(columns))
+        self._columns[degree] = out
 
     def columns(self, k: int) -> list[tuple[SparseVec, ...]]:
-        """The algebra basis acting on U_k (k >= 1), by each column's nonzeros."""
-        if k not in self._columns:
-            self._columns[k] = [a.transpose().nonzeros for a in self.action_rows(k)]
-        return self._columns[k]
+        """The algebra basis acting on U_k (k >= 1), by each column's
+        nonzeros, built on first use; empty past the last nonzero degree."""
+        if k not in self._columns and self.dims.get(k, 0):
+            self._build_action(k)
+        return self._columns.get(k, [])
+
+    def transposed(self, k: int) -> list[Matrix]:
+        """The transposes of the algebra basis acting on U_k (k >= 1), as
+        matrices built on request from the stored columns."""
+        return [Matrix.from_nonzeros(cols, self.dims[k]) for cols in self.columns(k)]
 
     def expansions(self, degree: int) -> tuple[list[tuple[tuple[int, int, int], ...]], int]:
         """Each basis vector of U_degree as an integer combination of the
@@ -370,11 +372,14 @@ class GradedAlgebra:
 
     Degree 0 is the algebra in its own basis; degrees +-1 are the module and
     the dual in theirs; higher components are canonical echelon bases of
-    candidate spans.  The negative half swaps the module and the dual:
-    [phi_r, v_a] = -Phi(v_a (x) phi_r), so its unit table is the pentad's
-    with the two indices swapped and every value negated.  All brackets are
-    exact, in integers over one denominator until the end; general ones
-    recurse through the integer expansions, memoized per basis pair.
+    candidate spans.  The positive half's degree-one maps are Phi's module
+    slices, flattened.  The negative half swaps the module and the dual:
+    [phi_r, v_a] = -Phi(v_a (x) phi_r), so its degree-one maps are Phi's
+    dual slices, flattened and negated; PhiMap already holds the table by
+    either index.  Only the nonzero dimensions are stored; dims and dim
+    read every other degree within the bound as 0.  All brackets are exact,
+    in integers over one denominator until the end; general ones recurse
+    through the integer expansions, memoized per basis pair.
     """
 
     def __init__(self, pentad: StandardPentad, max_degree: int):
@@ -382,32 +387,30 @@ class GradedAlgebra:
             raise DegreeError("max_degree must be at least 1")
         self.pentad = pentad
         self.max_degree = max_degree
-        # Phi's integer table over its denominator, undivided, and the same
-        # table swapped and negated for the negative half
+        # Phi's integer slices over its denominator, undivided: by module
+        # index for the positive half, by dual index and negated for the
+        # negative one
         phi = pentad.phi
-        swapped: list[list[tuple[int, int, int]]] = [[] for _ in phi.units]
-        for a, entries in enumerate(phi.units):
-            for i, r, c in entries:
-                swapped[r].append((i, a, -c))
-        self.positive = _Half(pentad.rep.action, pentad.dual.action, phi.units,
+        self.positive = _Half(pentad.rep.action, pentad.dual.action,
+                              [s.flat_nonzeros() for s in phi.module_slices],
                               phi.denominator, max_degree)
         self.negative = _Half(pentad.dual.action, pentad.rep.action,
-                              tuple(tuple(sorted(e)) for e in swapped), phi.denominator,
-                              max_degree)
+                              [(-s).flat_nonzeros() for s in phi.dual_slices],
+                              phi.denominator, max_degree)
         self._memo: dict[tuple[int, int, int, int], Frac] = {}
+        # the nonzero components only; every other degree reads 0
         self._dims = {0: pentad.algebra.dim}
-        for k in range(1, max_degree + 1):
-            self._dims[k] = self.positive.dims.get(k, 0)
-            self._dims[-k] = self.negative.dims.get(k, 0)
+        for sign, half in ((1, self.positive), (-1, self.negative)):
+            self._dims.update((sign * k, n) for k, n in half.dims.items() if k and n)
 
     @property
     def dims(self) -> dict[int, int]:
-        return dict(sorted(self._dims.items()))
+        return {k: self._dims.get(k, 0) for k in range(-self.max_degree, self.max_degree + 1)}
 
     def dim(self, degree: int) -> int:
         if abs(degree) > self.max_degree:
             raise DegreeError(f"degree {degree} exceeds the bound {self.max_degree}")
-        return self._dims[degree]
+        return self._dims.get(degree, 0)
 
     def _half(self, degree: int) -> _Half:
         """The side holding the nonzero degree."""
@@ -424,11 +427,12 @@ class GradedAlgebra:
                      for f in half.maps.get(k, ()))
 
     def action_matrices(self, degree: int) -> list[Matrix]:
-        """Matrices of the algebra basis acting on U_degree."""
+        """Matrices of the algebra basis acting on U_degree, built on
+        request from the stored columns."""
         if degree == 0:
             d = self.pentad.algebra.dim
             return [self.pentad.algebra.ad_matrix(unit_coords(d, i)) for i in range(d)]
-        return list(self._half(degree).action_rows(abs(degree)))
+        return [t.transpose() for t in self._half(degree).transposed(abs(degree))]
 
     def bracket(self, a: GradedVector, b: GradedVector) -> GradedVector:
         """[a, b]: each argument is cleared to integers over its own
@@ -437,13 +441,13 @@ class GradedAlgebra:
         for deg in (j, k, j + k):
             if abs(deg) > self.max_degree:
                 raise DegreeError(f"degree {deg} exceeds the bound {self.max_degree}")
-        if len(a.coords) != self._dims[j] or len(b.coords) != self._dims[k]:
+        if len(a.coords) != self._dims.get(j, 0) or len(b.coords) != self._dims.get(k, 0):
             raise DegreeError("coordinate length does not match the component")
         (an, ad), (bn, bd) = cleared(a.coords), cleared(b.coords)
         v, d = self._sparse_bracket(j, tuple((i, x) for i, x in enumerate(an) if x),
                                     k, tuple((i, x) for i, x in enumerate(bn) if x))
         d *= ad * bd
-        out: list[Q] = [0] * self._dims[j + k]
+        out: list[Q] = [0] * self._dims.get(j + k, 0)
         for i, x in v:
             out[i] = ratio(x, d)
         return GradedVector(j + k, tuple(out))
@@ -451,8 +455,8 @@ class GradedAlgebra:
     def _sparse_bracket(self, j: int, a: SparseVec, k: int, b: SparseVec) -> Frac:
         """[a, b] for integer nonzeros a in U_j and b in U_k, over a
         denominator.  Each case runs on the side of its sign; U_{+-1} x
-        U_{-+1} is the evaluation of degree +-1, whose maps are the unit table."""
-        if not (a and b and self._dims[j + k]):
+        U_{-+1} is the evaluation of degree +-1, whose maps are Phi's slices."""
+        if not (a and b and self._dims.get(j + k)):
             return (), 1
         if j == 0:
             table = self._half(k).columns(abs(k)) if k else self.pentad.algebra.structure
@@ -538,16 +542,14 @@ def check_minimality(g: GradedAlgebra) -> bool:
     anything else falls back to an actual rank computation.
     """
     for half in (g.positive, g.negative):
-        for k in range(2, g.max_degree + 1):
-            n = half.dims.get(k, 0)
-            if n == 0:
+        for k, maps in half.maps.items():
+            if k < 2:
                 continue
-            maps = half.maps[k]
             last = -1
             for v in maps:
                 lead = v[0][0] if v else None
                 if lead is None or lead <= last:
-                    if len(sparse_row_space_basis(maps)) != n:
+                    if len(sparse_row_space_basis(maps)) != half.dims[k]:
                         return False
                     break
                 last = lead
@@ -561,20 +563,23 @@ def check_grading(g: GradedAlgebra, h: GradingElement) -> bool:
     stored basis maps F satisfy ad(h) F = M F - F D with M the action of h
     one degree down and D its action on the evaluation line, so the check
     runs against those tables and never forces the top-degree action table
-    into existence.  Everything is compared by nonzero entries.
+    into existence.  The stored columns combined by h give the transpose of
+    M, whose rows are the columns _twist reads.  Everything is compared by
+    nonzero entries, on the stored degrees only.
     """
     if not g.pentad.algebra.ad_matrix(h.coords).is_zero():
         return False
     for half, sign in ((g.positive, 1), (g.negative, -1)):
         m = half.m
-        if linear_combination(h.coords, half.actions[1]) != Matrix.identity(m).scale(2 * sign):
+        # h acting on U_k, transposed, is the stored columns combined by h
+        if linear_combination(h.coords, half.transposed(1)) != Matrix.identity(m).scale(2 * sign):
             return False
         d_rows = linear_combination(h.coords, half.dual).nonzeros
-        for n in range(2, g.max_degree + 1):
-            if half.dims.get(n, 0) == 0:
+        for n, maps in half.maps.items():
+            if n < 2:
                 continue
-            mh_cols = linear_combination(h.coords, half.action_rows(n - 1)).transpose().nonzeros
-            for f in half.maps[n]:
+            mh_cols = linear_combination(h.coords, half.transposed(n - 1)).nonzeros
+            for f in maps:
                 twisted = {j: x for j, x in _twist(mh_cols, f, d_rows, m).items() if x}
                 if twisted != {j: 2 * sign * n * c for j, c in f}:
                     return False

@@ -72,30 +72,15 @@ class MatrixLieAlgebra:
 
     def bracket_coords(self, u: Sequence[Q], v: Sequence[Q]) -> Vec:
         """Coordinates of [u, v] for u, v given in coordinates."""
-        check_length(u, self.dim)
-        check_length(v, self.dim)
-        acc: list[Q] = [0] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = self.structure[i]
-            for j, vj in enumerate(v):
-                if vj:
-                    f = ui * vj
-                    for k, c in row[j]:
-                        acc[k] = acc[k] + f * c
-        return tuple(qnorm(x) for x in acc)
+        return self.ad_matrix(u).apply(v)
 
     def ad_matrix(self, u: Sequence[Q]) -> Matrix:
-        """Matrix of v -> [u, v] in coordinates."""
+        """Matrix of v -> [u, v] in coordinates.  Row i of the structure
+        table, read as a matrix, is the transpose of ad(b_i), so ad(u) is
+        the transpose of those matrices combined by u."""
         check_length(u, self.dim)
-        out: list[dict[int, Q]] = [{} for _ in range(self.dim)]
-        for i, ui in enumerate(u):
-            if ui:
-                for j, cij in enumerate(self.structure[i]):
-                    for k, c in cij:
-                        out[k][j] = out[k].get(j, 0) + ui * c
-        return Matrix.from_nonzeros(map(sparse_row, out), self.dim)
+        return linear_combination(u, [Matrix.from_nonzeros(row, self.dim)
+                                      for row in self.structure]).transpose()
 
     @cached_property
     def center(self) -> tuple[Vec, ...]:
@@ -121,14 +106,12 @@ class MatrixLieAlgebra:
     def trace_gram(self) -> Matrix:
         """Gram matrix of (a, b) -> Tr(ab) on the basis, computed on first use
         and kept.  Tr(b_i b_j) is flat(b_i) . flat(t(b_j)), so the whole Gram
-        matrix is one sparse product of the flattened basis with the
-        flattened transposed basis."""
+        matrix is one sparse product, normalized like every product, of the
+        flattened basis with the flattened transposed basis."""
         nn = self.ambient_size ** 2
         flat = Matrix.from_nonzeros((b.flat_nonzeros() for b in self.basis), nn)
         flat_t = Matrix.from_nonzeros((b.transpose().flat_nonzeros() for b in self.basis), nn)
-        gram = flat @ flat_t.transpose()
-        return Matrix.from_nonzeros(
-            (tuple((j, qnorm(x)) for j, x in row) for row in gram.nonzeros), self.dim)
+        return flat @ flat_t.transpose()
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -224,7 +207,7 @@ def build_algebra(ambient_size: int, basis: Sequence[Matrix]) -> MatrixLieAlgebr
                             coords[k] = coords.get(k, 0) + t * x
             if any(residual.values()):
                 raise NotClosedError(i, j)
-            cij = tuple((k, qnorm(x)) for k, x in sorted(coords.items()) if x)
+            cij = sparse_row(coords)
             table[i][j] = cij
             table[j][i] = tuple((k, -x) for k, x in cij)
     return MatrixLieAlgebra(ambient_size, basis, tuple(tuple(row) for row in table))
@@ -301,14 +284,8 @@ class BilinearForm:
     gram: Matrix
 
     def evaluate(self, u: Sequence[Q], v: Sequence[Q]) -> Q:
-        acc: Q = 0
-        for i, ui in enumerate(u):
-            if ui:
-                for j, g in self.gram.nonzeros[i]:
-                    vj = v[j]
-                    if vj:
-                        acc = acc + ui * g * vj
-        return qnorm(acc)
+        """B(u, v) = t(u).G.v, through G applied to v."""
+        return qnorm(sum(ui * x for ui, x in zip(u, self.gram.apply(v)) if ui))
 
 
 def trace_form(alg: MatrixLieAlgebra) -> BilinearForm:

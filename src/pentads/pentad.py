@@ -264,25 +264,32 @@ def check_standard(p: StandardPentad) -> ValidationReport:
 
 
 class PhiMap:
-    """Solver for B(a, Phi(v (x) phi)) = <pi(a)v, phi>, as one sparse
-    integer table over one common denominator.
+    """Solver for B(a, Phi(v (x) phi)) = <pi(a)v, phi>, as integer slice
+    matrices over one common denominator.
 
     With G the form's gram matrix, Phi(v (x) phi) = G^-1 . t where
-    t_i = <pi(b_i)v, phi> = t(v).W_i.phi and W_i = t(pi(b_i)).P.  The unit
-    table units[a] holds the nonzeros (i, r, c) of D . Phi(x_a (x) y_r),
-    ascending in (i, r): slice a of the tensor W with G^-1 applied, once,
-    at construction, and scaled by the positive integer `denominator` D,
-    the lcm of the denominators of those values, so every c is an int.  It
-    is the only stored form of Phi: apply contracts it and divides by D
-    once, the regularity legs (preh.ad_on_dual and preh.module_partner_map)
-    contract it into D times their matrices, and the graded construction
-    divides it by D as it reads it.  Every pentad owns one instance,
-    StandardPentad.phi.
+    t_i = <pi(b_i)v, phi> = t(v).W_i.phi and W_i = t(pi(b_i)).P.  G^-1 is
+    applied to the tensor W once, at construction, and the values are
+    scaled by the positive integer `denominator` D, the lcm of their
+    denominators, so every entry is an int.  The result is stored twice
+    over, as dim x m Matrix slices read by either index, built in one pass:
+
+      module_slices[a]  D Phi(x_a (x) .), row i and column r holding
+                        coordinate i of D Phi(x_a (x) y_r);
+      dual_slices[r]    D Phi(. (x) y_r), row i and column a holding the
+                        same value.
+
+    They are the only stored form of Phi, and every reader is one shared
+    Matrix helper: apply is linear_combination_apply over the module slices
+    with one division by D, the regularity legs (preh.ad_on_dual and
+    preh.module_partner_map) are linear_combination over either set, and
+    the graded construction takes their flat nonzeros as its degree-one
+    maps.  Every pentad owns one instance, StandardPentad.phi.
     """
 
     def __init__(self, p: StandardPentad):
-        self.dim = p.algebra.dim
-        self.module_dim = p.module_dim
+        self.dim = d = p.algebra.dim
+        self.module_dim = m = p.module_dim
         try:
             # ginv_cols[i]: the nonzeros (row, g) of column i of G^-1
             ginv_cols = inverse(p.form.gram).transpose().nonzeros
@@ -290,34 +297,34 @@ class PhiMap:
             raise PentadError("form is degenerate; the Phi-map is not defined") from None
         # row a of tables[i] holds the nonzeros (r, W[i][a][r])
         tables = [(a.transpose() @ p.dual.pairing).nonzeros for a in p.rep.action]
-        units = []
-        for a in range(self.module_dim):
-            acc: dict[tuple[int, int], Q] = {}
+        acc: dict[tuple[int, int, int], Q] = {}  # (a, i, r) -> Phi(x_a (x) y_r)_i
+        for a in range(m):
             for i, t in enumerate(tables):
                 for r, w in t[a]:
                     for row, g in ginv_cols[i]:
-                        acc[row, r] = acc.get((row, r), 0) + g * w
-            units.append([(i, r, c) for (i, r), c in sorted(acc.items()) if c])
-        self.denominator = d = lcm(*(c.denominator for entries in units for _, _, c in entries))
-        self.units = tuple(tuple((i, r, c.numerator * (d // c.denominator)) for i, r, c in entries)
-                           for entries in units)
+                        acc[a, row, r] = acc.get((a, row, r), 0) + g * w
+        entries = sorted((key, c) for key, c in acc.items() if c)
+        self.denominator = den = lcm(*(c.denominator for _, c in entries))
+        # module[a][i] and dual[r][i]: the nonzeros of row i of each slice
+        module, dual = ([[[] for _ in range(d)] for _ in range(m)] for _ in range(2))
+        for (a, i, r), c in entries:
+            c = c.numerator * (den // c.denominator)
+            module[a][i].append((r, c))
+            dual[r][i].append((a, c))
+        self.module_slices, self.dual_slices = (
+            tuple(Matrix.from_nonzeros(map(tuple, rows), m) for rows in slices)
+            for slices in (module, dual))
 
     def apply(self, v: Sequence[Q], phi: Sequence[Q]) -> Vec:
         """Algebra coordinates of Phi(v (x) phi): the inputs' denominators
-        are cleared once, the units contracted in integers, and the sum
-        divided once."""
+        are cleared once, the module slices combined by v and applied to phi
+        in integers, and the sum divided once."""
         check_length(v, self.module_dim)
         check_length(phi, self.module_dim)
         (v, dv), (phi, dphi) = cleared(v), cleared(phi)
-        acc = [0] * self.dim
-        for a, va in enumerate(v):
-            if va:
-                for i, r, c in self.units[a]:
-                    fr = phi[r]
-                    if fr:
-                        acc[i] += va * c * fr
         denom = self.denominator * dv * dphi
-        return tuple(ratio(x, denom) for x in acc)
+        return tuple(ratio(x, denom)
+                     for x in linear_combination_apply(v, self.module_slices, phi))
 
 
 def random_int_vector(rng: random.Random, n: int) -> Vec:

@@ -10,10 +10,11 @@ xi -> Phi(xi (x) y).  Every verdict carries the ranks, kernels, and
 witnesses needed to replay those claims independently.
 
 Every rank, partner solve and kernel of both legs is taken on ad_on_dual(x)
-and module_partner_map(y), the pentad's one integer Phi table
-(pentad.PhiMap) contracted with x and with y.  Both are D times the maps
-they stand for, D = p.phi.denominator: ranks and kernels do not change
-under that scaling, and the partner solves run against D h.
+and module_partner_map(y): the pentad's integer Phi slices (pentad.PhiMap),
+read by module index and by dual index, combined by x and by y with the
+shared linear_combination.  Both are D times the maps they stand for,
+D = p.phi.denominator: ranks and kernels do not change under that scaling,
+and the partner solves run against D h.
 
 Random search only ever certifies positives: failing to sample a generic
 point yields Inconclusive, never a negative verdict.
@@ -26,15 +27,14 @@ from dataclasses import dataclass
 
 from .exact_linalg import (
     Matrix,
-    Q,
     Vec,
     check_length,
     is_zero_vec,
     kernel_basis,
+    linear_combination,
     linear_combination_apply,
     rank,
     solve,
-    sparse_row,
     vec_scale,
 )
 from .graded import GradingElement, grading_element
@@ -52,29 +52,18 @@ class GradingElementError(ValueError):
 
 def ad_on_dual(p: StandardPentad, x: Vec) -> Matrix:
     """D times the matrix of phi -> Phi(x (x) phi), D = p.phi.denominator,
-    shape (dim algebra) x (dim dual); column r is D Phi(x (x) y_r), the
-    integer unit table contracted with x, so integer x gives integer rows."""
+    shape (dim algebra) x (dim dual): Phi's module slices combined by x, so
+    column r is D Phi(x (x) y_r) and integer x gives integer rows."""
     check_length(x, p.module_dim)
-    out: list[dict[int, Q]] = [{} for _ in range(p.algebra.dim)]
-    for xa, entries in zip(x, p.phi.units):
-        if xa:
-            for i, r, c in entries:
-                out[i][r] = out[i].get(r, 0) + xa * c
-    return Matrix.from_nonzeros(map(sparse_row, out), p.module_dim)
+    return linear_combination(x, p.phi.module_slices)
 
 
 def module_partner_map(p: StandardPentad, y: Vec) -> Matrix:
     """D times the matrix of xi -> Phi(xi (x) y), D = p.phi.denominator,
-    shape (dim algebra) x (dim module); column a is D Phi(x_a (x) y), the
-    integer unit table contracted with y."""
+    shape (dim algebra) x (dim module): Phi's dual slices combined by y, so
+    column a is D Phi(x_a (x) y)."""
     check_length(y, p.module_dim)
-    out: list[dict[int, Q]] = [{} for _ in range(p.algebra.dim)]
-    for a, entries in enumerate(p.phi.units):
-        for i, r, c in entries:
-            yr = y[r]
-            if yr:
-                out[i][a] = out[i].get(a, 0) + c * yr
-    return Matrix.from_nonzeros(map(sparse_row, out), p.module_dim)
+    return linear_combination(y, p.phi.dual_slices)
 
 
 def is_generic(p: StandardPentad, x: Vec) -> bool:

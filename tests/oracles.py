@@ -8,20 +8,24 @@ whose Phi the graded construction's negative half reads, keeps the dense
 cell-by-cell loops that Matrix.nonzeros replaced, keeps the operations of
 the dense row grid that Matrix stored before it stored only nonzeros, with
 a check of the stored form, reads graded action tables densely at every
-pivot, keeps the all-pairs scans that the generating-set checks replaced,
-the center and the grading-element solve over every commutation row, the
-rank read off the full echelon, the JSON matrix reader and writer that
-walked every cell, and Witt's dimension formula for free Lie algebras.
+pivot, keeps Phi's table as the (i, r, c) triples that the slice matrices
+replaced, with the two loops that contracted it, keeps the all-pairs scans
+that the generating-set checks replaced, the center and the
+grading-element solve over every commutation row, the rank read off the
+full echelon, the JSON matrix reader and writer that walked every cell,
+and Witt's dimension formula for free Lie algebras.
 """
 
 import random
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from pentads.catalog import matrix_space_example, resolve
 from pentads.exact_linalg import (
     Matrix,
     dense_vec,
+    inverse,
     kernel_basis,
     kronecker,
     qnorm,
@@ -29,6 +33,7 @@ from pentads.exact_linalg import (
     row_space_basis,
     solve,
     solve_multi,
+    sparse_row,
     sparse_row_space_basis,
 )
 from pentads.lie import (
@@ -74,7 +79,7 @@ def mirror(p):
 
     The mirrored pairing is the transpose, so <phi, v>' = <v, phi>, and the
     compatibility axiom transposes onto itself.  Its Phi is the reference
-    for the unit table of the graded construction's negative half.
+    for the degree-one maps of the graded construction's negative half.
     """
     return StandardPentad(
         p.algebra,
@@ -221,11 +226,13 @@ def pivot_columns(basis):
 
 def assert_canonical(m):
     """m is in stored form: within each row, columns strictly ascending and
-    in range, and no zero value."""
+    in range, no zero value, and no integral Fraction (an int wherever the
+    value is one)."""
     for row in m.nonzeros:
         cols = [j for j, _ in row]
         assert cols == sorted(set(cols)) and all(0 <= j < m.cols for j in cols)
         assert all(x for _, x in row)
+        assert all(type(x) is int or x.denominator != 1 for _, x in row)
 
 
 # Each takes matrices (read through .entries) and returns a dense grid, a
@@ -291,7 +298,8 @@ def dense_pivot_action(half, degree):
     pivots = [f[0][0] for f in maps]
     flats = Matrix.from_nonzeros(maps, n * m)
     out = []
-    for amat, dmat in zip(half.action_rows(degree - 1), half.dual):
+    lower = [Matrix.from_nonzeros(cols, n).transpose() for cols in half.columns(degree - 1)]
+    for amat, dmat in zip(lower, half.dual):
         twist = (kronecker(amat, Matrix.identity(m))
                  - kronecker(Matrix.identity(n), dmat.transpose()))
         columns = []
@@ -306,6 +314,48 @@ def dense_pivot_action(half, degree):
             columns.append([qnorm(c) for c in coords])
         out.append(Matrix(tuple(zip(*columns))))
     return out
+
+
+# --- Phi as (i, r, c) triples, the reference for the slice matrices ----------
+
+def phi_triples(p):
+    """(D, units): units[a] holds the nonzeros (i, r, c) of D Phi(x_a (x) y_r),
+    ascending in (i, r), as integers over the least common denominator D,
+    accumulated over the columns of G^-1."""
+    ginv_cols = inverse(p.form.gram).transpose().nonzeros
+    tables = [(a.transpose() @ p.dual.pairing).nonzeros for a in p.rep.action]
+    units = []
+    for a in range(p.module_dim):
+        acc = {}
+        for i, t in enumerate(tables):
+            for r, w in t[a]:
+                for row, g in ginv_cols[i]:
+                    acc[row, r] = acc.get((row, r), 0) + g * w
+        units.append([(i, r, c) for (i, r), c in sorted(acc.items()) if c])
+    d = lcm(*(c.denominator for entries in units for _, _, c in entries))
+    return d, tuple(tuple((i, r, c.numerator * (d // c.denominator)) for i, r, c in entries)
+                    for entries in units)
+
+
+def triple_ad_on_dual(p, x):
+    """D times the matrix of phi -> Phi(x (x) phi), from the triples."""
+    out = [{} for _ in range(p.algebra.dim)]
+    for xa, entries in zip(x, phi_triples(p)[1]):
+        if xa:
+            for i, r, c in entries:
+                out[i][r] = out[i].get(r, 0) + xa * c
+    return Matrix.from_nonzeros(map(sparse_row, out), p.module_dim)
+
+
+def triple_module_partner_map(p, y):
+    """D times the matrix of xi -> Phi(xi (x) y), from the triples."""
+    out = [{} for _ in range(p.algebra.dim)]
+    for a, entries in enumerate(phi_triples(p)[1]):
+        for i, r, c in entries:
+            yr = y[r]
+            if yr:
+                out[i][a] = out[i].get(a, 0) + c * yr
+    return Matrix.from_nonzeros(map(sparse_row, out), p.module_dim)
 
 
 # --- All-pairs scans, the reference for the generating-set checks -----------
@@ -436,3 +486,13 @@ def witt_dimension(m, k):
     """W(m, k) = (1/k) sum over d | k of mobius(d) m^(k/d): the dimension of
     the degree-k part of the free Lie algebra on m generators (Witt 1937)."""
     return sum(mobius(d) * m ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+
+
+def conjugated(p, q):
+    """p on the module with its basis changed by the invertible matrix q:
+    pi'(a) = q^-1 pi(a) q, with the contragredient dual for the pairing
+    t(q) P q, so that <q v, q phi> is the old pairing of v and phi."""
+    q_inv = inverse(q)
+    rep = Representation(p.algebra, tuple(q_inv @ a @ q for a in p.rep.action))
+    return StandardPentad(p.algebra, rep,
+                          dual_representation(rep, q.transpose() @ p.dual.pairing @ q), p.form)

@@ -113,12 +113,14 @@ def test_every_stored_matrix_is_canonical(name):
     rng = random.Random(0)
     x, y = (tuple(rng.randint(-9, 9) for _ in range(p.module_dim)) for _ in range(2))
     mats = [*p.algebra.basis, *p.rep.action, *p.dual.action, p.dual.pairing, p.form.gram,
-            p.algebra.trace_gram, ad_on_dual(p, x), module_partner_map(p, y)]
+            p.algebra.trace_gram, ad_on_dual(p, x), module_partner_map(p, y),
+            *p.phi.module_slices, *p.phi.dual_slices]
     g = extend(p, 3)
     for sign in (1, -1):
         half = g.positive if sign > 0 else g.negative
         for k in range(1, 4):
-            mats += half.action_rows(k)
+            # the stored action columns, read as the transposed actions
+            mats += half.transposed(k)
             mats += g.action_matrices(sign * k)
             # a stored map is one flat row, in the same canonical form
             for f in half.maps.get(k, ()):

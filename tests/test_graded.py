@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from pentads.graded import (
     grading_element,
 )
 from pentads.lie import direct_sum, family, trace_form, unit_coords
+from pentads.preh import decide_regularity, verify_certificate
 from pentads.pentad import (
     DualModule,
     PhiMap,
@@ -41,8 +43,8 @@ from pentads.pentad import (
     dual_representation,
 )
 
-from oracles import (dense_pivot_action, display_name, mirror, mobius, pivot_columns,
-                     rational_matrix_space_pentad, rational_vector_pentad,
+from oracles import (conjugated, dense_pivot_action, display_name, mirror, mobius,
+                     pivot_columns, rational_matrix_space_pentad, rational_vector_pentad,
                      stacked_grading_element, vec_add, witt_dimension)
 
 
@@ -366,9 +368,9 @@ class TestComponentsAndActions:
 
     def test_top_degree_action_is_lazy(self):
         g = build("gl2_trace", 2)
-        assert 2 not in g.positive.actions
+        assert 2 not in g.positive._columns
         mats = g.action_matrices(2)
-        assert 2 in g.positive.actions
+        assert 2 in g.positive._columns
         h = grading_element(g.pentad).element.coords
         acc = Matrix.zeros(1, 1)
         for hi, mat in zip(h, mats):
@@ -831,9 +833,9 @@ def test_tampered_action_fails_both_grading_checks():
     g, dense = extend(p, 3), _DenseAlgebra(p, 3)
     h = grading_element(p).element
     assert h.coords[0] and not any(h.coords[1:])
-    rows = [list(row) for row in g.positive.actions[2][0].entries]
+    rows = [list(row) for row in g.action_matrices(2)[0].entries]
     rows[0][1] += 1
-    g.positive.actions[2][0] = Matrix(tuple(map(tuple, rows)))
+    g.positive._columns[2][0] = Matrix(tuple(map(tuple, rows))).transpose().nonzeros
     rows = [list(row) for row in dense.positive.actions[2][0].entries]
     rows[0][1] += 1
     dense.positive.actions[2][0] = Matrix(tuple(map(tuple, rows)))
@@ -907,7 +909,7 @@ CATALOG_SPECS = [display_name(e) for e in catalog()]
 
 
 class TestSinglePaths:
-    """The negative half reads the pentad's own unit table, swapped and
+    """The negative half reads the pentad's own Phi slices by dual index,
     negated, and each action table reads its coordinates off g's own keys."""
 
     @pytest.mark.parametrize("spec", CATALOG_SPECS + sorted(RATIONAL_PENTADS))
@@ -920,7 +922,8 @@ class TestSinglePaths:
         m, d = p.module_dim, p.phi.denominator
         for got, phi in ((g.positive.maps[1], p.phi), (g.negative.maps[1], PhiMap(mirror(p)))):
             want = tuple(tuple((i * m + r, qnorm(Fraction(c, phi.denominator)))
-                               for i, r, c in row) for row in phi.units)
+                               for i, row in enumerate(s.nonzeros) for r, c in row)
+                         for s in phi.module_slices)
             assert tuple(tuple((j, qnorm(Fraction(x, d))) for j, x in row) for row in got) == want
             assert [[type(c) for _, c in row] for row in got] == [[int] * len(row) for row in want]
 
@@ -1030,10 +1033,10 @@ class TestSinglePaths:
                              + [("gl1_so_vector(4)", 4)])
     def test_action_tables_match_dense_pivot_read(self, spec, degree):
         g = build(spec, degree)
-        for half in (g.positive, g.negative):
+        for half, sign in ((g.positive, 1), (g.negative, -1)):
             for k in range(2, degree + 1):
                 if half.dims.get(k, 0):
-                    assert half.action_rows(k) == dense_pivot_action(half, k)
+                    assert g.action_matrices(sign * k) == dense_pivot_action(half, k)
 
 
 # bracket(a / alpha, b / beta) = bracket(a, b) / (alpha beta): the arguments'
@@ -1108,3 +1111,74 @@ class TestWittBound:
         assert dims == tuple(witt_dimension(m, k) for k in range(1, len(dims) + 1))
         for sign in (1, -1):
             assert tuple(g.dim(sign * k) for k in range(1, len(dims) + 1)) == dims
+
+
+@pytest.mark.parametrize("spec", ["gl1_scalar", "gl2_standard", "gl2_trace"])
+def test_extend_stops_at_the_first_zero_component(spec):
+    # Each side of these entries shuts down within four degrees, so an
+    # astronomically large bound costs nothing past the first zero component.
+    p = resolve(spec).build()
+    p.phi
+    start = perf_counter()
+    g = extend(p, 10 ** 20)
+    assert perf_counter() - start < 0.1
+    assert g.dim(10 ** 20) == g.dim(-10 ** 20) == 0
+    assert max(g.positive.dims) <= 4 and max(g.negative.dims) <= 4
+    small = extend(p, 5)
+    assert [g.dim(k) for k in range(-5, 6)] == list(small.dims.values())
+    with pytest.raises(DegreeError):
+        g.dim(10 ** 20 + 1)
+
+
+# A change of basis of the module gives an isomorphic pentad: pi'(a) =
+# Q^-1 pi(a) Q, with the contragredient dual for the pairing t(Q) P Q.  Q is
+# a product of a few elementary integer matrices, and the pentad is
+# conjugated by Q or by its inverse, which gives Phi's slices a new
+# denominator.  matrix_space_example(2) is built to degree 2 only: a basis
+# change of as few as four elementary steps moved its degree-3 construction
+# from 0.4 s to as much as 61 s (fill in the candidate echelon), while
+# degree 2 stays under 0.05 s.
+CONJUGATED_DEGREES = {"gl1_scalar": 3, "gl2_trace": 3, "gl1_so_vector(3)": 3,
+                      "gl1_so_vector(4)": 3, "matrix_space_example(2)": 2}
+_REFERENCE = {}
+
+
+def reference(spec):
+    """(pentad, graded dims, regularity outcome) of the catalog entry."""
+    if spec not in _REFERENCE:
+        p = resolve(spec).build()
+        _REFERENCE[spec] = (p, extend(p, CONJUGATED_DEGREES[spec]).dims,
+                            decide_regularity(p).outcome)
+    return _REFERENCE[spec]
+
+
+@st.composite
+def conjugations(draw):
+    spec = draw(st.sampled_from(sorted(CONJUGATED_DEGREES)))
+    m = reference(spec)[0].module_dim
+    q = Matrix.identity(m)
+    for _ in range(draw(st.integers(1, 5))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        e = [[int(r == s) for s in range(m)] for r in range(m)]
+        # scale row i, or add a multiple of row j to row i
+        e[i][j] = draw(st.sampled_from([-2, -1, 2, 3]))
+        q = q @ Matrix(e)
+    return spec, inverse(q) if draw(st.booleans()) else q
+
+
+@settings(max_examples=10, deadline=None)
+@given(conjugations())
+def test_conjugated_pentads_keep_dims_and_verdict(case):
+    spec, q = case
+    p, dims, outcome = reference(spec)
+    c = conjugated(p, q)
+    assert check_standard(c).ok
+    degree = CONJUGATED_DEGREES[spec]
+    g = extend(c, degree)
+    assert g.dims == dims
+    for k in range(1, degree + 1):
+        assert g.dim(k) <= witt_dimension(p.module_dim, k)
+        assert g.dim(-k) <= witt_dimension(p.module_dim, k)
+    verdict = decide_regularity(c)
+    assert verdict.outcome == outcome
+    assert verify_certificate(c, verdict)

@@ -1,9 +1,12 @@
-"""Every name a pentads module imports is used in that module.
+"""Every name a pentads module imports is used in that module, and every
+private helper it defines is referenced there.
 
-No linter runs on this tree, so this stdlib ast check stands in for the
-unused-import rule: a name bound by an import must be read somewhere in the
-module, or re-exported through __all__.  An import line marked
-`# noqa: F401` is exempt.
+No linter runs on this tree, so these stdlib ast checks stand in for two
+rules.  The unused-import rule: a name bound by an import must be read
+somewhere in the module, or re-exported through __all__; an import line
+marked `# noqa: F401` is exempt.  The dead-helper rule: a module-level
+function or class whose name starts with one underscore must be named
+somewhere else in its own module, since nothing outside should reach it.
 """
 
 import ast
@@ -52,3 +55,39 @@ def test_the_check_sees_unused_and_exempt_names():
               "__all__ = ['loads']\n"
               "print(osp)\n")
     assert unused_imports(source) == [(2, "os"), (4, "dumps")]
+
+
+def unreferenced_private(source):
+    """(line, name) of each module-level _private function or class that the
+    module never names outside its own definition."""
+    tree = ast.parse(source)
+    out = []
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            elsewhere = {n.id for other in tree.body if other is not node
+                         for n in ast.walk(other) if isinstance(n, ast.Name)}
+            if node.name not in elsewhere:
+                out.append((node.lineno, node.name))
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_helper_is_referenced(module):
+    assert unreferenced_private((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_unreferenced_helpers():
+    source = ("def _used():\n"
+              "    return 1\n"
+              "def _dead():\n"
+              "    return _dead\n"
+              "class _Dead:\n"
+              "    pass\n"
+              "class _Kept:\n"
+              "    pass\n"
+              "def __getattr__(name):\n"
+              "    return name\n"
+              "def public():\n"
+              "    return _used() + _Kept.x\n")
+    assert unreferenced_private(source) == [(3, "_dead"), (5, "_Dead")]

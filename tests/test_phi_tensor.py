@@ -17,14 +17,16 @@ from hypothesis import strategies as st
 
 from pentads import preh
 from pentads.catalog import catalog, matrix_space_example, resolve
-from pentads.exact_linalg import Matrix, dense_vec, inverse, kernel_basis, qnorm, solve
+from pentads.exact_linalg import Matrix, inverse, kernel_basis, qnorm, solve
 from pentads.graded import grading_element
 from pentads.lie import trace_form, unit_coords
 from pentads.pentad import PhiMap, check_standard
 from pentads.preh import (ad_on_dual, decide_regularity, find_generic, module_partner_map,
                          sl2_partner, verify_certificate)
 
-from oracles import display_name, rational_matrix_space_pentad, rational_vector_pentad, vec_dot
+from oracles import (assert_canonical, display_name, phi_triples, rational_matrix_space_pentad,
+                     rational_vector_pentad, triple_ad_on_dual, triple_module_partner_map,
+                     vec_dot)
 
 
 class DenseOracle:
@@ -112,27 +114,31 @@ def oracle_column(oracle, a, r):
 class TestUnitTable:
     @pytest.mark.parametrize("name", sorted(PENTADS))
     def test_units_are_the_oracle_columns(self, name):
-        # units[a] holds D . Phi(x_a (x) y_r) for every r, by its nonzeros
-        # ascending in (i, r)
+        # column r of module_slices[a] and column a of dual_slices[r] both
+        # hold D . Phi(x_a (x) y_r), each slice in stored form
         p, oracle = PENTADS[name], ORACLES[name]
-        d, denom = p.algebra.dim, p.phi.denominator
-        assert len(p.phi.units) == p.module_dim
-        for a, entries in enumerate(p.phi.units):
-            assert [(i, r) for i, r, _ in entries] == sorted((i, r) for i, r, _ in entries)
-            assert all(c for _, _, c in entries)
-            for r in range(p.module_dim):
+        d, m, denom = p.algebra.dim, p.module_dim, p.phi.denominator
+        module, dual = p.phi.module_slices, p.phi.dual_slices
+        assert len(module) == len(dual) == m
+        for s in (*module, *dual):
+            assert s.shape() == (d, m)
+            assert_canonical(s)
+        for a in range(m):
+            for r in range(m):
                 want = oracle_column(oracle, a, r)
-                got = dense_vec(((i, qnorm(Fraction(c, denom))) for i, rr, c in entries
-                                 if rr == r), d)
-                assert got == want
-                assert list(map(type, got)) == list(map(type, want))
+                for column in (tuple(row[r] for row in module[a].entries),
+                               tuple(row[a] for row in dual[r].entries)):
+                    got = tuple(qnorm(Fraction(c, denom)) for c in column)
+                    assert got == want
+                    assert list(map(type, got)) == list(map(type, want))
 
     @pytest.mark.parametrize("name", sorted(PENTADS))
     def test_one_integer_table_over_the_least_denominator(self, name):
         p, oracle = PENTADS[name], ORACLES[name]
         denom = p.phi.denominator
         assert type(denom) is int and denom > 0
-        assert all(type(c) is int for entries in p.phi.units for _, _, c in entries)
+        assert all(type(c) is int for s in (*p.phi.module_slices, *p.phi.dual_slices)
+                   for row in s.nonzeros for _, c in row)
         m = p.module_dim
         assert denom == lcm(*(x.denominator for a in range(m) for r in range(m)
                               for x in oracle_column(oracle, a, r)))
@@ -150,6 +156,37 @@ class TestUnitTable:
         for v in vectors:
             for leg in (ad_on_dual(p, v), module_partner_map(p, v)):
                 assert all(type(x) is int for row in leg.nonzeros for _, x in row)
+
+
+class TestSlicesMatchTriples:
+    """The slice matrices against the (i, r, c) triple table they replaced,
+    contracted by its own two loops."""
+
+    @pytest.mark.parametrize("name", sorted(PENTADS))
+    def test_dual_slices_swap_the_indices(self, name):
+        p = PENTADS[name]
+        m = p.module_dim
+        module = [s.entries for s in p.phi.module_slices]
+        dual = [s.entries for s in p.phi.dual_slices]
+        assert all(dual[r][i][a] == module[a][i][r]
+                   for a in range(m) for r in range(m) for i in range(p.algebra.dim))
+        assert phi_triples(p)[0] == p.phi.denominator
+
+    @pytest.mark.parametrize("name", sorted(PENTADS))
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_legs_match_the_triple_loops(self, name, data):
+        p = PENTADS[name]
+        m = p.module_dim
+        scalar = st.one_of(st.integers(-20, 20),
+                           st.fractions(min_value=-5, max_value=5, max_denominator=7))
+        vector = st.one_of(st.tuples(*[st.integers(-9, 9)] * m), st.tuples(*[scalar] * m))
+        x, y = data.draw(vector), data.draw(vector)
+        for got, want in ((ad_on_dual(p, x), triple_ad_on_dual(p, x)),
+                          (module_partner_map(p, y), triple_module_partner_map(p, y))):
+            assert got == want
+            assert ([[type(c) for _, c in row] for row in got.nonzeros]
+                    == [[type(c) for _, c in row] for row in want.nonzeros])
 
 
 class TestPipelineMatchesOracle:
