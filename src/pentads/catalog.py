@@ -10,9 +10,8 @@ whole pipeline because everything about it is known in closed form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exact_linalg import Matrix, kronecker
 from .lie import BilinearForm, MatrixLieAlgebra, family, standard_symplectic_form, trace_form
@@ -28,8 +27,7 @@ class CatalogError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     parameters: tuple[int, ...]
     builder: Callable[..., StandardPentad]
@@ -124,6 +122,9 @@ _REGISTRY: dict[str, tuple[Callable[..., StandardPentad], tuple[int, ...], str]]
 _ALIASES = {"paper_example": "matrix_space_example"}
 
 _SPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\(\s*([^()]*?)\s*\))?\s*$")
+# a parameter is ASCII digits with an optional sign: int() alone would also
+# read "1_2" and non-ASCII digits such as "\u0664"
+_PARAM_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def resolve(spec: str) -> CatalogEntry:
@@ -139,10 +140,10 @@ def resolve(spec: str) -> CatalogEntry:
     if args is None or args == "":
         params = defaults
     else:
-        try:
-            params = tuple(int(a.strip()) for a in args.split(","))
-        except ValueError:
-            raise CatalogError(f"parameters of {name!r} must be integers") from None
+        parts = [a.strip() for a in args.split(",")]
+        if not all(_PARAM_RE.fullmatch(a) for a in parts):
+            raise CatalogError(f"parameters of {name!r} must be integers")
+        params = tuple(map(int, parts))
     if len(params) > len(defaults):
         raise CatalogError(f"{name!r} takes at most {len(defaults)} parameter(s)")
     return CatalogEntry(name, params, builder, description)

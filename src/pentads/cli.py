@@ -65,6 +65,8 @@ def _load_pentad(args) -> StandardPentad:
             raw = json.load(fh)
     except OSError as exc:
         raise _InputError({"error": f"cannot read {args.pentad}: {exc}"}) from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError({"error": f"{args.pentad} is not valid UTF-8: {exc}"}) from exc
     except json.JSONDecodeError as exc:
         raise _InputError({"error": f"{args.pentad} is not valid JSON: {exc}"}) from exc
     try:

@@ -31,11 +31,10 @@ on dict ordering or pivot luck.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from itertools import chain
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Q = Union[int, Fraction]
 Vec = tuple[Q, ...]
@@ -78,14 +77,50 @@ def qstr(x: Q) -> str:
     return str(qnorm(x))
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class Matrix:
+class Frozen:
+    """Base of the classes whose instances never change once built.  A
+    subclass names its fields in _fields and sets them in __init__ with
+    _init; == and hash compare those fields on instances of one class, the
+    repr shows them, and setting or deleting an attribute raises
+    AttributeError.  functools.cached_property writes the instance dict
+    directly, so it still caches on a subclass that has one."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Matrix(Frozen):
     """Immutable sparse rational matrix, stored as `nonzeros`, for each row
     the (col, x) pairs with x != 0 ascending in col, and the width `cols`;
     == and hash read exactly those.  `Matrix(rows)` takes dense rows,
     `from_nonzeros` rows already in stored form; the dense grid `entries` is
     derived on demand, for serialization and tests."""
 
+    __slots__ = _fields = ("nonzeros", "cols")
     nonzeros: tuple[SparseVec, ...]
     cols: int
 
@@ -311,8 +346,7 @@ def kernel_basis(m: Matrix) -> list[Vec]:
     return [dense_vec(v, m.cols) for v in sparse_kernel_basis(m)]
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Classification of a linear system a @ x = b.
 
     status is 'none', 'unique', or 'affine'.  For 'unique' the solution is

@@ -34,9 +34,8 @@ components are stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact_linalg import (
     Matrix,
@@ -60,16 +59,14 @@ class DegreeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GradingElement:
+class GradingElement(NamedTuple):
     """Coordinates of the algebra element acting as the degree on each piece:
     centrally on degree 0, by 2 on the module, by -2 on the dual."""
 
     coords: Vec
 
 
-@dataclass(frozen=True)
-class GradingElementResult:
+class GradingElementResult(NamedTuple):
     status: str  # "found" | "absent" | "degenerate"
     element: GradingElement | None
     solution_space: tuple[Vec, ...]
@@ -361,8 +358,7 @@ class _Sum:
         return tuple((i, x) for i, x in self.acc.items() if x), self.d
 
 
-@dataclass(frozen=True)
-class GradedVector:
+class GradedVector(NamedTuple):
     degree: int
     coords: Vec
 

@@ -15,11 +15,11 @@ bases, entry for entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exact_linalg import (
+    Frozen,
     Matrix,
     Q,
     SparseVec,
@@ -51,8 +51,7 @@ class NotClosedError(LieAlgebraError):
         self.pair = (i, j)
 
 
-@dataclass(frozen=True)
-class MatrixLieAlgebra:
+class MatrixLieAlgebra(Frozen):
     """A Lie algebra of ambient_size x ambient_size matrices.
 
     structure[i][j] holds the coordinates of [basis[i], basis[j]] in the
@@ -62,9 +61,11 @@ class MatrixLieAlgebra:
     system.
     """
 
-    ambient_size: int
-    basis: tuple[Matrix, ...]
-    structure: tuple[tuple[SparseVec, ...], ...]
+    _fields = ("ambient_size", "basis", "structure")
+
+    def __init__(self, ambient_size: int, basis: tuple[Matrix, ...],
+                 structure: tuple[tuple[SparseVec, ...], ...]):
+        self._init(ambient_size, basis, structure)
 
     @property
     def dim(self) -> int:
@@ -277,8 +278,7 @@ def direct_sum(algebras: Sequence[MatrixLieAlgebra]) -> MatrixLieAlgebra:
     return MatrixLieAlgebra(total, tuple(basis), tuple(table))
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(NamedTuple):
     """Symmetric bilinear form on an algebra, stored as a Gram matrix."""
 
     gram: Matrix
@@ -293,8 +293,7 @@ def trace_form(alg: MatrixLieAlgebra) -> BilinearForm:
     return BilinearForm(alg.trace_gram)
 
 
-@dataclass(frozen=True)
-class FormReport:
+class FormReport(NamedTuple):
     symmetric: bool
     nondegenerate: bool
     invariant: bool
@@ -360,8 +359,7 @@ def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix,
     return None
 
 
-@dataclass(frozen=True)
-class ScalarCenterReport:
+class ScalarCenterReport(NamedTuple):
     """Does the algebra split as a one-dimensional center acting by a nonzero
     scalar on the module, plus its derived subalgebra?
 

@@ -23,9 +23,10 @@ point yields Inconclusive, never a negative verdict.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact_linalg import (
+    Frozen,
     Matrix,
     Vec,
     check_length,
@@ -71,8 +72,7 @@ def is_generic(p: StandardPentad, x: Vec) -> bool:
     return rank(ad_on_dual(p, x)) == p.module_dim
 
 
-@dataclass(frozen=True)
-class GenericSearch:
+class GenericSearch(NamedTuple):
     """Outcome of the generic-point sampling loop.
 
     A not_found result is never a proof of non-prehomogeneity: genericity
@@ -120,31 +120,26 @@ def find_generic(p: StandardPentad, attempts: int = 64, seed: int = 0) -> Generi
         f"no generic point among {used} samples; best rank {best} of {m}")
 
 
-@dataclass(frozen=True)
-class Sl2Triple:
+class Sl2Triple(Frozen):
     """Triple (y, h, x) with [h,x] = 2x, [h,y] = -2y, [x,y] = h.
 
     All three relations are recomputed at construction; an instance that
     exists is a proof.
     """
 
-    pentad: StandardPentad
-    y: Vec
-    h: Vec
-    x: Vec
+    _fields = ("pentad", "y", "h", "x")
 
-    def __post_init__(self):
-        p = self.pentad
-        if p.rep.apply(self.h, self.x) != vec_scale(2, self.x):
+    def __init__(self, pentad: StandardPentad, y: Vec, h: Vec, x: Vec):
+        self._init(pentad, y, h, x)
+        if pentad.rep.apply(h, x) != vec_scale(2, x):
             raise ValueError("sl2 relation [h, x] = 2x fails")
-        if linear_combination_apply(self.h, p.dual.action, self.y) != vec_scale(-2, self.y):
+        if linear_combination_apply(h, pentad.dual.action, y) != vec_scale(-2, y):
             raise ValueError("sl2 relation [h, y] = -2y fails")
-        if p.phi.apply(self.x, self.y) != tuple(self.h):
+        if pentad.phi.apply(x, y) != tuple(h):
             raise ValueError("sl2 relation [x, y] = h fails")
 
 
-@dataclass(frozen=True)
-class PartnerResult:
+class PartnerResult(NamedTuple):
     """Classification of the partner system Phi(x (x) y) = h over y."""
 
     status: str  # "none" | "unique" | "affine"
@@ -172,8 +167,7 @@ def sl2_partner(p: StandardPentad, h: GradingElement, x: Vec) -> PartnerResult:
                          Sl2Triple(p, res.solution, h.coords, x))
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
+class RegularityVerdict(NamedTuple):
     """Decision plus everything needed to replay it.
 
     ranks maps a claim label to (achieved, needed); witness carries the

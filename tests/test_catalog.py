@@ -1,10 +1,12 @@
 """Tests for the built-in pentad catalog."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from pentads import cli
 from pentads.catalog import (
     CatalogError,
     catalog,
@@ -191,6 +193,24 @@ class TestResolve:
         for bad in ("gl1_scalar(", "gl1_so_vector(a)", "gl1_so_vector(3)(4)"):
             with pytest.raises(CatalogError):
                 resolve(bad)
+
+    @pytest.mark.parametrize("spec", ["gl1_so_vector(1_2)", "gl1_so_vector(\u0664)",
+                                      "matrix_space_example(\uff12)", "gl1_so_vector(4, 1_0)"])
+    def test_only_ascii_digits_are_parameters(self, capsys, spec):
+        # int() reads "1_2" as 12 and the Arabic-Indic or fullwidth digits
+        # as 4 and 2; the parameter grammar is ASCII, like a pentad file's
+        message = f"parameters of {spec.split('(')[0]!r} must be integers"
+        with pytest.raises(CatalogError) as exc:
+            resolve(spec)
+        assert str(exc.value) == message
+        assert cli.main(["check", "--example", spec]) == 1
+        assert json.loads(capsys.readouterr().out) == {"error": message}
+
+    def test_parameters_keep_their_sign(self, capsys):
+        assert resolve("gl1_so_vector(+4)").parameters == (4,)
+        assert resolve("gl1_so_vector(-5)").parameters == (-5,)
+        assert cli.main(["check", "--example", "gl1_so_vector(-5)"]) == 1
+        assert json.loads(capsys.readouterr().out) == {"error": "gl1_so_vector needs m >= 2"}
 
     def test_extra_parameters_rejected(self):
         with pytest.raises(CatalogError):

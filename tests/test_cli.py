@@ -90,6 +90,19 @@ class TestInvalidInput:
         assert code == 1
         assert "not valid JSON" in doc["error"]
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe",
+        # valid JSON but for one Latin-1 byte inside a string
+        dumps(pentad_to_json(resolve("gl1_scalar").build())).encode().replace(
+            b'"1"', b'"1\xe9"', 1),
+    ], ids=["utf16-bom", "stray-byte"])
+    def test_file_not_utf8(self, capsys, tmp_path, content):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(content)
+        code, doc = run(capsys, "check", "--pentad", str(path))
+        assert code == 1
+        assert doc["error"].startswith(f"{path} is not valid UTF-8: ")
+
     def test_missing_file(self, capsys, tmp_path):
         code, doc = run(capsys, "check", "--pentad", str(tmp_path / "no.json"))
         assert code == 1

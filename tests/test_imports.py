@@ -7,9 +7,16 @@ somewhere in the module, or re-exported through __all__; an import line
 marked `# noqa: F401` is exempt.  The dead-helper rule: a module-level
 function or class whose name starts with one underscore must be named
 somewhere else in its own module, since nothing outside should reach it.
+
+Every process pays for what importing pentads pulls in, so a test also
+keeps dataclasses (with inspect, ast, dis and tokenize behind it) out of a
+fresh `import pentads.cli`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +98,12 @@ def test_the_check_sees_unreferenced_helpers():
               "def public():\n"
               "    return _used() + _Kept.x\n")
     assert unreferenced_private(source) == [(3, "_dead"), (5, "_Dead")]
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    code = "import sys, pentads.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.stdout == "[]\n", out.stderr

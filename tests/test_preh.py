@@ -1,7 +1,6 @@
 """Generic points, sl2 partners, and the regularity decision procedure."""
 
 import importlib
-from dataclasses import replace
 from functools import cache, cached_property
 
 import pytest
@@ -277,8 +276,8 @@ class TestDecideRegularity:
 
     def test_broken_dual_has_no_grading_element(self):
         p = resolve("gl1_scalar").build()
-        broken = replace(p, dual=DualModule((Matrix([[5]]),),
-                                            p.dual.pairing))
+        broken = StandardPentad(p.algebra, p.rep,
+                                DualModule((Matrix([[5]]),), p.dual.pairing), p.form)
         with pytest.raises(GradingElementError, match="absent"):
             decide_regularity(broken)
 
@@ -307,9 +306,9 @@ class TestDecideRegularity:
     def test_tampered_certificate_fails(self):
         p = resolve("gl1_scalar").build()
         v = decide_regularity(p)
-        assert verify_certificate(p, replace(v, y=(3,))) is False
-        assert verify_certificate(p, replace(v, outcome="NotRegular")) is False
-        assert verify_certificate(p, replace(v, h0=(4,))) is False
+        assert verify_certificate(p, v._replace(y=(3,))) is False
+        assert verify_certificate(p, v._replace(outcome="NotRegular")) is False
+        assert verify_certificate(p, v._replace(h0=(4,))) is False
 
 
 def _bump(vec, k=0, by=1):
