@@ -15,12 +15,7 @@ from typing import Callable, NamedTuple
 
 from .exact_linalg import Matrix, kronecker
 from .lie import BilinearForm, MatrixLieAlgebra, family, standard_symplectic_form, trace_form
-from .pentad import (
-    Representation,
-    StandardPentad,
-    box_tensor,
-    dual_representation,
-)
+from .pentad import StandardPentad, box_tensor, dual_representation
 
 
 class CatalogError(ValueError):
@@ -37,16 +32,18 @@ class CatalogEntry(NamedTuple):
         return self.builder(*self.parameters)
 
 
+def _defining(algebras: list[MatrixLieAlgebra], pairing: Matrix | None = None,
+              form: BilinearForm | None = None) -> StandardPentad:
+    """The box tensor of the algebras' defining modules, its contragredient
+    dual under the pairing, and the form, by default the trace form."""
+    rep = box_tensor([(a, a.basis) for a in algebras])
+    return StandardPentad(rep.algebra, rep, dual_representation(rep, pairing),
+                          trace_form(rep.algebra) if form is None else form)
+
+
 def gl1_scalar() -> StandardPentad:
     """gl(1) acting on a line by multiplication; the smallest pentad."""
-    alg = family("gl", 1)
-    rep = Representation(alg, (Matrix.identity(1),))
-    return StandardPentad(alg, rep, dual_representation(rep), trace_form(alg))
-
-
-def _gl2_pentad(alg: MatrixLieAlgebra, form: BilinearForm) -> StandardPentad:
-    rep = Representation(alg, alg.basis)
-    return StandardPentad(alg, rep, dual_representation(rep), form)
+    return _defining([family("gl", 1)])
 
 
 def gl2_standard() -> StandardPentad:
@@ -60,7 +57,7 @@ def gl2_standard() -> StandardPentad:
     alg = family("gl", 2)
     tr = tuple(b.trace() for b in alg.basis)
     adjusted = trace_form(alg).gram - Matrix([[Fraction(a * b, 3) for b in tr] for a in tr])
-    return _gl2_pentad(alg, BilinearForm(adjusted))
+    return _defining([alg], form=BilinearForm(adjusted))
 
 
 def gl2_trace() -> StandardPentad:
@@ -68,20 +65,18 @@ def gl2_trace() -> StandardPentad:
 
     Grades out to dimensions (1, 2, 4, 2, 1), a copy of sp(4).
     """
-    alg = family("gl", 2)
-    return _gl2_pentad(alg, trace_form(alg))
+    return _defining([family("gl", 2)])
 
 
 def gl1_so_vector(m: int = 3) -> StandardPentad:
-    """gl(1) + so(m) acting on the m-dimensional vector module."""
-    if m < 2:
-        raise CatalogError("gl1_so_vector needs m >= 2")
-    scalar = Representation(family("gl", 1), (Matrix.identity(1),))
-    so = family("so", m)
-    vector = Representation(so, so.basis)
-    rep = box_tensor([scalar, vector])
-    return StandardPentad(rep.algebra, rep, dual_representation(rep),
-                          trace_form(rep.algebra))
+    """gl(1) + so(m) acting on the m-dimensional vector module.
+
+    2 <= m <= 96: the cost grows about as m^4, and at m = 96 one
+    `regularity --verify-certificate` run takes under a minute.
+    """
+    if not 2 <= m <= 96:
+        raise CatalogError(f"gl1_so_vector needs {'m >= 2' if m < 2 else 'm <= 96'}")
+    return _defining([family("gl", 1), family("so", m)])
 
 
 def matrix_space_example(n: int = 2) -> StandardPentad:
@@ -92,18 +87,13 @@ def matrix_space_example(n: int = 2) -> StandardPentad:
     matrix v with a dual matrix u is Tr(t(v).J.u) for the standard
     symplectic J, i.e. the matrix kron(J, Id_3) on flat vectors.  The form
     on the algebra is the ambient trace form, which restricts blockwise.
+    2 <= n <= 32: the cost grows about as n^4, and at n = 32 one
+    `regularity --verify-certificate` run takes under a minute.
     """
-    if n < 2:
-        raise CatalogError("matrix_space_example needs n >= 2")
-    scalar = Representation(family("gl", 1), (Matrix.identity(1),))
-    sp, so = family("sp", n), family("so", 3)
-    left = Representation(sp, sp.basis)
-    right = Representation(so, so.basis)
-    rep = box_tensor([scalar, left, right])
-    pairing = kronecker(standard_symplectic_form(n), Matrix.identity(3))
-    return StandardPentad(rep.algebra, rep,
-                          dual_representation(rep, pairing),
-                          trace_form(rep.algebra))
+    if not 2 <= n <= 32:
+        raise CatalogError(f"matrix_space_example needs {'n >= 2' if n < 2 else 'n <= 32'}")
+    return _defining([family("gl", 1), family("sp", n), family("so", 3)],
+                     kronecker(standard_symplectic_form(n), Matrix.identity(3)))
 
 
 _REGISTRY: dict[str, tuple[Callable[..., StandardPentad], tuple[int, ...], str]] = {

@@ -71,10 +71,6 @@ class MatrixLieAlgebra(Frozen):
     def dim(self) -> int:
         return len(self.basis)
 
-    def bracket_coords(self, u: Sequence[Q], v: Sequence[Q]) -> Vec:
-        """Coordinates of [u, v] for u, v given in coordinates."""
-        return self.ad_matrix(u).apply(v)
-
     def ad_matrix(self, u: Sequence[Q]) -> Matrix:
         """Matrix of v -> [u, v] in coordinates.  Row i of the structure
         table, read as a matrix, is the transpose of ad(b_i), so ad(u) is
@@ -282,10 +278,6 @@ class BilinearForm(NamedTuple):
     """Symmetric bilinear form on an algebra, stored as a Gram matrix."""
 
     gram: Matrix
-
-    def evaluate(self, u: Sequence[Q], v: Sequence[Q]) -> Q:
-        """B(u, v) = t(u).G.v, through G applied to v."""
-        return qnorm(sum(ui * x for ui, x in zip(u, self.gram.apply(v)) if ui))
 
 
 def trace_form(alg: MatrixLieAlgebra) -> BilinearForm:

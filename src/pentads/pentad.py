@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .exact_linalg import (
@@ -329,28 +329,22 @@ def random_int_vector(rng: random.Random, n: int) -> Vec:
     return tuple(rng.randint(-9, 9) for _ in range(n))
 
 
-def box_tensor(reps: Sequence[Representation]) -> Representation:
-    """Outer tensor product over the direct sum of the factor algebras.
+def box_tensor(factors: Sequence[tuple[MatrixLieAlgebra, Sequence[Matrix]]]) -> Representation:
+    """Outer tensor product over the direct sum of the factor algebras, from
+    (algebra, action matrices) pairs.
 
     A basis element of factor k acts as Id (x) ... (x) pi_k(b) (x) ... (x) Id
-    on the row-major tensor module.
+    on the row-major tensor module.  Only the product is checked: Id (x) X
+    (x) Id vanishes only when X does, and brackets across factors vanish on
+    both sides, so the product is a module exactly when every factor is.
     """
-    if not reps:
+    if not factors:
         raise PentadError("box_tensor needs at least one factor")
-    algebra = direct_sum([r.algebra for r in reps])
-    dims = [r.module_dim for r in reps]
-    action: list[Matrix] = []
-    for k, r in enumerate(reps):
-        left = 1
-        for d in dims[:k]:
-            left *= d
-        right = 1
-        for d in dims[k + 1:]:
-            right *= d
-        for a in r.action:
-            m = kronecker(Matrix.identity(left), a) if left > 1 else a
-            if right > 1:
-                m = kronecker(m, Matrix.identity(right))
-            action.append(m)
-    return Representation(algebra, tuple(action))
-
+    for alg, action in factors:
+        if len(action) != alg.dim:
+            raise PentadError("one action matrix per basis element is required")
+    dims = [action[0].rows for _, action in factors]
+    return Representation(direct_sum([alg for alg, _ in factors]), tuple(
+        kronecker(kronecker(Matrix.identity(prod(dims[:k])), a),
+                  Matrix.identity(prod(dims[k + 1:])))
+        for k, (_, action) in enumerate(factors) for a in action))

@@ -119,7 +119,7 @@ def equivariance_failure(p, trials=20, seed=0):
             av = p.rep.action[i].apply(v)
             aphi = p.dual.action[i].apply(phi)
             lhs = vec_add(p.phi.apply(av, phi), p.phi.apply(v, aphi))
-            if lhs != p.algebra.bracket_coords(unit_coords(d, i), base):
+            if lhs != p.algebra.ad_matrix(unit_coords(d, i)).apply(base):
                 return f"basis element {i}, trial {t}: v = {v}, phi = {phi}"
     return None
 

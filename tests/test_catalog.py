@@ -1,7 +1,9 @@
 """Tests for the built-in pentad catalog."""
 
+import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from pentads.graded import extend
 from pentads.lie import standard_symplectic_form
 from pentads.pentad import PhiMap, check_standard
 from pentads.preh import ad_on_dual, module_partner_map
+from pentads.serialize import dumps, pentad_to_json
 
 from oracles import assert_canonical, coords_of, equivariance_failure, pair
 
@@ -134,6 +137,40 @@ def test_every_stored_matrix_is_canonical(name):
         assert_canonical(m)
 
 
+# sha256 of dumps(pentad_to_json(...)) of each built entry: the catalog's
+# bytes themselves, not only the certificates computed from them.
+PINNED_PENTADS = {
+    "gl1_scalar": "b56f8cdf259e0585b339e9172c9da432250358db25e8dbd355b73bc2a0f0c447",
+    "gl2_standard": "468f5cbbdbf814d7b7a076e7e1addaafade3f7745d07c1d7cabd64708b096c81",
+    "gl2_trace": "dda6e4af9ef8ced8c95f74d9e5665c6aaa0d8fc5a6e04dc75afda0b30f490c9c",
+    "gl1_so_vector": "d68b840e5bbbcd4a437108666ad942bb167c5dc63df64be983000ccfcdc52d8f",
+    "matrix_space_example": "4dfdec1d2d805472840e598a00a1764faf3b412b984c8c1bf9755598a32e6ed6",
+    "gl1_so_vector(4)": "3491318feaf69ae33be89ed86f1079a1cbefd26228d13747282ed262dff4d3f8",
+    "gl1_so_vector(5)": "57490ca354ce7344a67b706726e2781c3a33438acf6465dde7e602f23ddde861",
+    "gl1_so_vector(6)": "bfa3cae707e899e3445fcda853f5cdbc0eefe5c8d1dd16ca5ef4a896ad3b8206",
+    "gl1_so_vector(7)": "90b5beb97b161cbf44bf1807337547c22c0331111f385c8707737d5dc8328642",
+    "gl1_so_vector(8)": "08df82a02c6b45287d859552e14c6f923cc31873c7ee5fadb796fc691896a681",
+    "gl1_so_vector(9)": "020a3c67e50b41c49fc41bcd58ff97e780f226cc4b81ae9c1a6c892481b0b920",
+    "gl1_so_vector(10)": "04f9242e9f67c55210e9acb19d658f74cfe76ac3ff69315c2df28e71832a2946",
+    "gl1_so_vector(11)": "619fab3407b1f0e40ba163bd0b5678d9a25895e92ff3344e0f07dab3d3fe6d98",
+    "gl1_so_vector(12)": "1d6942343501d7be9e66ad07d8bb450b51ba92743b4b0998fbb331257107c48a",
+    "matrix_space_example(2)": "4dfdec1d2d805472840e598a00a1764faf3b412b984c8c1bf9755598a32e6ed6",
+    "matrix_space_example(3)": "a65d76f9b95971f4f79168227e9fd673c5e818932c73a27bd47f231ef34455ba",
+    "matrix_space_example(4)": "3eb029280fef3fa2195de6e79beeebc13c5dc6eb238461633c62a92a46e22367",
+    "matrix_space_example(5)": "2cbf8001dc03c6185799d9ee71cd5f91132411feb5eb8c7910fe5fd06fc204bf",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_PENTADS))
+def test_pentad_bytes(spec):
+    text = dumps(pentad_to_json(resolve(spec).build()))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PENTADS[spec]
+
+
+def test_every_entry_is_pinned_at_its_defaults():
+    assert {e.name for e in catalog()} <= set(PINNED_PENTADS)
+
+
 class TestMatrixSpacePhi:
     def test_solver_matches_closed_form(self):
         p = matrix_space_example(2)
@@ -211,6 +248,23 @@ class TestResolve:
         assert resolve("gl1_so_vector(-5)").parameters == (-5,)
         assert cli.main(["check", "--example", "gl1_so_vector(-5)"]) == 1
         assert json.loads(capsys.readouterr().out) == {"error": "gl1_so_vector needs m >= 2"}
+
+    @pytest.mark.parametrize("spec, message", [
+        ("gl1_so_vector(99999999999999999999)", "gl1_so_vector needs m <= 96"),
+        ("gl1_so_vector(97)", "gl1_so_vector needs m <= 96"),
+        ("matrix_space_example(99999999999999999999)", "matrix_space_example needs n <= 32"),
+        ("matrix_space_example(33)", "matrix_space_example needs n <= 32"),
+    ])
+    def test_parameters_above_the_bound_fail_fast(self, capsys, spec, message):
+        # an unbounded parameter used to start building so(m) or sp(n) and
+        # run until killed; the bound is checked before anything is built
+        start = time.perf_counter()
+        with pytest.raises(CatalogError) as exc:
+            resolve(spec).build()
+        assert str(exc.value) == message
+        assert cli.main(["check", "--example", spec]) == 1
+        assert json.loads(capsys.readouterr().out) == {"error": message}
+        assert time.perf_counter() - start < 1
 
     def test_extra_parameters_rejected(self):
         with pytest.raises(CatalogError):

@@ -608,7 +608,7 @@ class _DenseAlgebra:
             return (0,) * target
         if j == 0:
             if k == 0:
-                return self.pentad.algebra.bracket_coords(a, b)
+                return self.pentad.algebra.ad_matrix(a).apply(b)
             return (self.positive if k > 0 else self.negative).action(abs(k), a, b)
         if k == 0:
             return vec_scale(-1, self.bracket(0, b, j, a))
@@ -682,7 +682,7 @@ def dense_check_grading(g, h):
     p = g.pentad
     d = p.algebra.dim
     for j in range(d):
-        if any(p.algebra.bracket_coords(h.coords, unit_coords(d, j))):
+        if any(p.algebra.ad_matrix(h.coords).apply(unit_coords(d, j))):
             return False
 
     def combo(mats, n):

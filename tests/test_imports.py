@@ -6,7 +6,11 @@ rules.  The unused-import rule: a name bound by an import must be read
 somewhere in the module, or re-exported through __all__; an import line
 marked `# noqa: F401` is exempt.  The dead-helper rule: a module-level
 function or class whose name starts with one underscore must be named
-somewhere else in its own module, since nothing outside should reach it.
+somewhere else in its own module, since nothing outside should reach it;
+and a method must be read as an attribute somewhere in the package, be a
+dunder, be named "Class.method" in perfbench/tracer.py, or be one of the
+TEST_VIEWS that the differential tests read, so that no member only tests
+call creeps back in.
 
 Every process pays for what importing pentads pulls in, so a test also
 keeps dataclasses (with inspect, ast, dis and tokenize behind it) out of a
@@ -17,6 +21,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -98,6 +103,62 @@ def test_the_check_sees_unreferenced_helpers():
               "def public():\n"
               "    return _used() + _Kept.x\n")
     assert unreferenced_private(source) == [(3, "_dead"), (5, "_Dead")]
+
+
+# methods the differential tests read and the package does not
+TEST_VIEWS = ("GradedAlgebra.component_maps", "GradedAlgebra.action_matrices",
+              "Matrix.flat", "Matrix.zeros")
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def unread_methods(sources, exempt):
+    """"Class.method" of each method defined at class level in the sources
+    whose name no attribute read outside its own body uses, leaving out
+    dunders and the exempt names."""
+    def reads(node):
+        return Counter(n.attr for n in ast.walk(node)
+                       if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+    trees = [ast.parse(source) for source in sources]
+    read = sum(map(reads, trees), Counter())
+    out = []
+    for tree in trees:
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for f in cls.body:
+                    if (isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (f.name.startswith("__") and f.name.endswith("__"))
+                            and read[f.name] == reads(f)[f.name]
+                            and f"{cls.name}.{f.name}" not in exempt):
+                        out.append(f"{cls.name}.{f.name}")
+    return out
+
+
+def test_every_method_is_read():
+    tracer = {n.value for n in ast.walk(ast.parse(TRACER.read_text(encoding="utf-8")))
+              if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    sources = [(SRC / module).read_text(encoding="utf-8") for module in MODULES]
+    assert unread_methods(sources, tracer | set(TEST_VIEWS)) == []
+
+
+def test_the_check_sees_unread_methods():
+    sources = ["class A:\n"
+               "    def __init__(self):\n"
+               "        self.kept = self.used()\n"
+               "    def used(self):\n"
+               "        return 1\n"
+               "    def traced(self):\n"
+               "        return 2\n"
+               "    def dead(self):\n"
+               "        return self.dead\n",
+               "class B:\n"
+               "    def stored(self):\n"
+               "        return 3\n"
+               "    x = 1\n"
+               "def f(b):\n"
+               "    b.stored = None\n"
+               "    return A().used()\n"]
+    assert unread_methods(sources, {"A.traced"}) == ["A.dead", "B.stored"]
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

@@ -222,7 +222,7 @@ class TestPhiMap:
                 phi = unit_coords(m, k)
                 g = solver.apply(v, phi)
                 for i in range(d):
-                    lhs = p.form.evaluate(unit_coords(d, i), g)
+                    lhs = p.form.gram.apply(g)[i]
                     rhs = pair(p, p.rep.action[i].apply(v), phi)
                     assert lhs == rhs, (i, j, k)
 
@@ -275,9 +275,8 @@ class TestEquivariance:
 
 class TestBoxTensor:
     def test_gl1_with_trivial_factor_is_scalar(self):
-        scalar = Representation(family("gl", 1), (Matrix([[1]]),))
-        trivial = Representation(family("gl", 1), (Matrix.zeros(2, 2),))
-        rep = box_tensor([scalar, trivial])
+        rep = box_tensor([(family("gl", 1), (Matrix([[1]]),)),
+                          (family("gl", 1), (Matrix.zeros(2, 2),))])
         assert rep.algebra.dim == 2
         assert rep.module_dim == 2
         assert rep.action[0] == Matrix.identity(2)
@@ -286,10 +285,9 @@ class TestBoxTensor:
     def test_matrix_module_action_formula(self):
         # module is 4x3 matrices flattened row-major; the combined action of
         # (a, A, B) must be a.M + A.M - M.B on random integer M
-        gl1 = Representation(family("gl", 1), (Matrix([[1]]),))
-        sp2 = Representation(family("sp", 2), family("sp", 2).basis)
-        so3 = Representation(family("so", 3), family("so", 3).basis)
-        rep = box_tensor([gl1, sp2, so3])
+        sp2, so3 = family("sp", 2), family("so", 3)
+        rep = box_tensor([(family("gl", 1), (Matrix([[1]]),)),
+                          (sp2, sp2.basis), (so3, so3.basis)])
         assert rep.module_dim == 12
         assert rep.algebra.dim == 14
 
@@ -303,13 +301,33 @@ class TestBoxTensor:
         # gl1 generator: scalar 1
         assert unflatten(rep.action[0].apply(flat)) == m
         # each sp(2) generator A: left multiplication on the 4x3 block
-        for idx, a in enumerate(sp2.action):
+        for idx, a in enumerate(sp2.basis):
             got = unflatten(rep.action[1 + idx].apply(flat))
             assert got == a @ m
         # each so(3) generator B acts by -(right multiplication)
-        for idx, b in enumerate(so3.action):
+        for idx, b in enumerate(so3.basis):
             got = unflatten(rep.action[11 + idx].apply(flat))
             assert got == (m @ b).scale(-1)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_factor_breaking_the_bracket_is_rejected(self, position):
+        # so(3)'s basis with its first two matrices swapped is not an action;
+        # only the product is checked, wherever the broken factor sits
+        so3 = family("so", 3)
+        broken = (so3, (so3.basis[1], so3.basis[0], so3.basis[2]))
+        factors = [(family("gl", 1), (Matrix.identity(1),))]
+        factors.insert(position, broken)
+        with pytest.raises(HomomorphismError):
+            box_tensor(factors)
+
+    def test_factor_with_one_matrix_too_few_is_rejected(self):
+        # the total count would still match if the next factor brought one
+        # matrix too many, so each factor's count is checked on its own
+        so3, gl1 = family("so", 3), family("gl", 1)
+        with pytest.raises(PentadError, match="one action matrix per basis element"):
+            box_tensor([(so3, so3.basis[:2]), (gl1, (Matrix.identity(1),) * 2)])
+        with pytest.raises(PentadError, match="one action matrix per basis element"):
+            box_tensor([(so3, so3.basis[:2]), (gl1, (Matrix.identity(1),))])
 
     def test_empty_factor_list_rejected(self):
         with pytest.raises(PentadError):

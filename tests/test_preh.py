@@ -490,11 +490,11 @@ class TestPipelineWorkCounts:
         # Catalog build, check_standard, decide_regularity and the certificate
         # of matrix_space_example(3).  Three algebras are built from matrices
         # (gl(1), sp(3) and so(3)); their sum shifts the factors' tables and
-        # builds nothing.  Each of the four Representations checks the
-        # homomorphism axiom once and check_standard does not repeat it, and
-        # the 25 x 25 trace Gram matrix of the sum is computed once (one
-        # sparse product), shared by the catalog's form and the
-        # certificate's "trace" descriptor.
+        # builds nothing.  The homomorphism axiom is checked once, on the
+        # box tensor product (no factor is checked on its own), and
+        # check_standard does not repeat it; the 25 x 25 trace Gram matrix
+        # of the sum is computed once (one sparse product), shared by the
+        # catalog's form and the certificate's "trace" descriptor.
         modules = [importlib.import_module(f"pentads.{name}") for name in
                    ("exact_linalg", "lie", "pentad", "graded", "preh", "serialize", "catalog")]
 
@@ -527,8 +527,22 @@ class TestPipelineWorkCounts:
         v = decide_regularity(p)
         assert verdict_to_json(v, p)["form"] == "trace"
         assert len(builds) == 3
-        assert len(hom_checks) == 4
+        assert len(hom_checks) == 1
         assert len(grams) == 1 and grams[0] is p.algebra
+
+    @pytest.mark.parametrize("spec", ["gl1_scalar", "gl2_standard", "gl2_trace",
+                                      "gl1_so_vector(3)", "matrix_space_example(2)"])
+    def test_one_homomorphism_check_per_catalog_build(self, monkeypatch, spec):
+        # each entry's module is checked once, on the box tensor product
+        original, calls = pentad.homomorphism_failures, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pentad, "homomorphism_failures", counting)
+        resolve(spec).build()
+        assert len(calls) == 1
 
     def test_center_once_per_certified_run(self, monkeypatch, capsys):
         # regularity --verify-certificate reads the center three times (the
