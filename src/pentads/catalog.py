@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .exact_linalg import Matrix, kronecker
-from .lie import BilinearForm, MatrixLieAlgebra, family, standard_symplectic_form, trace_form
+from .lie import BilinearForm, classical_basis, standard_symplectic_form, trace_form
 from .pentad import StandardPentad, box_tensor, dual_representation
 
 
@@ -32,18 +32,17 @@ class CatalogEntry(NamedTuple):
         return self.builder(*self.parameters)
 
 
-def _defining(algebras: list[MatrixLieAlgebra], pairing: Matrix | None = None,
-              form: BilinearForm | None = None) -> StandardPentad:
-    """The box tensor of the algebras' defining modules, its contragredient
-    dual under the pairing, and the form, by default the trace form."""
-    rep = box_tensor([(a, a.basis) for a in algebras])
+def _defining(kinds: list[tuple[str, int]], pairing: Matrix | None = None) -> StandardPentad:
+    """The box tensor of the classical (kind, n) algebras' defining modules,
+    its contragredient dual under the pairing, and the trace form."""
+    rep = box_tensor([classical_basis(kind, n) for kind, n in kinds])
     return StandardPentad(rep.algebra, rep, dual_representation(rep, pairing),
-                          trace_form(rep.algebra) if form is None else form)
+                          trace_form(rep.algebra))
 
 
 def gl1_scalar() -> StandardPentad:
     """gl(1) acting on a line by multiplication; the smallest pentad."""
-    return _defining([family("gl", 1)])
+    return _defining([("gl", 1)])
 
 
 def gl2_standard() -> StandardPentad:
@@ -54,10 +53,10 @@ def gl2_standard() -> StandardPentad:
     dimensions (0, 2, 4, 2, 0).  The plain trace form keeps growing one more
     step; that variant ships as gl2_trace.
     """
-    alg = family("gl", 2)
-    tr = tuple(b.trace() for b in alg.basis)
-    adjusted = trace_form(alg).gram - Matrix([[Fraction(a * b, 3) for b in tr] for a in tr])
-    return _defining([alg], form=BilinearForm(adjusted))
+    p = _defining([("gl", 2)])
+    tr = tuple(b.trace() for b in p.algebra.basis)
+    adjusted = p.form.gram - Matrix([[Fraction(a * b, 3) for b in tr] for a in tr])
+    return StandardPentad(p.algebra, p.rep, p.dual, BilinearForm(adjusted))
 
 
 def gl2_trace() -> StandardPentad:
@@ -65,7 +64,7 @@ def gl2_trace() -> StandardPentad:
 
     Grades out to dimensions (1, 2, 4, 2, 1), a copy of sp(4).
     """
-    return _defining([family("gl", 2)])
+    return _defining([("gl", 2)])
 
 
 def gl1_so_vector(m: int = 3) -> StandardPentad:
@@ -76,7 +75,7 @@ def gl1_so_vector(m: int = 3) -> StandardPentad:
     """
     if not 2 <= m <= 96:
         raise CatalogError(f"gl1_so_vector needs {'m >= 2' if m < 2 else 'm <= 96'}")
-    return _defining([family("gl", 1), family("so", m)])
+    return _defining([("gl", 1), ("so", m)])
 
 
 def matrix_space_example(n: int = 2) -> StandardPentad:
@@ -92,7 +91,7 @@ def matrix_space_example(n: int = 2) -> StandardPentad:
     """
     if not 2 <= n <= 32:
         raise CatalogError(f"matrix_space_example needs {'n >= 2' if n < 2 else 'n <= 32'}")
-    return _defining([family("gl", 1), family("sp", n), family("so", 3)],
+    return _defining([("gl", 1), ("sp", n), ("so", 3)],
                      kronecker(standard_symplectic_form(n), Matrix.identity(3)))
 
 

@@ -192,6 +192,8 @@ def cmd_regularity(args) -> int:
 def cmd_graded_dims(args) -> int:
     if args.max_degree < 1:
         raise _InputError({"error": "--max-degree must be at least 1"})
+    if args.max_degree > 10000:  # the dims document lists every degree up to the bound
+        raise _InputError({"error": "--max-degree must be at most 10000"})
     p = _validated_pentad(args)
     g = extend(p, args.max_degree)
     gres = grading_element(p)

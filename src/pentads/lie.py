@@ -229,49 +229,45 @@ def _solution_basis(n: int, defining: Callable[[Matrix], Matrix]) -> list[Matrix
     return [Matrix.from_flat_nonzeros(v, n, n) for v in sparse_kernel_basis(images.transpose())]
 
 
-def family(kind: str, n: int) -> MatrixLieAlgebra:
-    """Classical families: gl(n), sl(n), so(n), and sp(n) on ambient size 2n."""
+def classical_basis(kind: str, n: int) -> tuple[int, list[Matrix]]:
+    """Classical families as (ambient size, basis), the arguments of
+    build_algebra: gl(n), sl(n), so(n), and sp(n) on ambient size 2n."""
     if n < 1:
         raise LieAlgebraError("family parameter must be positive")
     if kind == "gl":
-        return build_algebra(n, [_unit_matrix(n, p, q) for p in range(n) for q in range(n)])
+        return n, [_unit_matrix(n, p, q) for p in range(n) for q in range(n)]
     if kind == "sl":
         i_n = Matrix.identity(n)
-        return build_algebra(n, _solution_basis(n, lambda a: i_n.scale(a.trace())))
+        return n, _solution_basis(n, lambda a: i_n.scale(a.trace()))
     if kind == "so":
-        return build_algebra(n, _solution_basis(n, lambda a: a + a.transpose()))
+        return n, _solution_basis(n, lambda a: a + a.transpose())
     if kind == "sp":
         j = standard_symplectic_form(n)
-        return build_algebra(
-            2 * n, _solution_basis(2 * n, lambda a: a @ j + j @ a.transpose()))
+        return 2 * n, _solution_basis(2 * n, lambda a: a @ j + j @ a.transpose())
     raise LieAlgebraError(f"unknown family kind: {kind!r}")
 
 
-def direct_sum(algebras: Sequence[MatrixLieAlgebra]) -> MatrixLieAlgebra:
-    """Block-diagonal sum; the bases concatenate in argument order.
+def family(kind: str, n: int) -> MatrixLieAlgebra:
+    """Classical families: gl(n), sl(n), so(n), and sp(n) on ambient size 2n."""
+    return build_algebra(*classical_basis(kind, n))
 
-    The factors were verified when they were built, and blocks on disjoint
-    diagonal positions are independent and commute, so the structure table
-    is the factors' tables shifted along the diagonal, with no bracket
-    recomputed.
-    """
-    total = sum(a.ambient_size for a in algebras)
-    dim = sum(a.dim for a in algebras)
+
+def direct_sum(blocks: Sequence[tuple[int, Sequence[Matrix]]]) -> MatrixLieAlgebra:
+    """Block-diagonal sum of (ambient size, basis) blocks, built once by
+    build_algebra; the bases concatenate in argument order.  A matrix must
+    be size x size: a wider one would reach into the next block."""
+    total = sum(size for size, _ in blocks)
     basis: list[Matrix] = []
-    table: list[tuple[SparseVec, ...]] = []
     offset = 0
-    for a in algebras:
-        above, below = ((),) * offset, ((),) * (total - offset - a.ambient_size)
-        for b in a.basis:
+    for size, block in blocks:
+        above, below = ((),) * offset, ((),) * (total - offset - size)
+        for b in block:
+            if b.shape() != (size, size):
+                raise LieAlgebraError("basis matrix has the wrong ambient size")
             shifted = tuple(tuple((c + offset, x) for c, x in row) for row in b.nonzeros)
             basis.append(Matrix.from_nonzeros(above + shifted + below, total))
-        shift = len(table)
-        left, right = ((),) * shift, ((),) * (dim - shift - a.dim)
-        for row in a.structure:
-            table.append(left + tuple(tuple((k + shift, c) for k, c in cij) if cij else ()
-                                      for cij in row) + right)
-        offset += a.ambient_size
-    return MatrixLieAlgebra(total, tuple(basis), tuple(table))
+        offset += size
+    return build_algebra(total, basis)
 
 
 class BilinearForm(NamedTuple):

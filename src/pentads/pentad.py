@@ -329,22 +329,17 @@ def random_int_vector(rng: random.Random, n: int) -> Vec:
     return tuple(rng.randint(-9, 9) for _ in range(n))
 
 
-def box_tensor(factors: Sequence[tuple[MatrixLieAlgebra, Sequence[Matrix]]]) -> Representation:
-    """Outer tensor product over the direct sum of the factor algebras, from
-    (algebra, action matrices) pairs.
+def box_tensor(blocks: Sequence[tuple[int, Sequence[Matrix]]]) -> Representation:
+    """Box tensor of the defining modules of (ambient size, basis) blocks,
+    over their direct sum.
 
-    A basis element of factor k acts as Id (x) ... (x) pi_k(b) (x) ... (x) Id
-    on the row-major tensor module.  Only the product is checked: Id (x) X
-    (x) Id vanishes only when X does, and brackets across factors vanish on
-    both sides, so the product is a module exactly when every factor is.
+    A basis element b of block k acts as Id (x) ... (x) b (x) ... (x) Id on
+    the row-major tensor module.
     """
-    if not factors:
+    if not blocks:
         raise PentadError("box_tensor needs at least one factor")
-    for alg, action in factors:
-        if len(action) != alg.dim:
-            raise PentadError("one action matrix per basis element is required")
-    dims = [action[0].rows for _, action in factors]
-    return Representation(direct_sum([alg for alg, _ in factors]), tuple(
-        kronecker(kronecker(Matrix.identity(prod(dims[:k])), a),
+    dims = [size for size, _ in blocks]
+    return Representation(direct_sum(blocks), tuple(
+        kronecker(kronecker(Matrix.identity(prod(dims[:k])), b),
                   Matrix.identity(prod(dims[k + 1:])))
-        for k, (_, action) in enumerate(factors) for a in action))
+        for k, (_, basis) in enumerate(blocks) for b in basis))

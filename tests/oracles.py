@@ -10,10 +10,11 @@ the dense row grid that Matrix stored before it stored only nonzeros, with
 a check of the stored form, reads graded action tables densely at every
 pivot, keeps Phi's table as the (i, r, c) triples that the slice matrices
 replaced, with the two loops that contracted it, keeps the all-pairs scans
-that the generating-set checks replaced, the center and the
-grading-element solve over every commutation row, the rank read off the
-full echelon, the JSON matrix reader and writer that walked every cell,
-and Witt's dimension formula for free Lie algebras.
+that the generating-set checks replaced, the direct sum that shifted its
+factors' structure tables, the center and the grading-element solve over
+every commutation row, the rank read off the full echelon, the JSON matrix
+reader and writer that walked every cell, and Witt's dimension formula for
+free Lie algebras.
 """
 
 import random
@@ -38,6 +39,7 @@ from pentads.exact_linalg import (
 )
 from pentads.lie import (
     BilinearForm,
+    MatrixLieAlgebra,
     commutator_row,
     standard_symplectic_form,
     trace_form,
@@ -356,6 +358,30 @@ def triple_module_partner_map(p, y):
             if yr:
                 out[i][a] = out[i].get(a, 0) + c * yr
     return Matrix.from_nonzeros(map(sparse_row, out), p.module_dim)
+
+
+# --- Shifted factor tables, the direct sum before it called build_algebra --
+
+def shifted_sum(algebras):
+    """Block-diagonal sum of built algebras, with the structure table
+    assembled from the factors' tables shifted along the diagonal and no
+    bracket recomputed: blocks on disjoint diagonal positions are
+    independent and commute."""
+    total = sum(a.ambient_size for a in algebras)
+    dim = sum(a.dim for a in algebras)
+    basis, table, offset = [], [], 0
+    for a in algebras:
+        above, below = ((),) * offset, ((),) * (total - offset - a.ambient_size)
+        for b in a.basis:
+            shifted = tuple(tuple((c + offset, x) for c, x in row) for row in b.nonzeros)
+            basis.append(Matrix.from_nonzeros(above + shifted + below, total))
+        shift = len(table)
+        left, right = ((),) * shift, ((),) * (dim - shift - a.dim)
+        for row in a.structure:
+            table.append(left + tuple(tuple((k + shift, c) for k, c in cij) if cij else ()
+                                      for cij in row) + right)
+        offset += a.ambient_size
+    return MatrixLieAlgebra(total, tuple(basis), tuple(table))
 
 
 # --- All-pairs scans, the reference for the generating-set checks -----------

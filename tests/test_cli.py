@@ -190,6 +190,19 @@ class TestInvalidInput:
         assert code == 1
         assert "max-degree" in doc["error"]
 
+    @pytest.mark.parametrize("bound", ["10001", str(10 ** 20)])
+    def test_max_degree_cap(self, capsys, bound):
+        # the dims document lists every degree up to the bound, so a huge
+        # bound would run unbounded; it is rejected before any work
+        argv = ("graded-dims", "--example", "gl1_scalar", "--max-degree", bound)
+        start = time.perf_counter()
+        code, doc = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, doc) == (1, {"error": "--max-degree must be at most 10000"})
+        proc = run_process(*argv)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert json.loads(proc.stdout) == doc
+
     @pytest.mark.parametrize("command", ["generic-point", "sl2", "regularity"])
     def test_negative_attempts(self, capsys, command):
         # a negative sample budget is rejected before any pentad is loaded

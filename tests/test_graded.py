@@ -32,7 +32,7 @@ from pentads.graded import (
     extend,
     grading_element,
 )
-from pentads.lie import direct_sum, family, trace_form, unit_coords
+from pentads.lie import classical_basis, direct_sum, family, trace_form, unit_coords
 from pentads.preh import decide_regularity, verify_certificate
 from pentads.pentad import (
     DualModule,
@@ -101,7 +101,7 @@ class TestGradingElement:
 
     def test_unconstrained_center_is_degenerate(self):
         # second summand acts by zero, so its coefficient is free
-        alg = direct_sum([family("gl", 1), family("gl", 1)])
+        alg = direct_sum([classical_basis("gl", 1)] * 2)
         rep = Representation(alg, (Matrix([[1]]), Matrix([[0]])))
         p = StandardPentad(alg, rep, dual_representation(rep), trace_form(alg))
         res = grading_element(p)
@@ -139,12 +139,12 @@ def abelian_pentads(draw):
         diag += [draw(entries) for _ in range(n)]
         action.append(Matrix([[x if r == c else 0 for c in range(size)]
                               for r, x in enumerate(diag)]))
-    algebras = [family("gl", 1)] * k
+    blocks = [classical_basis("gl", 1)] * k
     if with_gl2:
-        algebras.append(family("gl", 2))
+        blocks.append(classical_basis("gl", 2))
         action += [Matrix.from_nonzeros(b.nonzeros + ((),) * n, size)
-                   for b in algebras[-1].basis]
-    alg = direct_sum(algebras)
+                   for b in blocks[-1][1]]
+    alg = direct_sum(blocks)
     rep = Representation(alg, tuple(action))
     dual = dual_representation(rep)
     bumps = draw(st.lists(st.tuples(st.integers(0, alg.dim - 1), st.integers(0, size - 1),
@@ -181,7 +181,7 @@ class TestGradingElementMatchesStackedSolve:
         pentads = [e.build() for e in catalog()]
         pentads += [rational_vector_pentad(), rational_matrix_space_pentad()]
         pentads += [bumped_dual(p) for p in pentads]
-        alg = direct_sum([family("gl", 1), family("gl", 1)])
+        alg = direct_sum([classical_basis("gl", 1)] * 2)
         rep = Representation(alg, (Matrix([[1]]), Matrix([[0]])))
         pentads.append(StandardPentad(alg, rep, dual_representation(rep), trace_form(alg)))
         seen = set()

@@ -15,8 +15,10 @@ from pentads.lie import (
     MatrixLieAlgebra,
     NotClosedError,
     NotIndependentError,
+    LieAlgebraError,
     build_algebra,
     check_form,
+    classical_basis,
     direct_sum,
     family,
     scalar_center_report,
@@ -28,7 +30,8 @@ from pentads.lie import (
 from pentads import lie
 
 from oracles import (all_commutation_rows, all_rows_center, coords_of, dense_center,
-                     dense_derived, dense_trace_product, display_name, matrix_of, vec_add)
+                     dense_derived, dense_trace_product, display_name, matrix_of,
+                     shifted_sum, vec_add)
 
 
 def commutator(a, b):
@@ -227,7 +230,7 @@ class TestBracketBilinearity:
 
 class TestDirectSum:
     def test_blocks_and_dimension(self):
-        alg = direct_sum([family("gl", 1), family("so", 3)])
+        alg = direct_sum([classical_basis("gl", 1), classical_basis("so", 3)])
         assert alg.ambient_size == 4
         assert alg.dim == 4
         assert alg.basis[0] == Matrix([
@@ -237,11 +240,11 @@ class TestDirectSum:
         assert alg.basis[1].entries[1][2] == -1
 
     def test_cross_blocks_commute(self):
-        alg = direct_sum([family("gl", 1), family("so", 3)])
+        alg = direct_sum([classical_basis("gl", 1), classical_basis("so", 3)])
         assert alg.ad_matrix(unit_coords(4, 0)).apply(unit_coords(4, 2)) == (0, 0, 0, 0)
 
     def test_center_of_sum(self):
-        alg = direct_sum([family("gl", 1), family("so", 3)])
+        alg = direct_sum([classical_basis("gl", 1), classical_basis("so", 3)])
         assert alg.center == ((1, 0, 0, 0),)
 
     @pytest.mark.parametrize("parts", [
@@ -249,12 +252,28 @@ class TestDirectSum:
         [("gl", 1), ("sp", 2), ("so", 3)], [("gl", 1), ("sp", 3), ("so", 3)],
         [("gl", 1), ("gl", 1)], [("sl", 2), ("gl", 2)]], ids=str)
     def test_shifted_tables_match_build_algebra(self, parts):
-        # the sums the catalog builds, and two more: the table shifted from
-        # the factors is the one build_algebra derives from the matrices
-        alg = direct_sum([family(kind, n) for kind, n in parts])
-        built = build_algebra(alg.ambient_size, alg.basis)
-        assert alg == built
-        assert repr(alg.structure) == repr(built.structure)
+        # the sums the catalog builds, and two more: build_algebra on the
+        # block-diagonal basis derives the table that shifting the factors'
+        # own tables gives
+        alg = direct_sum([classical_basis(kind, n) for kind, n in parts])
+        shifted = shifted_sum([family(kind, n) for kind, n in parts])
+        assert alg == shifted
+        assert repr(alg.structure) == repr(shifted.structure)
+
+    @pytest.mark.parametrize("spec, parts", [
+        ("gl1_so_vector(4)", [("gl", 1), ("so", 4)]),
+        ("matrix_space_example(3)", [("gl", 1), ("sp", 3), ("so", 3)])])
+    def test_catalog_sums_match_shifted_factor_tables(self, spec, parts):
+        alg = resolve(spec).build().algebra
+        shifted = shifted_sum([family(kind, n) for kind, n in parts])
+        assert alg == shifted
+        assert repr(alg.structure) == repr(shifted.structure)
+
+    def test_block_matrix_wider_than_its_block_rejected(self):
+        # its entry in column 2 would otherwise land in the gl(1) block
+        wide = Matrix([[0, 0, 1], [0, 0, 0]])
+        with pytest.raises(LieAlgebraError, match="basis matrix has the wrong ambient size"):
+            direct_sum([(2, [wide]), classical_basis("gl", 1)])
 
 
 OSCILLATOR = build_algebra(3, [e(3, 0, 1), e(3, 1, 2), e(3, 0, 2),
@@ -271,7 +290,7 @@ class TestCenterAndDerived:
     def test_center_of_abelian_is_everything(self):
         gl1 = family("gl", 1)
         assert gl1.center == ((1,),)
-        both = direct_sum([gl1, gl1]).center
+        both = direct_sum([(1, gl1.basis)] * 2).center
         assert both == ((1, 0), (0, 1))
         assert all(type(x) is int for v in both for x in v)
 
@@ -441,7 +460,7 @@ FAMILY_ALGEBRAS = [("gl", 1), ("gl", 3), ("sl", 2), ("sl", 3), ("so", 2), ("so",
 def catalog_algebras():
     out = [(name, resolve(name).build().algebra) for name in CATALOG_PENTADS]
     out += [(f"{k}({n})", family(k, n)) for k, n in FAMILY_ALGEBRAS]
-    out.append(("gl1+so3", direct_sum([family("gl", 1), family("so", 3)])))
+    out.append(("gl1+so3", direct_sum([classical_basis("gl", 1), classical_basis("so", 3)])))
     return out
 
 
@@ -485,7 +504,8 @@ class TestGeneratingSet:
 
 
 SUM_ALGEBRAS = [(f"gl1^{k}" + ("+gl2" if with_gl2 else ""),
-                 direct_sum([family("gl", 1)] * k + ([family("gl", 2)] if with_gl2 else [])))
+                 direct_sum([classical_basis("gl", 1)] * k
+                            + ([classical_basis("gl", 2)] if with_gl2 else [])))
                 for k in (1, 2, 3) for with_gl2 in (False, True)]
 
 
@@ -584,7 +604,7 @@ class TestSparseStructureMatchesDense:
 
 
 SMALL_ALGEBRAS = [family("gl", 2), family("so", 3), family("sp", 2), family("sl", 3),
-                  direct_sum([family("gl", 1), family("so", 3)])]
+                  direct_sum([classical_basis("gl", 1), classical_basis("so", 3)])]
 SMALL_ALGEBRA_IDS = ["gl2", "so3", "sp2", "sl3", "gl1+so3"]
 # valid invariant forms: the trace forms, and gl(2) with the rescaled center
 SMALL_FORMS = [(a, trace_form(a).gram) for a in SMALL_ALGEBRAS] + [

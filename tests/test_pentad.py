@@ -11,9 +11,13 @@ from pentads.catalog import catalog, resolve
 from pentads.exact_linalg import Matrix, kronecker, linear_combination, qnorm, vec_scale
 from pentads.lie import (
     BilinearForm,
+    LieAlgebraError,
+    NotClosedError,
+    NotIndependentError,
     _invariance_witness,
     build_algebra,
     check_form,
+    classical_basis,
     family,
     trace_form,
     unit_coords,
@@ -274,20 +278,12 @@ class TestEquivariance:
 
 
 class TestBoxTensor:
-    def test_gl1_with_trivial_factor_is_scalar(self):
-        rep = box_tensor([(family("gl", 1), (Matrix([[1]]),)),
-                          (family("gl", 1), (Matrix.zeros(2, 2),))])
-        assert rep.algebra.dim == 2
-        assert rep.module_dim == 2
-        assert rep.action[0] == Matrix.identity(2)
-        assert rep.action[1] == Matrix.zeros(2, 2)
-
     def test_matrix_module_action_formula(self):
         # module is 4x3 matrices flattened row-major; the combined action of
         # (a, A, B) must be a.M + A.M - M.B on random integer M
         sp2, so3 = family("sp", 2), family("so", 3)
-        rep = box_tensor([(family("gl", 1), (Matrix([[1]]),)),
-                          (sp2, sp2.basis), (so3, so3.basis)])
+        rep = box_tensor([classical_basis("gl", 1), classical_basis("sp", 2),
+                          classical_basis("so", 3)])
         assert rep.module_dim == 12
         assert rep.algebra.dim == 14
 
@@ -310,24 +306,25 @@ class TestBoxTensor:
             assert got == (m @ b).scale(-1)
 
     @pytest.mark.parametrize("position", [0, 1])
-    def test_factor_breaking_the_bracket_is_rejected(self, position):
-        # so(3)'s basis with its first two matrices swapped is not an action;
-        # only the product is checked, wherever the broken factor sits
-        so3 = family("so", 3)
-        broken = (so3, (so3.basis[1], so3.basis[0], so3.basis[2]))
-        factors = [(family("gl", 1), (Matrix.identity(1),))]
-        factors.insert(position, broken)
-        with pytest.raises(HomomorphismError):
-            box_tensor(factors)
+    def test_block_that_does_not_close_is_rejected(self, position):
+        # so(3) with its first matrix made symmetric spans no subalgebra;
+        # the sum is built once, wherever the broken block sits
+        size, basis = classical_basis("so", 3)
+        symmetric = Matrix.from_nonzeros(
+            [tuple((c, abs(x)) for c, x in row) for row in basis[0].nonzeros], size)
+        blocks = [classical_basis("gl", 1)]
+        blocks.insert(position, (size, [symmetric] + basis[1:]))
+        with pytest.raises(NotClosedError):
+            box_tensor(blocks)
 
-    def test_factor_with_one_matrix_too_few_is_rejected(self):
-        # the total count would still match if the next factor brought one
-        # matrix too many, so each factor's count is checked on its own
-        so3, gl1 = family("so", 3), family("gl", 1)
-        with pytest.raises(PentadError, match="one action matrix per basis element"):
-            box_tensor([(so3, so3.basis[:2]), (gl1, (Matrix.identity(1),) * 2)])
-        with pytest.raises(PentadError, match="one action matrix per basis element"):
-            box_tensor([(so3, so3.basis[:2]), (gl1, (Matrix.identity(1),))])
+    def test_block_with_a_repeated_matrix_is_rejected(self):
+        size, basis = classical_basis("so", 3)
+        with pytest.raises(NotIndependentError):
+            box_tensor([classical_basis("gl", 1), (size, basis + basis[:1])])
+
+    def test_block_matrix_of_the_wrong_size_is_rejected(self):
+        with pytest.raises(LieAlgebraError, match="basis matrix has the wrong ambient size"):
+            box_tensor([(2, [Matrix.identity(3)])])
 
     def test_empty_factor_list_rejected(self):
         with pytest.raises(PentadError):

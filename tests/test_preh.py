@@ -485,33 +485,34 @@ class TestEngineWorkCounts:
         assert reads == []
 
 
+def count_calls(monkeypatch, home, name):
+    """Record each call of home.name, patched wherever a pentads module
+    binds it."""
+    original, calls = getattr(home, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in ("exact_linalg", "lie", "pentad", "graded", "preh", "serialize", "catalog"):
+        mod = importlib.import_module(f"pentads.{module}")
+        if mod.__dict__.get(name) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
 class TestPipelineWorkCounts:
     def test_each_check_and_trace_gram_once(self, monkeypatch):
         # Catalog build, check_standard, decide_regularity and the certificate
-        # of matrix_space_example(3).  Three algebras are built from matrices
-        # (gl(1), sp(3) and so(3)); their sum shifts the factors' tables and
-        # builds nothing.  The homomorphism axiom is checked once, on the
-        # box tensor product (no factor is checked on its own), and
-        # check_standard does not repeat it; the 25 x 25 trace Gram matrix
-        # of the sum is computed once (one sparse product), shared by the
-        # catalog's form and the certificate's "trace" descriptor.
-        modules = [importlib.import_module(f"pentads.{name}") for name in
-                   ("exact_linalg", "lie", "pentad", "graded", "preh", "serialize", "catalog")]
-
-        def count(home, name):
-            original, calls = getattr(home, name), []
-
-            def counting(*args, **kwargs):
-                calls.append(1)
-                return original(*args, **kwargs)
-
-            for mod in modules:
-                if mod.__dict__.get(name) is original:
-                    monkeypatch.setattr(mod, name, counting)
-            return calls
-
-        builds = count(lie, "build_algebra")
-        hom_checks = count(pentad, "homomorphism_failures")
+        # of matrix_space_example(3).  One algebra is built from matrices:
+        # the sum of gl(1), sp(3) and so(3), from the factors' bases, with no
+        # factor built on its own.  The homomorphism axiom is checked once,
+        # on the box tensor product, and check_standard does not repeat it;
+        # the 25 x 25 trace Gram matrix of the sum is computed once (one
+        # sparse product), shared by the catalog's form and the
+        # certificate's "trace" descriptor.
+        builds = count_calls(monkeypatch, lie, "build_algebra")
+        hom_checks = count_calls(monkeypatch, pentad, "homomorphism_failures")
         grams = []
         gram = lie.MatrixLieAlgebra.trace_gram
 
@@ -526,23 +527,19 @@ class TestPipelineWorkCounts:
         assert check_standard(p).ok
         v = decide_regularity(p)
         assert verdict_to_json(v, p)["form"] == "trace"
-        assert len(builds) == 3
+        assert len(builds) == 1
         assert len(hom_checks) == 1
         assert len(grams) == 1 and grams[0] is p.algebra
 
     @pytest.mark.parametrize("spec", ["gl1_scalar", "gl2_standard", "gl2_trace",
                                       "gl1_so_vector(3)", "matrix_space_example(2)"])
     def test_one_homomorphism_check_per_catalog_build(self, monkeypatch, spec):
-        # each entry's module is checked once, on the box tensor product
-        original, calls = pentad.homomorphism_failures, []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(pentad, "homomorphism_failures", counting)
+        # each entry's algebra is built once, as the sum, and its module is
+        # checked once, on the box tensor product
+        builds = count_calls(monkeypatch, lie, "build_algebra")
+        hom_checks = count_calls(monkeypatch, pentad, "homomorphism_failures")
         resolve(spec).build()
-        assert len(calls) == 1
+        assert (len(builds), len(hom_checks)) == (1, 1)
 
     def test_center_once_per_certified_run(self, monkeypatch, capsys):
         # regularity --verify-certificate reads the center three times (the
