@@ -14,7 +14,6 @@ from .graded import (
     grading_element,
 )
 from .lie import (
-    BilinearForm,
     MatrixLieAlgebra,
     build_algebra,
     direct_sum,
@@ -46,7 +45,6 @@ from .serialize import dumps, pentad_from_json, pentad_to_json, verdict_from_jso
 __version__ = "0.1.0"
 
 __all__ = [
-    "BilinearForm",
     "CatalogEntry",
     "CatalogError",
     "DualModule",

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .exact_linalg import Matrix, kronecker
-from .lie import BilinearForm, classical_basis, standard_symplectic_form, trace_form
+from .lie import classical_basis, standard_symplectic_form, trace_form
 from .pentad import StandardPentad, box_tensor, dual_representation
 
 
@@ -36,8 +36,7 @@ def _defining(kinds: list[tuple[str, int]], pairing: Matrix | None = None) -> St
     """The box tensor of the classical (kind, n) algebras' defining modules,
     its contragredient dual under the pairing, and the trace form."""
     rep = box_tensor([classical_basis(kind, n) for kind, n in kinds])
-    return StandardPentad(rep.algebra, rep, dual_representation(rep, pairing),
-                          trace_form(rep.algebra))
+    return StandardPentad(rep, dual_representation(rep, pairing), trace_form(rep.algebra))
 
 
 def gl1_scalar() -> StandardPentad:
@@ -55,8 +54,8 @@ def gl2_standard() -> StandardPentad:
     """
     p = _defining([("gl", 2)])
     tr = tuple(b.trace() for b in p.algebra.basis)
-    adjusted = p.form.gram - Matrix([[Fraction(a * b, 3) for b in tr] for a in tr])
-    return StandardPentad(p.algebra, p.rep, p.dual, BilinearForm(adjusted))
+    return StandardPentad(p.rep, p.dual,
+                          p.form - Matrix([[Fraction(a * b, 3) for b in tr] for a in tr]))
 
 
 def gl2_trace() -> StandardPentad:

@@ -87,6 +87,8 @@ def _sampled_pentad(args) -> StandardPentad:
     """The validated pentad of a command that samples generic points."""
     if args.attempts < 0:
         raise _InputError({"error": "--attempts must be non-negative"})
+    if args.attempts > 10000:  # a pentad with no generic point samples every attempt
+        raise _InputError({"error": "--attempts must be at most 10000"})
     return _validated_pentad(args)
 
 

@@ -270,15 +270,9 @@ def direct_sum(blocks: Sequence[tuple[int, Sequence[Matrix]]]) -> MatrixLieAlgeb
     return build_algebra(total, basis)
 
 
-class BilinearForm(NamedTuple):
-    """Symmetric bilinear form on an algebra, stored as a Gram matrix."""
-
-    gram: Matrix
-
-
-def trace_form(alg: MatrixLieAlgebra) -> BilinearForm:
-    """The trace form (a, b) -> Tr(ab) on the stored basis."""
-    return BilinearForm(alg.trace_gram)
+def trace_form(alg: MatrixLieAlgebra) -> Matrix:
+    """Gram matrix of the trace form (a, b) -> Tr(ab) on the stored basis."""
+    return alg.trace_gram
 
 
 class FormReport(NamedTuple):
@@ -294,9 +288,9 @@ class FormReport(NamedTuple):
         return self.symmetric and self.nondegenerate and self.invariant
 
 
-def check_form(alg: MatrixLieAlgebra, form: BilinearForm) -> FormReport:
-    """Verify symmetry, nondegeneracy, and invariance B([a,b],c) = B(a,[b,c])."""
-    g = form.gram
+def check_form(alg: MatrixLieAlgebra, g: Matrix) -> FormReport:
+    """Verify symmetry, nondegeneracy, and invariance B([a,b],c) = B(a,[b,c])
+    of the form with Gram matrix g."""
     if g.shape() != (alg.dim, alg.dim):
         raise LieAlgebraError("Gram matrix size does not match the algebra dimension")
     sym_wit = None

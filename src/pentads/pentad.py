@@ -1,7 +1,7 @@
 """Representations, dual modules, and the Phi-map.
 
-A standard pentad bundles an algebra, a representation, a dual module with
-an invertible pairing, and a nondegenerate invariant form on the algebra.
+A standard pentad bundles a representation of an algebra, a dual module with
+an invertible pairing, and the Gram matrix of a nondegenerate invariant form.
 The Phi-map sends a module vector and a dual vector to the unique algebra
 element representing their matrix coefficient through the form; it is the
 bracket U x dual(U) -> g of the graded algebra built downstream.
@@ -41,13 +41,7 @@ from .exact_linalg import (
     qstr,
     ratio,
 )
-from .lie import (
-    BilinearForm,
-    MatrixLieAlgebra,
-    check_form,
-    commutator_row,
-    direct_sum,
-)
+from .lie import MatrixLieAlgebra, check_form, commutator_row, direct_sum
 
 
 class PentadError(ValueError):
@@ -127,10 +121,6 @@ class Representation(Frozen):
     def module_dim(self) -> int:
         return self.action[0].rows
 
-    def apply(self, coords: Sequence[Q], v: Sequence[Q]) -> Vec:
-        """[a, v] for a given in algebra coordinates."""
-        return linear_combination_apply(coords, self.action, v)
-
 
 class DualModule(Frozen):
     """Dual action matrices plus the pairing <v, phi> = t(v).P.phi.
@@ -175,19 +165,23 @@ def dual_representation(rep: Representation, pairing: Matrix | None = None) -> D
 
 
 class StandardPentad(Frozen):
-    _fields = ("algebra", "rep", "dual", "form")
+    """A representation, its dual module, and the Gram matrix of the form on
+    the representation's algebra."""
 
-    def __init__(self, algebra: MatrixLieAlgebra, rep: Representation,
-                 dual: DualModule, form: BilinearForm):
-        self._init(algebra, rep, dual, form)
-        if self.rep.algebra is not self.algebra and self.rep.algebra != self.algebra:
-            raise PentadError("representation is over a different algebra")
+    _fields = ("rep", "dual", "form")
+
+    def __init__(self, rep: Representation, dual: DualModule, form: Matrix):
+        self._init(rep, dual, form)
         if len(self.dual.action) != self.algebra.dim:
             raise PentadError("one dual action matrix per basis element is required")
         if self.dual.dim != self.rep.module_dim:
             raise PentadError("dual dimension must equal the module dimension")
-        if self.form.gram.shape() != (self.algebra.dim, self.algebra.dim):
+        if self.form.shape() != (self.algebra.dim, self.algebra.dim):
             raise PentadError("form size must match the algebra dimension")
+
+    @property
+    def algebra(self) -> MatrixLieAlgebra:
+        return self.rep.algebra
 
     @property
     def module_dim(self) -> int:
@@ -223,8 +217,8 @@ def check_standard(p: StandardPentad) -> ValidationReport:
         i, j = form_report.symmetry_witness
         failures.append(AxiomFailure(
             "form_symmetric", (i, j),
-            f"B(b_{i},b_{j}) = {qstr(p.form.gram.entry(i, j))} but "
-            f"B(b_{j},b_{i}) = {qstr(p.form.gram.entry(j, i))}"))
+            f"B(b_{i},b_{j}) = {qstr(p.form.entry(i, j))} but "
+            f"B(b_{j},b_{i}) = {qstr(p.form.entry(j, i))}"))
     if not form_report.nondegenerate:
         w = form_report.kernel_witness
         failures.append(AxiomFailure(
@@ -265,11 +259,12 @@ class PhiMap:
     matrices over one common denominator.
 
     With G the form's gram matrix, Phi(v (x) phi) = G^-1 . t where
-    t_i = <pi(b_i)v, phi> = t(v).W_i.phi and W_i = t(pi(b_i)).P.  G^-1 is
-    applied to the tensor W once, at construction, and the values are
-    scaled by the positive integer `denominator` D, the lcm of their
-    denominators, so every entry is an int.  The result is stored twice
-    over, as dim x m Matrix slices read by either index, built in one pass:
+    t_i = <pi(b_i)v, phi> = t(v).W_i.phi and W_i = t(pi(b_i)).P.  Stacking
+    the flattened W_i as the rows of a dim x m^2 matrix W, column a m + r of
+    the one product G^-1 . W is Phi(x_a (x) y_r).  Its values are scaled by
+    the positive integer `denominator` D, the lcm of their denominators, so
+    every entry is an int, and regrouped in one pass as dim x m Matrix
+    slices read by either index:
 
       module_slices[a]  D Phi(x_a (x) .), row i and column r holding
                         coordinate i of D Phi(x_a (x) y_r);
@@ -285,29 +280,23 @@ class PhiMap:
     """
 
     def __init__(self, p: StandardPentad):
-        self.dim = d = p.algebra.dim
-        self.module_dim = m = p.module_dim
+        d, m = p.algebra.dim, p.module_dim
         try:
-            # ginv_cols[i]: the nonzeros (row, g) of column i of G^-1
-            ginv_cols = inverse(p.form.gram).transpose().nonzeros
+            ginv = inverse(p.form)
         except ValueError:
             raise PentadError("form is degenerate; the Phi-map is not defined") from None
-        # row a of tables[i] holds the nonzeros (r, W[i][a][r])
-        tables = [(a.transpose() @ p.dual.pairing).nonzeros for a in p.rep.action]
-        acc: dict[tuple[int, int, int], Q] = {}  # (a, i, r) -> Phi(x_a (x) y_r)_i
-        for a in range(m):
-            for i, t in enumerate(tables):
-                for r, w in t[a]:
-                    for row, g in ginv_cols[i]:
-                        acc[a, row, r] = acc.get((a, row, r), 0) + g * w
-        entries = sorted((key, c) for key, c in acc.items() if c)
-        self.denominator = den = lcm(*(c.denominator for _, c in entries))
-        # module[a][i] and dual[r][i]: the nonzeros of row i of each slice
+        table = ginv @ Matrix.from_nonzeros(
+            ((a.transpose() @ p.dual.pairing).flat_nonzeros() for a in p.rep.action), m * m)
+        self.denominator = den = lcm(*(c.denominator for row in table.nonzeros for _, c in row))
+        # module[a][i] and dual[r][i]: the nonzeros of row i of each slice,
+        # ascending because each row of the table is ascending in a m + r
         module, dual = ([[[] for _ in range(d)] for _ in range(m)] for _ in range(2))
-        for (a, i, r), c in entries:
-            c = c.numerator * (den // c.denominator)
-            module[a][i].append((r, c))
-            dual[r][i].append((a, c))
+        for i, row in enumerate(table.nonzeros):
+            for col, c in row:
+                a, r = divmod(col, m)
+                c = c.numerator * (den // c.denominator)
+                module[a][i].append((r, c))
+                dual[r][i].append((a, c))
         self.module_slices, self.dual_slices = (
             tuple(Matrix.from_nonzeros(map(tuple, rows), m) for rows in slices)
             for slices in (module, dual))
@@ -316,8 +305,8 @@ class PhiMap:
         """Algebra coordinates of Phi(v (x) phi): the inputs' denominators
         are cleared once, the module slices combined by v and applied to phi
         in integers, and the sum divided once."""
-        check_length(v, self.module_dim)
-        check_length(phi, self.module_dim)
+        check_length(v, len(self.module_slices))
+        check_length(phi, len(self.dual_slices))
         (v, dv), (phi, dphi) = cleared(v), cleared(phi)
         denom = self.denominator * dv * dphi
         return tuple(ratio(x, denom)

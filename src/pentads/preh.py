@@ -131,7 +131,7 @@ class Sl2Triple(Frozen):
 
     def __init__(self, pentad: StandardPentad, y: Vec, h: Vec, x: Vec):
         self._init(pentad, y, h, x)
-        if pentad.rep.apply(h, x) != vec_scale(2, x):
+        if linear_combination_apply(h, pentad.rep.action, x) != vec_scale(2, x):
             raise ValueError("sl2 relation [h, x] = 2x fails")
         if linear_combination_apply(h, pentad.dual.action, y) != vec_scale(-2, y):
             raise ValueError("sl2 relation [h, y] = -2y fails")

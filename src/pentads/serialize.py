@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .exact_linalg import Matrix, Q, Vec, qof, qstr
-from .lie import BilinearForm, build_algebra, trace_form
+from .lie import build_algebra, trace_form
 from .pentad import DualModule, Representation, StandardPentad, dual_representation
 from .preh import RegularityVerdict
 
@@ -104,7 +104,7 @@ def pentad_to_json(p: StandardPentad) -> dict:
         "action": [matrix_to_json(a) for a in p.rep.action],
         "dual_action": [matrix_to_json(a) for a in p.dual.action],
         "pairing": matrix_to_json(p.dual.pairing),
-        "form": matrix_to_json(p.form.gram),
+        "form": matrix_to_json(p.form),
     }
 
 
@@ -124,16 +124,15 @@ def pentad_from_json(obj) -> StandardPentad:
                           pairing)
     else:
         dual = dual_representation(rep, pairing)
-    form = (BilinearForm(matrix_from_json(obj["form"])) if "form" in obj
-            else trace_form(alg))
-    return StandardPentad(alg, rep, dual, form)
+    form = matrix_from_json(obj["form"]) if "form" in obj else trace_form(alg)
+    return StandardPentad(rep, dual, form)
 
 
 def _form_descriptor(p: StandardPentad):
     """The certificate's form field: "trace" for the trace form, else the gram."""
-    if p.form.gram == p.algebra.trace_gram:
+    if p.form == p.algebra.trace_gram:
         return "trace"
-    return matrix_to_json(p.form.gram)
+    return matrix_to_json(p.form)
 
 
 def _witness_to_json(witness):

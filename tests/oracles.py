@@ -38,7 +38,6 @@ from pentads.exact_linalg import (
     sparse_row_space_basis,
 )
 from pentads.lie import (
-    BilinearForm,
     MatrixLieAlgebra,
     commutator_row,
     standard_symplectic_form,
@@ -83,11 +82,8 @@ def mirror(p):
     compatibility axiom transposes onto itself.  Its Phi is the reference
     for the degree-one maps of the graded construction's negative half.
     """
-    return StandardPentad(
-        p.algebra,
-        Representation(p.algebra, p.dual.action),
-        DualModule(p.rep.action, p.dual.pairing.transpose()),
-        p.form)
+    return StandardPentad(Representation(p.algebra, p.dual.action),
+                          DualModule(p.rep.action, p.dual.pairing.transpose()), p.form)
 
 
 def matrix_of(alg, coords):
@@ -131,10 +127,10 @@ def equivariance_failure(p, trials=20, seed=0):
 def _blockwise_form(p, scales):
     """The trace form rescaled on each ideal: scales[i] multiplies row and
     column i, which keeps it invariant as long as each ideal gets one scale."""
-    gram = trace_form(p.algebra).gram
-    return BilinearForm(Matrix(tuple(
+    gram = trace_form(p.algebra)
+    return Matrix(tuple(
         tuple(scales[i] * x * scales[j] for j, x in enumerate(row))
-        for i, row in enumerate(gram.entries))))
+        for i, row in enumerate(gram.entries)))
 
 
 def rational_vector_pentad():
@@ -142,8 +138,7 @@ def rational_vector_pentad():
     base = resolve("gl1_so_vector(3)").build()
     pairing = Matrix([[2, Fraction(1, 3), 0], [0, 1, -1], [1, 0, Fraction(1, 2)]])
     form = _blockwise_form(base, [3] + [Fraction(1, 2)] * 3)
-    return StandardPentad(base.algebra, base.rep,
-                          dual_representation(base.rep, pairing), form)
+    return StandardPentad(base.rep, dual_representation(base.rep, pairing), form)
 
 
 def rational_matrix_space_pentad():
@@ -153,7 +148,7 @@ def rational_matrix_space_pentad():
     diag = Matrix([[1, 0, 0], [0, 2, 0], [0, 0, Fraction(1, 3)]])
     pairing = kronecker(standard_symplectic_form(2), diag)
     scales = [2] + [Fraction(1, 2)] * 10 + [3] * 3
-    return StandardPentad(base.algebra, base.rep,
+    return StandardPentad(base.rep,
                           dual_representation(base.rep, pairing),
                           _blockwise_form(base, scales))
 
@@ -324,7 +319,7 @@ def phi_triples(p):
     """(D, units): units[a] holds the nonzeros (i, r, c) of D Phi(x_a (x) y_r),
     ascending in (i, r), as integers over the least common denominator D,
     accumulated over the columns of G^-1."""
-    ginv_cols = inverse(p.form.gram).transpose().nonzeros
+    ginv_cols = inverse(p.form).transpose().nonzeros
     tables = [(a.transpose() @ p.dual.pairing).nonzeros for a in p.rep.action]
     units = []
     for a in range(p.module_dim):
@@ -520,5 +515,5 @@ def conjugated(p, q):
     t(q) P q, so that <q v, q phi> is the old pairing of v and phi."""
     q_inv = inverse(q)
     rep = Representation(p.algebra, tuple(q_inv @ a @ q for a in p.rep.action))
-    return StandardPentad(p.algebra, rep,
-                          dual_representation(rep, q.transpose() @ p.dual.pairing @ q), p.form)
+    return StandardPentad(rep, dual_representation(rep, q.transpose() @ p.dual.pairing @ q),
+                          p.form)

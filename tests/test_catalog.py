@@ -69,11 +69,17 @@ class TestEntries:
             report = check_standard(entry.build())
             assert report.ok, (entry.name, report.failures)
 
+    def test_algebra_is_the_representations(self):
+        # the pentad holds its algebra once, through its representation
+        for entry in catalog():
+            p = entry.build()
+            assert p.algebra is p.rep.algebra
+
     def test_builders_are_deterministic(self):
         for entry in catalog():
             a, b = entry.build(), entry.build()
             assert a.rep.action == b.rep.action
-            assert a.form.gram == b.form.gram
+            assert a.form == b.form
             assert a.dual.pairing == b.dual.pairing
 
     def test_dimensions(self):
@@ -92,7 +98,7 @@ class TestEntries:
 
     def test_gl2_standard_gram_is_pinned(self):
         third = Fraction(1, 3)
-        assert gl2_standard().form.gram == Matrix([
+        assert gl2_standard().form == Matrix([
             [Fraction(2, 3), 0, 0, -third],
             [0, 0, 1, 0],
             [0, 1, 0, 0],
@@ -100,7 +106,7 @@ class TestEntries:
         ])
 
     def test_gl2_trace_gram_is_plain(self):
-        assert gl2_trace().form.gram == Matrix([
+        assert gl2_trace().form == Matrix([
             [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
     def test_parameter_floors(self):
@@ -117,7 +123,7 @@ def test_every_stored_matrix_is_canonical(name):
     p = resolve(name).build()
     rng = random.Random(0)
     x, y = (tuple(rng.randint(-9, 9) for _ in range(p.module_dim)) for _ in range(2))
-    mats = [*p.algebra.basis, *p.rep.action, *p.dual.action, p.dual.pairing, p.form.gram,
+    mats = [*p.algebra.basis, *p.rep.action, *p.dual.action, p.dual.pairing, p.form,
             p.algebra.trace_gram, ad_on_dual(p, x), module_partner_map(p, y),
             *p.phi.module_slices, *p.phi.dual_slices]
     g = extend(p, 3)

@@ -58,13 +58,13 @@ def sl2_standard_pentad():
     """Traceless algebra: no grading element, scalar-center check fails."""
     alg = family("sl", 2)
     rep = Representation(alg, alg.basis)
-    return StandardPentad(alg, rep, dual_representation(rep), trace_form(alg))
+    return StandardPentad(rep, dual_representation(rep), trace_form(alg))
 
 
 def scalar_pentad(n):
     alg = family("gl", 1)
     rep = Representation(alg, (Matrix.identity(n),))
-    return StandardPentad(alg, rep, dual_representation(rep), trace_form(alg))
+    return StandardPentad(rep, dual_representation(rep), trace_form(alg))
 
 
 class TestUsageErrors:
@@ -216,6 +216,24 @@ class TestInvalidInput:
                 assert code == 1
                 assert out == dumps({"error": "--attempts must be non-negative"}) + "\n"
         code, _ = run(capsys, command, "--example", "gl1_scalar", "--attempts", "0")
+        assert code == 0
+
+    @pytest.mark.parametrize("bound", ["10001", str(10 ** 20)])
+    @pytest.mark.parametrize("command", ["generic-point", "sl2", "regularity"])
+    def test_attempts_cap(self, capsys, command, bound):
+        # a pentad with no generic point samples every attempt, so a huge
+        # budget would run unbounded; it is rejected before any load (an
+        # unknown entry is not reached)
+        for example in ("gl1_scalar", "no_such_entry"):
+            argv = (command, "--example", example, "--attempts", bound)
+            start = time.perf_counter()
+            code, doc = run(capsys, *argv)
+            assert time.perf_counter() - start < 1
+            assert (code, doc) == (1, {"error": "--attempts must be at most 10000"})
+        proc = run_process(*argv)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert json.loads(proc.stdout) == doc
+        code, _ = run(capsys, command, "--example", "gl1_scalar", "--attempts", "10000")
         assert code == 0
 
 

@@ -1,7 +1,8 @@
-"""Every name a pentads module imports is used in that module, and every
-private helper it defines is referenced there.
+"""Every name a pentads module imports is used in that module, every
+private helper it defines is referenced there, and every public one is
+named somewhere.
 
-No linter runs on this tree, so these stdlib ast checks stand in for two
+No linter runs on this tree, so these stdlib ast checks stand in for three
 rules.  The unused-import rule: a name bound by an import must be read
 somewhere in the module, or re-exported through __all__; an import line
 marked `# noqa: F401` is exempt.  The dead-helper rule: a module-level
@@ -10,7 +11,9 @@ somewhere else in its own module, since nothing outside should reach it;
 and a method must be read as an attribute somewhere in the package, be a
 dunder, be named "Class.method" in perfbench/tracer.py, or be one of the
 TEST_VIEWS that the differential tests read, so that no member only tests
-call creeps back in.
+call creeps back in.  The unnamed-public rule: a module-level function or
+class without a leading underscore must be named elsewhere in the package,
+be listed in pentads.__all__, or be named in perfbench/tracer.py.
 
 Every process pays for what importing pentads pulls in, so a test also
 keeps dataclasses (with inspect, ast, dis and tokenize behind it) out of a
@@ -134,11 +137,15 @@ def unread_methods(sources, exempt):
     return out
 
 
+def tracer_names():
+    """Every string constant in perfbench/tracer.py: the names it wraps."""
+    return {n.value for n in ast.walk(ast.parse(TRACER.read_text(encoding="utf-8")))
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
 def test_every_method_is_read():
-    tracer = {n.value for n in ast.walk(ast.parse(TRACER.read_text(encoding="utf-8")))
-              if isinstance(n, ast.Constant) and isinstance(n.value, str)}
     sources = [(SRC / module).read_text(encoding="utf-8") for module in MODULES]
-    assert unread_methods(sources, tracer | set(TEST_VIEWS)) == []
+    assert unread_methods(sources, tracer_names() | set(TEST_VIEWS)) == []
 
 
 def test_the_check_sees_unread_methods():
@@ -159,6 +166,50 @@ def test_the_check_sees_unread_methods():
                "    b.stored = None\n"
                "    return A().used()\n"]
     assert unread_methods(sources, {"A.traced"}) == ["A.dead", "B.stored"]
+
+
+def unnamed_public(sources, exempt):
+    """Name of each module-level function or class in the sources, without
+    a leading underscore, that no name or attribute outside its own
+    definition uses, leaving out the exempt names; an import alone does not
+    name it."""
+    def names(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    trees = [ast.parse(source) for source in sources]
+    named = sum(map(names, trees), Counter())
+    return [node.name for tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and named[node.name] == names(node)[node.name]
+            and node.name not in exempt]
+
+
+def test_every_public_name_is_named():
+    sources = [(SRC / module).read_text(encoding="utf-8") for module in MODULES]
+    assert unnamed_public(sources, tracer_names() | set(pentads.__all__)) == []
+
+
+def test_the_check_sees_unnamed_public_names():
+    sources = ["from b import helper\n"
+               "def used():\n"
+               "    return 1\n"
+               "def exported():\n"
+               "    return exported\n"
+               "class Dead:\n"
+               "    x = Dead\n"
+               "def dead():\n"
+               "    return helper(used())\n"
+               "def _private():\n"
+               "    return 2\n",
+               "import a\n"
+               "from a import dead\n"
+               "def helper(x):\n"
+               "    return a.Read(x)\n"
+               "class Read:\n"
+               "    pass\n"]
+    assert unnamed_public(sources, {"exported"}) == ["Dead", "dead"]
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

@@ -10,7 +10,6 @@ from pentads.exact_linalg import (Matrix, dense_vec, is_zero_vec, kernel_basis, 
                                   row_space_basis, solve_multi, sparse_row_space_basis,
                                   vec_scale)
 from pentads.lie import (
-    BilinearForm,
     FormReport,
     MatrixLieAlgebra,
     NotClosedError,
@@ -307,7 +306,7 @@ class TestCenterAndDerived:
 class TestForms:
     def test_trace_form_of_so3(self):
         form = trace_form(family("so", 3))
-        assert form.gram == Matrix.identity(3).scale(-2)
+        assert form == Matrix.identity(3).scale(-2)
 
     def test_trace_form_on_reductive_algebra_passes(self):
         for alg in (family("gl", 2), family("so", 3), family("sp", 2)):
@@ -321,7 +320,7 @@ class TestForms:
         assert report.kernel_witness == (0, 1)
 
     def test_noninvariant_form_reports_triple(self):
-        report = check_form(family("gl", 2), BilinearForm(Matrix.identity(4)))
+        report = check_form(family("gl", 2), Matrix.identity(4))
         assert not report.invariant
         # [b_0, b_1] = b_1 and [b_1, b_1] = 0, so B(b_1, b_1) = 1 != 0 at k = 1
         assert report.invariance_witness == (0, 1, 1)
@@ -329,7 +328,7 @@ class TestForms:
     def test_asymmetric_form_reports_pair(self):
         gram = Matrix([[0, 1], [0, 0]])
         alg = build_algebra(2, [e(2, 0, 0), e(2, 1, 1)])
-        report = check_form(alg, BilinearForm(gram))
+        report = check_form(alg, gram)
         assert not report.symmetric
         assert report.symmetry_witness == (0, 1)
 
@@ -558,8 +557,8 @@ class TestSparseStructureMatchesDense:
     def test_form_report_on_catalog_pentads(self, name):
         p = resolve(name).build()
         table = dense_structure(p.algebra.ambient_size, p.algebra.basis)
-        for gram in (p.form.gram, trace_form(p.algebra).gram, Matrix.identity(p.algebra.dim)):
-            assert check_form(p.algebra, BilinearForm(gram)) == dense_check_form(table, gram)
+        for gram in (p.form, trace_form(p.algebra), Matrix.identity(p.algebra.dim)):
+            assert check_form(p.algebra, gram) == dense_check_form(table, gram)
 
     @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
     def test_trace_gram(self, alg):
@@ -607,8 +606,8 @@ SMALL_ALGEBRAS = [family("gl", 2), family("so", 3), family("sp", 2), family("sl"
                   direct_sum([classical_basis("gl", 1), classical_basis("so", 3)])]
 SMALL_ALGEBRA_IDS = ["gl2", "so3", "sp2", "sl3", "gl1+so3"]
 # valid invariant forms: the trace forms, and gl(2) with the rescaled center
-SMALL_FORMS = [(a, trace_form(a).gram) for a in SMALL_ALGEBRAS] + [
-    (resolve("gl2_standard").build().algebra, resolve("gl2_standard").build().form.gram)]
+SMALL_FORMS = [(a, trace_form(a)) for a in SMALL_ALGEBRAS] + [
+    (resolve("gl2_standard").build().algebra, resolve("gl2_standard").build().form)]
 scalars = st.one_of(st.integers(min_value=-4, max_value=4),
                     st.fractions(min_value=-3, max_value=3, max_denominator=5).map(qof))
 
@@ -641,18 +640,18 @@ class TestFormReportDifferential:
     def test_tampered_grams_match_dense(self, case):
         alg, gram = case
         table = dense_structure(alg.ambient_size, alg.basis)
-        assert check_form(alg, BilinearForm(gram)) == dense_check_form(table, gram)
+        assert check_form(alg, gram) == dense_check_form(table, gram)
 
     @pytest.mark.parametrize("alg", SMALL_ALGEBRAS, ids=SMALL_ALGEBRA_IDS)
     def test_every_single_entry_bump_matches_dense(self, alg):
         table = dense_structure(alg.ambient_size, alg.basis)
-        base = trace_form(alg).gram.entries
+        base = trace_form(alg).entries
         for i in range(alg.dim):
             for j in range(alg.dim):
                 g = [list(row) for row in base]
                 g[i][j] += 1
                 gram = Matrix(tuple(tuple(row) for row in g))
-                assert check_form(alg, BilinearForm(gram)) == dense_check_form(table, gram)
+                assert check_form(alg, gram) == dense_check_form(table, gram)
 
 
 def outcome(build, ambient_size, basis):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentads.catalog import catalog, resolve
-from pentads.exact_linalg import Matrix, kronecker, linear_combination, qnorm, vec_scale
+from pentads.exact_linalg import (Matrix, kronecker, linear_combination, linear_combination_apply,
+                                  qnorm, vec_scale)
 from pentads.lie import (
-    BilinearForm,
     LieAlgebraError,
     NotClosedError,
     NotIndependentError,
@@ -51,13 +51,12 @@ from oracles import (
 def coordinate_pentad(alg, action=None, form=None):
     """Pentad with identity pairing, contragredient dual, and trace form."""
     rep = Representation(alg, tuple(action) if action else alg.basis)
-    return StandardPentad(alg, rep, dual_representation(rep), form or trace_form(alg))
+    return StandardPentad(rep, dual_representation(rep), form or trace_form(alg))
 
 
 def gl1_scalar(module_dim=1):
     alg = family("gl", 1)
-    return coordinate_pentad(alg, [Matrix.identity(module_dim)],
-                             BilinearForm(Matrix.identity(1)))
+    return coordinate_pentad(alg, [Matrix.identity(module_dim)], Matrix.identity(1))
 
 
 class TestRepresentation:
@@ -96,14 +95,15 @@ class TestRepresentation:
     def test_act_is_linear_combination(self):
         # E_00 - 2 E_11 acts as diag(1, -2)
         rep = Representation(family("gl", 2), family("gl", 2).basis)
-        assert rep.apply((1, 0, 0, -2), (1, 0)) == (1, 0)
-        assert rep.apply((1, 0, 0, -2), (0, 1)) == (0, -2)
+        assert linear_combination_apply((1, 0, 0, -2), rep.action, (1, 0)) == (1, 0)
+        assert linear_combination_apply((1, 0, 0, -2), rep.action, (0, 1)) == (0, -2)
 
     def test_apply_matches_act(self):
         rep = Representation(family("sp", 2), family("sp", 2).basis)
         coords = (1, 0, -1, 2, 0, 0, 1, 0, 0, 3)
         v = (1, -1, 2, 0)
-        assert rep.apply(coords, v) == linear_combination(coords, rep.action).apply(v)
+        assert (linear_combination_apply(coords, rep.action, v)
+                == linear_combination(coords, rep.action).apply(v))
 
     def test_apply_rejects_wrong_lengths(self):
         # gl(1) + so(3) on C^3: d = 4, m = 3; no silent truncation, no IndexError
@@ -112,7 +112,7 @@ class TestRepresentation:
         for coords, v in (((1,), (1, 0, 0)), ((1, 0, 0, 0, 5), (1, 0, 0)),
                           ((1, 0, 0, 0), (1, 0, 0, 7)), ((1, 0, 0, 0), (1, 0))):
             with pytest.raises(ValueError):
-                rep.apply(coords, v)
+                linear_combination_apply(coords, rep.action, v)
         with pytest.raises(ValueError):
             linear_combination((1,), rep.action)
 
@@ -161,8 +161,7 @@ class TestCheckStandard:
     def test_zero_form_reports_degeneracy(self):
         alg = family("gl", 2)
         rep = Representation(alg, alg.basis)
-        p = StandardPentad(alg, rep, dual_representation(rep),
-                           BilinearForm(Matrix.zeros(4, 4)))
+        p = StandardPentad(rep, dual_representation(rep), Matrix.zeros(4, 4))
         report = check_standard(p)
         assert not report.ok
         assert [f.axiom for f in report.failures] == ["form_nondegenerate"]
@@ -172,15 +171,13 @@ class TestCheckStandard:
         alg = family("gl", 1)
         rep = Representation(alg, (Matrix.identity(1),))
         gram = Matrix([[1]])
-        p = StandardPentad(alg, rep, dual_representation(rep), BilinearForm(gram))
+        p = StandardPentad(rep, dual_representation(rep), gram)
         assert check_standard(p).ok  # 1x1 cannot be asymmetric; sanity anchor
 
         alg2 = family("gl", 2)
         rep2 = Representation(alg2, alg2.basis)
-        p2 = StandardPentad(alg2, rep2, dual_representation(rep2),
-                            BilinearForm(Matrix(
-                                [[1, 1, 0, 0], [0, 1, 0, 0],
-                                 [0, 0, 1, 0], [0, 0, 0, 1]])))
+        p2 = StandardPentad(rep2, dual_representation(rep2), Matrix(
+            [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
         axioms = {f.axiom for f in check_standard(p2).failures}
         assert "form_symmetric" in axioms
 
@@ -189,7 +186,7 @@ class TestCheckStandard:
         rep = Representation(alg, alg.basis)
         dual = dual_representation(rep)
         bad = DualModule((dual.action[0].scale(-1),) + dual.action[1:], dual.pairing)
-        report = check_standard(StandardPentad(alg, rep, bad, trace_form(alg)))
+        report = check_standard(StandardPentad(rep, bad, trace_form(alg)))
         assert not report.ok
         assert any(f.axiom == "dual_compatibility" and f.indices == (0,)
                    for f in report.failures)
@@ -198,9 +195,20 @@ class TestCheckStandard:
         alg = family("gl", 2)
         rep = Representation(alg, alg.basis)
         with pytest.raises(PentadError):
-            StandardPentad(alg, rep,
-                           DualModule(rep.action, Matrix.identity(3)),
-                           trace_form(alg))
+            StandardPentad(rep, DualModule(rep.action, Matrix.identity(3)), trace_form(alg))
+
+    def test_wrong_size_form_rejected(self):
+        alg = family("gl", 2)
+        rep = Representation(alg, alg.basis)
+        for gram in (Matrix.identity(3), Matrix.zeros(4, 3)):
+            with pytest.raises(PentadError, match="^form size must match the algebra dimension$"):
+                StandardPentad(rep, dual_representation(rep), gram)
+
+    def test_record_is_its_three_pieces(self):
+        p = resolve("gl1_scalar").build()
+        assert StandardPentad._fields == ("rep", "dual", "form")
+        assert p.algebra is p.rep.algebra
+        assert type(p.form) is Matrix
 
 
 class TestPhiMap:
@@ -226,7 +234,7 @@ class TestPhiMap:
                 phi = unit_coords(m, k)
                 g = solver.apply(v, phi)
                 for i in range(d):
-                    lhs = p.form.gram.apply(g)[i]
+                    lhs = p.form.apply(g)[i]
                     rhs = pair(p, p.rep.action[i].apply(v), phi)
                     assert lhs == rhs, (i, j, k)
 
@@ -246,8 +254,7 @@ class TestPhiMap:
     def test_degenerate_form_rejected(self):
         alg = family("gl", 2)
         rep = Representation(alg, alg.basis)
-        p = StandardPentad(alg, rep, dual_representation(rep),
-                           BilinearForm(Matrix.zeros(4, 4)))
+        p = StandardPentad(rep, dual_representation(rep), Matrix.zeros(4, 4))
         with pytest.raises(PentadError):
             PhiMap(p)
 
@@ -269,7 +276,7 @@ class TestEquivariance:
             (dual.action[0], dual.action[1].scale(-1)) + dual.action[2:],
             dual.pairing)
         witness = equivariance_failure(
-            StandardPentad(alg, rep, bad, trace_form(alg)), trials=5)
+            StandardPentad(rep, bad, trace_form(alg)), trials=5)
         assert "basis element" in witness
 
     def test_deterministic_given_seed(self):
@@ -359,8 +366,7 @@ class TestMirror:
             [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
         alg = family("sp", 2)
         rep = Representation(alg, alg.basis)
-        p = StandardPentad(alg, rep, dual_representation(rep, pairing),
-                           trace_form(alg))
+        p = StandardPentad(rep, dual_representation(rep, pairing), trace_form(alg))
         q = mirror(p)
         v, phi = (1, 2, 3, 4), (5, 6, 7, 8)
         assert pair(q, phi, v) == pair(p, v, phi)
@@ -403,7 +409,7 @@ def bumped_grams(draw):
     d = p.algebra.dim
     i, j = (draw(st.integers(min_value=0, max_value=d - 1)) for _ in range(2))
     delta = draw(bumps)
-    gram = bumped(p.form.gram, i, j, delta)
+    gram = bumped(p.form, i, j, delta)
     if i != j and draw(st.booleans()):
         gram = bumped(gram, j, i, delta)
     return p.algebra, gram
@@ -439,10 +445,10 @@ class TestGeneratingSetChecks:
         expected = all_pairs_invariance_witness(alg, gram)
         on_generators = _invariance_witness(alg, gram, alg.generators)
         assert (on_generators is None) == (expected is None)
-        assert check_form(alg, BilinearForm(gram)).invariance_witness == expected
+        assert check_form(alg, gram).invariance_witness == expected
 
     @pytest.mark.parametrize("p", SMALL_PENTADS, ids=SMALL_PENTAD_IDS)
     def test_unbumped_pentads_pass_both(self, p):
         assert all_pairs_homomorphism_failure(p.algebra, p.rep.action) is None
-        assert all_pairs_invariance_witness(p.algebra, p.form.gram) is None
+        assert all_pairs_invariance_witness(p.algebra, p.form) is None
         assert check_form(p.algebra, p.form).invariant

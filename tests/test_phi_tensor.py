@@ -20,19 +20,19 @@ from pentads.catalog import catalog, matrix_space_example, resolve
 from pentads.exact_linalg import Matrix, inverse, kernel_basis, qnorm, solve
 from pentads.graded import grading_element
 from pentads.lie import trace_form, unit_coords
-from pentads.pentad import PhiMap, check_standard
+from pentads.pentad import PhiMap, StandardPentad, check_standard
 from pentads.preh import (ad_on_dual, decide_regularity, find_generic, module_partner_map,
                          sl2_partner, verify_certificate)
 
-from oracles import (assert_canonical, display_name, phi_triples, rational_matrix_space_pentad,
-                     rational_vector_pentad, triple_ad_on_dual, triple_module_partner_map,
-                     vec_dot)
+from oracles import (assert_canonical, conjugated, display_name, phi_triples,
+                     rational_matrix_space_pentad, rational_vector_pentad, triple_ad_on_dual,
+                     triple_module_partner_map, vec_dot)
 
 
 class DenseOracle:
     def __init__(self, p):
         self.m = p.module_dim
-        self.gram_inv = inverse(p.form.gram)
+        self.gram_inv = inverse(p.form)
         self.tables = tuple(a.transpose() @ p.dual.pairing for a in p.rep.action)
 
     def apply(self, v, phi):
@@ -70,8 +70,8 @@ class TestFixtures:
     def test_neither_gram_nor_pairing_is_identity(self, name):
         p = PENTADS[name]
         assert check_standard(p).ok
-        assert p.form.gram != Matrix.identity(p.algebra.dim)
-        assert p.form.gram != trace_form(p.algebra).gram
+        assert p.form != Matrix.identity(p.algebra.dim)
+        assert p.form != trace_form(p.algebra)
         assert p.dual.pairing != Matrix.identity(p.module_dim)
         assert any(type(x) is Fraction for row in p.dual.pairing.entries for x in row)
 
@@ -158,6 +158,36 @@ class TestUnitTable:
                 assert all(type(x) is int for row in leg.nonzeros for _, x in row)
 
 
+# catalog entries to conjugate, each with the sizes of its ideals in basis
+# order; the trace form is block diagonal on them, so one scale per ideal
+# keeps it invariant
+CONJUGATED = {spec: (resolve(spec).build(), ideals)
+              for spec, ideals in (("gl1_so_vector(4)", (1, 6)),
+                                   ("matrix_space_example(2)", (1, 10, 3)))}
+
+
+@st.composite
+def conjugated_pentads(draw):
+    """A catalog pentad with its module basis changed by a product Q of
+    elementary integer matrices, or by Q^-1, which fills P in with
+    rational entries, and its form rescaled on each ideal by a drawn
+    rational."""
+    p, ideals = CONJUGATED[draw(st.sampled_from(sorted(CONJUGATED)))]
+    m = p.module_dim
+    q = Matrix.identity(m)
+    for _ in range(draw(st.integers(1, 6))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        e = [[int(r == s) for s in range(m)] for r in range(m)]
+        # scale row i, or add a multiple of row j to row i
+        e[i][j] = draw(st.sampled_from([-2, -1, 2, 3]))
+        q = q @ Matrix(e)
+    c = conjugated(p, inverse(q) if draw(st.booleans()) else q)
+    scales = [x for size in ideals
+              for x in [draw(st.sampled_from([1, -2, 3, Fraction(1, 2), Fraction(-2, 3)]))] * size]
+    diag = Matrix.from_nonzeros((((i, x),) for i, x in enumerate(scales)), len(scales))
+    return StandardPentad(c.rep, c.dual, c.form @ diag)
+
+
 class TestSlicesMatchTriples:
     """The slice matrices against the (i, r, c) triple table they replaced,
     contracted by its own two loops."""
@@ -171,6 +201,23 @@ class TestSlicesMatchTriples:
         assert all(dual[r][i][a] == module[a][i][r]
                    for a in range(m) for r in range(m) for i in range(p.algebra.dim))
         assert phi_triples(p)[0] == p.phi.denominator
+
+    @settings(max_examples=10, deadline=None)
+    @given(p=conjugated_pentads())
+    def test_conjugated_slices_are_the_triples(self, p):
+        # a dense rational P and a rescaled G^-1, which no catalog entry has
+        assert check_standard(p).ok
+        denominator, units = phi_triples(p)
+        want = {(a, i, r): c for a, entries in enumerate(units) for i, r, c in entries}
+        module = {(a, i, r): c for a, s in enumerate(p.phi.module_slices)
+                  for i, row in enumerate(s.nonzeros) for r, c in row}
+        dual = {(a, i, r): c for r, s in enumerate(p.phi.dual_slices)
+                for i, row in enumerate(s.nonzeros) for a, c in row}
+        assert module == want == dual
+        assert all(type(c) is int for c in module.values())
+        assert p.phi.denominator == denominator
+        for s in (*p.phi.module_slices, *p.phi.dual_slices):
+            assert_canonical(s)
 
     @pytest.mark.parametrize("name", sorted(PENTADS))
     @settings(max_examples=12, deadline=None)
@@ -214,7 +261,7 @@ class TestPipelineMatchesOracle:
         # give a different partner.
         p = PENTADS["rational_vector"]
         h0 = grading_element(p).element.coords
-        assert p.form.gram.apply(h0) != h0
+        assert p.form.apply(h0) != h0
         assert decide_regularity(p).outcome == "Regular"
 
 

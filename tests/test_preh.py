@@ -42,7 +42,7 @@ def scalar_pentad(n):
     """gl(1) acting by the identity on an n-dimensional module."""
     alg = family("gl", 1)
     rep = Representation(alg, (Matrix.identity(n),))
-    return StandardPentad(alg, rep, dual_representation(rep), trace_form(alg))
+    return StandardPentad(rep, dual_representation(rep), trace_form(alg))
 
 
 def h0_of(p):
@@ -107,7 +107,7 @@ class TestFindGeneric:
     def test_zero_action_exhausts_budget(self):
         alg = family("sl", 2)
         rep = Representation(alg, (Matrix.zeros(1, 1),) * 3)
-        p = StandardPentad(alg, rep, dual_representation(rep), trace_form(alg))
+        p = StandardPentad(rep, dual_representation(rep), trace_form(alg))
         res = find_generic(p, attempts=5)
         assert not res.found
         assert res.attempts_used == 5
@@ -270,14 +270,13 @@ class TestDecideRegularity:
     def test_center_hypothesis_enforced(self):
         alg = family("sl", 2)
         rep = Representation(alg, alg.basis)
-        p = StandardPentad(alg, rep, dual_representation(rep), trace_form(alg))
+        p = StandardPentad(rep, dual_representation(rep), trace_form(alg))
         with pytest.raises(ScalarCenterError):
             decide_regularity(p)
 
     def test_broken_dual_has_no_grading_element(self):
         p = resolve("gl1_scalar").build()
-        broken = StandardPentad(p.algebra, p.rep,
-                                DualModule((Matrix([[5]]),), p.dual.pairing), p.form)
+        broken = StandardPentad(p.rep, DualModule((Matrix([[5]]),), p.dual.pairing), p.form)
         with pytest.raises(GradingElementError, match="absent"):
             decide_regularity(broken)
 

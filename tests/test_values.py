@@ -15,7 +15,6 @@ from pentads.catalog import CatalogEntry, gl1_scalar
 from pentads.exact_linalg import Frozen, Matrix, SolveResult
 from pentads.graded import GradedVector, GradingElement, GradingElementResult
 from pentads.lie import (
-    BilinearForm,
     FormReport,
     MatrixLieAlgebra,
     ScalarCenterReport,
@@ -48,7 +47,6 @@ CASES = {
     Matrix: (lambda: Matrix([[1, 0]]), lambda: Matrix([[0, 1]])),
     SolveResult: (lambda: SolveResult("affine", (1, 0), [(0, 1)]),
                   lambda: SolveResult("affine", (1, 0), [(0, 2)])),
-    BilinearForm: (lambda: BilinearForm(Matrix([[2]])), lambda: BilinearForm(Matrix([[3]]))),
     FormReport: (lambda: FormReport(True, False, True, kernel_witness=(1, 0)),
                  lambda: FormReport(True, False, True, kernel_witness=(0, 1))),
     ScalarCenterReport: (lambda: ScalarCenterReport(True, 1, 2, True, "ok"),
@@ -58,8 +56,7 @@ CASES = {
     DualModule: (lambda: DualModule((Matrix([[-1]]),), Matrix([[1]])),
                  lambda: DualModule((Matrix([[-1]]),), Matrix([[2]]))),
     StandardPentad: (gl1_scalar, lambda: StandardPentad(
-        family("gl", 1), scalar_rep(), DualModule((Matrix([[-1]]),), Matrix([[2]])),
-        BilinearForm(Matrix([[1]])))),
+        scalar_rep(), DualModule((Matrix([[-1]]),), Matrix([[2]])), Matrix([[1]]))),
     AxiomFailure: (lambda: AxiomFailure("form_symmetric", (0, 1), "d"),
                    lambda: AxiomFailure("form_symmetric", (1, 0), "d")),
     ValidationReport: (lambda: ValidationReport(True, (), ("n",)),
