@@ -131,7 +131,10 @@ def resolve(spec: str) -> CatalogEntry:
         parts = [a.strip() for a in args.split(",")]
         if not all(_PARAM_RE.fullmatch(a) for a in parts):
             raise CatalogError(f"parameters of {name!r} must be integers")
-        params = tuple(map(int, parts))
+        try:
+            params = tuple(map(int, parts))
+        except ValueError as exc:  # more digits than Python's int() reads
+            raise CatalogError(f"cannot read the parameters of {name!r}: {exc}") from None
     if len(params) > len(defaults):
         raise CatalogError(f"{name!r} takes at most {len(defaults)} parameter(s)")
     return CatalogEntry(name, params, builder, description)

@@ -67,7 +67,7 @@ def _load_pentad(args) -> StandardPentad:
         raise _InputError({"error": f"cannot read {args.pentad}: {exc}"}) from exc
     except UnicodeDecodeError as exc:
         raise _InputError({"error": f"{args.pentad} is not valid UTF-8: {exc}"}) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise _InputError({"error": f"{args.pentad} is not valid JSON: {exc}"}) from exc
     try:
         return pentad_from_json(raw)

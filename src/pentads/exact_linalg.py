@@ -15,9 +15,9 @@ dense grid is derived only to print or to test.
 All elimination is one sparse echelon, :func:`sparse_row_space_basis`: a
 fraction-free pass over sparse integer rows that returns the reduced row
 echelon form (RREF) of their span, dividing only at the end, once per entry
-of the result.  rref, kernel_basis (sparse_kernel_basis by nonzeros), solve,
-solve_multi and inverse only read that RREF.  A solve echelons [A | b] once:
-its pivot rows give the particular solution and the kernel of A together.
+of the result.  rref and kernel_basis (sparse_kernel_basis by nonzeros) read
+that RREF; solve, solve_multi and inverse share one reader of the RREF of
+[A | B], which gives each column's particular solution by its nonzeros.
 The engine's forward step, :func:`echelon_add`, also runs alone: rank counts
 the rows it keeps, and it grows a span one row at a time where a caller must
 know whether each new row enlarges it (the generating set of a Lie algebra).
@@ -359,62 +359,59 @@ class SolveResult(NamedTuple):
     kernel: list[Vec]
 
 
-def solve(a: Matrix, b: Sequence[Q]) -> SolveResult:
-    """Solve a @ x = b exactly, classifying the solution set.
-
-    One echelon of [a | b]: a pivot in the last column means no solution;
-    otherwise the pivot rows, read without that column, are the RREF of a,
-    so they give the kernel, and their last entries the particular solution.
-    """
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length does not match row count")
-    ncols = a.cols
-    basis = sparse_row_space_basis(row + ((ncols, qof(x)),)
-                                   for row, x in zip(a.nonzeros, b))
-    if basis and basis[-1][0][0] == ncols:
-        return SolveResult("none", None, [])
-    x: list[Q] = [0] * ncols
-    for row in basis:
-        j, c = row[-1]
-        if j == ncols:
-            x[row[0][0]] = c
-    ker = [dense_vec(v, ncols) for v in _kernel_of_rref(basis, ncols)]
-    return SolveResult("affine" if ker else "unique", tuple(x), ker)
-
-
-def solve_multi(a: Matrix, rhs: Matrix) -> list[Vec | None]:
-    """Particular solutions of a @ x = rhs[:, j] for each column j.
-
-    One echelon of [a | rhs] for all right-hand sides.  Each solution has
-    free variables set to zero; None marks an inconsistent column, one that
-    a pivot row of the rhs block involves.
-    """
-    if rhs.rows != a.rows:
-        raise ValueError("right-hand side row count does not match")
+def _solutions(a: Matrix, rhs_rows: Iterable[SparseVec], width: int) -> tuple[list, list]:
+    """Echelon [a | rhs] once (rhs by its rows of nonzeros, width columns)
+    and read it: the RREF rows, and per rhs column the particular solution
+    of a @ x = that column by nonzeros, ascending with free variables zero,
+    or None when a pivot row of the rhs block involves the column."""
     ncols = a.cols
     basis = sparse_row_space_basis(chain(ar, ((ncols + j, x) for j, x in br))
-                                   for ar, br in zip(a.nonzeros, rhs.nonzeros))
-    sols: list[list[Q]] = [[0] * ncols for _ in range(rhs.cols)]
-    bad = set()
+                                   for ar, br in zip(a.nonzeros, rhs_rows))
+    sols: list[list[tuple[int, Q]] | None] = [[] for _ in range(width)]
     for row in basis:
         lead = row[0][0]
         for j, x in row:
             if j >= ncols:
-                if lead >= ncols:
-                    bad.add(j - ncols)
+                if lead < ncols:
+                    sols[j - ncols].append((lead, x))
                 else:
-                    sols[j - ncols][lead] = x
-    return [None if j in bad else tuple(x) for j, x in enumerate(sols)]
+                    sols[j - ncols] = None
+    return basis, sols
+
+
+def solve(a: Matrix, b: Sequence[Q]) -> SolveResult:
+    """Solve a @ x = b exactly, classifying the solution set.
+
+    One echelon of [a | b]: when b is consistent the pivot rows, read
+    without the last column, are the RREF of a, so they give the kernel.
+    """
+    if len(b) != a.rows:
+        raise ValueError("right-hand side length does not match row count")
+    basis, (x,) = _solutions(a, (((0, qof(c)),) for c in b), 1)
+    if x is None:
+        return SolveResult("none", None, [])
+    ker = [dense_vec(v, a.cols) for v in _kernel_of_rref(basis, a.cols)]
+    return SolveResult("affine" if ker else "unique", dense_vec(x, a.cols), ker)
+
+
+def solve_multi(a: Matrix, rhs: Matrix) -> list[Vec | None]:
+    """Particular solutions of a @ x = rhs[:, j] for each column j, from
+    one echelon of [a | rhs]: free variables set to zero, None for an
+    inconsistent column."""
+    if rhs.rows != a.rows:
+        raise ValueError("right-hand side row count does not match")
+    return [None if x is None else dense_vec(x, a.cols)
+            for x in _solutions(a, rhs.nonzeros, rhs.cols)[1]]
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises on singular input."""
+    """Exact inverse of a square matrix, read by nonzeros; raises on singular input."""
     if m.rows != m.cols:
         raise ValueError("only square matrices have inverses")
-    cols = solve_multi(m, Matrix.identity(m.rows))
-    if any(c is None for c in cols):
+    cols = _solutions(m, Matrix.identity(m.rows).nonzeros, m.rows)[1]
+    if None in cols:
         raise ValueError("matrix is singular")
-    return Matrix.from_nonzeros((sparse_row(dict(enumerate(c))) for c in cols), m.rows).transpose()
+    return Matrix.from_nonzeros(cols, m.rows).transpose()
 
 
 def _sparse_int_row(row: Iterable[tuple[int, Q]]) -> dict[int, int]:
@@ -488,7 +485,7 @@ def sparse_row_space_basis(rows: Iterable[Iterable[tuple[int, Q]]]) -> list[Spar
     # row clears every lower pivot at once.
     for idx in range(len(leads) - 2, -1, -1):
         r = echelon[leads[idx]]
-        hits = [L for L in leads[idx + 1:] if L in r]
+        hits = sorted(L for L in r if L > leads[idx] and L in echelon)
         if not hits:
             continue
         for L in hits:

@@ -150,6 +150,39 @@ class TestInvalidInput:
         assert "Traceback" not in proc.stderr
         assert "pairing is singular" in json.loads(proc.stdout)["error"]
 
+    MALFORMED_FILES = {
+        # past the JSON decoder's recursion limit
+        "deep": lambda path: path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8"),
+        # past Python's limit on the digits of an int literal
+        "long-int": lambda path: path.write_text('{"algebra": ' + "9" * 5000 + "}",
+                                                 encoding="utf-8"),
+        "not-utf8": lambda path: path.write_bytes(b'{"algebra": "\xff"}'),
+        "not-json": lambda path: path.write_text("not json{", encoding="utf-8"),
+        "missing": lambda path: None,
+        "directory": lambda path: path.mkdir(),
+    }
+    PENTAD_COMMANDS = [["check"], ["phi", "--v", "1", "--dual", "1"], ["grading-element"],
+                       ["generic-point"], ["sl2"], ["regularity"], ["graded-dims"]]
+
+    @pytest.mark.parametrize("kind", MALFORMED_FILES)
+    @pytest.mark.parametrize("command", PENTAD_COMMANDS, ids=lambda c: c[0])
+    def test_malformed_file_sweep(self, tmp_path, command, kind):
+        path = tmp_path / "pentad.json"
+        self.MALFORMED_FILES[kind](path)
+        proc = run_process(command[0], "--pentad", str(path), *command[1:])
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert list(json.loads(proc.stdout)) == ["error"]
+
+    def test_unreadable_catalog_parameter(self):
+        proc = run_process("check", "--example", f"gl1_so_vector({'9' * 5000})")
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert json.loads(proc.stdout)["error"].startswith(
+            "cannot read the parameters of 'gl1_so_vector': ")
+        # a parameter at the limit still reads, and the bound refuses it
+        proc = run_process("check", "--example", f"gl1_so_vector({'9' * 4300})")
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert json.loads(proc.stdout) == {"error": "gl1_so_vector needs m <= 96"}
+
     @pytest.mark.parametrize("command", ["check", "regularity"])
     def test_non_homomorphic_action(self, tmp_path, command):
         # so(3)'s first two action matrices swapped in gl1_so_vector(3): the

@@ -483,6 +483,23 @@ class TestEngineWorkCounts:
         assert grading_element(p).status == "found"
         assert reads == []
 
+    def test_inverse_builds_no_dense_grid(self, monkeypatch):
+        # 2I + C for the cyclic shift C: invertible (its eigenvalues are
+        # 2 + w for the n-th roots of unity w), with 2n nonzeros and an
+        # inverse of n^2.  inverse must read the solved columns by their
+        # nonzeros, neither through solve_multi nor through a dense vector.
+        n = 240
+        m = Matrix.from_nonzeros(
+            (tuple(sorted([(i, 2), ((i + 1) % n, 1)])) for i in range(n)), n)
+
+        def refuse(*args):
+            raise AssertionError("inverse built a dense grid")
+
+        monkeypatch.setattr(exact_linalg, "solve_multi", refuse)
+        monkeypatch.setattr(exact_linalg, "dense_vec", refuse)
+        inv = exact_linalg.inverse(m)
+        assert m @ inv == inv @ m == Matrix.identity(n)
+
 
 def count_calls(monkeypatch, home, name):
     """Record each call of home.name, patched wherever a pentads module
