@@ -6,6 +6,9 @@ fixed, and every scalar is exact.  Exit status 0 means the answer was
 computed (negative verdicts included), 1 means the input failed to load
 or validate (the document says why), 2 means the invocation itself was
 malformed.
+
+A command imports the modules it alone needs (catalog, graded, preh) when it
+runs, so each process compiles only the code its command uses.
 """
 
 from __future__ import annotations
@@ -14,13 +17,10 @@ import argparse
 import json
 import sys
 
-from .catalog import CatalogError, catalog, resolve
 from .exact_linalg import Vec, qof
-from .graded import check_grading, check_minimality, extend, grading_element
 from .lie import LieAlgebraError
-from .pentad import PentadError, StandardPentad, ValidationReport, check_standard
-from .preh import (GradingElementError, ScalarCenterError, decide_regularity,
-                   find_generic, sl2_partner, verify_certificate)
+from .pentad import (PentadError, StandardPentad, ValidationReport, check_standard,
+                     grading_element)
 from .serialize import (SerializationError, dumps, pentad_from_json,
                         vector_to_json, verdict_from_json, verdict_to_json)
 
@@ -56,6 +56,7 @@ def _report_json(rep: ValidationReport) -> dict:
 
 def _load_pentad(args) -> StandardPentad:
     if args.example is not None:
+        from .catalog import CatalogError, resolve
         try:
             return resolve(args.example).build()
         except CatalogError as exc:
@@ -132,6 +133,7 @@ def cmd_grading_element(args) -> int:
 
 
 def cmd_generic_point(args) -> int:
+    from .preh import find_generic
     p = _sampled_pentad(args)
     search = find_generic(p, attempts=args.attempts, seed=args.seed)
     _emit({
@@ -147,6 +149,7 @@ def cmd_generic_point(args) -> int:
 
 
 def cmd_sl2(args) -> int:
+    from .preh import find_generic, sl2_partner
     p = _sampled_pentad(args)
     h = _grading_or_fail(p)
     out = {"h0": vector_to_json(h.coords), "search": None,
@@ -176,6 +179,7 @@ def cmd_sl2(args) -> int:
 
 
 def cmd_regularity(args) -> int:
+    from .preh import GradingElementError, ScalarCenterError, decide_regularity, verify_certificate
     p = _sampled_pentad(args)
     try:
         verdict = decide_regularity(p, attempts=args.attempts, seed=args.seed)
@@ -192,6 +196,7 @@ def cmd_regularity(args) -> int:
 
 
 def cmd_graded_dims(args) -> int:
+    from .graded import check_grading, check_minimality, extend
     if args.max_degree < 1:
         raise _InputError({"error": "--max-degree must be at least 1"})
     if args.max_degree > 10000:  # the dims document lists every degree up to the bound
@@ -209,6 +214,7 @@ def cmd_graded_dims(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .catalog import catalog
     entries = []
     for entry in catalog():
         p = entry.build()

@@ -47,77 +47,17 @@ from .exact_linalg import (
     qnorm,
     ratio,
     row_space_basis,  # noqa: F401  (perfbench's tracer patches this name here)
-    solve,
     solve_multi,
     sparse_row_space_basis,
 )
 from .lie import unit_coords
 from .pentad import StandardPentad
+# the grading element's names, kept here for perfbench's tracer and the tests
+from .pentad import GradingElement, GradingElementResult, grading_element  # noqa: F401
 
 
 class DegreeError(ValueError):
     pass
-
-
-class GradingElement(NamedTuple):
-    """Coordinates of the algebra element acting as the degree on each piece:
-    centrally on degree 0, by 2 on the module, by -2 on the dual."""
-
-    coords: Vec
-
-
-class GradingElementResult(NamedTuple):
-    status: str  # "found" | "absent" | "degenerate"
-    element: GradingElement | None
-    solution_space: tuple[Vec, ...]
-
-
-def grading_element(p: StandardPentad) -> GradingElementResult:
-    """Solve the joint linear system for the grading element.
-
-    Unknown g in algebra coordinates; equations: [g, b_j] = 0 for every
-    basis element, pi(g) = 2 Id, and pi*(g) = -2 Id.  The dual rows are
-    implied by the others for compatible pentads but keeping them makes the
-    result meaningful on broken input too.
-
-    The commutation rows are solved once, by the algebra's center: g = K z
-    with K the canonical center basis (as columns) and z in Q^(dim z(g)),
-    so only the action rows remain, as the system A K z = (2 Id, -2 Id) in
-    z, one row per matrix cell and side; an empty cell stays as the
-    equation 0 = +-2 on the diagonal and is left out off it, where it reads
-    0 = 0.  Lifting through K gives exactly the canonical answer of the
-    full system [C; A] g = (0, 2 Id, -2 Id).  K is the identity on the
-    free columns F of C, and a kernel vector K_f is zero past its own free
-    column F_f.  So the full system's pivots are C's pivots plus F_j for
-    each pivot j of A K, its solution set is K times the small one, and a
-    solution that vanishes on the full system's free columns is K times
-    one that vanishes on the small system's: the canonical particular
-    solution and the kernel basis are K times those of the small system.
-    """
-    m = p.module_dim
-    center = p.algebra.center
-    rows: list[SparseVec] = []
-    rhs: list[Q] = []
-    for action, lam in ((p.rep.action, 2), (p.dual.action, -2)):
-        images = Matrix.from_nonzeros(
-            (linear_combination(z, action).flat_nonzeros() for z in center), m * m)
-        for cell, row in enumerate(images.transpose().nonzeros):
-            diagonal = cell % (m + 1) == 0
-            if row or diagonal:
-                rows.append(row)
-                rhs.append(lam if diagonal else 0)
-    res = solve(Matrix.from_nonzeros(rows, len(center)), tuple(rhs))
-    if res.status == "none":
-        return GradingElementResult("absent", None, ())
-
-    def lift(z: Vec) -> Vec:
-        return tuple(qnorm(sum(zf * k[i] for zf, k in zip(z, center)))
-                     for i in range(p.algebra.dim))
-
-    element = GradingElement(lift(res.solution))
-    if res.status == "affine":
-        return GradingElementResult("degenerate", element, tuple(map(lift, res.kernel)))
-    return GradingElementResult("found", element, ())
 
 
 class _Half:

@@ -4,7 +4,8 @@ A standard pentad bundles a representation of an algebra, a dual module with
 an invertible pairing, and the Gram matrix of a nondegenerate invariant form.
 The Phi-map sends a module vector and a dual vector to the unique algebra
 element representing their matrix coefficient through the form; it is the
-bracket U x dual(U) -> g of the graded algebra built downstream.
+bracket U x dual(U) -> g of the graded algebra built downstream.  The grading
+element (central, 2 on the module, -2 on the dual) is solved here for preh and graded.
 
 The homomorphism axiom is checked once, when a Representation is
 constructed, on the pairs that involve the algebra's generating set, so
@@ -31,15 +32,19 @@ from .exact_linalg import (
     Frozen,
     Matrix,
     Q,
+    SparseVec,
     Vec,
     check_length,
     cleared,
     inverse,
     kernel_basis,
     kronecker,
+    linear_combination,
     linear_combination_apply,
+    qnorm,
     qstr,
     ratio,
+    solve,
 )
 from .lie import MatrixLieAlgebra, check_form, commutator_row, direct_sum
 
@@ -311,6 +316,67 @@ class PhiMap:
         denom = self.denominator * dv * dphi
         return tuple(ratio(x, denom)
                      for x in linear_combination_apply(v, self.module_slices, phi))
+
+
+class GradingElement(NamedTuple):
+    """Coordinates of the algebra element acting as the degree on each piece:
+    centrally on degree 0, by 2 on the module, by -2 on the dual."""
+
+    coords: Vec
+
+
+class GradingElementResult(NamedTuple):
+    status: str  # "found" | "absent" | "degenerate"
+    element: GradingElement | None
+    solution_space: tuple[Vec, ...]
+
+
+def grading_element(p: StandardPentad) -> GradingElementResult:
+    """Solve the joint linear system for the grading element.
+
+    Unknown g in algebra coordinates; equations: [g, b_j] = 0 for every
+    basis element, pi(g) = 2 Id, and pi*(g) = -2 Id.  The dual rows are
+    implied by the others for compatible pentads but keeping them makes the
+    result meaningful on broken input too.
+
+    The commutation rows are solved once, by the algebra's center: g = K z
+    with K the canonical center basis (as columns) and z in Q^(dim z(g)),
+    so only the action rows remain, as the system A K z = (2 Id, -2 Id) in
+    z, one row per matrix cell and side; an empty cell stays as the
+    equation 0 = +-2 on the diagonal and is left out off it, where it reads
+    0 = 0.  Lifting through K gives exactly the canonical answer of the
+    full system [C; A] g = (0, 2 Id, -2 Id).  K is the identity on the
+    free columns F of C, and a kernel vector K_f is zero past its own free
+    column F_f.  So the full system's pivots are C's pivots plus F_j for
+    each pivot j of A K, its solution set is K times the small one, and a
+    solution that vanishes on the full system's free columns is K times
+    one that vanishes on the small system's: the canonical particular
+    solution and the kernel basis are K times those of the small system.
+    """
+    m = p.module_dim
+    center = p.algebra.center
+    rows: list[SparseVec] = []
+    rhs: list[Q] = []
+    for action, lam in ((p.rep.action, 2), (p.dual.action, -2)):
+        images = Matrix.from_nonzeros(
+            (linear_combination(z, action).flat_nonzeros() for z in center), m * m)
+        for cell, row in enumerate(images.transpose().nonzeros):
+            diagonal = cell % (m + 1) == 0
+            if row or diagonal:
+                rows.append(row)
+                rhs.append(lam if diagonal else 0)
+    res = solve(Matrix.from_nonzeros(rows, len(center)), tuple(rhs))
+    if res.status == "none":
+        return GradingElementResult("absent", None, ())
+
+    def lift(z: Vec) -> Vec:
+        return tuple(qnorm(sum(zf * k[i] for zf, k in zip(z, center)))
+                     for i in range(p.algebra.dim))
+
+    element = GradingElement(lift(res.solution))
+    if res.status == "affine":
+        return GradingElementResult("degenerate", element, tuple(map(lift, res.kernel)))
+    return GradingElementResult("found", element, ())
 
 
 def random_int_vector(rng: random.Random, n: int) -> Vec:

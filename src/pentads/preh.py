@@ -38,9 +38,8 @@ from .exact_linalg import (
     solve,
     vec_scale,
 )
-from .graded import GradingElement, grading_element
 from .lie import scalar_center_report, unit_coords
-from .pentad import StandardPentad, random_int_vector
+from .pentad import GradingElement, StandardPentad, grading_element, random_int_vector
 
 
 class ScalarCenterError(ValueError):

@@ -15,7 +15,6 @@ import json
 from .exact_linalg import Matrix, Q, Vec, qof, qstr
 from .lie import build_algebra, trace_form
 from .pentad import DualModule, Representation, StandardPentad, dual_representation
-from .preh import RegularityVerdict
 
 
 class SerializationError(ValueError):
@@ -162,6 +161,7 @@ _OUTCOMES = ("Regular", "NotRegular", "Inconclusive")
 
 
 def verdict_from_json(obj) -> RegularityVerdict:
+    from .preh import RegularityVerdict  # only certificate readers load preh
     _require_keys(obj, ("outcome", "H0", "X", "Y", "ranks", "witness", "seed"),
                   ("attempts", "form"), "a certificate")
     if obj["outcome"] not in _OUTCOMES:

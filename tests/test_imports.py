@@ -17,10 +17,13 @@ be listed in pentads.__all__, or be named in perfbench/tracer.py.
 
 Every process pays for what importing pentads pulls in, so a test also
 keeps dataclasses (with inspect, ast, dis and tokenize behind it) out of a
-fresh `import pentads.cli`.
+fresh `import pentads.cli`, and others pin which pentads modules each
+entry point loads and that the lazy package serves each exported name from
+its home module.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -212,10 +215,65 @@ def test_the_check_sees_unnamed_public_names():
     assert unnamed_public(sources, {"exported"}) == ["Dead", "dead"]
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    code = "import sys, pentads.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def run_fresh(code):
+    """Stdout of code run in a fresh interpreter that imports pentads from src."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60)
-    assert out.stdout == "[]\n", out.stderr
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    code = "import sys, pentads.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert run_fresh(code) == "[]\n"
+
+
+# What each entry point leaves in sys.modules: a process compiles only what it runs.
+COMMON = {"exact_linalg", "lie", "pentad", "serialize"}
+FOOTPRINTS = [
+    ("import pentads", set()),
+    ("from pentads import extend, resolve", {"exact_linalg", "lie", "pentad", "graded", "catalog"}),
+    ("check --pentad F", COMMON | {"cli"}),
+    ("regularity --verify-certificate --pentad F", COMMON | {"cli", "preh"}),
+    ("graded-dims --example gl1_so_vector(3)", COMMON | {"cli", "catalog", "graded"}),
+]
+
+
+@pytest.mark.parametrize("entry, loaded", FOOTPRINTS, ids=[e for e, _ in FOOTPRINTS])
+def test_each_entry_point_loads_only_what_it_runs(tmp_path, entry, loaded):
+    from pentads.catalog import resolve
+    from pentads.serialize import dumps, pentad_to_json
+    path = tmp_path / "pentad.json"
+    path.write_text(dumps(pentad_to_json(resolve("gl1_so_vector(3)").build())), encoding="utf-8")
+    if not entry.startswith(("import", "from")):
+        argv = [str(path) if a == "F" else a for a in entry.split()]
+        entry = f"from pentads.cli import main\nassert main({argv!r}) == 0"
+    out = run_fresh(entry + "\nimport sys\n"
+                    "print(sorted(m for m in sys.modules if m.startswith('pentads')))")
+    assert out.splitlines()[-1] == repr(sorted({"pentads"} | {f"pentads.{m}" for m in loaded}))
+
+
+def test_package_names_read_through_to_their_home_modules(monkeypatch):
+    assert set(pentads.__all__) == set(pentads._HOME)
+    assert set(pentads.__all__) <= set(dir(pentads))
+    # loading the submodule catalog leaves the package serving the function catalog
+    assert pentads.catalog is importlib.import_module("pentads.catalog").catalog
+    for name in pentads.__all__:
+        home = importlib.import_module(f"pentads.{pentads._HOME[name]}")
+        assert getattr(pentads, name) is getattr(home, name), name
+        patched = object()
+        monkeypatch.setattr(home, name, patched)
+        assert getattr(pentads, name) is patched, name
+    with pytest.raises(AttributeError, match="'pentads' has no attribute 'no_such_name'"):
+        pentads.no_such_name
+
+
+def test_star_import_binds_every_exported_name():
+    code = ("from importlib import import_module\n"
+            "import pentads\n"
+            "from pentads import *\n"
+            "print([n for n in pentads.__all__ if globals()[n] is not getattr(\n"
+            "    import_module('pentads.' + pentads._HOME[n]), n)])")
+    assert run_fresh(code) == "[]\n"

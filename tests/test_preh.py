@@ -5,7 +5,7 @@ from functools import cache, cached_property
 
 import pytest
 
-from pentads import cli, exact_linalg, graded, lie, pentad, preh
+from pentads import cli, exact_linalg, lie, pentad, preh
 from pentads.catalog import resolve
 from pentads.exact_linalg import Matrix, is_zero_vec, kernel_basis, qof, qstr, rank
 from pentads.graded import GradingElement, grading_element
@@ -465,7 +465,7 @@ class TestEngineWorkCounts:
 
         monkeypatch.setattr(exact_linalg, "sparse_row_space_basis", counting_engine)
         monkeypatch.setattr(preh, "solve", counting_solve)
-        monkeypatch.setattr(graded, "solve", counting_solve)
+        monkeypatch.setattr(pentad, "solve", counting_solve)
         v = decide_regularity(p)
         assert verify_certificate(p, v) is True
         # two grading-element solves (decide and verify) and the dual partner
