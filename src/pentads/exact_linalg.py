@@ -33,8 +33,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from itertools import chain
-from typing import Iterable, NamedTuple, Sequence, Union
+from itertools import chain, compress
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 Q = Union[int, Fraction]
 Vec = tuple[Q, ...]
@@ -178,7 +178,11 @@ class Matrix(Frozen):
     def flat_nonzeros(self) -> SparseVec:
         """The nonzeros of the row-major flattening, ascending."""
         n = self.cols
-        return tuple((i * n + j, x) for i, row in enumerate(self.nonzeros) for j, x in row)
+        return tuple((i * n + j, x) for i, row in self.nonempty() for j, x in row)
+
+    def nonempty(self) -> Iterator[tuple[int, SparseVec]]:
+        """(i, row i) for the nonempty rows, the empty ones skipped in C."""
+        return compress(enumerate(self.nonzeros), self.nonzeros)
 
     def is_zero(self) -> bool:
         return not any(self.nonzeros)
@@ -203,18 +207,18 @@ class Matrix(Frozen):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape()} @ {other.shape()}")
         brows = other.nonzeros
-        out = []
-        for arow in self.nonzeros:
+        out: list[SparseVec] = [()] * self.rows
+        for r, arow in self.nonempty():
             acc: dict[int, Q] = {}
             for k, a in arow:
                 for j, b in brows[k]:
                     acc[j] = acc.get(j, 0) + a * b
-            out.append(sparse_row(acc))
+            out[r] = sparse_row(acc)
         return Matrix.from_nonzeros(out, other.cols)
 
     def transpose(self) -> "Matrix":
         out: list[list[tuple[int, Q]]] = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.nonzeros):
+        for i, row in self.nonempty():
             for j, x in row:
                 out[j].append((i, x))
         return Matrix.from_nonzeros(map(tuple, out), self.rows)
@@ -240,15 +244,17 @@ def linear_combination(coeffs: Sequence[Q], mats: Sequence[Matrix]) -> Matrix:
     matrix of the common shape when every coefficient is zero."""
     _check_count(coeffs, mats)
     rows, cols = mats[0].shape()
-    acc: list[dict[int, Q]] = [{} for _ in range(rows)]
+    acc: dict[int, dict[int, Q]] = {}
     for c, m in zip(coeffs, mats):
         if c:
             if m.shape() != (rows, cols):
                 raise ValueError(f"shape mismatch: {m.shape()} vs {(rows, cols)}")
-            for out, row in zip(acc, m.nonzeros):
+            for r, row in m.nonempty():
+                out = acc.setdefault(r, {})
                 for j, x in row:
                     out[j] = out.get(j, 0) + c * x
-    return Matrix.from_nonzeros(map(sparse_row, acc), cols)
+    return Matrix.from_nonzeros([sparse_row(acc[r]) if r in acc else () for r in range(rows)],
+                                cols)
 
 
 def linear_combination_apply(coeffs: Sequence[Q], mats: Sequence[Matrix],
@@ -261,7 +267,7 @@ def linear_combination_apply(coeffs: Sequence[Q], mats: Sequence[Matrix],
     acc: list[Q] = [0] * mats[0].rows
     for c, m in zip(coeffs, mats):
         if c:
-            for r, row in enumerate(m.nonzeros):
+            for r, row in m.nonempty():
                 for j, x in row:
                     vj = v[j]
                     if vj:
@@ -290,8 +296,8 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; row-major, so kron(A, I) acts blockwise on the left."""
     n = b.cols
     return Matrix.from_nonzeros(
-        (tuple((i * n + j, qnorm(x * y)) for i, x in arow for j, y in brow)
-         for arow in a.nonzeros for brow in b.nonzeros), a.cols * n)
+        (tuple((i * n + j, qnorm(x * y)) for i, x in arow for j, y in brow) if arow and brow
+         else () for arow in a.nonzeros for brow in b.nonzeros), a.cols * n)
 
 
 def rank(m: Matrix) -> int:

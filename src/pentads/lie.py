@@ -15,6 +15,8 @@ bases, entry for entry.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -139,16 +141,28 @@ def unit_coords(dim: int, j: int) -> Vec:
     return tuple(1 if i == j else 0 for i in range(dim))
 
 
-def commutator_row(a: Sequence[SparseVec], b: Sequence[SparseVec], r: int) -> dict[int, Q]:
-    """Row r of ab - ba from a.nonzeros and b.nonzeros; it may hold zeros."""
+def commutator(a: dict[int, SparseVec], b: dict[int, SparseVec], n: int) -> dict[int, Q]:
+    """ab - ba by flat index r n + c, from dict(m.nonempty()) of each; it may hold zeros."""
     acc: dict[int, Q] = {}
-    for c, x in a[r]:
-        for t, y in b[c]:
-            acc[t] = acc.get(t, 0) + x * y
-    for c, x in b[r]:
-        for t, y in a[c]:
-            acc[t] = acc.get(t, 0) - x * y
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for r, row in x.items():
+            for c, u in row:
+                for t, v in y.get(c, ()):
+                    acc[r * n + t] = acc.get(r * n + t, 0) + sign * u * v
     return acc
+
+
+def index_partners(mats: Sequence[dict[int, SparseVec]]) -> list[set[int]]:
+    """For each matrix i, given by dict(m.nonempty()), the j > i sharing an
+    index with it (a column of one is a nonempty row of the other; other
+    pairs have ab = ba = 0), at the cost of the pairs found, not d(d-1)/2."""
+    keys = [set(m).union(~c for row in m.values() for c, _ in row) for m in mats]
+    on: defaultdict[int, list[int]] = defaultdict(list)  # row r: key r, column c: key ~c
+    for i, ks in enumerate(keys):
+        for key in ks:
+            on[key].append(i)
+    return [set().union(*(on[~k][bisect_right(on[~k], i):] for k in ks))
+            for i, ks in enumerate(keys)]
 
 
 def build_algebra(ambient_size: int, basis: Sequence[Matrix]) -> MatrixLieAlgebra:
@@ -159,7 +173,7 @@ def build_algebra(ambient_size: int, basis: Sequence[Matrix]) -> MatrixLieAlgebr
     span, so the basis is independent exactly when all pivots lie in the
     first block.  A flattened commutator v then has the coordinates
     v[pivots] . E, and it lies in the span exactly when v - v[pivots] . R
-    vanishes.
+    vanishes.  Only the pairs that share an index are bracketed, in order.
     """
     basis = tuple(basis)
     n = ambient_size
@@ -178,36 +192,29 @@ def build_algebra(ambient_size: int, basis: Sequence[Matrix]) -> MatrixLieAlgebr
     r_rest = [[(c, x) for c, x in row[1:] if c < nn] for row in echelon]
     e_rows = [[(c - nn, x) for c, x in row if c >= nn] for row in echelon]
 
-    rows = [b.nonzeros for b in basis]
-    # a commutator row is empty where both factors' rows are
-    occupied = [{r for r, row in enumerate(m) if row} for m in rows]
-    # ab = 0 when no column of a meets a row of b; a pair with ab = ba = 0
-    # commutes, so its entry stays () and its closure holds
-    columns = [{c for row in m for c, _ in row} for m in rows]
+    maps = [dict(b.nonempty()) for b in basis]
     table: list[list[SparseVec]] = [[()] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            if columns[i].isdisjoint(occupied[j]) and columns[j].isdisjoint(occupied[i]):
-                continue
+    for i, partners in enumerate(index_partners(maps)):
+        for j in sorted(partners):
             residual: dict[int, Q] = {}
             coords: dict[int, Q] = {}
-            for r in occupied[i] | occupied[j]:
-                for c, t in commutator_row(rows[i], rows[j], r).items():
-                    col = r * n + c
-                    idx = pivot_row.get(col)
-                    if idx is None:
-                        residual[col] = residual.get(col, 0) + t
-                    elif t:
-                        for c2, x in r_rest[idx]:
-                            residual[c2] = residual.get(c2, 0) - t * x
-                        for k, x in e_rows[idx]:
-                            coords[k] = coords.get(k, 0) + t * x
+            for col, t in commutator(maps[i], maps[j], n).items():
+                idx = pivot_row.get(col)
+                if idx is None:
+                    residual[col] = residual.get(col, 0) + t
+                elif t:
+                    for c2, x in r_rest[idx]:
+                        residual[c2] = residual.get(c2, 0) - t * x
+                    for k, x in e_rows[idx]:
+                        coords[k] = coords.get(k, 0) + t * x
             if any(residual.values()):
                 raise NotClosedError(i, j)
             cij = sparse_row(coords)
             table[i][j] = cij
             table[j][i] = tuple((k, -x) for k, x in cij)
-    return MatrixLieAlgebra(ambient_size, basis, tuple(tuple(row) for row in table))
+    for i, row in enumerate(table):  # row by row, so one copy of the table is alive
+        table[i] = tuple(row)
+    return MatrixLieAlgebra(ambient_size, basis, tuple(table))
 
 
 def standard_symplectic_form(n: int) -> Matrix:

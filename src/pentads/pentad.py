@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from itertools import compress
 from math import lcm, prod
 from typing import Iterator, NamedTuple, Sequence
 
@@ -46,7 +47,7 @@ from .exact_linalg import (
     ratio,
     solve,
 )
-from .lie import MatrixLieAlgebra, check_form, commutator_row, direct_sum
+from .lie import MatrixLieAlgebra, check_form, commutator, direct_sum, index_partners
 
 
 class PentadError(ValueError):
@@ -67,29 +68,27 @@ def homomorphism_failures(algebra: MatrixLieAlgebra, action: Sequence[Matrix],
     """The pairs i < j, in order, with [pi(b_i), pi(b_j)] != pi([b_i, b_j]);
     given the ascending indices among, only the pairs with i or j in it.
 
-    Both sides are compared row by row on the nonzeros of the action
-    matrices, with pi([b_i, b_j]) summed over the sparse structure table,
-    on the rows where pi(b_i), pi(b_j) or some pi(b_k) in that sum has a
-    nonzero: both sides are empty on every other row.
+    Only the pairs whose actions share an index (lie.index_partners) or
+    whose structure[i][j] is nonempty are visited, since both sides vanish
+    on the others; each side is a flat dict of nonzeros, pi([b_i, b_j])
+    summed over the sparse structure table.
     """
-    rows = [a.nonzeros for a in action]
-    occupied = [{r for r, row in enumerate(a) if row} for a in rows]
-    n = algebra.dim
+    n, m = algebra.dim, action[0].cols
+    maps = [dict(a.nonempty()) for a in action]
     marked = set(range(n) if among is None else among)
-    for i in range(n):
-        for j in range(i + 1, n) if i in marked else [j for j in among if j > i]:
-            cij = algebra.structure[i][j]
-            touched = occupied[i] | occupied[j]
-            for k, _ in cij:
-                touched |= occupied[k]
-            for r in touched:
-                acc = commutator_row(rows[i], rows[j], r)
-                for k, g in cij:
-                    for t, y in rows[k][r]:
-                        acc[t] = acc.get(t, 0) - g * y
-                if any(acc.values()):
-                    yield (i, j)
-                    break
+    for i, (partners, table_row) in enumerate(zip(index_partners(maps), algebra.structure)):
+        if i in marked:
+            js = partners.union(compress(range(i + 1, n), table_row[i + 1:]))
+        else:
+            js = {j for j in among if j > i and (j in partners or table_row[j])}
+        for j in sorted(js):
+            acc = commutator(maps[i], maps[j], m)
+            for k, g in table_row[j]:
+                for r, row in maps[k].items():
+                    for t, y in row:
+                        acc[r * m + t] = acc.get(r * m + t, 0) - g * y
+            if any(acc.values()):
+                yield (i, j)
 
 
 class Representation(Frozen):
@@ -155,7 +154,9 @@ class DualModule(Frozen):
 
 def dual_representation(rep: Representation, pairing: Matrix | None = None) -> DualModule:
     """Contragredient dual: pi*(a) = -inverse(P) . t(pi(a)) . P; no pairing
-    means the identity."""
+    means the identity.  A product walks its left factor's nonzeros, so P
+    and its inverse stand on the right: -inverse(P) . X is formed as
+    t(t(X) . -t(inverse(P))), as check_standard forms P . d."""
     if pairing is None:
         pairing = Matrix.identity(rep.module_dim)
     if pairing.shape() != (rep.module_dim, rep.module_dim):
@@ -164,9 +165,9 @@ def dual_representation(rep: Representation, pairing: Matrix | None = None) -> D
         p_inv = inverse(pairing)
     except ValueError:
         raise PentadError("pairing is singular; the contragredient dual is not defined") from None
-    return DualModule(
-        tuple((p_inv @ a.transpose() @ pairing).scale(-1) for a in rep.action),
-        pairing)
+    neg_inv_t = p_inv.transpose().scale(-1)
+    return DualModule(tuple(((a.transpose() @ pairing).transpose() @ neg_inv_t).transpose()
+                            for a in rep.action), pairing)
 
 
 class StandardPentad(Frozen):
@@ -242,8 +243,9 @@ def check_standard(p: StandardPentad) -> ValidationReport:
             "pairing kernel contains "
             + "(" + ", ".join(qstr(x) for x in ker[0]) + ")"))
 
+    pairing, pairing_t = p.dual.pairing, p.dual.pairing.transpose()
     for i, (a, d) in enumerate(zip(p.rep.action, p.dual.action)):
-        resid = a.transpose() @ p.dual.pairing + p.dual.pairing @ d
+        resid = a.transpose() @ pairing + (d.transpose() @ pairing_t).transpose()
         if not resid.is_zero():
             r, (c, x) = next((r, row[0]) for r, row in enumerate(resid.nonzeros) if row)
             failures.append(AxiomFailure(

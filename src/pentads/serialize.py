@@ -11,6 +11,7 @@ the contragredient action, the identity pairing, and the trace form.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .exact_linalg import Matrix, Q, Vec, qof, qstr
 from .lie import build_algebra, trace_form
@@ -195,5 +196,28 @@ def verdict_from_json(obj) -> RegularityVerdict:
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, fixed indentation."""
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """Exactly json.dumps(obj, indent=2, sort_keys=True), whose indent turns
+    off json's C encoder: lists, tuples and str-keyed dicts are laid out
+    here, a list of strings in one join; anything else goes to json.dumps."""
+    try:
+        return _write(obj, "\n")
+    except (TypeError, RecursionError):
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _write(obj, newline: str) -> str:
+    """The JSON text of obj, nested at the indentation that newline ends in."""
+    kind, inner = type(obj), newline + "  "
+    if kind in (str, int, bool) or obj is None:
+        return json.dumps(obj)
+    if kind is list or kind is tuple:
+        try:
+            items = ("," + inner).join(map(encode_basestring_ascii, obj))
+        except TypeError:  # not all strings
+            items = ("," + inner).join([_write(x, inner) for x in obj])
+        return "[" + inner + items + newline + "]" if obj else "[]"
+    if kind is dict and all(type(k) is str for k in obj):
+        items = ("," + inner).join([encode_basestring_ascii(k) + ": " + _write(v, inner)
+                                    for k, v in sorted(obj.items())])
+        return "{" + inner + items + newline + "}" if obj else "{}"
+    raise TypeError(f"left to json.dumps: {kind.__name__}")

@@ -10,16 +10,17 @@ the dense row grid that Matrix stored before it stored only nonzeros, with
 a check of the stored form, reads graded action tables densely at every
 pivot, keeps Phi's table as the (i, r, c) triples that the slice matrices
 replaced, with the two loops that contracted it, keeps the all-pairs scans
-that the generating-set checks replaced, the direct sum that shifted its
-factors' structure tables, the center and the grading-element solve over
-every commutation row, the rank read off the full echelon, the JSON matrix
+that the generating-set checks and the shared-index pair enumeration
+replaced (closure included), the direct sum that shifted its factors'
+structure tables, the center and the grading-element solve over every
+commutation row, the rank read off the full echelon, the JSON matrix
 reader and writer that walked every cell, and Witt's dimension formula for
 free Lie algebras.
 """
 
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from math import lcm
 
 from pentads.catalog import matrix_space_example, resolve
@@ -39,7 +40,6 @@ from pentads.exact_linalg import (
 )
 from pentads.lie import (
     MatrixLieAlgebra,
-    commutator_row,
     standard_symplectic_form,
     trace_form,
     unit_coords,
@@ -381,14 +381,38 @@ def shifted_sum(algebras):
 
 # --- All-pairs scans, the reference for the generating-set checks -----------
 
+def _commutator_row(a, b, r):
+    """Row r of ab - ba from a.nonzeros and b.nonzeros; it may hold zeros."""
+    acc = {}
+    for c, x in a[r]:
+        for t, y in b[c]:
+            acc[t] = acc.get(t, 0) + x * y
+    for c, x in b[r]:
+        for t, y in a[c]:
+            acc[t] = acc.get(t, 0) - x * y
+    return acc
+
+
+def all_pairs_closure_failure(basis):
+    """The first pair i < j whose commutator, formed densely, is outside the
+    span of the basis, scanning every pair; None when the span is closed."""
+    stack = Matrix(tuple(b.flat() for b in basis)).transpose()
+    for i, j in combinations(range(len(basis)), 2):
+        bracket = Matrix(grid_sub(dense_matmul(basis[i], basis[j]),
+                                  dense_matmul(basis[j], basis[i])))
+        if solve(stack, grid_flat(bracket)).status == "none":
+            return (i, j)
+    return None
+
+
 def all_pairs_homomorphism_failure(alg, action):
     """The first pair i < j with [pi(b_i), pi(b_j)] != pi([b_i, b_j]),
-    scanning every pair; None when pi is a homomorphism."""
+    scanning every pair and every row; None when pi is a homomorphism."""
     rows = [a.nonzeros for a in action]
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             for r in range(action[0].rows):
-                acc = commutator_row(rows[i], rows[j], r)
+                acc = _commutator_row(rows[i], rows[j], r)
                 for k, g in alg.structure[i][j]:
                     for t, y in rows[k][r]:
                         acc[t] = acc.get(t, 0) - g * y

@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pentads.catalog import catalog, resolve
-from pentads.exact_linalg import (Matrix, dense_vec, is_zero_vec, kernel_basis, qof, rank,
-                                  row_space_basis, solve_multi, sparse_row_space_basis,
+from pentads.exact_linalg import (Matrix, dense_vec, inverse, is_zero_vec, kernel_basis, qof,
+                                  rank, row_space_basis, solve_multi, sparse_row_space_basis,
                                   vec_scale)
 from pentads.lie import (
     FormReport,
@@ -20,6 +20,7 @@ from pentads.lie import (
     classical_basis,
     direct_sum,
     family,
+    index_partners,
     scalar_center_report,
     standard_symplectic_form,
     trace_form,
@@ -28,9 +29,9 @@ from pentads.lie import (
 
 from pentads import lie
 
-from oracles import (all_commutation_rows, all_rows_center, coords_of, dense_center,
-                     dense_derived, dense_trace_product, display_name, matrix_of,
-                     shifted_sum, vec_add)
+from oracles import (all_commutation_rows, all_pairs_closure_failure, all_rows_center,
+                     coords_of, dense_center, dense_derived, dense_trace_product, display_name,
+                     matrix_of, shifted_sum, vec_add)
 
 
 def commutator(a, b):
@@ -575,19 +576,20 @@ class TestSparseStructureMatchesDense:
         assert repr(built.structure) == repr(alg.structure)
 
     def test_build_forms_fewer_commutator_rows(self, monkeypatch):
-        # so(6): 15 basis matrices E_ab - E_ba.  The 60 pairs that share an
-        # index form 3 rows each; the 45 disjoint pairs cannot multiply and
-        # form none (all pairs: 45 * 4 + 60 * 3 = 360 rows).
-        rows, real = [], lie.commutator_row
+        # so(6): 15 basis matrices E_ab - E_ba.  Only the 60 pairs that
+        # share an index are bracketed, one flat commutator each; the 45
+        # disjoint pairs cannot multiply and form none (all pairs: 105).
+        pairs, real = [], lie.commutator
 
-        def counting(a, b, r):
-            rows.append(r)
-            return real(a, b, r)
+        def counting(a, b, n):
+            pairs.append((a, b))
+            return real(a, b, n)
 
-        monkeypatch.setattr(lie, "commutator_row", counting)
+        monkeypatch.setattr(lie, "commutator", counting)
         alg = family("so", 6)
         assert alg.dim == 15
-        assert len(rows) == 180
+        assert len(pairs) == 60
+        assert all(any(real(a, b, 6).values()) for a, b in pairs)
 
     @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
     def test_ad_matrix_columns_are_brackets(self, alg):
@@ -708,3 +710,89 @@ class TestBuildAlgebraDifferential:
         if not mats:
             return
         assert outcome(build_algebra, n, mats) == outcome(dense_structure, n, mats)
+
+
+# --- Pair enumeration against the all-pairs scan ------------------------------
+
+def closure_outcome(ambient_size, basis):
+    """None when build_algebra accepts the basis, else the pair it names."""
+    try:
+        build_algebra(ambient_size, basis)
+    except NotClosedError as exc:
+        return exc.pair
+    return None
+
+
+def independent(basis):
+    return rank(Matrix(tuple(b.flat() for b in basis))) == len(basis)
+
+
+def dense_conjugate(basis, n):
+    """The basis conjugated by Q = I + J (J all ones), whose inverse
+    I - J/(n+1) has no zero entry either, so the matrices fill in."""
+    q = Matrix(tuple(tuple(2 if r == c else 1 for c in range(n)) for r in range(n)))
+    q_inv = inverse(q)
+    return [q_inv @ b @ q for b in basis]
+
+
+def embedded(blocks):
+    """(total size, basis) of the block-diagonal sum of (size, basis)
+    blocks, placed cell by cell."""
+    total = sum(size for size, _ in blocks)
+    out, offset = [], 0
+    for size, basis in blocks:
+        for b in basis:
+            grid = [[0] * total for _ in range(total)]
+            for r, row in enumerate(b.entries):
+                grid[offset + r][offset:offset + size] = row
+            out.append(Matrix(tuple(map(tuple, grid))))
+        offset += size
+    return total, out
+
+
+CONJUGATED_FAMILIES = [("sl", 2), ("so", 3), ("gl", 2), ("sp", 1), ("so", 4)]
+nonzero_bumps = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+class TestPairEnumeration:
+    """build_algebra brackets only the pairs that share an index, in order;
+    the all-pairs scan of oracles.py names the first pair outside the span."""
+
+    @given(small_matrices)
+    def test_random_bases_name_the_reference_pair(self, basis):
+        assume(independent(basis))
+        assert closure_outcome(basis[0].rows, basis) == all_pairs_closure_failure(basis)
+
+    @pytest.mark.parametrize("kind, n", CONJUGATED_FAMILIES)
+    def test_conjugated_dense_bases_pair_everything(self, kind, n):
+        size, basis = classical_basis(kind, n)
+        conj = dense_conjugate(basis, size)
+        d = len(conj)
+        partners = index_partners([dict(b.nonempty()) for b in conj])
+        assert partners == [set(range(i + 1, d)) for i in range(d)]
+        # conjugation is an automorphism, so the structure constants stay
+        assert build_algebra(size, conj).structure == family(kind, n).structure
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CONJUGATED_FAMILIES), st.data())
+    def test_bumped_conjugated_bases_name_the_reference_pair(self, family_params, data):
+        size, basis = classical_basis(*family_params)
+        conj = dense_conjugate(basis, size)
+        k = data.draw(st.integers(0, len(conj) - 1))
+        r, c = (data.draw(st.integers(0, size - 1)) for _ in range(2))
+        conj[k] = conj[k] + e(size, r, c).scale(data.draw(nonzero_bumps))
+        assume(independent(conj))
+        assert closure_outcome(size, conj) == all_pairs_closure_failure(conj)
+
+    def test_block_sum_fails_only_on_its_last_pair(self):
+        # span{E_01, E_10} is not closed ([E_01, E_10] = E_00 - E_11), and
+        # every other pair is closed or in different blocks
+        blocks = [classical_basis("so", 3), classical_basis("gl", 1),
+                  classical_basis("sl", 2), (2, [e(2, 0, 1), e(2, 1, 0)])]
+        total, basis = embedded(blocks)
+        last = (len(basis) - 2, len(basis) - 1)
+        assert all_pairs_closure_failure(basis) == last
+        assert closure_outcome(total, basis) == last
+        with pytest.raises(NotClosedError) as exc:
+            direct_sum(blocks)
+        assert exc.value.pair == last

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentads.catalog import catalog, resolve
-from pentads.exact_linalg import (Matrix, kronecker, linear_combination, linear_combination_apply,
-                                  qnorm, vec_scale)
+from pentads.exact_linalg import (Matrix, inverse, kronecker, linear_combination,
+                                  linear_combination_apply, qnorm, qstr, rank, vec_scale)
 from pentads.lie import (
     LieAlgebraError,
     NotClosedError,
@@ -35,11 +35,16 @@ from pentads.pentad import (
     homomorphism_failures,
 )
 
+from pentads import lie, pentad
+
 from oracles import (
     all_pairs_homomorphism_failure,
+    conjugated,
+    dense_matmul,
     all_pairs_invariance_witness,
     display_name,
     equivariance_failure,
+    grid_add,
     mirror,
     pair,
     rational_matrix_space_pentad,
@@ -452,3 +457,172 @@ class TestGeneratingSetChecks:
         assert all_pairs_homomorphism_failure(p.algebra, p.rep.action) is None
         assert all_pairs_invariance_witness(p.algebra, p.form) is None
         assert check_form(p.algebra, p.form).invariant
+
+
+# --- Pair enumeration of the homomorphism check -------------------------------
+
+def dense_conjugation(m):
+    """Q = I + J (J all ones), with no zero entry in Q or its inverse."""
+    return Matrix(tuple(tuple(2 if r == c else 1 for c in range(m)) for r in range(m)))
+
+
+@st.composite
+def bumped_conjugated_actions(draw):
+    """A small pentad conjugated by a dense Q, so that every pair of action
+    matrices shares an index, with one entry of one action matrix bumped."""
+    p = draw(st.sampled_from(SMALL_PENTADS[:4]))
+    c = conjugated(p, dense_conjugation(p.module_dim))
+    action = list(c.rep.action)
+    i = draw(st.integers(min_value=0, max_value=len(action) - 1))
+    r, col = (draw(st.integers(min_value=0, max_value=p.module_dim - 1)) for _ in range(2))
+    action[i] = bumped(action[i], r, col, draw(bumps))
+    return c.algebra, tuple(action)
+
+
+@st.composite
+def partly_zero_actions(draw):
+    """A small pentad's algebra with a drawn subset of its action matrices
+    set to zero: a zero matrix shares no index with any other, so only a
+    nonempty bracket brings such a pair to the check."""
+    p = draw(st.sampled_from(SMALL_PENTADS))
+    zero = Matrix.zeros(p.module_dim, p.module_dim)
+    keep = draw(st.lists(st.booleans(), min_size=p.algebra.dim, max_size=p.algebra.dim))
+    return p.algebra, tuple(a if k else zero for a, k in zip(p.rep.action, keep))
+
+
+class TestHomomorphismPairEnumeration:
+    """homomorphism_failures visits the pairs whose actions share an index
+    or whose bracket is nonempty; the all-pairs scan of oracles.py names the
+    same first failing pair."""
+
+    @given(partly_zero_actions())
+    @settings(max_examples=60, deadline=None)
+    def test_partly_zero_actions_name_the_reference_pair(self, case):
+        alg, action = case
+        expected = all_pairs_homomorphism_failure(alg, action)
+        every = list(homomorphism_failures(alg, action))
+        assert (every[0] if every else None) == expected
+        if expected is not None:
+            with pytest.raises(HomomorphismError) as exc:
+                Representation(alg, action)
+            assert exc.value.pair == expected
+
+    @given(bumped_conjugated_actions())
+    @settings(max_examples=60, deadline=None)
+    def test_conjugated_dense_actions_name_the_reference_pair(self, case):
+        alg, action = case
+        expected = all_pairs_homomorphism_failure(alg, action)
+        if expected is None:
+            Representation(alg, action)
+        else:
+            with pytest.raises(HomomorphismError) as exc:
+                Representation(alg, action)
+            assert exc.value.pair == expected
+
+    def test_block_sum_fails_only_on_its_last_pair(self):
+        # the last block is the diagonal 2 x 2 matrices, an abelian algebra,
+        # acting by E_00 and E_01: only the last pair breaks the bracket
+        diag = (2, [Matrix([[1, 0], [0, 0]]), Matrix([[0, 0], [0, 1]])])
+        alg = lie.direct_sum([classical_basis("so", 3), classical_basis("gl", 1),
+                              classical_basis("sl", 2), diag])
+        action = list(alg.basis)
+        action[-1] = Matrix.from_nonzeros(((),) * 6 + (((7, 1),), ()), 8)
+        last = (alg.dim - 2, alg.dim - 1)
+        assert all_pairs_homomorphism_failure(alg, action) == last
+        assert list(homomorphism_failures(alg, action)) == [last]
+        with pytest.raises(HomomorphismError) as exc:
+            Representation(alg, tuple(action))
+        assert exc.value.pair == last
+
+
+class TestPairWorkCounts:
+    """How many pairs build_algebra and the homomorphism check bracket on
+    two catalog entries, one flat commutator per pair; a return to all
+    d(d-1)/2 pairs fails here with no timing involved."""
+
+    # spec: (d, built pairs, pairs of the generator scan, pairs of the full scan)
+    COUNTS = {"gl1_so_vector(12)": (67, 660, 231, 726),
+              "matrix_space_example(3)": (25, 102, 159, 189)}
+
+    @pytest.mark.parametrize("spec", sorted(COUNTS))
+    def test_pair_counts(self, spec, monkeypatch):
+        counts = {}
+
+        def counting(home, key):
+            real = home.commutator
+
+            def counted(a, b, n):
+                counts[key] = counts.get(key, 0) + 1
+                return real(a, b, n)
+            monkeypatch.setattr(home, "commutator", counted)
+
+        counting(lie, "build")
+        counting(pentad, "check")
+        p = resolve(spec).build()
+        built, on_generators = counts["build"], counts["check"]
+        counts.clear()
+        assert list(homomorphism_failures(p.algebra, p.rep.action)) == []
+        d = p.algebra.dim
+        assert (d, built, on_generators, counts["check"]) == self.COUNTS[spec]
+        assert counts["check"] < d * (d - 1) // 2
+
+
+# --- The pairing applied by its nonzeros ---------------------------------------
+
+PAIRED_REPS = [Representation(family("sp", 2), family("sp", 2).basis),
+               Representation(family("gl", 2), family("gl", 2).basis),
+               resolve("gl1_so_vector(3)").build().rep]
+pairing_entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def paired_reps(draw):
+    """A representation and a random rational pairing, invertible or not,
+    monomial or not."""
+    rep = draw(st.sampled_from(PAIRED_REPS))
+    m = rep.module_dim
+    pairing = Matrix(tuple(tuple(draw(pairing_entries) for _ in range(m)) for _ in range(m)))
+    return rep, pairing
+
+
+def dense_neg(m):
+    return Matrix(tuple(tuple(-x for x in row) for row in m.entries))
+
+
+class TestPairingByNonzeros:
+    """dual_representation and the dual_compatibility check against the
+    product formulas, formed with dense_matmul."""
+
+    @given(paired_reps())
+    @settings(max_examples=80, deadline=None)
+    def test_dual_is_the_product_formula(self, case):
+        rep, pairing = case
+        if rank(pairing) < rep.module_dim:
+            with pytest.raises(PentadError, match="singular"):
+                dual_representation(rep, pairing)
+            return
+        p_inv = inverse(pairing)
+        dual = dual_representation(rep, pairing)
+        for a, d in zip(rep.action, dual.action):
+            assert d == dense_neg(dense_matmul(dense_matmul(p_inv, a.transpose()), pairing))
+
+    @given(paired_reps(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_compatibility_failures_are_the_product_formula(self, case, data):
+        rep, pairing = case
+        m = rep.module_dim
+        duals = tuple(
+            Matrix(tuple(tuple(data.draw(pairing_entries) for _ in range(m)) for _ in range(m)))
+            if data.draw(st.booleans()) else a.transpose().scale(-1) for a in rep.action)
+        p = StandardPentad(rep, DualModule(duals, pairing), trace_form(rep.algebra))
+        expected = []
+        for i, (a, d) in enumerate(zip(rep.action, duals)):
+            resid = grid_add(dense_matmul(a.transpose(), pairing), dense_matmul(pairing, d))
+            cells = [(r, c, x) for r, row in enumerate(resid) for c, x in enumerate(row) if x]
+            if cells:
+                r, c, x = cells[0]
+                expected.append(((i,), f"t(pi(b_{i})).P + P.pi*(b_{i}) has entry "
+                                       f"{qstr(qnorm(x))} at ({r}, {c})"))
+        got = [(f.indices, f.detail) for f in check_standard(p).failures
+               if f.axiom == "dual_compatibility"]
+        assert got == expected

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pentads.catalog import catalog, resolve
@@ -317,3 +317,68 @@ class TestDumps:
         text = dumps(obj)
         assert text.index('"a"') < text.index('"b"')
         assert dumps(json.loads(text)) == text
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.integers(min_value=-10 ** 40, max_value=10 ** 40), st.text())
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.lists(st.text()), st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+# values json writes through its own rules (floats, non-str keys, a str
+# subclass) or refuses (sets, bytes, Fractions, keys of mixed types)
+odd_values = st.one_of(
+    st.floats(allow_nan=True), st.dictionaries(st.integers(), json_scalars, max_size=3),
+    st.dictionaries(st.one_of(st.integers(), st.text(max_size=2)), json_scalars, max_size=3),
+    st.sets(st.integers(), max_size=2), st.binary(max_size=3),
+    st.fractions(), st.text().map(type("Text", (str,), {})))
+
+
+def canonical(obj):
+    """json.dumps(obj, indent=2, sort_keys=True), or the type of what it raises."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True)
+    except Exception as exc:  # the reference outcome, whatever it is
+        return type(exc)
+
+
+def written(obj):
+    try:
+        return dumps(obj)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestDumpsDifferential:
+    """dumps writes exactly what json.dumps(obj, indent=2, sort_keys=True)
+    writes, and raises the same exception type where it raises."""
+
+    @given(json_values)
+    @settings(max_examples=300)
+    @example("\u00e9\u2603\x00\n\"\\\ud800")
+    @example({"": [], "b": {}, "a": [[], {}, ()]})
+    @example([True, False, None, 0, -1, 10 ** 60])
+    def test_json_values(self, obj):
+        assert dumps(obj) == canonical(obj)
+
+    @given(st.recursive(odd_values, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=3)),
+        max_leaves=6))
+    @settings(max_examples=200)
+    def test_other_values(self, obj):
+        assert written(obj) == canonical(obj)
+
+    def test_cycles_and_huge_ints(self):
+        loop = []
+        loop.append(loop)
+        cycle = {}
+        cycle["a"] = [cycle]
+        for obj in (loop, cycle, [10 ** 5000]):
+            assert written(obj) == canonical(obj)
+            assert isinstance(written(obj), type)
+
+    @pytest.mark.parametrize("spec", ["gl1_so_vector(5)", "matrix_space_example(2)"])
+    def test_pentad_files(self, spec):
+        obj = pentad_to_json(resolve(spec).build())
+        assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
