@@ -21,7 +21,7 @@ from .exact_linalg import Vec, qof
 from .lie import LieAlgebraError
 from .pentad import (PentadError, StandardPentad, ValidationReport, check_standard,
                      grading_element)
-from .serialize import (SerializationError, dumps, pentad_from_json,
+from .serialize import (MAX_ATTEMPTS, SerializationError, dumps, pentad_from_json,
                         vector_to_json, verdict_from_json, verdict_to_json)
 
 
@@ -88,8 +88,8 @@ def _sampled_pentad(args) -> StandardPentad:
     """The validated pentad of a command that samples generic points."""
     if args.attempts < 0:
         raise _InputError({"error": "--attempts must be non-negative"})
-    if args.attempts > 10000:  # a pentad with no generic point samples every attempt
-        raise _InputError({"error": "--attempts must be at most 10000"})
+    if args.attempts > MAX_ATTEMPTS:
+        raise _InputError({"error": f"--attempts must be at most {MAX_ATTEMPTS}"})
     return _validated_pentad(args)
 
 

@@ -16,8 +16,8 @@ All elimination is one sparse echelon, :func:`sparse_row_space_basis`: a
 fraction-free pass over sparse integer rows that returns the reduced row
 echelon form (RREF) of their span, dividing only at the end, once per entry
 of the result.  rref and kernel_basis (sparse_kernel_basis by nonzeros) read
-that RREF; solve, solve_multi and inverse share one reader of the RREF of
-[A | B], which gives each column's particular solution by its nonzeros.
+that RREF; solve, solve_multi, inverse and graded's expansions share one
+reader of the RREF of [A | B], which gives each column's solution by nonzeros.
 The engine's forward step, :func:`echelon_add`, also runs alone: rank counts
 the rows it keeps, and it grows a span one row at a time where a caller must
 know whether each new row enlarges it (the generating set of a Lie algebra).
@@ -213,7 +213,8 @@ class Matrix(Frozen):
             for k, a in arow:
                 for j, b in brows[k]:
                     acc[j] = acc.get(j, 0) + a * b
-            out[r] = sparse_row(acc)
+            if acc:
+                out[r] = sparse_row(acc)
         return Matrix.from_nonzeros(out, other.cols)
 
     def transpose(self) -> "Matrix":

@@ -42,15 +42,14 @@ from .exact_linalg import (
     Q,
     SparseVec,
     Vec,
+    _solutions,
     cleared,
     linear_combination,
     qnorm,
     ratio,
     row_space_basis,  # noqa: F401  (perfbench's tracer patches this name here)
-    solve_multi,
     sparse_row_space_basis,
 )
-from .lie import unit_coords
 from .pentad import StandardPentad
 # the grading element's names, kept here for perfbench's tracer and the tests
 from .pentad import GradingElement, GradingElementResult, grading_element  # noqa: F401
@@ -200,12 +199,12 @@ class _Half:
         if degree not in self._expansions:
             n, nk = self.dims[degree], self.dims[degree - 1]
             table = Matrix.from_nonzeros((v for row in self.up[degree - 1] for v in row), n)
-            sols = solve_multi(table.transpose(), Matrix.identity(n).scale(self.d))
+            sols = _solutions(table.transpose(), (((i, self.d),) for i in range(n)), n)[1]
             assert None not in sols, "basis vector outside candidate span"
-            delta = lcm(*(c.denominator for sol in sols for c in sol))
+            delta = lcm(*(c.denominator for sol in sols for _, c in sol))
             self._expansions[degree] = ([tuple((c.numerator * (delta // c.denominator),
                                                 *divmod(pos, nk))
-                                               for pos, c in enumerate(sol) if c)
+                                               for pos, c in sol)
                                          for sol in sols], delta)
         return self._expansions[degree]
 
@@ -363,11 +362,11 @@ class GradedAlgebra:
                      for f in half.maps.get(k, ()))
 
     def action_matrices(self, degree: int) -> list[Matrix]:
-        """Matrices of the algebra basis acting on U_degree, built on
-        request from the stored columns."""
+        """Matrices of the algebra basis acting on U_degree, built on request:
+        ad(b_i) from the structure table at degree 0, else from the stored columns."""
         if degree == 0:
-            d = self.pentad.algebra.dim
-            return [self.pentad.algebra.ad_matrix(unit_coords(d, i)) for i in range(d)]
+            alg = self.pentad.algebra
+            return [alg.ad_basis(i) for i in range(alg.dim)]
         return [t.transpose() for t in self._half(degree).transposed(abs(degree))]
 
     def bracket(self, a: GradedVector, b: GradedVector) -> GradedVector:

@@ -81,25 +81,24 @@ class MatrixLieAlgebra(Frozen):
         return linear_combination(u, [Matrix.from_nonzeros(row, self.dim)
                                       for row in self.structure]).transpose()
 
+    def ad_basis(self, i: int) -> Matrix:
+        """ad(b_i): row i of the structure table, read as a matrix, transposed."""
+        return Matrix.from_nonzeros(self.structure[i], self.dim).transpose()
+
     @cached_property
     def center(self) -> tuple[Vec, ...]:
         """Canonical coordinate basis of {z : [z, g] = 0}, computed on first
         use and kept (scalar_center_report and every grading-element solve
         read it).
 
-        It is the kernel of the rows of [z, s] = 0 for s in self.generators
-        only: by Jacobi [z, [s, t]] = [[z, s], t] + [s, [z, t]] = 0 once z
-        commutes with S, and S + [S, S] spans g.  Row (s, k) is
-        (C_0s^k, ..., C_(d-1)s^k) in the unknown coordinates z.  The kernel
-        basis is canonical, so it depends only on the solution set, not on
-        which rows or in what order.
+        It is the kernel of the nonempty rows of ad(s), stacked, for s in
+        self.generators only: by Jacobi [z, [s, t]] = [[z, s], t] +
+        [s, [z, t]] = 0 once z commutes with S, and S + [S, S] spans g.
+        The kernel basis is canonical, so it depends only on the solution
+        set, not on which rows or in what order.
         """
-        rows: dict[tuple[int, int], list[tuple[int, Q]]] = {}
-        for i, row in enumerate(self.structure):
-            for s in self.generators:
-                for k, c in row[s]:
-                    rows.setdefault((s, k), []).append((i, c))
-        return tuple(kernel_basis(Matrix.from_nonzeros(map(tuple, rows.values()), self.dim)))
+        rows = [row for s in self.generators for _, row in self.ad_basis(s).nonempty()]
+        return tuple(kernel_basis(Matrix.from_nonzeros(rows, self.dim)))
 
     @cached_property
     def trace_gram(self) -> Matrix:
@@ -329,8 +328,7 @@ def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix,
     """
     d = alg.dim
     g_rows = g.nonzeros
-    # row m of ad(b_j) is column m of the matrix whose row k is C_jk
-    ad_rows = {j: Matrix.from_nonzeros(alg.structure[j], d).transpose().nonzeros for j in js}
+    ad_rows = {j: alg.ad_basis(j).nonzeros for j in js}
     for i in range(d):
         gi = g_rows[i]
         for j in js:

@@ -153,21 +153,17 @@ class DualModule(Frozen):
 
 
 def dual_representation(rep: Representation, pairing: Matrix | None = None) -> DualModule:
-    """Contragredient dual: pi*(a) = -inverse(P) . t(pi(a)) . P; no pairing
-    means the identity.  A product walks its left factor's nonzeros, so P
-    and its inverse stand on the right: -inverse(P) . X is formed as
-    t(t(X) . -t(inverse(P))), as check_standard forms P . d."""
+    """Contragredient dual: pi*(a) = -inverse(P) . t(pi(a)) . P, each
+    product formed as written; no pairing means the identity."""
     if pairing is None:
         pairing = Matrix.identity(rep.module_dim)
     if pairing.shape() != (rep.module_dim, rep.module_dim):
         raise PentadError("pairing size must match the module dimension")
     try:
-        p_inv = inverse(pairing)
+        neg_inv = -inverse(pairing)
     except ValueError:
         raise PentadError("pairing is singular; the contragredient dual is not defined") from None
-    neg_inv_t = p_inv.transpose().scale(-1)
-    return DualModule(tuple(((a.transpose() @ pairing).transpose() @ neg_inv_t).transpose()
-                            for a in rep.action), pairing)
+    return DualModule(tuple(neg_inv @ a.transpose() @ pairing for a in rep.action), pairing)
 
 
 class StandardPentad(Frozen):
@@ -215,6 +211,8 @@ def check_standard(p: StandardPentad) -> ValidationReport:
     """Verify every standard-pentad axiom, collecting witnesses for failures.
 
     The homomorphism axiom is not re-checked: p.rep passed it at construction.
+    Dual compatibility is t(pi(b_i)) . P + P . pi*(b_i) = 0, each product
+    formed as written, and a failure names the first nonzero entry.
     """
     failures: list[AxiomFailure] = []
 
@@ -243,9 +241,8 @@ def check_standard(p: StandardPentad) -> ValidationReport:
             "pairing kernel contains "
             + "(" + ", ".join(qstr(x) for x in ker[0]) + ")"))
 
-    pairing, pairing_t = p.dual.pairing, p.dual.pairing.transpose()
     for i, (a, d) in enumerate(zip(p.rep.action, p.dual.action)):
-        resid = a.transpose() @ pairing + (d.transpose() @ pairing_t).transpose()
+        resid = a.transpose() @ p.dual.pairing + p.dual.pairing @ d
         if not resid.is_zero():
             r, (c, x) = next((r, row[0]) for r, row in enumerate(resid.nonzeros) if row)
             failures.append(AxiomFailure(

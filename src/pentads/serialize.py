@@ -159,6 +159,7 @@ def verdict_to_json(v: RegularityVerdict, p: StandardPentad) -> dict:
 
 
 _OUTCOMES = ("Regular", "NotRegular", "Inconclusive")
+MAX_ATTEMPTS = 10000  # a pentad with no generic point samples, and replays, every attempt
 
 
 def verdict_from_json(obj) -> RegularityVerdict:
@@ -170,6 +171,8 @@ def verdict_from_json(obj) -> RegularityVerdict:
     attempts = obj.get("attempts", 64)
     if type(obj["seed"]) is not int or type(attempts) is not int:  # excludes bool
         raise SerializationError("seed and attempts must be integers")
+    if not 0 <= attempts <= MAX_ATTEMPTS:
+        raise SerializationError(f"attempts must be between 0 and {MAX_ATTEMPTS}")
     witness = obj["witness"]
     if witness is not None:
         if not isinstance(witness, dict):

@@ -13,23 +13,27 @@ replaced, with the two loops that contracted it, keeps the all-pairs scans
 that the generating-set checks and the shared-index pair enumeration
 replaced (closure included), the direct sum that shifted its factors'
 structure tables, the center and the grading-element solve over every
-commutation row, the rank read off the full echelon, the JSON matrix
-reader and writer that walked every cell, and Witt's dimension formula for
-free Lie algebras.
+commutation row, the center as the kernel of a hand-built row per
+(generator, coordinate) and the degree-0 graded action read through
+ad_matrix, the rank read off the full echelon, the JSON matrix reader and
+writer that walked every cell, Witt's dimension formula for free Lie
+algebras, pentads over an algebra in a changed basis, and castling pairs,
+whose regularity verdicts must agree.
 """
 
 import random
 from fractions import Fraction
 from itertools import chain, combinations
-from math import lcm
+from math import lcm, prod
 
-from pentads.catalog import matrix_space_example, resolve
+from pentads.catalog import _defining, matrix_space_example, resolve
 from pentads.exact_linalg import (
     Matrix,
     dense_vec,
     inverse,
     kernel_basis,
     kronecker,
+    linear_combination,
     qnorm,
     qstr,
     row_space_basis,
@@ -40,6 +44,8 @@ from pentads.exact_linalg import (
 )
 from pentads.lie import (
     MatrixLieAlgebra,
+    build_algebra,
+    classical_basis,
     standard_symplectic_form,
     trace_form,
     unit_coords,
@@ -476,6 +482,23 @@ def all_rows_center(alg):
     return kernel_basis(Matrix.from_nonzeros(all_commutation_rows(alg), alg.dim))
 
 
+def generator_rows_center(alg):
+    """The canonical kernel basis of the rows of [z, s] = 0 for s in
+    alg.generators, row (s, k) built by hand as (C_0s^k, ..., C_(d-1)s^k)."""
+    rows = {}
+    for i, row in enumerate(alg.structure):
+        for s in alg.generators:
+            for k, c in row[s]:
+                rows.setdefault((s, k), []).append((i, c))
+    return tuple(kernel_basis(Matrix.from_nonzeros(map(tuple, rows.values()), alg.dim)))
+
+
+def ad_matrix_actions(alg):
+    """ad(b_i) for every basis element, each through ad_matrix of a unit
+    vector (which combines all d structure rows)."""
+    return [alg.ad_matrix(unit_coords(alg.dim, i)) for i in range(alg.dim)]
+
+
 def stacked_grading_element(p):
     """(status, element coordinates, solution space) from one solve of every
     commutation row stacked on one row per matrix cell and side, empty cells
@@ -541,3 +564,33 @@ def conjugated(p, q):
     rep = Representation(p.algebra, tuple(q_inv @ a @ q for a in p.rep.action))
     return StandardPentad(rep, dual_representation(rep, q.transpose() @ p.dual.pairing @ q),
                           p.form)
+
+
+def rebased(p):
+    """p over its algebra in the basis b'_i = b_i + b_(i+1) (the last kept),
+    each basis matrix conjugated by the dense Q = I + J: a triangular
+    change of basis fills in the structure table, and the actions, the dual
+    actions and the form t G t^T follow the new basis."""
+    d, n = p.algebra.dim, p.algebra.ambient_size
+    t = [tuple(1 if j in (i, i + 1) else 0 for j in range(d)) for i in range(d)]
+    q = Matrix(tuple(tuple(2 if r == c else 1 for c in range(n)) for r in range(n)))
+    q_inv = inverse(q)
+    alg = build_algebra(n, [q_inv @ linear_combination(row, p.algebra.basis) @ q for row in t])
+    rep = Representation(alg, tuple(linear_combination(row, p.rep.action) for row in t))
+    dual = DualModule(tuple(linear_combination(row, p.dual.action) for row in t),
+                      p.dual.pairing)
+    tm = Matrix(tuple(t))
+    return StandardPentad(rep, dual, tm @ p.form @ tm.transpose())
+
+
+def castling_pair(factors, m):
+    """The pentads of gl(1) + g + sl(m) on V (x) C^m and of its castling
+    transform gl(1) + g + sl(N - m) on V (x) C^(N - m), where g is the sum
+    of the classical (kind, n) factors and V, of dimension N, the box tensor
+    of their defining modules.  A castling transform keeps the generic
+    isotropy subalgebra, so regularity and dim g - dim V agree across the
+    pair (Sato-Kimura 1977).  The transform acts on V* (x) C^(N - m); V
+    stands in for V*, which is the same module for so and sp and the same
+    up to the outer automorphism X -> -t(X) for sl."""
+    size = prod(classical_basis(*factor)[0] for factor in factors)
+    return tuple(_defining([("gl", 1), *factors, ("sl", k)]) for k in (m, size - m))

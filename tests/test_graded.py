@@ -44,9 +44,10 @@ from pentads.pentad import (
     dual_representation,
 )
 
-from oracles import (conjugated, dense_pivot_action, display_name, mirror, mobius,
-                     pivot_columns, rational_matrix_space_pentad, rational_vector_pentad,
-                     stacked_grading_element, vec_add, witt_dimension)
+from oracles import (ad_matrix_actions, conjugated, dense_pivot_action, display_name, mirror,
+                     mobius, pivot_columns, rational_matrix_space_pentad,
+                     rational_vector_pentad, rebased, stacked_grading_element, vec_add,
+                     witt_dimension)
 
 
 def build(spec, degree):
@@ -362,6 +363,13 @@ class TestComponentsAndActions:
         alg = g.pentad.algebra
         mats = g.action_matrices(0)
         assert mats[1] == alg.ad_matrix(unit_coords(4, 1))
+
+    @pytest.mark.parametrize("spec", [display_name(e) for e in catalog()])
+    @pytest.mark.parametrize("rebase", [False, True], ids=["catalog", "rebased"])
+    def test_degree_zero_action_matches_the_ad_matrix_reference(self, spec, rebase):
+        p = resolve(spec).build()
+        p = rebased(p) if rebase else p
+        assert extend(p, 1).action_matrices(0) == ad_matrix_actions(p.algebra)
 
     def test_degree_one_actions_are_the_representations(self):
         g = build("gl2_trace", 2)

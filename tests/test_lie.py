@@ -29,9 +29,10 @@ from pentads.lie import (
 
 from pentads import lie
 
-from oracles import (all_commutation_rows, all_pairs_closure_failure, all_rows_center,
-                     coords_of, dense_center, dense_derived, dense_trace_product, display_name,
-                     matrix_of, shifted_sum, vec_add)
+from oracles import (ad_matrix_actions, all_commutation_rows, all_pairs_closure_failure,
+                     all_rows_center, coords_of, dense_center, dense_derived,
+                     dense_trace_product, display_name, generator_rows_center, matrix_of,
+                     rebased, shifted_sum, vec_add)
 
 
 def commutator(a, b):
@@ -516,6 +517,17 @@ class TestCenterOnGenerators:
         want = all_rows_center(alg)
         assert list(alg.center) == want
         assert [list(map(type, v)) for v in alg.center] == [list(map(type, v)) for v in want]
+
+    @pytest.mark.parametrize(
+        "alg", [a for _, a in CATALOG_ALGEBRAS + SUM_ALGEBRAS + UNSPLIT_ALGEBRAS]
+        + [rebased(resolve(name).build()).algebra for name in CATALOG_PENTADS],
+        ids=ALGEBRA_IDS + [name for name, _ in SUM_ALGEBRAS + UNSPLIT_ALGEBRAS]
+        + [f"rebased {name}" for name in CATALOG_PENTADS])
+    def test_matches_the_hand_built_generator_rows(self, alg):
+        want = generator_rows_center(alg)
+        assert alg.center == want
+        assert [list(map(type, v)) for v in alg.center] == [list(map(type, v)) for v in want]
+        assert [alg.ad_basis(i) for i in range(alg.dim)] == ad_matrix_actions(alg)
 
     def test_solves_only_the_generators_rows(self, monkeypatch):
         # gl(1) + so(12) has 12 generators of 67: the center is the kernel

@@ -35,7 +35,7 @@ from pentads.pentad import (
     homomorphism_failures,
 )
 
-from pentads import lie, pentad
+from pentads import exact_linalg, lie, pentad
 
 from oracles import (
     all_pairs_homomorphism_failure,
@@ -626,3 +626,60 @@ class TestPairingByNonzeros:
         got = [(f.indices, f.detail) for f in check_standard(p).failures
                if f.axiom == "dual_compatibility"]
         assert got == expected
+
+
+class TestProductWorkCounts:
+    """Each product is formed in the order of its formula, so the dual and
+    its compatibility check transpose each action once, and a product with
+    a monomial factor on the left builds nothing for an empty result row; a
+    return to the pairing-on-the-right transposes fails here with no timing
+    involved."""
+
+    @staticmethod
+    def count_transposes(monkeypatch):
+        real, seen = Matrix.transpose, []
+
+        def counting(self):
+            seen.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Matrix, "transpose", counting)
+        return seen
+
+    def test_dual_representation_transposes_each_action_once(self, monkeypatch):
+        rep = resolve("gl1_so_vector(12)").build().rep
+        seen = self.count_transposes(monkeypatch)
+        dual_representation(rep)
+        # inverse reads its solved columns as one transpose; every other
+        # transpose is of an action matrix, each once
+        assert len(seen) == rep.algebra.dim + 1
+        assert [id(m) for m in seen if any(m is a for a in rep.action)] == list(
+            map(id, rep.action))
+
+    def test_check_standard_transposes_each_action_once(self, monkeypatch):
+        p = resolve("gl1_so_vector(12)").build()
+        real_check_form = pentad.check_form
+
+        def outside_the_form(alg, g):  # check_form's own transposes are not counted
+            start = len(seen)
+            report = real_check_form(alg, g)
+            del seen[start:]
+            return report
+
+        seen = self.count_transposes(monkeypatch)
+        monkeypatch.setattr(pentad, "check_form", outside_the_form)
+        assert check_standard(p).ok
+        assert [id(m) for m in seen] == list(map(id, p.rep.action))
+
+    def test_identity_on_the_left_builds_only_nonempty_rows(self, monkeypatch):
+        x = Matrix.from_nonzeros([()] * 40 + [((3, 2), (7, -1))] + [()] * 50
+                                 + [((0, Fraction(1, 2)),)] + [()] * 4, 8)
+        real, rows = exact_linalg.sparse_row, []
+
+        def counting(acc):
+            rows.append(acc)
+            return real(acc)
+
+        monkeypatch.setattr(exact_linalg, "sparse_row", counting)
+        assert Matrix.identity(96) @ x == x
+        assert len(rows) == 2

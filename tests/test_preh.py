@@ -31,6 +31,8 @@ from pentads.preh import (
 )
 from pentads.serialize import SerializationError, verdict_from_json, verdict_to_json
 
+from oracles import castling_pair
+
 # Known generic points of the matrix-space entries (block-identity 2n x 3
 # matrices, flattened row-major) and the unique partner of the first one.
 GENERIC_X2 = (1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0)
@@ -404,6 +406,38 @@ def inconclusive_certificate(kind):
     p, attempts = {"gap": (scalar_pentad(5), 64),
                    "missed": (resolve("matrix_space_example(2)").build(), 2)}[kind]
     return p, verdict_to_json(decide_regularity(p, attempts=attempts), p)
+
+
+# (factors, m, outcome): the castling pair of gl(1) + factors + sl(m), with
+# the outcome both sides share.  gl(1) + sp(2) + so(3) on C^4 (x) C^3 is
+# matrix_space_example(2) with the identity pairing; it and its transform on
+# C^132 fail at the module partner's kernel, the others at the dual partner.
+CASTLING_PAIRS = [
+    ([("so", 3)], 1, "Regular"), ([("so", 4)], 1, "Regular"), ([("so", 5)], 2, "Regular"),
+    ([("so", 6)], 2, "Regular"), ([("so", 7)], 3, "Regular"),
+    ([("sl", 3)], 1, "NotRegular"), ([("sl", 4)], 1, "NotRegular"),
+    ([("sl", 5)], 1, "NotRegular"), ([("sl", 5)], 2, "NotRegular"),
+    ([("sp", 2)], 1, "NotRegular"), ([("sp", 3)], 1, "NotRegular"), ([("sp", 3)], 2, "Regular"),
+    ([("sp", 2), ("so", 3)], 1, "NotRegular"),
+]
+
+
+class TestCastling:
+    """Castling transforms keep the generic isotropy, so the verdicts of the
+    two sides of a pair agree although their sizes differ."""
+
+    @pytest.mark.parametrize(
+        "factors, m, outcome", CASTLING_PAIRS,
+        ids=["+".join(f"{k}{n}" for k, n in fs) + f"-m{m}" for fs, m, _ in CASTLING_PAIRS])
+    def test_pair_agrees(self, factors, m, outcome):
+        sides = castling_pair(factors, m)
+        assert sides[0].module_dim < sides[1].module_dim
+        # every unit vector is tried before the first random one, so the
+        # budget must pass the module dimension on the larger side
+        verdicts = [decide_regularity(p, attempts=p.module_dim + 8) for p in sides]
+        assert [v.outcome for v in verdicts] == [outcome, outcome]
+        assert all(verify_certificate(p, v) for p, v in zip(sides, verdicts))
+        assert len({p.algebra.dim - p.module_dim for p in sides}) == 1
 
 
 class TestCertificateTampering:

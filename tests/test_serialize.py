@@ -1,6 +1,7 @@
 """JSON encodings round-trip exactly and reject anything inexact."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 from pentads.catalog import catalog, resolve
 from pentads.exact_linalg import Matrix, qnorm, qof
-from pentads.lie import NotClosedError, family, trace_form
-from pentads.pentad import Representation, StandardPentad, dual_representation
+from pentads.lie import NotClosedError, classical_basis, family, trace_form
+from pentads.pentad import Representation, StandardPentad, box_tensor, dual_representation
 from pentads.preh import RegularityVerdict, decide_regularity
 from pentads.serialize import (
+    MAX_ATTEMPTS,
     SerializationError,
     algebra_from_json,
     algebra_to_json,
@@ -265,6 +267,21 @@ class TestCertificates:
         v = decide_regularity(p)
         assert v.outcome == "Inconclusive"
         assert verdict_from_json(reload(verdict_to_json(v, p))) == v
+
+    @pytest.mark.parametrize("attempts", [-1, MAX_ATTEMPTS + 1, 10 ** 9])
+    def test_attempts_outside_the_cli_cap_rejected(self, attempts):
+        # gl(1) + so(5) on C^5 (x) C^2 (d = 11, m = 10) has no generic point,
+        # so its certificate is Inconclusive and verify_certificate would
+        # replay every attempt it names: 10^9 of them is days of sampling.
+        rep = box_tensor([classical_basis("gl", 1), classical_basis("so", 5), (2, [])])
+        p = StandardPentad(rep, dual_representation(rep), trace_form(rep.algebra))
+        start = time.perf_counter()
+        cert = reload(verdict_to_json(decide_regularity(p), p))
+        assert cert["outcome"] == "Inconclusive"
+        assert verdict_from_json({**cert, "attempts": MAX_ATTEMPTS}).attempts == MAX_ATTEMPTS
+        with pytest.raises(SerializationError, match="attempts must be between 0 and 10000"):
+            verdict_from_json({**cert, "attempts": attempts})
+        assert time.perf_counter() - start < 1
 
     def test_required_keys_present(self):
         p = resolve("gl1_scalar").build()
