@@ -7,50 +7,6 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CatalogEntry",
-    "CatalogError",
-    "DualModule",
-    "GradedAlgebra",
-    "GradedVector",
-    "GradingElement",
-    "GradingElementError",
-    "Matrix",
-    "MatrixLieAlgebra",
-    "PartnerResult",
-    "PhiMap",
-    "RegularityVerdict",
-    "Representation",
-    "ScalarCenterError",
-    "Sl2Triple",
-    "StandardPentad",
-    "build_algebra",
-    "catalog",
-    "check_grading",
-    "check_minimality",
-    "check_standard",
-    "decide_regularity",
-    "direct_sum",
-    "dual_representation",
-    "dumps",
-    "extend",
-    "family",
-    "find_generic",
-    "grading_element",
-    "is_generic",
-    "kernel_basis",
-    "pentad_from_json",
-    "pentad_to_json",
-    "rank",
-    "resolve",
-    "sl2_partner",
-    "solve",
-    "trace_form",
-    "verdict_from_json",
-    "verdict_to_json",
-    "verify_certificate",
-]
-
 # the home module of each exported name; importing the package loads none (PEP 562)
 _HOME = {name: module for module, names in (
     ("catalog", ("CatalogEntry", "CatalogError", "catalog", "resolve")),
@@ -65,6 +21,7 @@ _HOME = {name: module for module, names in (
     ("serialize", ("dumps", "pentad_from_json", "pentad_to_json", "verdict_from_json",
                    "verdict_to_json")),
 ) for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):

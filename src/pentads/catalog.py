@@ -94,17 +94,16 @@ def matrix_space_example(n: int = 2) -> StandardPentad:
                      kronecker(standard_symplectic_form(n), Matrix.identity(3)))
 
 
-_REGISTRY: dict[str, tuple[Callable[..., StandardPentad], tuple[int, ...], str]] = {
-    "gl1_scalar": (gl1_scalar, (), "gl(1) on a line; regular, extends to sl(2)"),
-    "gl2_standard": (gl2_standard, (),
-                     "gl(2) standard module, center-rescaled form; extends to sl(3)"),
-    "gl2_trace": (gl2_trace, (),
-                  "gl(2) standard module, plain trace form; extends to sp(4)"),
-    "gl1_so_vector": (gl1_so_vector, (3,),
-                      "gl(1) + so(m) on the vector module"),
-    "matrix_space_example": (matrix_space_example, (2,),
-                             "gl(1) + sp(n) + so(3) on 2n x 3 matrices"),
-}
+_REGISTRY: dict[str, CatalogEntry] = {entry.name: entry for entry in (
+    CatalogEntry("gl1_scalar", (), gl1_scalar, "gl(1) on a line; regular, extends to sl(2)"),
+    CatalogEntry("gl2_standard", (), gl2_standard,
+                 "gl(2) standard module, center-rescaled form; extends to sl(3)"),
+    CatalogEntry("gl2_trace", (), gl2_trace,
+                 "gl(2) standard module, plain trace form; extends to sp(4)"),
+    CatalogEntry("gl1_so_vector", (3,), gl1_so_vector, "gl(1) + so(m) on the vector module"),
+    CatalogEntry("matrix_space_example", (2,), matrix_space_example,
+                 "gl(1) + sp(n) + so(3) on 2n x 3 matrices"),
+)}
 
 # accepted alternate spelling for the matrix-space entry
 _ALIASES = {"paper_example": "matrix_space_example"}
@@ -124,9 +123,9 @@ def resolve(spec: str) -> CatalogEntry:
     name = _ALIASES.get(name, name)
     if name not in _REGISTRY:
         raise CatalogError(f"unknown catalog entry {name!r}")
-    builder, defaults, description = _REGISTRY[name]
+    entry = _REGISTRY[name]
     if args is None or args == "":
-        params = defaults
+        params = entry.parameters
     else:
         parts = [a.strip() for a in args.split(",")]
         if not all(_PARAM_RE.fullmatch(a) for a in parts):
@@ -135,12 +134,11 @@ def resolve(spec: str) -> CatalogEntry:
             params = tuple(map(int, parts))
         except ValueError as exc:  # more digits than Python's int() reads
             raise CatalogError(f"cannot read the parameters of {name!r}: {exc}") from None
-    if len(params) > len(defaults):
-        raise CatalogError(f"{name!r} takes at most {len(defaults)} parameter(s)")
-    return CatalogEntry(name, params, builder, description)
+    if len(params) > len(entry.parameters):
+        raise CatalogError(f"{name!r} takes at most {len(entry.parameters)} parameter(s)")
+    return entry._replace(parameters=params)
 
 
 def catalog() -> list[CatalogEntry]:
     """The default entries, each with its default parameters."""
-    return [CatalogEntry(name, defaults, builder, description)
-            for name, (builder, defaults, description) in _REGISTRY.items()]
+    return list(_REGISTRY.values())

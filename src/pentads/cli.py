@@ -132,19 +132,18 @@ def cmd_grading_element(args) -> int:
     return 0
 
 
+def _search_json(search) -> dict:
+    """The generic-point search fields that generic-point and sl2 both print."""
+    return {"status": search.status, "rank": search.rank, "needed": search.needed,
+            "attempts_used": search.attempts_used, "seed": search.seed}
+
+
 def cmd_generic_point(args) -> int:
     from .preh import find_generic
     p = _sampled_pentad(args)
     search = find_generic(p, attempts=args.attempts, seed=args.seed)
-    _emit({
-        "status": search.status,
-        "x": None if search.x is None else vector_to_json(search.x),
-        "rank": search.rank,
-        "needed": search.needed,
-        "attempts_used": search.attempts_used,
-        "seed": search.seed,
-        "reason": search.reason,
-    })
+    _emit({**_search_json(search), "reason": search.reason,
+           "x": None if search.x is None else vector_to_json(search.x)})
     return 0
 
 
@@ -159,11 +158,7 @@ def cmd_sl2(args) -> int:
         x = args.x
     else:
         search = find_generic(p, attempts=args.attempts, seed=args.seed)
-        out["search"] = {
-            "status": search.status, "rank": search.rank,
-            "needed": search.needed, "attempts_used": search.attempts_used,
-            "seed": search.seed,
-        }
+        out["search"] = _search_json(search)
         if not search.found:
             out["status"] = "no_generic_point"
             _emit(out)

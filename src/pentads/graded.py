@@ -373,16 +373,14 @@ class GradedAlgebra:
         """[a, b]: each argument is cleared to integers over its own
         denominator, and the integer result is divided once per coordinate."""
         j, k = a.degree, b.degree
-        for deg in (j, k, j + k):
-            if abs(deg) > self.max_degree:
-                raise DegreeError(f"degree {deg} exceeds the bound {self.max_degree}")
-        if len(a.coords) != self._dims.get(j, 0) or len(b.coords) != self._dims.get(k, 0):
+        dims = [self.dim(deg) for deg in (j, k, j + k)]
+        if len(a.coords) != dims[0] or len(b.coords) != dims[1]:
             raise DegreeError("coordinate length does not match the component")
         (an, ad), (bn, bd) = cleared(a.coords), cleared(b.coords)
         v, d = self._sparse_bracket(j, tuple((i, x) for i, x in enumerate(an) if x),
                                     k, tuple((i, x) for i, x in enumerate(bn) if x))
         d *= ad * bd
-        out: list[Q] = [0] * self._dims.get(j + k, 0)
+        out: list[Q] = [0] * dims[2]
         for i, x in v:
             out[i] = ratio(x, d)
         return GradedVector(j + k, tuple(out))

@@ -95,8 +95,11 @@ def find_generic(p: StandardPentad, attempts: int = 64, seed: int = 0) -> Generi
     """Sample module vectors until one is generic.
 
     Unit vectors go first (cheap and often sufficient), then integer
-    vectors from the shared sampling convention.  The dual cannot embed
-    into a smaller algebra, so that dimension gap short-circuits.
+    vectors from the shared sampling convention.  All m unit vectors are
+    tried when m < attempts; otherwise only the first attempts // 2, so
+    that half the budget is left for random draws, which land on the
+    Zariski-open generic set with high probability.  The dual cannot
+    embed into a smaller algebra, so that dimension gap short-circuits.
     """
     m, d = p.module_dim, p.algebra.dim
     if m > d:
@@ -105,10 +108,11 @@ def find_generic(p: StandardPentad, attempts: int = 64, seed: int = 0) -> Generi
             f"dual dimension {m} exceeds algebra dimension {d}; "
             "no injective map into the algebra exists")
     rng = random.Random(seed)
+    units = m if m < attempts else attempts // 2
     best = 0
     used = 0
     for k in range(attempts):
-        x = unit_coords(m, k) if k < m else random_int_vector(rng, m)
+        x = unit_coords(m, k) if k < units else random_int_vector(rng, m)
         used += 1
         r = rank(ad_on_dual(p, x))
         if r == m:

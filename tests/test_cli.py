@@ -15,7 +15,7 @@ import pentads
 from pentads import cli
 from pentads.catalog import catalog, resolve
 from pentads.exact_linalg import Matrix, qstr
-from pentads.lie import family, trace_form
+from pentads.lie import direct_sum, family, trace_form
 from pentads.pentad import Representation, StandardPentad, dual_representation
 from pentads.preh import decide_regularity
 from pentads.serialize import dumps, pentad_to_json
@@ -131,6 +131,11 @@ class TestInvalidInput:
                         "--v", "1,2", "--dual", "1")
         assert code == 1
         assert "--v needs 1 coordinates" in doc["error"]
+
+    def test_pentad_file_not_an_object(self, capsys, tmp_path):
+        code, doc = run(capsys, "check", "--pentad", write_json(tmp_path, []))
+        assert code == 1
+        assert doc == {"error": "a pentad description must be a JSON object"}
 
     def test_regularity_without_scalar_center(self, capsys, tmp_path):
         path = write_pentad(tmp_path, sl2_standard_pentad())
@@ -482,6 +487,15 @@ class TestGenericPoint:
         assert code == 0
         assert doc["seed"] == 7
 
+    def test_bytes_with_every_unit_vector_tried(self, capsys):
+        # m = 60 < 64 attempts: all 60 unit vectors fail, the first random
+        # draw is generic
+        code, out = run_raw(capsys, "generic-point", "--example", "matrix_space_example(10)")
+        assert code == 0
+        assert json.loads(out)["attempts_used"] == 61
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "34c9153fbd831cb42855913a67dea5ced636dca000d170fe84c6d0ff516f643f")
+
 
 class TestSl2:
     def test_searches_when_x_omitted(self, capsys):
@@ -514,6 +528,15 @@ class TestSl2:
         assert doc["status"] == "no_generic_point"
         assert doc["x"] is None
 
+    def test_degenerate_grading_element(self, capsys, tmp_path):
+        # gl(1) + gl(1), each acting by 1 on C^1: every h with h_0 + h_1 = 2 grades
+        alg = direct_sum([(1, [Matrix.identity(1)]), (1, [Matrix.identity(1)])])
+        rep = Representation(alg, (Matrix.identity(1), Matrix.identity(1)))
+        p = StandardPentad(rep, dual_representation(rep), trace_form(alg))
+        code, doc = run(capsys, "sl2", "--pentad", write_pentad(tmp_path, p))
+        assert code == 1
+        assert doc == {"error": "grading element degenerate"}
+
 
 class TestRegularity:
     @pytest.mark.parametrize("name", ENTRY_NAMES)
@@ -540,6 +563,17 @@ class TestRegularity:
         assert code == 0
         assert doc["outcome"] == "NotRegular"
         assert doc["witness"] == {"clause": "no_dual_partner"}
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_module_above_the_budget_is_decided(self, capsys, n):
+        # m = 6n > 64 attempts and no unit vector is generic: half the
+        # budget goes to random draws, which find a generic point
+        code, doc = run(capsys, "regularity", "--example", f"matrix_space_example({n})",
+                        "--verify-certificate")
+        assert code == 0
+        assert (doc["outcome"], doc["witness"]["clause"]) == ("NotRegular",
+                                                              "module_partner_kernel")
+        assert doc["verified"] is True
 
     def test_kernel_witness_serialized(self, capsys):
         code, doc = run(capsys, "regularity", "--example",

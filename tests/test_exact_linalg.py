@@ -475,6 +475,10 @@ class TestSolve:
         assert cols[0] == solve(a, (3, 7, 10)).solution
         assert cols[1] is None  # second column is inconsistent
 
+    def test_solve_multi_rhs_rows_checked(self):
+        with pytest.raises(ValueError, match="right-hand side row count does not match"):
+            solve_multi(Matrix.identity(2), Matrix.identity(3))
+
     def test_inverse_round_trip(self):
         m = Matrix([[2, 1, 0], [1, 1, 1], [0, 3, 1]])
         assert m @ inverse(m) == Matrix.identity(3)

@@ -53,7 +53,8 @@ def unused_imports(source):
                     imported.append((alias.lineno, name))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
+        # only a literal __all__ names re-exports; the reads of a computed one count as uses
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used |= {elt.value for elt in node.value.elts}
     return [(line, name) for line, name in imported if name not in used]
@@ -73,6 +74,13 @@ def test_the_check_sees_unused_and_exempt_names():
               "__all__ = ['loads']\n"
               "print(osp)\n")
     assert unused_imports(source) == [(2, "os"), (4, "dumps")]
+    # a computed __all__ re-exports no import: dumps and loads stay unused
+    source = ("from json import dumps, loads\n"
+              "from re import compile\n"
+              "_HOME = {'loads': 'json'}\n"
+              "__all__ = sorted(_HOME)\n"
+              "print(compile)\n")
+    assert unused_imports(source) == [(1, "dumps"), (1, "loads")]
 
 
 def unreferenced_private(source):

@@ -127,6 +127,11 @@ class TestFamilies:
     def test_dimensions(self, kind, n, expected_dim):
         assert family(kind, n).dim == expected_dim
 
+    def test_parameter_must_be_positive(self):
+        with pytest.raises(LieAlgebraError) as exc:
+            family("so", 0)
+        assert str(exc.value) == "family parameter must be positive"
+
     def test_gl_basis_is_elementary_row_major(self):
         alg = family("gl", 2)
         assert alg.basis == (e(2, 0, 0), e(2, 0, 1), e(2, 1, 0), e(2, 1, 1))
@@ -326,6 +331,11 @@ class TestForms:
         assert not report.invariant
         # [b_0, b_1] = b_1 and [b_1, b_1] = 0, so B(b_1, b_1) = 1 != 0 at k = 1
         assert report.invariance_witness == (0, 1, 1)
+
+    def test_gram_size_checked(self):
+        with pytest.raises(LieAlgebraError) as exc:
+            check_form(family("gl", 2), Matrix.identity(3))
+        assert str(exc.value) == "Gram matrix size does not match the algebra dimension"
 
     def test_asymmetric_form_reports_pair(self):
         gram = Matrix([[0, 1], [0, 0]])

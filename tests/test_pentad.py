@@ -97,6 +97,11 @@ class TestRepresentation:
         with pytest.raises(PentadError):
             Representation(family("gl", 2), (Matrix.identity(2),))
 
+    def test_zero_dimensional_algebra_rejected(self):
+        with pytest.raises(PentadError) as exc:
+            Representation(build_algebra(1, []), ())
+        assert str(exc.value) == "zero-dimensional algebras are not supported here"
+
     def test_act_is_linear_combination(self):
         # E_00 - 2 E_11 acts as diag(1, -2)
         rep = Representation(family("gl", 2), family("gl", 2).basis)
@@ -150,6 +155,21 @@ class TestDualRepresentation:
         rep = Representation(family("gl", 2), family("gl", 2).basis)
         with pytest.raises(ValueError):
             dual_representation(rep, Matrix.zeros(2, 2))
+
+    def test_pairing_shape_rejected(self):
+        with pytest.raises(PentadError) as exc:
+            DualModule((Matrix([[-1]]),), Matrix([[1, 0]]))
+        assert str(exc.value) == "pairing matrix must be square"
+        with pytest.raises(PentadError) as exc:
+            dual_representation(gl1_scalar().rep, Matrix.identity(2))
+        assert str(exc.value) == "pairing size must match the module dimension"
+
+    def test_dual_dimension_must_match_module(self):
+        rep = gl1_scalar().rep
+        with pytest.raises(PentadError) as exc:
+            StandardPentad(rep, DualModule((Matrix.identity(2),), Matrix.identity(2)),
+                           Matrix.identity(1))
+        assert str(exc.value) == "dual dimension must equal the module dimension"
 
 
 class TestCheckStandard:

@@ -250,6 +250,17 @@ class TestPentadFiles:
         with pytest.raises(SerializationError, match="missing keys: algebra"):
             pentad_from_json({"action": []})
 
+    @pytest.mark.parametrize("change, message", [
+        ({"algebra": {"ambient_size": 1, "basis": []}},
+         "basis must be a non-empty array of matrices"),
+        ({"dual_action": "x"}, "dual_action must be an array of matrices"),
+    ], ids=["empty basis", "dual_action string"])
+    def test_malformed_part_rejected(self, change, message):
+        obj = {**pentad_to_json(resolve("gl1_scalar").build()), **change}
+        with pytest.raises(SerializationError) as exc:
+            pentad_from_json(reload(obj))
+        assert str(exc.value) == message
+
 
 class TestCertificates:
     @pytest.mark.parametrize("name", ENTRY_NAMES)
@@ -322,6 +333,13 @@ class TestCertificates:
         assert cert["outcome"] == "Regular"
         with pytest.raises(SerializationError):
             verdict_from_json({**cert, **MISTYPED_CERTIFICATE_FIELDS[case]})
+
+    def test_witness_must_be_object_or_null(self):
+        p = resolve("gl1_so_vector(3)").build()
+        cert = reload(verdict_to_json(decide_regularity(p), p))
+        with pytest.raises(SerializationError) as exc:
+            verdict_from_json({**cert, "witness": [1]})
+        assert str(exc.value) == "witness must be an object or null"
 
     def test_bad_certificate_shape(self):
         with pytest.raises(SerializationError, match="missing keys"):
