@@ -18,9 +18,9 @@ echelon form (RREF) of their span, dividing only at the end, once per entry
 of the result.  rref and kernel_basis (sparse_kernel_basis by nonzeros) read
 that RREF; solve, solve_multi, inverse and graded's expansions share one
 reader of the RREF of [A | B], which gives each column's solution by nonzeros.
-The engine's forward step, :func:`echelon_add`, also runs alone: rank counts
-the rows it keeps, and it grows a span one row at a time where a caller must
-know whether each new row enlarges it (the generating set of a Lie algebra).
+One fraction-free step serves the forward and the backward pass, and the
+forward pass takes rows in the engine's own order (rank counts the rows it
+keeps); :func:`echelon_add` runs that step in the caller's order instead.
 
 Determinism matters as much as exactness here: kernel bases come from the
 reduced row echelon form, which is unique for a given row space, so every
@@ -302,13 +302,9 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
 
 
 def rank(m: Matrix) -> int:
-    """Rank: the number of rows the forward pass keeps.  The count does not
-    need the RREF, so neither the backward pass nor the final division
-    runs."""
-    echelon: dict[int, dict[int, int]] = {}
-    for row in m.nonzeros:
-        echelon_add(echelon, row)
-    return len(echelon)
+    """Rank: the number of rows the forward pass keeps, with neither the
+    backward pass nor the final division run."""
+    return len(_forward(m.nonzeros))
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -444,72 +440,75 @@ def _strip_content(r: dict[int, int]) -> dict[int, int]:
     return r
 
 
-def echelon_add(echelon: dict[int, dict[int, int]], row: Iterable[tuple[int, Q]]) -> bool:
-    """One step of the forward pass: reduce a row, given by its nonzeros,
-    against the echelon {leading column: sparse integer row}, and keep what
-    is left as a new echelon row.  False when the row was already in the
-    span, which leaves the echelon as it was."""
-    r = _sparse_int_row(row)
+def _reduce(r: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
+    """The fraction-free step, in place: r := (p/g)·r − (c/g)·piv with
+    p = piv[col], c = r[col] and g = gcd(p, c), which clears column col of r
+    and keeps it integral.  Both passes of the engine run it."""
+    p, c = piv[col], r[col]
+    g = gcd(p, c)
+    fp, fc = p // g, c // g
+    if fp != 1:
+        for j in r:
+            r[j] *= fp
+    for j, v in piv.items():
+        w = r.get(j, 0) - fc * v
+        if w:
+            r[j] = w
+        else:
+            del r[j]
+    return r
+
+
+def _insert(echelon: dict[int, dict[int, int]], r: dict[int, int]) -> bool:
+    """Reduce a sparse integer row against the echelon and keep what is left
+    under its leading column; False when nothing is left."""
     while r:
         lead = min(r)
         piv = echelon.get(lead)
         if piv is None:
             echelon[lead] = r
             return True
-        a, b = r[lead], piv[lead]
-        g = gcd(a, b)
-        fa, fb = b // g, a // g
-        new = {j: fa * v for j, v in r.items()}
-        for j, v in piv.items():
-            w = new.get(j, 0) - fb * v
-            if w:
-                new[j] = w
-            else:
-                new.pop(j, None)
-        r = _strip_content(new)
+        _strip_content(_reduce(r, piv, lead))
     return False
+
+
+def echelon_add(echelon: dict[int, dict[int, int]], row: Iterable[tuple[int, Q]]) -> bool:
+    """One forward step in the caller's order, for a span grown row by row
+    (a Lie algebra's greedy generating set depends on that order): reduce a
+    row, given by its nonzeros, against the echelon {leading column: sparse
+    integer row} and keep the rest.  False when the row was in the span."""
+    return _insert(echelon, _sparse_int_row(row))
+
+
+def _forward(rows: Iterable[Iterable[tuple[int, Q]]]) -> dict[int, dict[int, int]]:
+    """The forward pass, {leading column: sparse integer row}, in the engine's
+    own intake order: descending leading column, ties by ascending length,
+    so fill does not depend on the order the caller happens to use."""
+    echelon: dict[int, dict[int, int]] = {}
+    for r in sorted(filter(None, map(_sparse_int_row, rows)), key=lambda r: (-min(r), len(r))):
+        _insert(echelon, r)
+    return echelon
 
 
 def sparse_row_space_basis(rows: Iterable[Iterable[tuple[int, Q]]]) -> list[SparseVec]:
     """Canonical (RREF) basis of the span of rows given by their nonzeros.
 
     Each row is its (column, value) pairs; zero values are ignored, and each
-    basis row comes back as its nonzeros ascending in column.  The echelon
-    runs on sparse integer rows with fraction-free updates (cross-multiply,
-    then divide out the content), because the systems here (graded candidate
-    stacks, the grading-element and partner solves) run to hundreds or
-    thousands of mostly-sparse rows, and dense Fraction arithmetic is an
-    order of magnitude slower there.  The final backward
-    pass still returns the RREF of the span, which is unique, so generator
-    order cannot leak into the result.
+    basis row comes back as its nonzeros ascending in column.  Both passes
+    run one fraction-free step on sparse integer rows, since the systems here
+    run to thousands of mostly-sparse rows where dense Fraction arithmetic is
+    an order of magnitude slower.  The RREF of the span is unique, so neither
+    the engine's intake order nor the caller's leaks into the result.
     """
-    echelon: dict[int, dict[int, int]] = {}  # leading column -> sparse row
-    for row in rows:
-        echelon_add(echelon, row)
+    echelon = _forward(rows)
     leads = sorted(echelon)
-    # Backward pass, bottom row up.  Rows below are already reduced, so they
-    # carry no pivot column but their own and one batched accumulation per
-    # row clears every lower pivot at once.
-    for idx in range(len(leads) - 2, -1, -1):
-        r = echelon[leads[idx]]
-        hits = sorted(L for L in r if L > leads[idx] and L in echelon)
-        if not hits:
-            continue
-        for L in hits:
-            piv = echelon[L]
-            p, c = piv[L], r[L]
-            g = gcd(p, c)
-            fp, fc = p // g, c // g
-            if fp != 1:
-                for j in r:
-                    r[j] *= fp
-            for j, v in piv.items():
-                w = r.get(j, 0) - fc * v
-                if w:
-                    r[j] = w
-                else:
-                    r.pop(j, None)
-        echelon[leads[idx]] = _strip_content(r)
+    # Backward pass, bottom row up: rows below are reduced, so carry no pivot
+    # but their own, and a row's content is divided out after its last step.
+    for lead in reversed(leads):
+        r = echelon[lead]
+        for j in sorted(j for j in r if j > lead and j in echelon):
+            _reduce(r, echelon[j], j)
+        _strip_content(r)
     out = []
     for lead in leads:
         r = echelon[lead]

@@ -25,6 +25,7 @@ from pentads.exact_linalg import (
     solve,
     solve_multi,
     sparse_kernel_basis,
+    sparse_row_space_basis,
     vec_scale,
 )
 
@@ -352,7 +353,7 @@ class TestRank:
             assert rank(scrambled) == r, f"trial {trial}"
 
     def test_forward_pass_only(self, monkeypatch):
-        # rank counts the rows echelon_add keeps and never forms the RREF
+        # rank counts the rows the forward pass keeps and never forms the RREF
         def no_rref(rows):
             raise AssertionError("rank ran the backward pass")
 
@@ -531,18 +532,6 @@ class TestKronecker:
             assert rank(kronecker(a, b)) == ra * rb
 
 
-class TestRowSpace:
-    def test_matches_rref(self):
-        m = Matrix([[2, 4, 0], [1, 2, 1], [3, 6, 1]])
-        basis = row_space_basis(m.entries)
-        reduced, pivots = rref(m)
-        assert basis == list(reduced.entries[:len(pivots)])
-
-    def test_order_independent(self):
-        rows = [(1, 2, 3), (0, 1, 1), (1, 3, 4), (2, 5, 7)]
-        assert row_space_basis(rows) == row_space_basis(list(reversed(rows)))
-
-
 # --- Differential tests against the dense oracle ------------------------------
 
 _small = st.integers(min_value=-6, max_value=6)
@@ -615,6 +604,38 @@ def typed(v):
     if v is None:
         return None
     return [typed(x) if isinstance(x, (tuple, list)) else (type(x).__name__, x) for x in v]
+
+
+@st.composite
+def reordered(draw):
+    """A system and an order of its rows that takes each at least once: a
+    permutation of the rows with some of them repeated."""
+    a, (b,) = draw(systems())
+    extra = draw(st.lists(st.integers(0, a.rows - 1), max_size=a.rows))
+    return a, b, draw(st.permutations(list(range(a.rows)) + extra))
+
+
+class TestRowSpace:
+    def test_matches_rref(self):
+        m = Matrix([[2, 4, 0], [1, 2, 1], [3, 6, 1]])
+        basis = row_space_basis(m.entries)
+        reduced, pivots = rref(m)
+        assert basis == list(reduced.entries[:len(pivots)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(reordered())
+    def test_order_independent(self, case):
+        # the engine takes rows in its own order, so permuting the rows of a
+        # system or repeating some of them changes no result
+        a, b, order = case
+        moved = Matrix.from_nonzeros([a.nonzeros[i] for i in order], a.cols)
+        assert (typed(sparse_row_space_basis(moved.nonzeros))
+                == typed(sparse_row_space_basis(a.nonzeros)))
+        assert rank(moved) == rank(a)
+        got, want = solve(moved, [b[i] for i in order]), solve(a, b)
+        assert got == want
+        assert typed(got.solution) == typed(want.solution)
+        assert typed(got.kernel) == typed(want.kernel)
 
 
 class TestEngineMatchesDenseOracle:

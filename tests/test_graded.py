@@ -22,7 +22,7 @@ from pentads.exact_linalg import (
     solve_multi,
     vec_scale,
 )
-from pentads import graded
+from pentads import exact_linalg, graded
 from pentads.graded import (
     DegreeError,
     GradedVector,
@@ -914,6 +914,27 @@ class TestWorkCounts:
         g.bracket(GradedVector(2, (1,) * 66), b)
         assert 0 < spied["evaluate"] <= 12
 
+    @pytest.mark.parametrize("spec,degree,most", [("matrix_space_example(2)", 3, 3788),
+                                                  ("gl1_so_vector(8)", 4, 4776)])
+    def test_forward_pass_fill(self, spec, degree, most, monkeypatch):
+        # The forward pass takes the top-degree candidate stack in the
+        # engine's own order (descending leading column, ties by ascending
+        # length) and keeps at most these nonzeros; in the order the
+        # candidates are built it kept 4840 and 8277.
+        stacks, real = [], graded.sparse_row_space_basis
+
+        def spy(rows):
+            rows = [tuple(row) for row in rows]
+            stacks.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(graded, "sparse_row_space_basis", spy)
+        build(spec, degree)
+        # degrees 2..degree of the positive half, then of the negative half
+        assert len(stacks) == 2 * (degree - 1)
+        for rows in (stacks[degree - 2], stacks[-1]):
+            assert sum(map(len, exact_linalg._forward(rows).values())) <= most
+
 
 CATALOG_SPECS = [display_name(e) for e in catalog()]
 
@@ -1144,10 +1165,11 @@ def test_extend_stops_at_the_first_zero_component(spec):
 # Q^-1 pi(a) Q, with the contragredient dual for the pairing t(Q) P Q.  Q is
 # a product of a few elementary integer matrices, and the pentad is
 # conjugated by Q or by its inverse, which gives Phi's slices a new
-# denominator.  matrix_space_example(2) is built to degree 2 only: a basis
-# change of as few as four elementary steps moved its degree-3 construction
-# from 0.4 s to as much as 61 s (fill in the candidate echelon), while
-# degree 2 stays under 0.05 s.
+# denominator.  matrix_space_example(2) is built to degree 2 only: over 15
+# draws of this strategy its degree-3 construction took from 0.1 s to as
+# much as 21 s (fill in the forward pass of the candidate echelon, although
+# its RREF keeps under 1900 nonzeros of at most 6 bits), while degree 2
+# stays under 0.05 s.
 CONJUGATED_DEGREES = {"gl1_scalar": 3, "gl2_trace": 3, "gl1_so_vector(3)": 3,
                       "gl1_so_vector(4)": 3, "matrix_space_example(2)": 2}
 _REFERENCE = {}
