@@ -485,8 +485,10 @@ def _forward(rows: Iterable[Iterable[tuple[int, Q]]]) -> dict[int, dict[int, int
     own intake order: descending leading column, ties by ascending length,
     so fill does not depend on the order the caller happens to use."""
     echelon: dict[int, dict[int, int]] = {}
-    for r in sorted(filter(None, map(_sparse_int_row, rows)), key=lambda r: (-min(r), len(r))):
-        _insert(echelon, r)
+    stack = sorted(filter(None, map(_sparse_int_row, rows)), key=lambda r: (-min(r), len(r)))
+    stack.reverse()
+    while stack:  # off the list as it is taken, so a row reduced to nothing is freed
+        _insert(echelon, stack.pop())
     return echelon
 
 

@@ -7,9 +7,10 @@ span of the candidates [x, u] for x in U_1 and u in U_k, the maps
 y -> [[x, y], u] + [x, [u, y]].  The negative side runs the same machinery
 with the module and its dual swapped, on Phi's slices by dual index,
 negated.  Realizing each component as maps makes evaluation against U_{-1}
-literally the bracket, so minimality (no nonzero vector bracketing to zero
-with the opposite generator line) is a rank statement about the stored
-maps.
+literally the bracket, so the checks read what construction stored:
+minimality (no nonzero vector bracketing to zero with the opposite generator
+line) is the independence of the stored maps, which their RREF leads
+certify, and the grading is h's stored action below each side's top degree.
 
 Every component is stored by its nonzeros only (see _Half): a basis map as
 one flat row, keyed by the pair of its U_{-1} and U_{k-1} indices, which
@@ -82,7 +83,7 @@ class _Half:
 
     Each candidate product carries one D, so the candidate stack is D times
     the candidates, with the same RREF.  Every reader (evaluation, the
-    actions, the table, the next candidates, the checks) is one contraction
+    actions, the table, the next candidates) is one contraction
     over these nonzeros into a single accumulator; the bracket readers
     (evaluate, up_bracket, columns) keep integers, over D where the tables
     carry it.  Bracket expansions back into generator pairs are solved
@@ -469,51 +470,33 @@ def check_minimality(g: GradedAlgebra) -> bool:
     """No nonzero element of a stored component evaluates to zero.
 
     A vector of U_k (|k| >= 2) with [v, U_{-sign(k)}] = {0} would be exactly
-    a linear dependence among the stored maps, so the condition is a rank
-    equality on their flattened stack.  Stored bases are echelon rows, where
-    strictly increasing leading entries already certify independence;
-    anything else falls back to an actual rank computation.
+    a linear dependence among the stored maps.  Every stored basis above
+    degree 1 is RREF output of sparse_row_space_basis, so nonempty rows with
+    strictly increasing leading columns certify independence; no rank.
     """
     for half in (g.positive, g.negative):
-        for k, maps in half.maps.items():
-            if k < 2:
-                continue
+        for k in range(2, len(half.maps) + 1):
             last = -1
-            for v in maps:
-                lead = v[0][0] if v else None
-                if lead is None or lead <= last:
-                    if len(sparse_row_space_basis(maps)) != half.dims[k]:
-                        return False
-                    break
-                last = lead
+            for f in half.maps[k]:
+                if not f or f[0][0] <= last:
+                    return False
+                last = f[0][0]
     return True
 
 
 def check_grading(g: GradedAlgebra, h: GradingElement) -> bool:
     """ad(h) must act as the scalar 2n on every stored component U_n.
 
-    Degrees 0 and +-1 are read off the defining actions.  For |n| >= 2 the
-    stored basis maps F satisfy ad(h) F = M F - F D with M the action of h
-    one degree down and D its action on the evaluation line, so the check
-    runs against those tables and never forces the top-degree action table
-    into existence.  The stored columns combined by h give the transpose of
-    M, whose rows are the columns _twist reads.  Everything is compared by
-    nonzero entries, on the stored degrees only.
+    Degree 0 is read off the structure table.  On each side, h's stored
+    action on U_k (the stored columns combined by h, transposed) is compared
+    with 2 sign k Id for k = 1 up to one below the side's top degree.  The
+    top degree needs no table of its own: on a stored map F of U_top, h acts
+    as M F - F D, with M its action one degree down and D its action on the
+    evaluation line, the other side's degree-one table, so it acts as
+    2 top F once those pass.  No stored map is evaluated.
     """
-    if not g.pentad.algebra.ad_matrix(h.coords).is_zero():
-        return False
-    for half, sign in ((g.positive, 1), (g.negative, -1)):
-        m = half.m
-        # h acting on U_k, transposed, is the stored columns combined by h
-        if linear_combination(h.coords, half.transposed(1)) != Matrix.identity(m).scale(2 * sign):
-            return False
-        d_rows = linear_combination(h.coords, half.dual).nonzeros
-        for n, maps in half.maps.items():
-            if n < 2:
-                continue
-            mh_cols = linear_combination(h.coords, half.transposed(n - 1)).nonzeros
-            for f in maps:
-                twisted = {j: x for j, x in _twist(mh_cols, f, d_rows, m).items() if x}
-                if twisted != {j: 2 * sign * n * c for j, c in f}:
-                    return False
-    return True
+    return g.pentad.algebra.ad_matrix(h.coords).is_zero() and all(
+        linear_combination(h.coords, half.transposed(k))
+        == Matrix.identity(half.dims[k]).scale(2 * sign * k)
+        for half, sign in ((g.positive, 1), (g.negative, -1))
+        for k in range(1, max(len(half.maps), 2)))

@@ -130,8 +130,8 @@ class MatrixLieAlgebra(Frozen):
             if len(echelon) == self.dim:
                 break
             if echelon_add(echelon, ((j, 1),)):
-                for s in gens:
-                    echelon_add(echelon, self.structure[j][s])
+                for row in filter(None, (self.structure[j][s] for s in gens)):
+                    echelon_add(echelon, row)
                 gens.append(j)
         return tuple(gens)
 
@@ -372,7 +372,7 @@ def scalar_center_report(alg: MatrixLieAlgebra,
     # span; [g, g] is the span of the [s, b_j], s in alg.generators
     echelon: dict[int, dict[int, int]] = {}
     for s in alg.generators:
-        for row in alg.structure[s]:
+        for row in filter(None, alg.structure[s]):  # commuting pairs add nothing
             echelon_add(echelon, row)
     derived_dim = len(echelon)
     for z in zs:

@@ -446,6 +446,44 @@ class TestChecks:
         half.dims[2] *= 2
         assert check_minimality(g) is False
 
+    @pytest.mark.parametrize("tamper", ["zero row", "duplicate row"])
+    def test_minimality_reads_the_leads(self, tamper, monkeypatch):
+        # Stored bases are RREF rows, so an empty row or a lead that does not
+        # increase is already a dependence: no rank is computed.
+        g = build("gl2_trace", 2)
+        half = g.positive
+        half.maps[2] += ((),) if tamper == "zero row" else half.maps[2]
+        half.dims[2] = len(half.maps[2])
+
+        def no_rank(rows):
+            raise AssertionError("check_minimality computed a rank")
+
+        monkeypatch.setattr(graded, "sparse_row_space_basis", no_rank)
+        assert check_minimality(g) is False
+
+    @pytest.mark.parametrize("spec,degree", [("gl1_so_vector(3)", 3),
+                                             ("matrix_space_example(2)", 3),
+                                             ("gl2_trace", 1)])
+    def test_grading_reads_each_action_table_once(self, spec, degree, monkeypatch):
+        # h's action is compared on U_1 .. U_{top-1} of each side, once per
+        # degree; the top degree follows from the tables below it, so
+        # neither its table nor any stored map is read.
+        g = build(spec, degree)
+        h = grading_element(g.pentad).element
+        calls, real = [], _Half.transposed
+
+        def spy(half, k):
+            calls.append((half is g.positive, k))
+            return real(half, k)
+
+        monkeypatch.setattr(_Half, "transposed", spy)
+        monkeypatch.setattr(graded, "_twist", None)
+        assert check_grading(g, h) is True
+        want = [(side is g.positive, k) for side in (g.positive, g.negative)
+                for k in range(1, max(max(side.maps), 2))]
+        assert calls == want
+        assert set(k for _, k in want) == set(range(1, max(degree, 2)))
+
 
 # ---------------------------------------------------------------------------
 # Dense oracle: the graded construction as it was before components were

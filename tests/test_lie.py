@@ -564,6 +564,25 @@ class TestCenterOnGenerators:
         assert shapes == [(220, 67)]
         assert len(all_commutation_rows(alg)) == 1320
 
+    def test_derived_span_skips_commuting_pairs(self, monkeypatch):
+        # [g, g] is echeloned from the brackets [s, b_j], s a generator; an
+        # empty one (a commuting pair) would be a no-op in echelon_add, so
+        # only the nonempty rows reach it, then one call per center vector
+        p = resolve("matrix_space_example(3)").build()
+        alg = p.algebra
+        rows = [row for s in alg.generators for row in alg.structure[s]]
+        nonempty = sum(1 for row in rows if row)
+        assert 0 < nonempty < len(rows)
+        calls, real = [], lie.echelon_add
+
+        def spy(echelon, row):
+            calls.append(row)
+            return real(echelon, row)
+
+        monkeypatch.setattr(lie, "echelon_add", spy)
+        assert scalar_center_report(alg, list(p.rep.action)).holds
+        assert len(calls) == nonempty + len(alg.center)
+
 
 class TestSparseStructureMatchesDense:
     @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
