@@ -35,6 +35,7 @@ components are stored.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
@@ -51,9 +52,8 @@ from .exact_linalg import (
     row_space_basis,  # noqa: F401  (perfbench's tracer patches this name here)
     sparse_row_space_basis,
 )
-from .pentad import StandardPentad
-# the grading element's names, kept here for perfbench's tracer and the tests
-from .pentad import GradingElement, GradingElementResult, grading_element  # noqa: F401
+from .pentad import GradingElement, StandardPentad
+from .pentad import grading_element  # noqa: F401  (perfbench's tracer wraps this name here)
 
 
 class DegreeError(ValueError):
@@ -348,6 +348,13 @@ class GradedAlgebra:
             raise DegreeError(f"degree {degree} exceeds the bound {self.max_degree}")
         return self._dims.get(degree, 0)
 
+    @cached_property
+    def _ad_columns(self) -> list[tuple[SparseVec, ...]]:
+        """The algebra acting on U_0 = g by the nonzeros of each column, as
+        _Half.columns at the other degrees: ad(b_i) transposed, built on first use."""
+        alg = self.pentad.algebra
+        return [alg.ad_basis(i).transpose().nonzeros for i in range(alg.dim)]
+
     def _half(self, degree: int) -> _Half:
         """The side holding the nonzero degree."""
         return self.positive if degree > 0 else self.negative
@@ -393,8 +400,7 @@ class GradedAlgebra:
         if not (a and b and self._dims.get(j + k)):
             return (), 1
         if j == 0:
-            table = self._half(k).columns(abs(k)) if k else self.pentad.algebra.structure
-            return _contract(table, a, b, 1)
+            return _contract(self._half(k).columns(abs(k)) if k else self._ad_columns, a, b, 1)
         if k == 0:
             return _negated(self._sparse_bracket(0, b, j, a))
         one = 1 if j > 0 else -1

@@ -2,15 +2,15 @@
 
 An algebra here is a list of ambient matrices closed under the commutator.
 Structure constants are computed once, exactly, at construction, and stored
-once, sparsely: for each pair (i, j) only the nonzero coordinates (k, c) of
-[b_i, b_j].  Everything downstream (brackets, ad matrices, the center, the
-derived subalgebra, invariant-form checks, the homomorphism check, the graded
-construction) reads that one table and works in coordinates with respect to
-the stored basis, so no reader walks the d^3 dense entries.
+once, by the nonzero brackets only: for each i, the j with [b_i, b_j] != 0
+and that bracket's nonzero coordinates (k, c).  Everything downstream
+(brackets, ad matrices, the center, the derived subalgebra, invariant-form
+checks, the homomorphism check, the graded construction) reads that one
+table in coordinates of the stored basis, so no reader walks all d^2 pairs.
 
-Classical families are produced as canonical kernel bases of their defining
-linear equations, so two calls with the same parameters return identical
-bases, entry for entry.
+Classical families are canonical kernel bases of their defining equations,
+one sparse matrix on the flattened matrix, so two calls with the same
+parameters return identical bases, entry for entry.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .exact_linalg import (
     Frozen,
@@ -29,6 +29,7 @@ from .exact_linalg import (
     check_length,
     echelon_add,
     kernel_basis,
+    kronecker,
     linear_combination,
     qnorm,
     sparse_kernel_basis,
@@ -56,34 +57,33 @@ class NotClosedError(LieAlgebraError):
 class MatrixLieAlgebra(Frozen):
     """A Lie algebra of ambient_size x ambient_size matrices.
 
-    structure[i][j] holds the coordinates of [basis[i], basis[j]] in the
-    basis as a SparseVec: the (k, c) pairs with c != 0, ascending in k, so
-    structure[i][i] and the brackets of commuting pairs are empty.  It is the
-    only copy of the structure constants; bracketing never re-solves a linear
-    system.
+    structure[i] maps each j with [basis[i], basis[j]] != 0, ascending, to
+    its coordinates as a SparseVec, the (k, c) with c != 0 ascending in k;
+    i and the j commuting with basis[i] are absent.  It is the only copy of
+    the structure constants, derived from the basis, so ==, hash and the
+    repr read the basis alone; bracketing never re-solves a linear system.
     """
 
-    _fields = ("ambient_size", "basis", "structure")
+    _fields = ("ambient_size", "basis")
 
     def __init__(self, ambient_size: int, basis: tuple[Matrix, ...],
-                 structure: tuple[tuple[SparseVec, ...], ...]):
-        self._init(ambient_size, basis, structure)
+                 structure: tuple[dict[int, SparseVec], ...]):
+        self._init(ambient_size, basis)
+        object.__setattr__(self, "structure", structure)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def ad_matrix(self, u: Sequence[Q]) -> Matrix:
-        """Matrix of v -> [u, v] in coordinates.  Row i of the structure
-        table, read as a matrix, is the transpose of ad(b_i), so ad(u) is
-        the transpose of those matrices combined by u."""
+        """Matrix of v -> [u, v] in coordinates: the ad(b_i) combined by u."""
         check_length(u, self.dim)
-        return linear_combination(u, [Matrix.from_nonzeros(row, self.dim)
-                                      for row in self.structure]).transpose()
+        return linear_combination(u, list(map(self.ad_basis, range(self.dim))))
 
     def ad_basis(self, i: int) -> Matrix:
-        """ad(b_i): row i of the structure table, read as a matrix, transposed."""
-        return Matrix.from_nonzeros(self.structure[i], self.dim).transpose()
+        """ad(b_i): the transpose of the matrix whose row j is [b_i, b_j]."""
+        row, d = self.structure[i], self.dim
+        return Matrix.from_nonzeros([row.get(j, ()) for j in range(d)], d).transpose()
 
     @cached_property
     def center(self) -> tuple[Vec, ...]:
@@ -130,7 +130,7 @@ class MatrixLieAlgebra(Frozen):
             if len(echelon) == self.dim:
                 break
             if echelon_add(echelon, ((j, 1),)):
-                for row in filter(None, (self.structure[j][s] for s in gens)):
+                for row in filter(None, map(self.structure[j].get, gens)):
                     echelon_add(echelon, row)
                 gens.append(j)
         return tuple(gens)
@@ -172,7 +172,8 @@ def build_algebra(ambient_size: int, basis: Sequence[Matrix]) -> MatrixLieAlgebr
     span, so the basis is independent exactly when all pivots lie in the
     first block.  A flattened commutator v then has the coordinates
     v[pivots] . E, and it lies in the span exactly when v - v[pivots] . R
-    vanishes.  Only the pairs that share an index are bracketed, in order.
+    vanishes.  Only the pairs that share an index are bracketed, in order,
+    and a nonzero bracket is stored with its negative, so keys ascend.
     """
     basis = tuple(basis)
     n = ambient_size
@@ -180,7 +181,6 @@ def build_algebra(ambient_size: int, basis: Sequence[Matrix]) -> MatrixLieAlgebr
     for b in basis:
         if b.shape() != (n, n):
             raise LieAlgebraError("basis matrix has the wrong ambient size")
-    d = len(basis)
     echelon = sparse_row_space_basis(
         b.flat_nonzeros() + ((nn + i, 1),) for i, b in enumerate(basis))
     if any(row[0][0] >= nn for row in echelon):
@@ -192,7 +192,7 @@ def build_algebra(ambient_size: int, basis: Sequence[Matrix]) -> MatrixLieAlgebr
     e_rows = [[(c - nn, x) for c, x in row if c >= nn] for row in echelon]
 
     maps = [dict(b.nonempty()) for b in basis]
-    table: list[list[SparseVec]] = [[()] * d for _ in range(d)]
+    table: list[dict[int, SparseVec]] = [{} for _ in basis]
     for i, partners in enumerate(index_partners(maps)):
         for j in sorted(partners):
             residual: dict[int, Q] = {}
@@ -209,10 +209,9 @@ def build_algebra(ambient_size: int, basis: Sequence[Matrix]) -> MatrixLieAlgebr
             if any(residual.values()):
                 raise NotClosedError(i, j)
             cij = sparse_row(coords)
-            table[i][j] = cij
-            table[j][i] = tuple((k, -x) for k, x in cij)
-    for i, row in enumerate(table):  # row by row, so one copy of the table is alive
-        table[i] = tuple(row)
+            if cij:
+                table[i][j] = cij
+                table[j][i] = tuple((k, -x) for k, x in cij)
     return MatrixLieAlgebra(ambient_size, basis, tuple(table))
 
 
@@ -222,35 +221,31 @@ def standard_symplectic_form(n: int) -> Matrix:
         [((n + i, 1),) for i in range(n)] + [((i, -1),) for i in range(n)], 2 * n)
 
 
-def _unit_matrix(n: int, p: int, q: int) -> Matrix:
-    """The n x n matrix unit E_pq."""
-    return Matrix.from_nonzeros(((((q, 1),) if i == p else ()) for i in range(n)), n)
-
-
-def _solution_basis(n: int, defining: Callable[[Matrix], Matrix]) -> list[Matrix]:
-    """Canonical basis of {A : defining(A) = 0} inside n x n matrices."""
-    images = Matrix.from_nonzeros(
-        (defining(_unit_matrix(n, p, q)).flat_nonzeros() for p in range(n) for q in range(n)),
-        n * n)
-    return [Matrix.from_flat_nonzeros(v, n, n) for v in sparse_kernel_basis(images.transpose())]
-
-
 def classical_basis(kind: str, n: int) -> tuple[int, list[Matrix]]:
     """Classical families as (ambient size, basis), the arguments of
-    build_algebra: gl(n), sl(n), so(n), and sp(n) on ambient size 2n."""
+    build_algebra: gl(n), sl(n), so(n), and sp(n) on ambient size 2n, each
+    the canonical kernel of its defining equations on flat(A) as one sparse
+    matrix: none for gl (the matrix units, in order), the trace row for sl,
+    I + S for so and kron(I, t(J)) + kron(J, I) S for sp (A J + J t(A) = 0),
+    where the permutation S sends flat(A) to flat(t(A)).
+    """
     if n < 1:
         raise LieAlgebraError("family parameter must be positive")
+    size = 2 * n if kind == "sp" else n
+    nn = size * size
+    flip = Matrix.from_nonzeros(((((r % size) * size + r // size, 1),) for r in range(nn)), nn)
     if kind == "gl":
-        return n, [_unit_matrix(n, p, q) for p in range(n) for q in range(n)]
-    if kind == "sl":
-        i_n = Matrix.identity(n)
-        return n, _solution_basis(n, lambda a: i_n.scale(a.trace()))
-    if kind == "so":
-        return n, _solution_basis(n, lambda a: a + a.transpose())
-    if kind == "sp":
-        j = standard_symplectic_form(n)
-        return 2 * n, _solution_basis(2 * n, lambda a: a @ j + j @ a.transpose())
-    raise LieAlgebraError(f"unknown family kind: {kind!r}")
+        equations = Matrix.zeros(0, nn)
+    elif kind == "sl":
+        equations = Matrix.from_nonzeros([tuple((p * size + p, 1) for p in range(size))], nn)
+    elif kind == "so":
+        equations = Matrix.identity(nn) + flip
+    elif kind == "sp":
+        j, i_size = standard_symplectic_form(n), Matrix.identity(size)
+        equations = kronecker(i_size, j.transpose()) + kronecker(j, i_size) @ flip
+    else:
+        raise LieAlgebraError(f"unknown family kind: {kind!r}")
+    return size, [Matrix.from_flat_nonzeros(v, size, size) for v in sparse_kernel_basis(equations)]
 
 
 def family(kind: str, n: int) -> MatrixLieAlgebra:
@@ -333,7 +328,7 @@ def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix,
         gi = g_rows[i]
         for j in js:
             diff: dict[int, Q] = {}
-            for m, c in alg.structure[i][j]:
+            for m, c in alg.structure[i].get(j, ()):
                 for k, x in g_rows[m]:
                     diff[k] = diff.get(k, 0) + c * x
             ad_j = ad_rows[j]
@@ -372,7 +367,7 @@ def scalar_center_report(alg: MatrixLieAlgebra,
     # span; [g, g] is the span of the [s, b_j], s in alg.generators
     echelon: dict[int, dict[int, int]] = {}
     for s in alg.generators:
-        for row in filter(None, alg.structure[s]):  # commuting pairs add nothing
+        for row in alg.structure[s].values():
             echelon_add(echelon, row)
     derived_dim = len(echelon)
     for z in zs:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import compress
 from math import lcm, prod
 from typing import Iterator, NamedTuple, Sequence
 
@@ -69,21 +68,21 @@ def homomorphism_failures(algebra: MatrixLieAlgebra, action: Sequence[Matrix],
     given the ascending indices among, only the pairs with i or j in it.
 
     Only the pairs whose actions share an index (lie.index_partners) or
-    whose structure[i][j] is nonempty are visited, since both sides vanish
-    on the others; each side is a flat dict of nonzeros, pi([b_i, b_j])
-    summed over the sparse structure table.
+    whose bracket is nonzero (j a key of structure[i]) are visited, since
+    both sides vanish on the others; each side is a flat dict of nonzeros,
+    pi([b_i, b_j]) summed over the sparse structure table.
     """
-    n, m = algebra.dim, action[0].cols
+    m = action[0].cols
     maps = [dict(a.nonempty()) for a in action]
-    marked = set(range(n) if among is None else among)
+    marked = set(range(algebra.dim) if among is None else among)
     for i, (partners, table_row) in enumerate(zip(index_partners(maps), algebra.structure)):
         if i in marked:
-            js = partners.union(compress(range(i + 1, n), table_row[i + 1:]))
+            js = partners.union(j for j in table_row if j > i)
         else:
-            js = {j for j in among if j > i and (j in partners or table_row[j])}
+            js = {j for j in among if j > i and (j in partners or j in table_row)}
         for j in sorted(js):
             acc = commutator(maps[i], maps[j], m)
-            for k, g in table_row[j]:
+            for k, g in table_row.get(j, ()):
                 for r, row in maps[k].items():
                     for t, y in row:
                         acc[r * m + t] = acc.get(r * m + t, 0) - g * y

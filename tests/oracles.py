@@ -17,8 +17,9 @@ commutation row, the center as the kernel of a hand-built row per
 (generator, coordinate) and the degree-0 graded action read through
 ad_matrix, the rank read off the full echelon, the JSON matrix reader and
 writer that walked every cell, Witt's dimension formula for free Lie
-algebras, pentads over an algebra in a changed basis, and castling pairs,
-whose regularity verdicts must agree.
+algebras, pentads over an algebra in a changed basis, castling pairs,
+whose regularity verdicts must agree, and the classical bases solved one
+matrix unit at a time, the reference for the families' sparse equations.
 """
 
 import random
@@ -39,6 +40,7 @@ from pentads.exact_linalg import (
     row_space_basis,
     solve,
     solve_multi,
+    sparse_kernel_basis,
     sparse_row,
     sparse_row_space_basis,
 )
@@ -369,7 +371,6 @@ def shifted_sum(algebras):
     bracket recomputed: blocks on disjoint diagonal positions are
     independent and commute."""
     total = sum(a.ambient_size for a in algebras)
-    dim = sum(a.dim for a in algebras)
     basis, table, offset = [], [], 0
     for a in algebras:
         above, below = ((),) * offset, ((),) * (total - offset - a.ambient_size)
@@ -377,10 +378,9 @@ def shifted_sum(algebras):
             shifted = tuple(tuple((c + offset, x) for c, x in row) for row in b.nonzeros)
             basis.append(Matrix.from_nonzeros(above + shifted + below, total))
         shift = len(table)
-        left, right = ((),) * shift, ((),) * (dim - shift - a.dim)
         for row in a.structure:
-            table.append(left + tuple(tuple((k + shift, c) for k, c in cij) if cij else ()
-                                      for cij in row) + right)
+            table.append({j + shift: tuple((k + shift, c) for k, c in cij)
+                          for j, cij in row.items()})
         offset += a.ambient_size
     return MatrixLieAlgebra(total, tuple(basis), tuple(table))
 
@@ -419,7 +419,7 @@ def all_pairs_homomorphism_failure(alg, action):
         for j in range(i + 1, alg.dim):
             for r in range(action[0].rows):
                 acc = _commutator_row(rows[i], rows[j], r)
-                for k, g in alg.structure[i][j]:
+                for k, g in alg.structure[i].get(j, ()):
                     for t, y in rows[k][r]:
                         acc[t] = acc.get(t, 0) - g * y
                 if any(acc.values()):
@@ -432,7 +432,7 @@ def all_pairs_invariance_witness(alg, gram):
     side summed over dense coordinates; None when B is invariant."""
     d = alg.dim
     g = gram.entries
-    table = [[dense_vec(c, d) for c in row] for row in alg.structure]
+    table = [[dense_vec(row.get(j, ()), d) for j in range(d)] for row in alg.structure]
     for i in range(d):
         for j in range(d):
             cij = table[i][j]
@@ -471,7 +471,7 @@ def all_commutation_rows(alg):
     """The nonzero rows of [z, b_j] = 0 for every j, ordered by (j, k)."""
     rows = {}
     for i, row in enumerate(alg.structure):
-        for j, cij in enumerate(row):
+        for j, cij in row.items():
             for k, c in cij:
                 rows.setdefault((j, k), []).append((i, c))
     return [tuple(rows[key]) for key in sorted(rows)]
@@ -488,7 +488,7 @@ def generator_rows_center(alg):
     rows = {}
     for i, row in enumerate(alg.structure):
         for s in alg.generators:
-            for k, c in row[s]:
+            for k, c in row.get(s, ()):
                 rows.setdefault((s, k), []).append((i, c))
     return tuple(kernel_basis(Matrix.from_nonzeros(map(tuple, rows.values()), alg.dim)))
 
@@ -594,3 +594,28 @@ def castling_pair(factors, m):
     up to the outer automorphism X -> -t(X) for sl."""
     size = prod(classical_basis(*factor)[0] for factor in factors)
     return tuple(_defining([("gl", 1), *factors, ("sl", k)]) for k in (m, size - m))
+
+
+# --- Classical bases one matrix unit at a time, the reference for the ------
+# --- families' defining equations written as one sparse matrix ---------------
+
+def unit_matrix(n, p, q):
+    """The n x n matrix unit E_pq."""
+    return Matrix.from_nonzeros(((((q, 1),) if i == p else ()) for i in range(n)), n)
+
+
+def units_classical_basis(kind, n):
+    """classical_basis as it was built before: each family's defining map
+    applied to every matrix unit, and the canonical kernel of the images."""
+    size = 2 * n if kind == "sp" else n
+    if kind == "gl":
+        return size, [unit_matrix(n, p, q) for p in range(n) for q in range(n)]
+    j = standard_symplectic_form(n)
+    defining = {"sl": lambda a: Matrix.identity(n).scale(a.trace()),
+                "so": lambda a: a + a.transpose(),
+                "sp": lambda a: a @ j + j @ a.transpose()}[kind]
+    images = Matrix.from_nonzeros(
+        (defining(unit_matrix(size, p, q)).flat_nonzeros()
+         for p in range(size) for q in range(size)), size * size)
+    return size, [Matrix.from_flat_nonzeros(v, size, size)
+                  for v in sparse_kernel_basis(images.transpose())]

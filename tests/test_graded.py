@@ -26,22 +26,22 @@ from pentads import exact_linalg, graded
 from pentads.graded import (
     DegreeError,
     GradedVector,
-    GradingElement,
     _Half,
     check_grading,
     check_minimality,
     extend,
-    grading_element,
 )
 from pentads.lie import classical_basis, direct_sum, family, trace_form, unit_coords
 from pentads.preh import decide_regularity, verify_certificate
 from pentads.pentad import (
     DualModule,
+    GradingElement,
     PhiMap,
     Representation,
     StandardPentad,
     check_standard,
     dual_representation,
+    grading_element,
 )
 
 from oracles import (ad_matrix_actions, conjugated, dense_pivot_action, display_name, mirror,
@@ -839,7 +839,7 @@ class TestSparseMatchesDense:
         h = grading_element(g.pentad).element
         alg = g.pentad.algebra
         d = alg.dim
-        noncentral = next(j for j in range(d) if any(alg.structure[j]))
+        noncentral = next(j for j in range(d) if alg.structure[j])
         elements = [h, GradingElement(vec_scale(2, h.coords)),
                     GradingElement(vec_add(h.coords, unit_coords(d, noncentral)))]
         verdicts = [check_grading(g, e) for e in elements]

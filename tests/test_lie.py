@@ -32,7 +32,7 @@ from pentads import lie
 from oracles import (ad_matrix_actions, all_commutation_rows, all_pairs_closure_failure,
                      all_rows_center, coords_of, dense_center, dense_derived,
                      dense_trace_product, display_name, generator_rows_center, matrix_of,
-                     rebased, shifted_sum, vec_add)
+                     rebased, shifted_sum, units_classical_basis, vec_add)
 
 
 def commutator(a, b):
@@ -81,7 +81,7 @@ class TestBuildAlgebra:
         # [E_00, E_01] = E_01
         assert alg.structure[0][1] == ((1, 1),)
         assert alg.structure[1][0] == ((1, -1),)
-        assert alg.structure[0][0] == ()
+        assert 0 not in alg.structure[0]
 
     def test_ad_matrix_matches_ambient_commutator(self):
         alg = family("gl", 2)
@@ -192,6 +192,16 @@ class TestFamilies:
                      for v in kernel_basis(images.transpose()))
         monkeypatch.setattr(lie, "kernel_basis", None)
         assert family(kind, n).basis == want
+
+    @pytest.mark.parametrize("kind, top", [("gl", 6), ("sl", 8), ("so", 12), ("sp", 6)])
+    def test_equations_match_the_unit_images(self, kind, top):
+        # the defining equations, written as one sparse matrix on flat(A),
+        # have the kernel of the images of the matrix units, so the
+        # canonical bases agree entry for entry, in value and in type
+        for n in range(1, top + 1):
+            got, want = classical_basis(kind, n), units_classical_basis(kind, n)
+            assert got == want
+            assert repr(got) == repr(want)
 
     def test_family_is_deterministic(self):
         assert family("sp", 2).basis == family("sp", 2).basis
@@ -458,7 +468,7 @@ def dense_check_form(table, g):
 
 
 def dense_table(alg):
-    return [[dense_vec(alg.structure[i][j], alg.dim) for j in range(alg.dim)]
+    return [[dense_vec(alg.structure[i].get(j, ()), alg.dim) for j in range(alg.dim)]
             for i in range(alg.dim)]
 
 
@@ -488,7 +498,7 @@ UNSPLIT_ALGEBRAS = [("aff(1)", build_algebra(2, [e(2, 0, 0), e(2, 0, 1)])),
 def span_rank(alg, gens):
     """dim span(S + [S, S]) for the basis indices S."""
     return len(sparse_row_space_basis(
-        [((s, 1),) for s in gens] + [alg.structure[s][t] for s in gens for t in gens]))
+        [((s, 1),) for s in gens] + [alg.structure[s].get(t, ()) for s in gens for t in gens]))
 
 
 class TestGeneratingSet:
@@ -566,13 +576,13 @@ class TestCenterOnGenerators:
 
     def test_derived_span_skips_commuting_pairs(self, monkeypatch):
         # [g, g] is echeloned from the brackets [s, b_j], s a generator; an
-        # empty one (a commuting pair) would be a no-op in echelon_add, so
-        # only the nonempty rows reach it, then one call per center vector
+        # empty one (a commuting pair, absent from the table) would be a
+        # no-op in echelon_add, so only the nonempty rows reach it, then one
+        # call per center vector
         p = resolve("matrix_space_example(3)").build()
         alg = p.algebra
-        rows = [row for s in alg.generators for row in alg.structure[s]]
-        nonempty = sum(1 for row in rows if row)
-        assert 0 < nonempty < len(rows)
+        nonempty = sum(len(alg.structure[s]) for s in alg.generators)
+        assert 0 < nonempty < len(alg.generators) * alg.dim
         calls, real = [], lie.echelon_add
 
         def spy(echelon, row):
@@ -589,10 +599,24 @@ class TestSparseStructureMatchesDense:
     def test_structure_constants(self, alg):
         assert dense_table(alg) == dense_structure(alg.ambient_size, alg.basis)
         for row in alg.structure:
-            for cij in row:
+            for cij in row.values():
                 ks = [k for k, _ in cij]
                 assert ks == sorted(set(ks))
                 assert all(c for _, c in cij)
+
+    @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS + UNSPLIT_ALGEBRAS],
+                             ids=ALGEBRA_IDS + [name for name, _ in UNSPLIT_ALGEBRAS])
+    def test_rows_hold_only_the_nonzero_brackets(self, alg):
+        # row i maps each j with [b_i, b_j] != 0, ascending, to that
+        # bracket; the commuting j are absent, and row j holds the negative
+        table = dense_structure(alg.ambient_size, alg.basis)
+        for i, row in enumerate(alg.structure):
+            assert list(row.keys()) == sorted(row)
+            assert all(row.values())
+            for j, cij in row.items():
+                assert alg.structure[j][i] == tuple((k, -c) for k, c in cij)
+            assert ({j: dense_vec(cij, alg.dim) for j, cij in row.items()}
+                    == {j: v for j, v in enumerate(table[i]) if any(v)})
 
     @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS + UNSPLIT_ALGEBRAS],
                              ids=ALGEBRA_IDS + [name for name, _ in UNSPLIT_ALGEBRAS])

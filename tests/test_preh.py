@@ -6,16 +6,17 @@ from functools import cache, cached_property
 import pytest
 
 from pentads import cli, exact_linalg, lie, pentad, preh
-from pentads.catalog import resolve
+from pentads.catalog import catalog, resolve
 from pentads.exact_linalg import Matrix, is_zero_vec, kernel_basis, qof, qstr, rank
-from pentads.graded import GradingElement, grading_element
 from pentads.lie import family, trace_form, unit_coords
 from pentads.pentad import (
     DualModule,
+    GradingElement,
     Representation,
     StandardPentad,
     check_standard,
     dual_representation,
+    grading_element,
 )
 from pentads.preh import (
     GradingElementError,
@@ -31,7 +32,8 @@ from pentads.preh import (
 )
 from pentads.serialize import SerializationError, verdict_from_json, verdict_to_json
 
-from oracles import castling_pair
+from oracles import (castling_pair, display_name, mirror, rational_matrix_space_pentad,
+                     rational_vector_pentad)
 
 # Known generic points of the matrix-space entries (block-identity 2n x 3
 # matrices, flattened row-major) and the unique partner of the first one.
@@ -441,6 +443,40 @@ class TestCastling:
         assert [v.outcome for v in verdicts] == [outcome, outcome]
         assert all(verify_certificate(p, v) for p, v in zip(sides, verdicts))
         assert len({p.algebra.dim - p.module_dim for p in sides}) == 1
+
+
+def castling_side(factors, m, side):
+    return lambda: castling_pair(factors, m)[side]
+
+
+# name -> pentad factory: the catalog defaults, two larger entries, both sides of
+# every castling pair and both pentads with a rational pairing
+MIRRORED = {
+    **{spec: (lambda spec=spec: resolve(spec).build())
+       for spec in [display_name(e) for e in catalog()]
+       + ["gl1_so_vector(5)", "matrix_space_example(3)"]},
+    **{"+".join(f"{k}{n}" for k, n in fs) + f"-m{m}-side{side}": castling_side(fs, m, side)
+       for fs, m, _ in CASTLING_PAIRS for side in (0, 1)},
+    "rational_vector": rational_vector_pentad,
+    "rational_matrix_space": rational_matrix_space_pentad,
+}
+
+
+class TestMirror:
+    """Swapping the module and its dual (oracles.mirror, whose
+    Representation runs the homomorphism check on the dual action) keeps
+    the regularity verdict, and both certificates replay."""
+
+    def test_cases(self):
+        assert len(MIRRORED) == 35
+
+    @pytest.mark.parametrize("name", list(MIRRORED))
+    def test_mirror_agrees(self, name):
+        sides = [MIRRORED[name]()]
+        sides.append(mirror(sides[0]))
+        verdicts = [decide_regularity(p, attempts=200) for p in sides]
+        assert verdicts[0].outcome == verdicts[1].outcome
+        assert all(verify_certificate(p, v) for p, v in zip(sides, verdicts))
 
 
 class TestCertificateTampering:

@@ -13,7 +13,7 @@ import pytest
 
 from pentads.catalog import CatalogEntry, gl1_scalar
 from pentads.exact_linalg import Frozen, Matrix, SolveResult
-from pentads.graded import GradedVector, GradingElement, GradingElementResult
+from pentads.graded import GradedVector
 from pentads.lie import (
     FormReport,
     MatrixLieAlgebra,
@@ -23,6 +23,8 @@ from pentads.lie import (
 from pentads.pentad import (
     AxiomFailure,
     DualModule,
+    GradingElement,
+    GradingElementResult,
     Representation,
     StandardPentad,
     ValidationReport,
