@@ -35,7 +35,6 @@ components are stored.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
@@ -46,6 +45,7 @@ from .exact_linalg import (
     Vec,
     _solutions,
     cleared,
+    dense_vec,
     linear_combination,
     qnorm,
     ratio,
@@ -331,7 +331,8 @@ class GradedAlgebra:
                               [s.flat_nonzeros() for s in phi.module_slices],
                               phi.denominator, max_degree)
         self.negative = _Half(pentad.dual.action, pentad.rep.action,
-                              [(-s).flat_nonzeros() for s in phi.dual_slices],
+                              [tuple((j, -x) for j, x in s.flat_nonzeros())
+                               for s in phi.dual_slices],
                               phi.denominator, max_degree)
         self._memo: dict[tuple[int, int, int, int], Frac] = {}
         # the nonzero components only; every other degree reads 0
@@ -347,13 +348,6 @@ class GradedAlgebra:
         if abs(degree) > self.max_degree:
             raise DegreeError(f"degree {degree} exceeds the bound {self.max_degree}")
         return self._dims.get(degree, 0)
-
-    @cached_property
-    def _ad_columns(self) -> list[tuple[SparseVec, ...]]:
-        """The algebra acting on U_0 = g by the nonzeros of each column, as
-        _Half.columns at the other degrees: ad(b_i) transposed, built on first use."""
-        alg = self.pentad.algebra
-        return [alg.ad_basis(i).transpose().nonzeros for i in range(alg.dim)]
 
     def _half(self, degree: int) -> _Half:
         """The side holding the nonzero degree."""
@@ -400,7 +394,11 @@ class GradedAlgebra:
         if not (a and b and self._dims.get(j + k)):
             return (), 1
         if j == 0:
-            return _contract(self._half(k).columns(abs(k)) if k else self._ad_columns, a, b, 1)
+            if k:
+                return _contract(self._half(k).columns(abs(k)), a, b, 1)
+            n = self._dims[0]
+            v, e = cleared(self.pentad.algebra.ad_matrix(dense_vec(a, n)).apply(dense_vec(b, n)))
+            return tuple((i, x) for i, x in enumerate(v) if x), e
         if k == 0:
             return _negated(self._sparse_bracket(0, b, j, a))
         one = 1 if j > 0 else -1
@@ -493,7 +491,7 @@ def check_minimality(g: GradedAlgebra) -> bool:
 def check_grading(g: GradedAlgebra, h: GradingElement) -> bool:
     """ad(h) must act as the scalar 2n on every stored component U_n.
 
-    Degree 0 is read off the structure table.  On each side, h's stored
+    Degree 0 is ad(h), built from h's nonzeros only.  On each side, h's stored
     action on U_k (the stored columns combined by h, transposed) is compared
     with 2 sign k Id for k = 1 up to one below the side's top degree.  The
     top degree needs no table of its own: on a stored map F of U_top, h acts

@@ -6,7 +6,9 @@ once, by the nonzero brackets only: for each i, the j with [b_i, b_j] != 0
 and that bracket's nonzero coordinates (k, c).  Everything downstream
 (brackets, ad matrices, the center, the derived subalgebra, invariant-form
 checks, the homomorphism check, the graded construction) reads that one
-table in coordinates of the stored basis, so no reader walks all d^2 pairs.
+table in coordinates of the stored basis (ad_matrix(u) only at u_i != 0),
+so no reader walks all d^2 pairs; only check_form's failure path does, when
+it names the first invariance witness of a form already found not invariant.
 
 Classical families are canonical kernel bases of their defining equations,
 one sparse matrix on the flattened matrix, so two calls with the same
@@ -76,9 +78,10 @@ class MatrixLieAlgebra(Frozen):
         return len(self.basis)
 
     def ad_matrix(self, u: Sequence[Q]) -> Matrix:
-        """Matrix of v -> [u, v] in coordinates: the ad(b_i) combined by u."""
+        """Matrix of v -> [u, v]: ad(b_i) combined by u over u_i != 0 (0 ad(b_0) at u = 0)."""
         check_length(u, self.dim)
-        return linear_combination(u, list(map(self.ad_basis, range(self.dim))))
+        support = [i for i, c in enumerate(u) if c] or [0]
+        return linear_combination([u[i] for i in support], list(map(self.ad_basis, support)))
 
     def ad_basis(self, i: int) -> Matrix:
         """ad(b_i): the transpose of the matrix whose row j is [b_i, b_j]."""

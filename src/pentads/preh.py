@@ -90,6 +90,11 @@ class GenericSearch(NamedTuple):
     def found(self) -> bool:
         return self.status == "found"
 
+    @property
+    def witness(self) -> dict:  # an Inconclusive verdict's sampling log
+        return {"reason": self.reason, "best_rank": self.rank, "needed": self.needed,
+                "attempts": self.attempts_used}
+
 
 def find_generic(p: StandardPentad, attempts: int = 64, seed: int = 0) -> GenericSearch:
     """Sample module vectors until one is generic.
@@ -206,11 +211,8 @@ def decide_regularity(p: StandardPentad, attempts: int = 64, seed: int = 0) -> R
     h0 = gres.element
     search = find_generic(p, attempts, seed)
     if not search.found:
-        return RegularityVerdict(
-            "Inconclusive", h0.coords, None, None, {},
-            {"reason": search.reason, "best_rank": search.rank,
-             "needed": search.needed, "attempts": search.attempts_used},
-            seed, attempts)
+        return RegularityVerdict("Inconclusive", h0.coords, None, None, {}, search.witness,
+                                 seed, attempts)
     x = search.x
     ranks = {"dual_partner_injectivity": (search.rank, search.needed)}
     pr = sl2_partner(p, h0, x)
@@ -244,9 +246,8 @@ def verify_certificate(p: StandardPentad, v: RegularityVerdict) -> bool:
             return False
         if v.outcome == "Inconclusive":
             s = find_generic(p, v.attempts, v.seed)
-            return v.x is None and v.y is None and not v.ranks and not s.found and v.witness == {
-                "reason": s.reason, "best_rank": s.rank, "needed": s.needed,
-                "attempts": s.attempts_used}
+            return (v.x is None and v.y is None and not v.ranks and not s.found
+                    and v.witness == s.witness)
         x = tuple(v.x)
         if not is_generic(p, x):
             return False
@@ -269,11 +270,9 @@ def verify_certificate(p: StandardPentad, v: RegularityVerdict) -> bool:
                                                      "module_partner_injectivity": full}:
                 return False
             pr = sl2_partner(p, GradingElement(h0), x)
-            if pr.status != "unique" or pr.y != tuple(v.y):
-                return False
-            # x solves Phi(xi (x) y) = h0; uniqueness is the trivial kernel
-            return solve(module_partner_map(p, pr.y),
-                         vec_scale(p.phi.denominator, h0)).status == "unique"
+            # its Sl2Triple checked that x solves Phi(xi (x) y) = h0: unique is full rank
+            return (pr.status == "unique" and pr.y == tuple(v.y)
+                    and rank(module_partner_map(p, pr.y)) == p.module_dim)
         return False
     except (ValueError, KeyError, TypeError):
         return False

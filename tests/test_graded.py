@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import cache
 from time import perf_counter
 
 import pytest
@@ -31,7 +32,8 @@ from pentads.graded import (
     check_minimality,
     extend,
 )
-from pentads.lie import classical_basis, direct_sum, family, trace_form, unit_coords
+from pentads.lie import (MatrixLieAlgebra, classical_basis, direct_sum, family, trace_form,
+                         unit_coords)
 from pentads.preh import decide_regularity, verify_certificate
 from pentads.pentad import (
     DualModule,
@@ -1106,6 +1108,72 @@ class TestSinglePaths:
             for k in range(2, degree + 1):
                 if half.dims.get(k, 0):
                     assert g.action_matrices(sign * k) == dense_pivot_action(half, k)
+
+
+def pentad_of(spec):
+    return RATIONAL_PENTADS[spec]() if spec in RATIONAL_PENTADS else resolve(spec).build()
+
+
+class TestDegreeZeroReadsTheSupport:
+    """g's action on U_0 = g is read off the structure table through
+    ad_matrix, which builds ad(b_i) only for the nonzero coordinates: the
+    grading check builds one per nonzero of h, and a bracket of two
+    degree-0 vectors one per nonzero of the first."""
+
+    @pytest.fixture
+    def ad_calls(self, monkeypatch):
+        """Spies on ad_basis from the call on, so that building the pentad,
+        h and the graded algebra is not counted; returns the call list."""
+        def install():
+            calls, real = [], MatrixLieAlgebra.ad_basis
+
+            def spy(alg, i):
+                calls.append(i)
+                return real(alg, i)
+
+            monkeypatch.setattr(MatrixLieAlgebra, "ad_basis", spy)
+            return calls
+        return install
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS)
+    def test_grading_builds_one_ad_per_nonzero_of_h(self, spec, ad_calls):
+        p = resolve(spec).build()
+        h = grading_element(p).element
+        g = extend(p, 1)
+        calls = ad_calls()
+        assert check_grading(g, h) is True
+        assert calls == [i for i, c in enumerate(h.coords) if c]
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS + sorted(RATIONAL_PENTADS))
+    def test_unit_bracket_builds_one_ad(self, spec, ad_calls):
+        p = pentad_of(spec)
+        g = extend(p, 1)
+        d = p.algebra.dim
+        calls = ad_calls()
+        b = tuple(range(1, d + 1))
+        got = g.bracket(GradedVector(0, unit_coords(d, d - 1)), GradedVector(0, b))
+        assert calls == [d - 1]
+        assert got.coords == p.algebra.ad_basis(d - 1).apply(b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CATALOG_SPECS + sorted(RATIONAL_PENTADS)), st.data())
+    def test_brackets_are_ad_matrix_applied(self, spec, data):
+        # ints, Fractions and zeros in both arguments; the bracket clears
+        # them to integers over one denominator and divides once at the end
+        g = degree_zero_algebra(spec)
+        alg = g.pentad.algebra
+        entry = st.sampled_from([0, 0, 0, 1, -2, 5, Fraction(1, 2), Fraction(-4, 3)])
+        a, b = (tuple(data.draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim)))
+                for _ in range(2))
+        got = g.bracket(GradedVector(0, a), GradedVector(0, b))
+        want = alg.ad_matrix(a).apply(b)
+        assert got == GradedVector(0, want)
+        assert typed(got.coords) == typed(want)
+
+
+@cache
+def degree_zero_algebra(spec):
+    return extend(pentad_of(spec), 1)
 
 
 # bracket(a / alpha, b / beta) = bracket(a, b) / (alpha beta): the arguments'

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pentads.catalog import catalog, resolve
-from pentads.exact_linalg import (Matrix, dense_vec, inverse, is_zero_vec, kernel_basis, qof,
-                                  rank, row_space_basis, solve_multi, sparse_row_space_basis,
-                                  vec_scale)
+from pentads.exact_linalg import (Matrix, dense_vec, inverse, is_zero_vec, kernel_basis,
+                                  linear_combination, qof, rank, row_space_basis, solve_multi,
+                                  sparse_row_space_basis, vec_scale)
 from pentads.lie import (
     FormReport,
     MatrixLieAlgebra,
@@ -32,7 +32,8 @@ from pentads import lie
 from oracles import (ad_matrix_actions, all_commutation_rows, all_pairs_closure_failure,
                      all_rows_center, coords_of, dense_center, dense_derived,
                      dense_trace_product, display_name, generator_rows_center, matrix_of,
-                     rebased, shifted_sum, units_classical_basis, vec_add)
+                     rational_matrix_space_pentad, rational_vector_pentad, rebased, shifted_sum,
+                     units_classical_basis, vec_add)
 
 
 def commutator(a, b):
@@ -728,6 +729,62 @@ class TestFormReportDifferential:
                 g[i][j] += 1
                 gram = Matrix(tuple(tuple(row) for row in g))
                 assert check_form(alg, gram) == dense_check_form(table, gram)
+
+
+# The catalog and family algebras, and the algebras of the two pentads with
+# rational pairings and forms
+AD_ALGEBRAS = CATALOG_ALGEBRAS + [("rational_vector", rational_vector_pentad().algebra),
+                                  ("rational_matrix_space",
+                                   rational_matrix_space_pentad().algebra)]
+
+
+@st.composite
+def ad_coordinates(draw):
+    """An algebra and a coordinate vector on it: the zero vector, or one of
+    ints and Fractions with most entries zero."""
+    _, alg = draw(st.sampled_from(AD_ALGEBRAS))
+    if draw(st.booleans()):
+        return alg, (0,) * alg.dim
+    entry = st.one_of(st.just(0), st.just(0), scalars)
+    return alg, tuple(draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim)))
+
+
+class TestAdMatrixSupport:
+    """ad_matrix(u) combines ad(b_i) only for the u_i != 0: the structure
+    table is the one store of g's action, and no d x d copy is built."""
+
+    @pytest.fixture
+    def ad_calls(self, monkeypatch):
+        calls, real = [], MatrixLieAlgebra.ad_basis
+
+        def spy(alg, i):
+            calls.append(i)
+            return real(alg, i)
+
+        monkeypatch.setattr(MatrixLieAlgebra, "ad_basis", spy)
+        return calls
+
+    @pytest.mark.parametrize("alg", [a for _, a in CATALOG_ALGEBRAS], ids=ALGEBRA_IDS)
+    def test_builds_one_ad_basis_per_nonzero(self, alg, ad_calls):
+        d = alg.dim
+        for u in [(0,) * d, unit_coords(d, d - 1),
+                  tuple(Fraction(i, 3) if i % 4 == 1 else 0 for i in range(d)),
+                  tuple((i % 3) - 1 for i in range(d))]:
+            ad_calls.clear()
+            ad = alg.ad_matrix(u)
+            assert ad.shape() == (d, d)
+            assert ad_calls == ([i for i, c in enumerate(u) if c] or [0])
+        assert alg.ad_matrix((0,) * d) == Matrix.zeros(d, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ad_coordinates())
+    def test_matches_the_full_combination(self, case):
+        alg, u = case
+        got = alg.ad_matrix(u)
+        want = linear_combination(u, [alg.ad_basis(i) for i in range(alg.dim)])
+        assert got == want
+        assert ([[type(x) for _, x in row] for row in got.nonzeros]
+                == [[type(x) for _, x in row] for row in want.nonzeros])
 
 
 def outcome(build, ambient_size, basis):

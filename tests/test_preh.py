@@ -2,12 +2,15 @@
 
 import importlib
 from functools import cache, cached_property
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentads import cli, exact_linalg, lie, pentad, preh
-from pentads.catalog import catalog, resolve
-from pentads.exact_linalg import Matrix, is_zero_vec, kernel_basis, qof, qstr, rank
+from pentads.catalog import _defining, catalog, resolve
+from pentads.exact_linalg import Matrix, inverse, is_zero_vec, kernel_basis, qof, qstr, rank
 from pentads.lie import family, trace_form, unit_coords
 from pentads.pentad import (
     DualModule,
@@ -32,8 +35,8 @@ from pentads.preh import (
 )
 from pentads.serialize import SerializationError, verdict_from_json, verdict_to_json
 
-from oracles import (castling_pair, display_name, mirror, rational_matrix_space_pentad,
-                     rational_vector_pentad)
+from oracles import (castling_pair, conjugated, display_name, mirror,
+                     rational_matrix_space_pentad, rational_vector_pentad)
 
 # Known generic points of the matrix-space entries (block-identity 2n x 3
 # matrices, flattened row-major) and the unique partner of the first one.
@@ -477,6 +480,55 @@ class TestMirror:
         verdicts = [decide_regularity(p, attempts=200) for p in sides]
         assert verdicts[0].outcome == verdicts[1].outcome
         assert all(verify_certificate(p, v) for p, v in zip(sides, verdicts))
+
+
+# The simple classical factors by the size of their defining module: sl(n)
+# and so(n) on n dimensions, sp(n) on 2n (so(2) is abelian and would give a
+# second center dimension)
+FACTOR_SIZES = {**{("sl", n): n for n in range(2, 25)}, **{("so", n): n for n in range(3, 25)},
+                **{("sp", n): 2 * n for n in range(1, 13)}}
+
+
+@st.composite
+def elementary_products(draw, m):
+    """A product of a few elementary integer m x m matrices, or its inverse."""
+    q = Matrix.identity(m)
+    for _ in range(draw(st.integers(1, 5))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        e = [[int(r == s) for s in range(m)] for r in range(m)]
+        # scale row i, or add a multiple of row j to row i
+        e[i][j] = draw(st.sampled_from([-2, -1, 2, 3]))
+        q = q @ Matrix(e)
+    return inverse(q) if draw(st.booleans()) else q
+
+
+@st.composite
+def drawn_pentads(draw):
+    """_defining over gl(1) and one or two classical factors, with a module
+    of dimension at most 24, under a drawn pairing, and an integer change q
+    of the module basis.  Most drawn pairings are not symmetric: under the
+    identity pairing, a decision that confuses its two legs still agrees
+    with the mirror."""
+    first = draw(st.sampled_from(sorted(FACTOR_SIZES)))
+    factors = [first]
+    fits = sorted(f for f, n in FACTOR_SIZES.items() if n * FACTOR_SIZES[first] <= 24)
+    if fits and draw(st.booleans()):
+        factors.append(draw(st.sampled_from(fits)))
+    m = prod(FACTOR_SIZES[f] for f in factors)
+    pairing = draw(elementary_products(m))
+    return _defining([("gl", 1)] + factors, pairing), draw(elementary_products(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_pentads())
+def test_drawn_pentads_keep_the_verdict_under_mirror_and_basis_change(case):
+    # The module-side leg of p is the dual-side leg of mirror(p), and a
+    # change of module basis moves no orbit, so all three verdicts agree.
+    p, q = case
+    sides = [p, mirror(p), conjugated(p, q)]
+    verdicts = [decide_regularity(side, attempts=200) for side in sides]
+    assert len({v.outcome for v in verdicts}) == 1
+    assert all(verify_certificate(side, v) for side, v in zip(sides, verdicts))
 
 
 class TestCertificateTampering:
