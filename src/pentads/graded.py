@@ -77,8 +77,7 @@ class _Half:
       columns(k)[i]   algebra basis element i acting on U_k, by the
                       nonzeros of each column, built on first use above
                       degree 1, and the only store of the action tables;
-      up[k][a][s]     [x_a, u_s] in U_{k+1}, as (index, value) pairs, times D
-                      for k >= 1; up[0] is [x_a, b_i] = -pi(b_i) x_a itself;
+      up[k][a][s]     [x_a, u_s] in U_{k+1}, as (index, value) pairs, times D;
       dual[i]         the matrix of basis element i acting on U_{-1}.
 
     Each candidate product carries one D, so the candidate stack is D times
@@ -102,9 +101,7 @@ class _Half:
         self._lines: dict[int, list[tuple[SparseVec, ...]]] = {}
         self._columns: dict[int, list[tuple[SparseVec, ...]]] = {
             1: [a.transpose().nonzeros for a in action]}
-        self.up: dict[int, list[list[SparseVec]]] = {
-            0: [[tuple((t, -x) for t, x in cols[a]) for cols in self._columns[1]]
-                for a in range(m)]}
+        self.up: dict[int, list[list[SparseVec]]] = {}
         self._expansions: dict[int, tuple[list[tuple[tuple[int, int, int], ...]], int]] = {}
         for k in range(1, max_degree):
             if not self.dims[k]:
@@ -126,7 +123,8 @@ class _Half:
                         j = t * m + r
                         cand[j] = cand.get(j, 0) + g * x
         # [x_a, [u_s, y_r]], with [u_s, y_r] read off the stored map
-        up_prev = self.up[k - 1]
+        up_prev = self.up[k - 1] if k > 1 else [  # [x_a, b_t] = -pi(b_t) x_a
+            [tuple((t, -x) for t, x in cols[a]) for cols in act] for a in range(m)]
         for s, f in enumerate(self.maps[k]):
             for tr, w in f:
                 t, r = divmod(tr, m)

@@ -2,13 +2,10 @@
 
 An algebra here is a list of ambient matrices closed under the commutator.
 Structure constants are computed once, exactly, at construction, and stored
-once, by the nonzero brackets only: for each i, the j with [b_i, b_j] != 0
-and that bracket's nonzero coordinates (k, c).  Everything downstream
-(brackets, ad matrices, the center, the derived subalgebra, invariant-form
-checks, the homomorphism check, the graded construction) reads that one
-table in coordinates of the stored basis (ad_matrix(u) only at u_i != 0),
-so no reader walks all d^2 pairs; only check_form's failure path does, when
-it names the first invariance witness of a form already found not invariant.
+once, by the nonzero brackets only (MatrixLieAlgebra.structure).  Everything
+downstream (brackets, ad matrices, the center, the derived subalgebra,
+invariant-form checks, the homomorphism check, the graded construction)
+reads that one table, and no reader walks all d^2 pairs.
 
 Classical families are canonical kernel bases of their defining equations,
 one sparse matrix on the flattened matrix, so two calls with the same
@@ -84,21 +81,25 @@ class MatrixLieAlgebra(Frozen):
         return linear_combination([u[i] for i in support], list(map(self.ad_basis, support)))
 
     def ad_basis(self, i: int) -> Matrix:
-        """ad(b_i): the transpose of the matrix whose row j is [b_i, b_j]."""
-        row, d = self.structure[i], self.dim
-        return Matrix.from_nonzeros([row.get(j, ()) for j in range(d)], d).transpose()
+        """ad(b_i): row k holds the (j, c) with c the k-th coordinate of [b_i, b_j]."""
+        rows: dict[int, list[tuple[int, Q]]] = {}
+        for j, cij in self.structure[i].items():
+            for k, c in cij:
+                rows.setdefault(k, []).append((j, c))
+        out: list[SparseVec] = [()] * self.dim
+        for k, row in rows.items():
+            out[k] = tuple(row)
+        return Matrix.from_nonzeros(out, self.dim)
 
     @cached_property
     def center(self) -> tuple[Vec, ...]:
         """Canonical coordinate basis of {z : [z, g] = 0}, computed on first
         use and kept (scalar_center_report and every grading-element solve
-        read it).
-
-        It is the kernel of the nonempty rows of ad(s), stacked, for s in
-        self.generators only: by Jacobi [z, [s, t]] = [[z, s], t] +
-        [s, [z, t]] = 0 once z commutes with S, and S + [S, S] spans g.
-        The kernel basis is canonical, so it depends only on the solution
-        set, not on which rows or in what order.
+        read it): the kernel of the nonempty rows of ad(s), stacked, for s in
+        self.generators only, since by Jacobi [z, [s, t]] = [[z, s], t] +
+        [s, [z, t]] = 0 once z commutes with S, and S + [S, S] spans g.  The
+        kernel basis is canonical, so neither the rows chosen nor their order
+        matters.
         """
         rows = [row for s in self.generators for _, row in self.ad_basis(s).nonempty()]
         return tuple(kernel_basis(Matrix.from_nonzeros(rows, self.dim)))
@@ -297,51 +298,53 @@ def check_form(alg: MatrixLieAlgebra, g: Matrix) -> FormReport:
     of the form with Gram matrix g."""
     if g.shape() != (alg.dim, alg.dim):
         raise LieAlgebraError("Gram matrix size does not match the algebra dimension")
+    gt = g.transpose()
     sym_wit = None
-    for i, (row, col) in enumerate(zip(g.nonzeros, g.transpose().nonzeros)):
+    for i, (row, col) in enumerate(zip(g.nonzeros, gt.nonzeros)):
         if row != col:
             # the first asymmetric pair (i, j): a difference left of the
             # diagonal would have shown in an earlier row, so j > i
             sym_wit = (i, min(j for j, _ in set(row) ^ set(col)))
             break
     ker = kernel_basis(g)
-    # B is invariant once every ad(s), s in alg.generators, is B-skew; only
-    # a failure there pays for the full scan that finds the first witness
-    inv_wit = None
-    if _invariance_witness(alg, g, alg.generators) is not None:
-        inv_wit = _invariance_witness(alg, g, range(alg.dim))
+    inv_wit = _invariance_witness(alg, g, gt)
     return FormReport(sym_wit is None, not ker, inv_wit is None,
                       sym_wit, ker[0] if ker else None, inv_wit)
 
 
 def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix,
-                        js: Sequence[int]) -> tuple[int, int, int] | None:
-    """The first (i, j, k) in lexicographic order, with j among the
-    ascending js, where B([b_i,b_j],b_k) != B(b_i,[b_j,b_k]), that is, where
-    ad(b_j) is not B-skew; None when there is none.
-
-    For fixed (i, j) the two sides, as rows over k, are C_ij . G and
-    G_i . ad(b_j), where C_ij is the sparse structure vector and
-    ad(b_j)[m][k] = C_jk^m; both products run over nonzeros only.
+                        gt: Matrix) -> tuple[int, int, int] | None:
+    """The first (i, j, k) in lexicographic order where B([b_i,b_j],b_k) !=
+    B(b_i,[b_j,b_k]), that is, where ad(b_j) is not B-skew, or None; gt is g
+    transposed.  Row i of the two sides, over k, is C_ij . G and G_i . ad(b_j),
+    so only the i with C_ij != 0 or G_i meeting a nonempty row of ad(b_j) are
+    read, none past the best witness so far, and the j off alg.generators
+    only after a failure (the x with ad x B-skew form a subalgebra).
     """
-    d = alg.dim
-    g_rows = g.nonzeros
-    ad_rows = {j: alg.ad_basis(j).nonzeros for j in js}
-    for i in range(d):
-        gi = g_rows[i]
-        for j in js:
+    gens = alg.generators
+    g_rows, gt_rows = g.nonzeros, gt.nonzeros
+    best = None
+    for j in [*gens, *sorted(set(range(alg.dim)).difference(gens))]:
+        if best is None and j not in gens:
+            break
+        ad_j = alg.ad_basis(j)
+        rows = set(alg.structure[j]).union(
+            *([i for i, _ in gt_rows[m]] for m, _ in ad_j.nonempty()))
+        for i in sorted(rows):
+            if best is not None and (i, j) > best[:2]:
+                break
             diff: dict[int, Q] = {}
             for m, c in alg.structure[i].get(j, ()):
                 for k, x in g_rows[m]:
                     diff[k] = diff.get(k, 0) + c * x
-            ad_j = ad_rows[j]
-            for m, x in gi:
-                for k, c in ad_j[m]:
+            for m, x in g_rows[i]:
+                for k, c in ad_j.nonzeros[m]:
                     diff[k] = diff.get(k, 0) - x * c
             bad = [k for k, v in diff.items() if v]
             if bad:
-                return (i, j, min(bad))
-    return None
+                best = (i, j, min(bad))
+                break
+    return best
 
 
 class ScalarCenterReport(NamedTuple):

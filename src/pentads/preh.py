@@ -249,11 +249,9 @@ def verify_certificate(p: StandardPentad, v: RegularityVerdict) -> bool:
             return (v.x is None and v.y is None and not v.ranks and not s.found
                     and v.witness == s.witness)
         x = tuple(v.x)
-        if not is_generic(p, x):
-            return False
         full = (p.module_dim, p.module_dim)
         if v.outcome == "NotRegular":
-            if v.ranks != {"dual_partner_injectivity": full}:
+            if v.ranks != {"dual_partner_injectivity": full} or not is_generic(p, x):
                 return False
             clause = v.witness["clause"]
             if clause == "no_dual_partner":
@@ -269,8 +267,9 @@ def verify_certificate(p: StandardPentad, v: RegularityVerdict) -> bool:
             if v.witness is not None or v.ranks != {"dual_partner_injectivity": full,
                                                      "module_partner_injectivity": full}:
                 return False
-            pr = sl2_partner(p, GradingElement(h0), x)
+            # a unique partner makes ad_on_dual(x) injective, so x is generic, and
             # its Sl2Triple checked that x solves Phi(xi (x) y) = h0: unique is full rank
+            pr = sl2_partner(p, GradingElement(h0), x)
             return (pr.status == "unique" and pr.y == tuple(v.y)
                     and rank(module_partner_map(p, pr.y)) == p.module_dim)
         return False

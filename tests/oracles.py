@@ -15,11 +15,12 @@ replaced (closure included), the direct sum that shifted its factors'
 structure tables, the center and the grading-element solve over every
 commutation row, the center as the kernel of a hand-built row per
 (generator, coordinate) and the degree-0 graded action read through
-ad_matrix, the rank read off the full echelon, the JSON matrix reader and
-writer that walked every cell, Witt's dimension formula for free Lie
-algebras, pentads over an algebra in a changed basis, castling pairs,
-whose regularity verdicts must agree, and the classical bases solved one
-matrix unit at a time, the reference for the families' sparse equations.
+ad_matrix, ad(b_i) as the transposed matrix of its brackets, the rank read
+off the full echelon, the JSON matrix reader and writer that walked every
+cell, Witt's dimension formula for free Lie algebras, pentads over an
+algebra in a changed basis, castling pairs, whose regularity verdicts must
+agree, and the classical bases solved one matrix unit at a time, the
+reference for the families' sparse equations.
 """
 
 import random
@@ -497,6 +498,12 @@ def ad_matrix_actions(alg):
     """ad(b_i) for every basis element, each through ad_matrix of a unit
     vector (which combines all d structure rows)."""
     return [alg.ad_matrix(unit_coords(alg.dim, i)) for i in range(alg.dim)]
+
+
+def transposed_ad_basis(alg, i):
+    """ad(b_i) as the d-row matrix whose row j is [b_i, b_j], transposed."""
+    row, d = alg.structure[i], alg.dim
+    return Matrix.from_nonzeros([row.get(j, ()) for j in range(d)], d).transpose()
 
 
 def stacked_grading_element(p):

@@ -1171,6 +1171,17 @@ class TestDegreeZeroReadsTheSupport:
         assert typed(got.coords) == typed(want)
 
 
+@pytest.mark.parametrize("max_degree", [1, 2])
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_no_degree_zero_up_table_is_stored(spec, max_degree):
+    # [x_a, b_t] = -pi(b_t) x_a is read off columns(1) where degree 2 is
+    # built, so the up tables start at degree 1
+    g = extend(resolve(spec).build(), max_degree)
+    for half in (g.positive, g.negative):
+        assert 0 not in half.up
+        assert set(half.up) <= set(range(1, max_degree))
+
+
 @cache
 def degree_zero_algebra(spec):
     return extend(pentad_of(spec), 1)

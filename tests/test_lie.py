@@ -1,5 +1,6 @@
 """Tests for matrix Lie algebras, classical families, and invariant forms."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from oracles import (ad_matrix_actions, all_commutation_rows, all_pairs_closure_
                      all_rows_center, coords_of, dense_center, dense_derived,
                      dense_trace_product, display_name, generator_rows_center, matrix_of,
                      rational_matrix_space_pentad, rational_vector_pentad, rebased, shifted_sum,
-                     units_classical_basis, vec_add)
+                     transposed_ad_basis, units_classical_basis, vec_add)
 
 
 def commutator(a, b):
@@ -785,6 +786,75 @@ class TestAdMatrixSupport:
         assert got == want
         assert ([[type(x) for _, x in row] for row in got.nonzeros]
                 == [[type(x) for _, x in row] for row in want.nonzeros])
+
+
+def raised(m, r, c):
+    """m with 1 added to entry (r, c)."""
+    rows = [dict(row) for row in m.nonzeros]
+    rows[r][c] = rows[r].get(c, 0) + 1
+    return Matrix.from_nonzeros([tuple(sorted((k, x) for k, x in row.items() if x))
+                                 for row in rows], m.cols)
+
+
+class TestInvarianceScan:
+    """ad(b_i) is regrouped straight from structure[i], and check_form names
+    its invariance witness in one scan that builds each ad(b_j) at most once
+    and reads the j off the generators only after a failure."""
+
+    @pytest.mark.parametrize("alg", [a for _, a in AD_ALGEBRAS],
+                             ids=[name for name, _ in AD_ALGEBRAS])
+    def test_ad_basis_is_the_transposed_brackets(self, alg):
+        for i in range(alg.dim):
+            got, want = alg.ad_basis(i), transposed_ad_basis(alg, i)
+            assert got == want
+            assert ([[type(x) for _, x in row] for row in got.nonzeros]
+                    == [[type(x) for _, x in row] for row in want.nonzeros])
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"_invariance_witness": 0, "ad_basis": 0}
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(owner, name, counting)
+
+        spy(lie, "_invariance_witness")
+        spy(MatrixLieAlgebra, "ad_basis")
+        return calls
+
+    @pytest.mark.parametrize("name", CATALOG_PENTADS)
+    def test_one_scan_builds_each_ad_basis_once(self, name, calls):
+        # the two-pass scan called _invariance_witness twice on a failing
+        # form and built ad(b_j) |S| + d times there
+        p = resolve(name).build()
+        alg, d = p.algebra, p.algebra.dim
+        gens = alg.generators
+        assert check_form(alg, p.form).invariant
+        assert calls == {"_invariance_witness": 1, "ad_basis": len(gens)}
+        calls.update(_invariance_witness=0, ad_basis=0)
+        report = check_form(alg, raised(p.form, d - 1, d - 1))
+        # every form on an abelian algebra is invariant
+        assert (report.invariance_witness is None) == (not any(alg.structure))
+        assert calls["_invariance_witness"] == 1
+        assert len(gens) <= calls["ad_basis"] <= d
+
+    def test_failing_scan_holds_one_ad_basis_at_a_time(self):
+        # gl(1) + so(40), d = 781: the two-pass scan held all 781 ad(b_j)
+        # at once and traced about 12 MB
+        p = resolve("gl1_so_vector(40)").build()
+        gram = raised(p.form, 57, 93)
+        tracemalloc.start()
+        try:
+            report = check_form(p.algebra, gram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.invariance_witness == (1, 56, 93)
+        assert peak < 4 * 2 ** 20
 
 
 def outcome(build, ambient_size, basis):

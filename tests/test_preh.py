@@ -571,6 +571,23 @@ class TestCertificateTampering:
         assert tampered != cert
         assert verify_certificate(p, verdict_from_json(tampered)) is False
 
+    def test_regular_replay_proves_genericity_by_the_partner_solve(self, monkeypatch):
+        # A unique partner solve against ad_on_dual(x) already makes x
+        # generic, so the Regular replay runs no is_generic, and a forged
+        # Regular verdict at x = 0 fails at that solve.
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return is_generic(*args)
+        monkeypatch.setattr(preh, "is_generic", spy)
+        p = resolve("gl1_so_vector(4)").build()
+        v = decide_regularity(p)
+        assert v.outcome == "Regular"
+        assert verify_certificate(p, v) is True
+        assert verify_certificate(p, v._replace(x=(0,) * p.module_dim)) is False
+        assert calls == []
+
 
 class TestEngineWorkCounts:
     def test_one_echelon_per_solve(self, monkeypatch):
