@@ -155,16 +155,15 @@ def cmd_sl2(args) -> int:
            "status": None, "x": None, "y": None, "kernel": []}
     if args.x is not None:
         _require_length("--x", args.x, p.module_dim)
-        x = args.x
+        x, res = args.x, sl2_partner(p, h, args.x)
     else:
-        search = find_generic(p, attempts=args.attempts, seed=args.seed)
+        search = find_generic(p, attempts=args.attempts, seed=args.seed, h=h)
         out["search"] = _search_json(search)
         if not search.found:
             out["status"] = "no_generic_point"
             _emit(out)
             return 0
-        x = search.x
-    res = sl2_partner(p, h, x)
+        x, res = search.x, search.partner
     out["status"] = res.status
     out["x"] = vector_to_json(x)
     out["y"] = None if res.y is None else vector_to_json(res.y)

@@ -18,6 +18,8 @@ echelon form (RREF) of their span, dividing only at the end, once per entry
 of the result.  rref and kernel_basis (sparse_kernel_basis by nonzeros) read
 that RREF; solve, solve_multi, inverse and graded's expansions share one
 reader of the RREF of [A | B], which gives each column's solution by nonzeros.
+Elimination splits solve at its two passes, for a caller that reads rank(A)
+off the forward pass of [A | b] and wants the solution of only some systems.
 One fraction-free step serves the forward and the backward pass, and the
 forward pass takes rows in the engine's own order (rank counts the rows it
 keeps); :func:`echelon_add` runs that step in the caller's order instead.
@@ -362,14 +364,17 @@ class SolveResult(NamedTuple):
     kernel: list[Vec]
 
 
-def _solutions(a: Matrix, rhs_rows: Iterable[SparseVec], width: int) -> tuple[list, list]:
-    """Echelon [a | rhs] once (rhs by its rows of nonzeros, width columns)
-    and read it: the RREF rows, and per rhs column the particular solution
-    of a @ x = that column by nonzeros, ascending with free variables zero,
-    or None when a pivot row of the rhs block involves the column."""
-    ncols = a.cols
-    basis = sparse_row_space_basis(chain(ar, ((ncols + j, x) for j, x in br))
-                                   for ar, br in zip(a.nonzeros, rhs_rows))
+def _augmented(a: Matrix, rhs_rows: Iterable[SparseVec]) -> Iterator[Iterable[tuple[int, Q]]]:
+    """The rows of [a | rhs], rhs given by its rows of nonzeros, by nonzeros."""
+    n = a.cols
+    return (chain(ar, ((n + j, x) for j, x in br)) for ar, br in zip(a.nonzeros, rhs_rows))
+
+
+def _read_solutions(basis: Sequence[SparseVec], ncols: int, width: int) -> list:
+    """Read the RREF rows of [a | rhs], a ncols wide: per rhs column the
+    particular solution of a @ x = that column by nonzeros, ascending with
+    free variables zero, or None when a pivot row of the rhs block involves
+    the column."""
     sols: list[list[tuple[int, Q]] | None] = [[] for _ in range(width)]
     for row in basis:
         lead = row[0][0]
@@ -379,22 +384,47 @@ def _solutions(a: Matrix, rhs_rows: Iterable[SparseVec], width: int) -> tuple[li
                     sols[j - ncols].append((lead, x))
                 else:
                     sols[j - ncols] = None
-    return basis, sols
+    return sols
+
+
+def _solutions(a: Matrix, rhs_rows: Iterable[SparseVec], width: int) -> list:
+    """Echelon [a | rhs] once (rhs by its rows of nonzeros, width columns)
+    and read per rhs column the particular solution, as _read_solutions."""
+    return _read_solutions(sparse_row_space_basis(_augmented(a, rhs_rows)), a.cols, width)
 
 
 def solve(a: Matrix, b: Sequence[Q]) -> SolveResult:
-    """Solve a @ x = b exactly, classifying the solution set.
+    """Solve a @ x = b exactly, classifying the solution set, from one
+    echelon of [a | b]."""
+    return Elimination(a, b).solve()
 
-    One echelon of [a | b]: when b is consistent the pivot rows, read
-    without the last column, are the RREF of a, so they give the kernel.
-    """
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length does not match row count")
-    basis, (x,) = _solutions(a, (((0, qof(c)),) for c in b), 1)
-    if x is None:
-        return SolveResult("none", None, [])
-    ker = [dense_vec(v, a.cols) for v in _kernel_of_rref(basis, a.cols)]
-    return SolveResult("affine" if ker else "unique", dense_vec(x, a.cols), ker)
+
+class Elimination:
+    """solve(a, b) taken in two steps, for a caller that needs rank(a) first
+    and the solution only for some systems.  Construction runs the forward
+    pass on [a | b]; `rank` is then rank(a), the number of echelon rows
+    whose leading column lies in a (a row led by b's column says b is not in
+    the column space).  solve() runs the backward pass on that echelon, in
+    place, so at most once, and returns what solve(a, b) returns."""
+
+    __slots__ = ("rank", "_cols", "_echelon")
+
+    def __init__(self, a: Matrix, b: Sequence[Q]):
+        if len(b) != a.rows:
+            raise ValueError("right-hand side length does not match row count")
+        self._cols = a.cols
+        self._echelon = _forward(_augmented(a, (((0, qof(c)),) for c in b)))
+        self.rank = len(self._echelon) - (a.cols in self._echelon)
+
+    def solve(self) -> SolveResult:
+        # when b is consistent the pivot rows, read without the last column,
+        # are the RREF of a, so they give the kernel
+        basis, n = _backward(self._echelon), self._cols
+        (x,) = _read_solutions(basis, n, 1)
+        if x is None:
+            return SolveResult("none", None, [])
+        ker = [dense_vec(v, n) for v in _kernel_of_rref(basis, n)]
+        return SolveResult("affine" if ker else "unique", dense_vec(x, n), ker)
 
 
 def solve_multi(a: Matrix, rhs: Matrix) -> list[Vec | None]:
@@ -404,14 +434,14 @@ def solve_multi(a: Matrix, rhs: Matrix) -> list[Vec | None]:
     if rhs.rows != a.rows:
         raise ValueError("right-hand side row count does not match")
     return [None if x is None else dense_vec(x, a.cols)
-            for x in _solutions(a, rhs.nonzeros, rhs.cols)[1]]
+            for x in _solutions(a, rhs.nonzeros, rhs.cols)]
 
 
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse of a square matrix, read by nonzeros; raises on singular input."""
     if m.rows != m.cols:
         raise ValueError("only square matrices have inverses")
-    cols = _solutions(m, Matrix.identity(m.rows).nonzeros, m.rows)[1]
+    cols = _solutions(m, Matrix.identity(m.rows).nonzeros, m.rows)
     if None in cols:
         raise ValueError("matrix is singular")
     return Matrix.from_nonzeros(cols, m.rows).transpose()
@@ -502,7 +532,12 @@ def sparse_row_space_basis(rows: Iterable[Iterable[tuple[int, Q]]]) -> list[Spar
     an order of magnitude slower.  The RREF of the span is unique, so neither
     the engine's intake order nor the caller's leaks into the result.
     """
-    echelon = _forward(rows)
+    return _backward(_forward(rows))
+
+
+def _backward(echelon: dict[int, dict[int, int]]) -> list[SparseVec]:
+    """The backward pass on a forward pass's echelon, in place, and the final
+    division: the RREF rows, as sparse_row_space_basis returns them."""
     leads = sorted(echelon)
     # Backward pass, bottom row up: rows below are reduced, so carry no pivot
     # but their own, and a row's content is divided out after its last step.

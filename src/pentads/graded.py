@@ -198,7 +198,7 @@ class _Half:
         if degree not in self._expansions:
             n, nk = self.dims[degree], self.dims[degree - 1]
             table = Matrix.from_nonzeros((v for row in self.up[degree - 1] for v in row), n)
-            sols = _solutions(table.transpose(), (((i, self.d),) for i in range(n)), n)[1]
+            sols = _solutions(table.transpose(), (((i, self.d),) for i in range(n)), n)
             assert None not in sols, "basis vector outside candidate span"
             delta = lcm(*(c.denominator for sol in sols for _, c in sol))
             self._expansions[degree] = ([tuple((c.numerator * (delta // c.denominator),

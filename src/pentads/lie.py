@@ -318,21 +318,29 @@ def _invariance_witness(alg: MatrixLieAlgebra, g: Matrix,
     B(b_i,[b_j,b_k]), that is, where ad(b_j) is not B-skew, or None; gt is g
     transposed.  Row i of the two sides, over k, is C_ij . G and G_i . ad(b_j),
     so only the i with C_ij != 0 or G_i meeting a nonempty row of ad(b_j) are
-    read, none past the best witness so far, and the j off alg.generators
-    only after a failure (the x with ad x B-skew form a subalgebra).
+    read, and the j off alg.generators only after a failure (the x with ad x
+    B-skew form a subalgebra).  Once a witness (i*, j*) is known, only the rows
+    with (i, j) < (i*, j*) can beat it; a j with none of those among its
+    candidate rows, read off structure[j] and the first row of G at each
+    column, is passed over without building ad(b_j).
     """
     gens = alg.generators
     g_rows, gt_rows = g.nonzeros, gt.nonzeros
-    best = None
+    first_read = [row[0][0] if row else alg.dim for row in gt_rows]  # first i with G_im != 0
+    best, limit = None, alg.dim
     for j in [*gens, *sorted(set(range(alg.dim)).difference(gens))]:
         if best is None and j not in gens:
             break
+        brackets = alg.structure[j]
+        if best is not None:
+            limit = best[0] + (j < best[1])
+            if not (next(iter(brackets), limit) < limit
+                    or any(first_read[m] < limit for c in brackets.values() for m, _ in c)):
+                continue
         ad_j = alg.ad_basis(j)
-        rows = set(alg.structure[j]).union(
-            *([i for i, _ in gt_rows[m]] for m, _ in ad_j.nonempty()))
+        rows = {i for i in brackets if i < limit}.union(
+            *([i for i, _ in gt_rows[m] if i < limit] for m, _ in ad_j.nonempty()))
         for i in sorted(rows):
-            if best is not None and (i, j) > best[:2]:
-                break
             diff: dict[int, Q] = {}
             for m, c in alg.structure[i].get(j, ()):
                 for k, x in g_rows[m]:

@@ -14,7 +14,15 @@ and module_partner_map(y): the pentad's integer Phi slices (pentad.PhiMap),
 read by module index and by dual index, combined by x and by y with the
 shared linear_combination.  Both are D times the maps they stand for,
 D = p.phi.denominator: ranks and kernels do not change under that scaling,
-and the partner solves run against D h.
+and partner solves run against D h.  The decision eliminates a sampled
+ad_on_dual(x) at most once: not at all when its nonempty rows or columns
+are fewer than m, so that its rank is below m by counting, and otherwise
+as [ad_on_dual(x) | D h], whose forward pass gives the rank and, for the
+generic sample only, whose backward pass gives the partner y.  Its module
+leg combines the dual slices by y cleared to integers, since a kernel does
+not change under scaling either.  The replay in verify_certificate repeats
+its own partner solve, is_generic and grading solve rather than reuse the
+decision's work.
 
 Random search only ever certifies positives: failing to sample a generic
 point yields Inconclusive, never a negative verdict.
@@ -26,10 +34,13 @@ import random
 from typing import NamedTuple
 
 from .exact_linalg import (
+    Elimination,
     Frozen,
     Matrix,
+    SolveResult,
     Vec,
     check_length,
+    cleared,
     is_zero_vec,
     kernel_basis,
     linear_combination,
@@ -71,8 +82,15 @@ def is_generic(p: StandardPentad, x: Vec) -> bool:
     return rank(ad_on_dual(p, x)) == p.module_dim
 
 
+def _rank_bound(a: Matrix) -> int:
+    """rank(a) is at most its number of nonempty rows, and of nonempty columns."""
+    rows = [row for row in a.nonzeros if row]
+    return min(len(rows), len({j for row in rows for j, _ in row}))
+
+
 class GenericSearch(NamedTuple):
-    """Outcome of the generic-point sampling loop.
+    """Outcome of the generic-point sampling loop; partner is the sl2
+    partner of the generic x when the search was given a grading element.
 
     A not_found result is never a proof of non-prehomogeneity: genericity
     is an open condition and the search is a finite random sample.
@@ -85,6 +103,7 @@ class GenericSearch(NamedTuple):
     attempts_used: int
     seed: int
     reason: str | None = None
+    partner: PartnerResult | None = None
 
     @property
     def found(self) -> bool:
@@ -96,7 +115,8 @@ class GenericSearch(NamedTuple):
                 "attempts": self.attempts_used}
 
 
-def find_generic(p: StandardPentad, attempts: int = 64, seed: int = 0) -> GenericSearch:
+def find_generic(p: StandardPentad, attempts: int = 64, seed: int = 0,
+                 h: GradingElement | None = None) -> GenericSearch:
     """Sample module vectors until one is generic.
 
     Unit vectors go first (cheap and often sufficient), then integer
@@ -105,6 +125,17 @@ def find_generic(p: StandardPentad, attempts: int = 64, seed: int = 0) -> Generi
     that half the budget is left for random draws, which land on the
     Zariski-open generic set with high probability.  The dual cannot
     embed into a smaller algebra, so that dimension gap short-circuits.
+
+    A sample whose ad_on_dual(x) has fewer than m nonempty rows or columns
+    cannot have rank m, so it is not eliminated: only its bound and x are
+    kept.  Every other sample is eliminated once, as [ad_on_dual(x) | D h]
+    (a zero column without h), and its rank read off the forward pass.  If
+    no sample is generic, the skipped samples whose bound beats the best
+    rank so far are ranked exactly, largest bound first, until no bound
+    beats it; since a bound is never below its rank, best_rank is the
+    largest rank of any sample, as if every one had been ranked.  Given the
+    grading element h, the generic sample's echelon alone gets a backward
+    pass, which yields its sl2 partner (as sl2_partner would) in partner.
     """
     m, d = p.module_dim, p.algebra.dim
     if m > d:
@@ -114,15 +145,27 @@ def find_generic(p: StandardPentad, attempts: int = 64, seed: int = 0) -> Generi
             "no injective map into the algebra exists")
     rng = random.Random(seed)
     units = m if m < attempts else attempts // 2
+    rhs = (0,) * d if h is None else vec_scale(p.phi.denominator, h.coords)
     best = 0
     used = 0
+    skipped: list[tuple[int, Vec]] = []
     for k in range(attempts):
         x = unit_coords(m, k) if k < units else random_int_vector(rng, m)
         used += 1
-        r = rank(ad_on_dual(p, x))
-        if r == m:
-            return GenericSearch("found", x, r, m, used, seed)
-        best = max(best, r)
+        a = ad_on_dual(p, x)
+        bound = _rank_bound(a)
+        if bound < m:
+            skipped.append((bound, x))
+            continue
+        elim = Elimination(a, rhs)
+        if elim.rank == m:
+            return GenericSearch("found", x, m, m, used, seed,
+                                 partner=None if h is None else _partner(p, h, x, elim.solve()))
+        best = max(best, elim.rank)
+    for bound, x in sorted(skipped, key=lambda s: -s[0]):
+        if bound <= best:
+            break
+        best = max(best, rank(ad_on_dual(p, x)))
     return GenericSearch(
         "not_found", None, best, m, used, seed,
         f"no generic point among {used} samples; best rank {best} of {m}")
@@ -156,6 +199,16 @@ class PartnerResult(NamedTuple):
     triple: Sl2Triple | None
 
 
+def _partner(p: StandardPentad, h: GradingElement, x: Vec, res: SolveResult) -> PartnerResult:
+    """The partner classification of the solve of ad_on_dual(x) y = D h."""
+    if res.status == "none":
+        return PartnerResult("none", None, (), None)
+    if res.status == "affine":
+        return PartnerResult("affine", res.solution, tuple(res.kernel), None)
+    return PartnerResult("unique", res.solution, (),
+                         Sl2Triple(p, res.solution, h.coords, x))
+
+
 def sl2_partner(p: StandardPentad, h: GradingElement, x: Vec) -> PartnerResult:
     """Solve Phi(x (x) y) = h for a dual vector y.
 
@@ -166,13 +219,7 @@ def sl2_partner(p: StandardPentad, h: GradingElement, x: Vec) -> PartnerResult:
     """
     if not isinstance(h, GradingElement):
         raise TypeError("sl2_partner takes the pentad's GradingElement")
-    res = solve(ad_on_dual(p, x), vec_scale(p.phi.denominator, h.coords))
-    if res.status == "none":
-        return PartnerResult("none", None, (), None)
-    if res.status == "affine":
-        return PartnerResult("affine", res.solution, tuple(res.kernel), None)
-    return PartnerResult("unique", res.solution, (),
-                         Sl2Triple(p, res.solution, h.coords, x))
+    return _partner(p, h, x, solve(ad_on_dual(p, x), vec_scale(p.phi.denominator, h.coords)))
 
 
 class RegularityVerdict(NamedTuple):
@@ -201,6 +248,15 @@ def decide_regularity(p: StandardPentad, attempts: int = 64, seed: int = 0) -> R
     then test the partner's own module-side uniqueness.  The seed moves
     only the generic-point sample; the verdict is an orbit invariant, so
     seeds never disagree on the outcome.
+
+    The search is find_generic given h0: each sample that can reach rank m
+    (one with at least m nonempty rows and columns) is eliminated once, as
+    [ad_on_dual(x) | D h0], and only the generic sample's echelon gets a
+    backward pass, which is the partner solve.  Skipped samples are ranked
+    exactly only if the search fails and their bound could beat the best
+    rank, so an Inconclusive best_rank is the one every sample ranked would
+    give.  The module leg takes its kernel on module_partner_map of y
+    cleared to integers, which has the same kernel.
     """
     report = scalar_center_report(p.algebra, p.rep.action)
     if not report.holds:
@@ -209,22 +265,19 @@ def decide_regularity(p: StandardPentad, attempts: int = 64, seed: int = 0) -> R
     if gres.status != "found":
         raise GradingElementError(f"grading element {gres.status}")
     h0 = gres.element
-    search = find_generic(p, attempts, seed)
+    search = find_generic(p, attempts, seed, h0)
     if not search.found:
         return RegularityVerdict("Inconclusive", h0.coords, None, None, {}, search.witness,
                                  seed, attempts)
     x = search.x
     ranks = {"dual_partner_injectivity": (search.rank, search.needed)}
-    pr = sl2_partner(p, h0, x)
-    if pr.status == "none":
+    # ad_on_dual(x) is injective, so the partner is "none" or "unique"
+    if search.partner.status == "none":
         return RegularityVerdict(
             "NotRegular", h0.coords, x, None, ranks,
             {"clause": "no_dual_partner"}, seed, attempts)
-    if pr.status == "affine":
-        # injectivity of ad_on_dual(x) rules this out for a generic x
-        raise ArithmeticError("affine partner solution at a certified generic point")
-    y = pr.y
-    ker = kernel_basis(module_partner_map(p, y))
+    y = search.partner.y
+    ker = kernel_basis(module_partner_map(p, cleared(y)[0]))
     if ker:
         return RegularityVerdict(
             "NotRegular", h0.coords, x, y, ranks,
@@ -260,7 +313,8 @@ def verify_certificate(p: StandardPentad, v: RegularityVerdict) -> bool:
                 w = tuple(v.witness["vector"])
                 y = tuple(v.y)
                 return (not is_zero_vec(w)
-                        and is_zero_vec(module_partner_map(p, y).apply(w))
+                        and is_zero_vec(linear_combination_apply(cleared(y)[0],
+                                                                 p.phi.dual_slices, w))
                         and p.phi.apply(x, y) == h0)
             return False
         if v.outcome == "Regular":
@@ -271,7 +325,7 @@ def verify_certificate(p: StandardPentad, v: RegularityVerdict) -> bool:
             # its Sl2Triple checked that x solves Phi(xi (x) y) = h0: unique is full rank
             pr = sl2_partner(p, GradingElement(h0), x)
             return (pr.status == "unique" and pr.y == tuple(v.y)
-                    and rank(module_partner_map(p, pr.y)) == p.module_dim)
+                    and rank(module_partner_map(p, cleared(pr.y)[0])) == p.module_dim)
         return False
     except (ValueError, KeyError, TypeError):
         return False

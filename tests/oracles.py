@@ -19,8 +19,9 @@ ad_matrix, ad(b_i) as the transposed matrix of its brackets, the rank read
 off the full echelon, the JSON matrix reader and writer that walked every
 cell, Witt's dimension formula for free Lie algebras, pentads over an
 algebra in a changed basis, castling pairs, whose regularity verdicts must
-agree, and the classical bases solved one matrix unit at a time, the
-reference for the families' sparse equations.
+agree, the classical bases solved one matrix unit at a time, the
+reference for the families' sparse equations, and the generic-point search
+that ranked every sample.
 """
 
 import random
@@ -38,6 +39,7 @@ from pentads.exact_linalg import (
     linear_combination,
     qnorm,
     qstr,
+    rank,
     row_space_basis,
     solve,
     solve_multi,
@@ -61,6 +63,7 @@ from pentads.pentad import (
     dual_representation,
     random_int_vector,
 )
+from pentads.preh import GenericSearch, ad_on_dual
 
 
 def vec_add(u, v):
@@ -626,3 +629,31 @@ def units_classical_basis(kind, n):
          for p in range(size) for q in range(size)), size * size)
     return size, [Matrix.from_flat_nonzeros(v, size, size)
                   for v in sparse_kernel_basis(images.transpose())]
+
+
+# --- The generic-point search that eliminated every sample -------------------
+
+def find_generic_reference(p, attempts=64, seed=0):
+    """preh.find_generic as it was before it skipped the samples whose
+    support bounds their rank below m: every sample is ranked in full, in
+    sampling order, and the best rank is the largest seen."""
+    m, d = p.module_dim, p.algebra.dim
+    if m > d:
+        return GenericSearch(
+            "not_found", None, 0, m, 0, seed,
+            f"dual dimension {m} exceeds algebra dimension {d}; "
+            "no injective map into the algebra exists")
+    rng = random.Random(seed)
+    units = m if m < attempts else attempts // 2
+    best = 0
+    used = 0
+    for k in range(attempts):
+        x = unit_coords(m, k) if k < units else random_int_vector(rng, m)
+        used += 1
+        r = rank(ad_on_dual(p, x))
+        if r == m:
+            return GenericSearch("found", x, r, m, used, seed)
+        best = max(best, r)
+    return GenericSearch(
+        "not_found", None, best, m, used, seed,
+        f"no generic point among {used} samples; best rank {best} of {m}")

@@ -246,6 +246,9 @@ FOOTPRINTS = [
     ("check --pentad F", COMMON | {"cli"}),
     ("regularity --verify-certificate --pentad F", COMMON | {"cli", "preh"}),
     ("graded-dims --example gl1_so_vector(3)", COMMON | {"cli", "catalog", "graded"}),
+    ("regularity --verify-certificate --example matrix_space_example(2)",
+     COMMON | {"cli", "catalog", "preh"}),
+    ("generic-point --example matrix_space_example(2)", COMMON | {"cli", "catalog", "preh"}),
 ]
 
 

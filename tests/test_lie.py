@@ -31,6 +31,7 @@ from pentads.lie import (
 from pentads import lie
 
 from oracles import (ad_matrix_actions, all_commutation_rows, all_pairs_closure_failure,
+                     all_pairs_invariance_witness,
                      all_rows_center, coords_of, dense_center, dense_derived,
                      dense_trace_product, display_name, generator_rows_center, matrix_of,
                      rational_matrix_space_pentad, rational_vector_pentad, rebased, shifted_sum,
@@ -841,6 +842,20 @@ class TestInvarianceScan:
         assert (report.invariance_witness is None) == (not any(alg.structure))
         assert calls["_invariance_witness"] == 1
         assert len(gens) <= calls["ad_basis"] <= d
+
+    def test_scan_after_a_witness_reads_only_rows_that_can_beat_it(self, calls):
+        # gl(1) + so(n) with G[1][1] raised: the witness (1, 2, 3) turns up
+        # at the third generator, and only a row i < 1 can beat it after
+        # that.  No later j reaches row 0, so no later ad(b_j) is built; at
+        # so(40) the scan built all 781 before.
+        for n in (5, 40):
+            p = resolve(f"gl1_so_vector({n})").build()
+            gram = raised(p.form, 1, 1)
+            calls.update(_invariance_witness=0, ad_basis=0)
+            assert check_form(p.algebra, gram).invariance_witness == (1, 2, 3)
+            assert calls == {"_invariance_witness": 1, "ad_basis": 3}
+            if n == 5:
+                assert all_pairs_invariance_witness(p.algebra, gram) == (1, 2, 3)
 
     def test_failing_scan_holds_one_ad_basis_at_a_time(self):
         # gl(1) + so(40), d = 781: the two-pass scan held all 781 ad(b_j)

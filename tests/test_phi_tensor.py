@@ -292,10 +292,11 @@ class TestWorkCount:
     def test_legs_contract_the_unit_table(self, monkeypatch, spec, outcome):
         # Every rank, solve and kernel of decide_regularity and its replay
         # goes through the two preh legs: ad_on_dual once per generic-point
-        # attempt, once for the partner solve and once in the replay (its
-        # partner solve for a Regular verdict, which proves x generic, and
-        # is_generic for a NotRegular one); module_partner_map once for the
-        # kernel and once in the replay.
+        # attempt, whose echelon also yields the partner, and once in the
+        # replay (its partner solve for a Regular verdict, which proves x
+        # generic, and is_generic for a NotRegular one); module_partner_map
+        # once for the kernel and once in a Regular replay, whose rank needs
+        # it (a NotRegular replay applies the dual slices to its witness).
         calls = {"ad_on_dual": 0, "module_partner_map": 0, "apply": 0}
 
         def spy(owner, name):
@@ -315,6 +316,6 @@ class TestWorkCount:
         verdict = decide_regularity(p)
         assert verdict.outcome == outcome
         assert verify_certificate(p, verdict)
-        assert calls["ad_on_dual"] == attempts + 2
-        assert calls["module_partner_map"] == 2
+        assert calls["ad_on_dual"] == attempts + 1
+        assert calls["module_partner_map"] == (2 if outcome == "Regular" else 1)
         assert calls["apply"] <= 4

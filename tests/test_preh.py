@@ -1,6 +1,7 @@
 """Generic points, sl2 partners, and the regularity decision procedure."""
 
 import importlib
+import random
 from functools import cache, cached_property
 from math import prod
 
@@ -20,6 +21,7 @@ from pentads.pentad import (
     check_standard,
     dual_representation,
     grading_element,
+    random_int_vector,
 )
 from pentads.preh import (
     GradingElementError,
@@ -35,7 +37,7 @@ from pentads.preh import (
 )
 from pentads.serialize import SerializationError, verdict_from_json, verdict_to_json
 
-from oracles import (castling_pair, conjugated, display_name, mirror,
+from oracles import (castling_pair, conjugated, display_name, find_generic_reference, mirror,
                      rational_matrix_space_pentad, rational_vector_pentad)
 
 # Known generic points of the matrix-space entries (block-identity 2n x 3
@@ -531,6 +533,98 @@ def test_drawn_pentads_keep_the_verdict_under_mirror_and_basis_change(case):
     assert all(verify_certificate(side, v) for side, v in zip(sides, verdicts))
 
 
+def two_copies_and_a_trivial_line(p):
+    """p's algebra on two copies of its module and a trivial line, under the
+    dual's standard pairing: the line's dual vector pairs with no a . x, so
+    every ad_on_dual(x) leaves its column empty and every sample is skipped.
+    On two vectors of gl(1) + so(5) the generic rank is 8 (two invariants of
+    the pair), though a drawn sample has 10 nonempty columns."""
+    n = p.module_dim
+    rep = Representation(p.algebra, tuple(Matrix.from_nonzeros(
+        b.nonzeros + tuple(tuple((j + n, x) for j, x in row) for row in b.nonzeros) + ((),),
+        2 * n + 1) for b in p.rep.action))
+    return StandardPentad(rep, dual_representation(rep), p.form)
+
+
+# MIRRORED with the pentads whose module outgrows the algebra or whose
+# samples are all skipped
+SEARCHED = {**MIRRORED, "scalar_pentad(5)": lambda: scalar_pentad(5),
+            **{f"{spec}-doubled-trivial": (lambda spec=spec: two_copies_and_a_trivial_line(
+                resolve(spec).build())) for spec in ["gl1_so_vector(5)", "gl1_so_vector(6)"]}}
+
+
+class TestSearchMatchesReference:
+    """find_generic skips the samples whose support bounds their rank below
+    m and ranks them only when no sample is generic; every field must match
+    the loop that ranked every sample."""
+
+    @pytest.mark.parametrize("name", list(SEARCHED))
+    def test_every_field_matches(self, name):
+        # given the grading element, the search is the same and its partner
+        # is the one sl2_partner solves for apart
+        p = SEARCHED[name]()
+        h = grading_element(p).element if name in MIRRORED else None
+        for attempts in (1, 2, 3, 64):
+            for seed in (0, 1, 2):
+                res = find_generic(p, attempts, seed)
+                assert res == find_generic_reference(p, attempts, seed), (attempts, seed)
+                if h is not None:
+                    partner = sl2_partner(p, h, res.x) if res.found else None
+                    assert find_generic(p, attempts, seed, h) == res._replace(partner=partner)
+
+    @settings(max_examples=20, deadline=None)
+    @given(drawn_pentads(), st.integers(0, 2 ** 16))
+    def test_drawn_pentads(self, case, seed):
+        p, _ = case
+        for attempts in (1, 2, 3, 64):
+            assert find_generic(p, attempts, seed) == find_generic_reference(p, attempts, seed)
+
+    def test_not_found_ranks_skipped_samples_exactly(self):
+        p = two_copies_and_a_trivial_line(resolve("gl1_so_vector(5)").build())
+        m = p.module_dim
+        drawn = ad_on_dual(p, random_int_vector(random.Random(0), m))
+        assert (preh._rank_bound(drawn), rank(drawn)) == (10, 8)
+        for attempts in (1, 64):
+            res = find_generic(p, attempts)
+            assert (res.status, res.rank, res.attempts_used) == ("not_found", 8, attempts)
+        # a lone sample of matrix_space_example(2) is a draw (m >= attempts
+        # leaves attempts // 2 = 0 units), and the draw is generic
+        assert find_generic(resolve("matrix_space_example(2)").build(), 1).found
+
+    def test_one_forward_pass_for_search_and_partner(self, monkeypatch):
+        # matrix_space_example(12): m = 72 >= 64 attempts, so 32 unit samples,
+        # each with 26 nonempty columns, then one draw, which is generic.
+        # Ranking every sample and solving for the partner apart took 34
+        # forward passes (33 ranks and 1 solve).  p.phi, whose first use
+        # inverts the form, is built beforehand.
+        p = resolve("matrix_space_example(12)").build()
+        assert p.phi.denominator
+        passes, per_call = [], []
+        forward = exact_linalg._forward
+
+        def counting_forward(rows):
+            passes.append(1)
+            return forward(rows)
+
+        def spy(name):
+            original = getattr(preh, name)
+
+            def counting(*args, **kwargs):
+                before = len(passes)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    per_call.append(len(passes) - before)
+            monkeypatch.setattr(preh, name, counting)
+
+        monkeypatch.setattr(exact_linalg, "_forward", counting_forward)
+        spy("find_generic")
+        spy("sl2_partner")
+        v = decide_regularity(p)
+        assert (v.outcome, v.witness["clause"]) == ("NotRegular", "module_partner_kernel")
+        assert sum(per_call) == 1
+
+
 class TestCertificateTampering:
     @pytest.mark.parametrize("spec, outcome", [
         ("gl1_so_vector(3)", "Regular"), ("matrix_space_example(2)", "NotRegular")])
@@ -592,7 +686,8 @@ class TestCertificateTampering:
 class TestEngineWorkCounts:
     def test_one_echelon_per_solve(self, monkeypatch):
         p = resolve("matrix_space_example(3)").build()
-        engine, real_solve = exact_linalg.sparse_row_space_basis, exact_linalg.solve
+        # an echelon is one forward pass of the engine
+        engine, real_solve = exact_linalg._forward, exact_linalg.solve
         echelons, per_solve = [], []
 
         def counting_engine(rows):
@@ -605,13 +700,15 @@ class TestEngineWorkCounts:
             per_solve.append(len(echelons) - before)
             return res
 
-        monkeypatch.setattr(exact_linalg, "sparse_row_space_basis", counting_engine)
+        monkeypatch.setattr(exact_linalg, "_forward", counting_engine)
         monkeypatch.setattr(preh, "solve", counting_solve)
         monkeypatch.setattr(pentad, "solve", counting_solve)
         v = decide_regularity(p)
         assert verify_certificate(p, v) is True
-        # two grading-element solves (decide and verify) and the dual partner
-        assert per_solve == [1, 1, 1]
+        # two grading-element solves (decide and verify); the dual partner is
+        # read off the generic sample's own echelon, and a NotRegular replay
+        # by the module partner's kernel solves nothing
+        assert per_solve == [1, 1]
 
     def test_grading_element_reads_no_single_entries(self, monkeypatch):
         p = resolve("matrix_space_example(3)").build()
